@@ -4,21 +4,18 @@ from .errors import (ConstructionError, DegenerateEdgeError, FitError,
                      MeshStructureError, UnsupportedFaceError,
                      UnsupportedMeshError)
 from .splines import (D3C1P2S4, D5C2P2S4, FAMILIES, PolylineCurve,
-                      SplineFamily, eval_curve, eval_fundamental,
-                      eval_fundamental_deriv, family, make_knots)
+                      SplineFamily, family, fundamental_coefficients,
+                      fundamental_weights, make_knots)
 from .mesh import (EdgeParams, LocalGrid, QuadMesh, SectionPolyline,
                    assign_edge_params, classify_faces,
                    extract_local_grid, extrapolate_boundary_layer, load_obj,
                    save_obj, section_polyline_curve, trace_section_polylines)
-from .patch import (LocalParamFn, RegularPatch, boundary_scaling_delta,
-                    eval_patch, eval_patch_boundary_deriv,
-                    sample_boundary_data, smooth_blend)
+from .patch import LocalParamFn, RegularPatch, boundary_scaling_delta
 from .network import (build_cross_field_chi, build_cross_field_xi,
                       build_missing_boundary_curve, directional_derivs,
                       estimate_tangent_bessel, fit_guide_polynomial,
                       guide_points, planar_angles)
-from .gregory import (BoundaryData, GregoryPatch, PolySide, eval_g1, eval_g2,
-                      hermite_basis)
+from .gregory import BoundaryData, GregoryPatch, Side, hermite_basis
 from .surface import (BuildOptions, CompositeSurface, TriangleMesh,
                       analysis_fields, build_surface, continuity_report,
                       export_obj, export_ply, tessellate)

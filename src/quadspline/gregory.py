@@ -11,9 +11,14 @@ G2); at the corners, where the weights are 0/0, the mean of the two estimates
 is substituted, which is exact when the data are compatible and never affects
 interpolation because the blend weights vanish there at second order.
 
-Sides are duck-typed: any object with gamma(x, r=0), chi(x, r=0) and, for G2,
-xi(x, r=0) works; derivative orders r >= 1 of chi/xi are only requested at
-the side endpoints.
+Every side is a `Side`: the side's interval and its fields (the boundary
+curve, the first cross-derivative field chi and, for G2, the second xi), each
+evaluated like VecPoly.eval.  Sides sampled from an adjacent grid patch, sides
+generated from the curve network and hand-built sides differ only in the
+fields they hold; the Side alone maps a field stored in another orientation
+into the patch's.  The entries of M that depend on neither u nor v (corners
+and curve endpoint derivatives) are filled once per patch; x-derivatives of
+the cross fields are only requested at the side endpoints, also once.
 """
 
 import numpy as np
@@ -53,22 +58,33 @@ def hermite_basis(degree, u):
     raise ValueError("blending degree must be 3 or 5")
 
 
-class PolySide:
-    """Side backed by polynomial curve/field records (VecPoly)."""
+class Side:
+    """One side of a Coons-Gregory patch: its interval d and its fields.
 
-    def __init__(self, gamma, chi=None, xi=None):
-        self._gamma = gamma
-        self._chi = chi
-        self._xi = xi
+    fields[q] is the order-q cross-derivative field along the side (q = 0
+    the boundary curve gamma, 1 chi, 2 xi), a callable f(x, r) returning
+    the r-th derivative in the side's local variable x in [0, d], as
+    VecPoly.eval does.  The orders listed in `reverse` are stored running
+    from the far end: they are read at d - x, which flips the sign of odd
+    x-derivatives.  negate_cross negates the odd cross orders, for fields
+    whose cross direction points out of the patch.
+    """
 
-    def gamma(self, x, r=0):
-        return self._gamma.eval(x, r)
+    def __init__(self, d, fields, reverse=(), negate_cross=False):
+        self.d = d
+        self.fields = list(fields)
+        self._flip = [q in reverse for q in range(len(self.fields))]
+        self._sign = [-1.0 if negate_cross and q % 2 else 1.0
+                      for q in range(len(self.fields))]
 
-    def chi(self, x, r=0):
-        return self._chi.eval(x, r)
-
-    def xi(self, x, r=0):
-        return self._xi.eval(x, r)
+    def field(self, q, x, r=0):
+        """r-th x-derivative at x of the order-q field, in patch orientation."""
+        sign = self._sign[q]
+        if self._flip[q]:
+            x = self.d - x
+            if r % 2:
+                sign = -sign
+        return sign * self.fields[q](x, r)
 
 
 class BoundaryData:
@@ -100,14 +116,14 @@ class BoundaryData:
         p0, p1, p2, p3 = self.corners
         scale = max(1.0, float(np.abs(self.corners).max()))
         pairs = [
-            (self.sides[0].gamma(0.0), p0, "gamma0(0)"),
-            (self.sides[0].gamma(self.d0), p1, "gamma0(d0)"),
-            (self.sides[1].gamma(0.0), p1, "gamma1(0)"),
-            (self.sides[1].gamma(self.e1), p2, "gamma1(e1)"),
-            (self.sides[2].gamma(0.0), p3, "gamma2(0)"),
-            (self.sides[2].gamma(self.d1), p2, "gamma2(d1)"),
-            (self.sides[3].gamma(0.0), p0, "gamma3(0)"),
-            (self.sides[3].gamma(self.e0), p3, "gamma3(e0)"),
+            (self.sides[0].field(0, 0.0), p0, "gamma0(0)"),
+            (self.sides[0].field(0, self.d0), p1, "gamma0(d0)"),
+            (self.sides[1].field(0, 0.0), p1, "gamma1(0)"),
+            (self.sides[1].field(0, self.e1), p2, "gamma1(e1)"),
+            (self.sides[2].field(0, 0.0), p3, "gamma2(0)"),
+            (self.sides[2].field(0, self.d1), p2, "gamma2(d1)"),
+            (self.sides[3].field(0, 0.0), p0, "gamma3(0)"),
+            (self.sides[3].field(0, self.e0), p3, "gamma3(e0)"),
         ]
         for got, want, label in pairs:
             if np.linalg.norm(got - want) > 1e-7 * scale:
@@ -137,147 +153,70 @@ class GregoryPatch:
         d = data
         self.delta = LocalParamFn(data.k, d.d0, d.d1)
         self.epsilon = LocalParamFn(data.k, d.e0, d.e1)
-        g0, g1, g2, g3 = d.sides
-        # constant entries: curve endpoint derivatives ...
-        self._dg0 = (g0.gamma(0.0, 1), g0.gamma(d.d0, 1))
-        self._dg1 = (g1.gamma(0.0, 1), g1.gamma(d.e1, 1))
-        self._dg2 = (g2.gamma(0.0, 1), g2.gamma(d.d1, 1))
-        self._dg3 = (g3.gamma(0.0, 1), g3.gamma(d.e0, 1))
-        # ... and cross-field endpoint derivatives feeding the twist blends
-        self._dchi0 = (g0.chi(0.0, 1), g0.chi(d.d0, 1))
-        self._dchi1 = (g1.chi(0.0, 1), g1.chi(d.e1, 1))
-        self._dchi2 = (g2.chi(0.0, 1), g2.chi(d.d1, 1))
-        self._dchi3 = (g3.chi(0.0, 1), g3.chi(d.e0, 1))
-        if mode == "g2":
-            self._ddg0 = (g0.gamma(0.0, 2), g0.gamma(d.d0, 2))
-            self._ddg1 = (g1.gamma(0.0, 2), g1.gamma(d.e1, 2))
-            self._ddg2 = (g2.gamma(0.0, 2), g2.gamma(d.d1, 2))
-            self._ddg3 = (g3.gamma(0.0, 2), g3.gamma(d.e0, 2))
-            self._ddchi0 = (g0.chi(0.0, 2), g0.chi(d.d0, 2))
-            self._ddchi1 = (g1.chi(0.0, 2), g1.chi(d.e1, 2))
-            self._ddchi2 = (g2.chi(0.0, 2), g2.chi(d.d1, 2))
-            self._ddchi3 = (g3.chi(0.0, 2), g3.chi(d.e0, 2))
-            self._dxi0 = (g0.xi(0.0, 1), g0.xi(d.d0, 1))
-            self._dxi1 = (g1.xi(0.0, 1), g1.xi(d.e1, 1))
-            self._dxi2 = (g2.xi(0.0, 1), g2.xi(d.d1, 1))
-            self._dxi3 = (g3.xi(0.0, 1), g3.xi(d.e0, 1))
-            self._ddxi0 = (g0.xi(0.0, 2), g0.xi(d.d0, 2))
-            self._ddxi1 = (g1.xi(0.0, 2), g1.xi(d.e1, 2))
-            self._ddxi2 = (g2.xi(0.0, 2), g2.xi(d.d1, 2))
-            self._ddxi3 = (g3.xi(0.0, 2), g3.xi(d.e0, 2))
+        # highest cross order, and highest derivative order along a side
+        n = self._n = 2 if mode == "g2" else 1
+        lengths = (d.d0, d.e1, d.d1, d.e0)
+        # ends[q][r - 1][s][e]: r-th x-derivative of side s's order-q field
+        # at its start (e = 0) or end (e = 1)
+        ends = [[[[side.field(q, x, r) for x in (0.0, length)]
+                  for side, length in zip(d.sides, lengths)]
+                 for r in range(1, n + 1)]
+                for q in range(n + 1)]
+        # powers of the intervals: dp[r] = (d0^r, d1^r), ep[r] = (e0^r, e1^r)
+        dp = {1: (d.d0, d.d1), 2: (d.d0 ** 2, d.d1 ** 2)}
+        ep = {1: (d.e0, d.e1), 2: (d.e0 ** 2, d.e1 ** 2)}
+
+        # constant entries: corners and curve endpoint derivatives
+        M = np.zeros((2 * n + 3, 2 * n + 3, 3))
+        M[1, 1], M[1, 2], M[2, 1], M[2, 2] = d.corners[[0, 3, 1, 2]]
+        for r in range(1, n + 1):
+            dg = ends[0][r - 1]
+            for i in (0, 1):
+                for e in (0, 1):
+                    M[1 + i, 1 + 2 * r + e] = ep[r][i] * dg[(3, 1)[i]][e]
+                    M[1 + 2 * r + e, 1 + i] = dp[r][i] * dg[(0, 2)[i]][e]
+        self._M0 = M
+        # twist block (i, j) covers rows 1+2i.., columns 1+2j..: it blends
+        # side 3/1 data of cross order i against side 0/2 data of order j
+        self._twists = [
+            (i, j, ends[i][j - 1], ends[j][i - 1],
+             [[dp[i][b] * ep[j][a] for b in (0, 1)] for a in (0, 1)])
+            for i in range(1, n + 1) for j in range(1, n + 1)]
 
     # -- matrix assembly ------------------------------------------------------
-    def _omega11(self, u, v, quadratic):
-        d = self.data
-        if quadratic:
-            wu0, wu1 = u * u, (1.0 - u) ** 2
-            wv0, wv1 = v * v, (1.0 - v) ** 2
-        else:
-            wu0, wu1 = u, 1.0 - u
-            wv0, wv1 = v, 1.0 - v
-        c3, c0 = self._dchi3, self._dchi0
-        c1, c2 = self._dchi1, self._dchi2
-        return (
-            d.d0 * d.e0 * _greg(wu0, c3[0], wv0, c0[0]),
-            d.d1 * d.e0 * _greg(wu0, c3[1], wv1, c2[0]),
-            d.d0 * d.e1 * _greg(wu1, c1[0], wv0, c0[1]),
-            d.d1 * d.e1 * _greg(wu1, c1[1], wv1, c2[1]),
-        )
+    def _twist(self, M, wu, wv, i, j, A, B, scale):
+        """Gregory blends of one twist block, weights wu/wv per corner."""
+        for a in (0, 1):
+            for b in (0, 1):
+                M[1 + 2 * i + a, 1 + 2 * j + b] = scale[a][b] * _greg(
+                    wu[a], A[(3, 1)[a]][b], wv[b], B[(0, 2)[b]][a])
 
     def _matrix(self, u, v):
         d = self.data
         g0, g1, g2, g3 = d.sides
-        x0 = u * d.d0
-        x1 = u * d.d1
-        y0 = v * d.e0
-        y1 = v * d.e1
+        x0, x1 = u * d.d0, u * d.d1
+        y0, y1 = v * d.e0, v * d.e1
+        M = self._M0.copy()
+        M[0, 1] = g0.field(0, x0)
+        M[0, 2] = g2.field(0, x1)
+        M[1, 0] = g3.field(0, y0)
+        M[2, 0] = g1.field(0, y1)
         eps = self.epsilon(u)
         dlt = self.delta(v)
-        n = 7 if self.mode == "g2" else 5
-        M = np.zeros((n, n, 3))
-        p0, p1, p2, p3 = d.corners
-
-        M[0, 1] = g0.gamma(x0)
-        M[0, 2] = g2.gamma(x1)
-        M[0, 3] = eps * g0.chi(x0)
-        M[0, 4] = eps * g2.chi(x1)
-        M[1, 0] = g3.gamma(y0)
-        M[1, 1] = p0
-        M[1, 2] = p3
-        M[1, 3] = d.e0 * self._dg3[0]
-        M[1, 4] = d.e0 * self._dg3[1]
-        M[2, 0] = g1.gamma(y1)
-        M[2, 1] = p1
-        M[2, 2] = p2
-        M[2, 3] = d.e1 * self._dg1[0]
-        M[2, 4] = d.e1 * self._dg1[1]
-        M[3, 0] = dlt * g3.chi(y0)
-        M[3, 1] = d.d0 * self._dg0[0]
-        M[3, 2] = d.d1 * self._dg2[0]
-        M[4, 0] = dlt * g1.chi(y1)
-        M[4, 1] = d.d0 * self._dg0[1]
-        M[4, 2] = d.d1 * self._dg2[1]
-        o = self._omega11(u, v, quadratic=(self.mode == "g2"))
-        M[3, 3], M[3, 4], M[4, 3], M[4, 4] = o
-
-        if self.mode == "g1":
-            return M
-
-        eps2 = eps * eps
-        dlt2 = dlt * dlt
-        M[0, 5] = eps2 * g0.xi(x0)
-        M[0, 6] = eps2 * g2.xi(x1)
-        M[1, 5] = d.e0 ** 2 * self._ddg3[0]
-        M[1, 6] = d.e0 ** 2 * self._ddg3[1]
-        M[2, 5] = d.e1 ** 2 * self._ddg1[0]
-        M[2, 6] = d.e1 ** 2 * self._ddg1[1]
-        M[5, 0] = dlt2 * g3.xi(y0)
-        M[5, 1] = d.d0 ** 2 * self._ddg0[0]
-        M[5, 2] = d.d1 ** 2 * self._ddg2[0]
-        M[6, 0] = dlt2 * g1.xi(y1)
-        M[6, 1] = d.d0 ** 2 * self._ddg0[1]
-        M[6, 2] = d.d1 ** 2 * self._ddg2[1]
-
-        # mixed third/fourth order corner estimates
-        M[3, 5], M[3, 6], M[4, 5], M[4, 6] = self._omega12(u, v)
-        o21 = self._omega21(u, v)
-        M[5, 3], M[5, 4], M[6, 3], M[6, 4] = o21
-        o22 = self._omega22(u, v)
-        M[5, 5], M[5, 6], M[6, 5], M[6, 6] = o22
+        # cross fields scale by the blend functions' powers
+        for q, su, sv in ((1, eps, dlt), (2, eps * eps, dlt * dlt))[:self._n]:
+            c = 1 + 2 * q
+            M[0, c] = su * g0.field(q, x0)
+            M[0, c + 1] = su * g2.field(q, x1)
+            M[c, 0] = sv * g3.field(q, y0)
+            M[c + 1, 0] = sv * g1.field(q, y1)
+        if self._n == 2:
+            wu, wv = (u * u, (1.0 - u) ** 2), (v * v, (1.0 - v) ** 2)
+        else:
+            wu, wv = (u, 1.0 - u), (v, 1.0 - v)
+        for block in self._twists:
+            self._twist(M, wu, wv, *block)
         return M
-
-    def _omega12(self, u, v):
-        d = self.data
-        wu0, wu1 = u * u, (1.0 - u) ** 2
-        wv0, wv1 = v * v, (1.0 - v) ** 2
-        return (
-            d.d0 * d.e0 ** 2 * _greg(wu0, self._ddchi3[0], wv0, self._dxi0[0]),
-            d.d1 * d.e0 ** 2 * _greg(wu0, self._ddchi3[1], wv1, self._dxi2[0]),
-            d.d0 * d.e1 ** 2 * _greg(wu1, self._ddchi1[0], wv0, self._dxi0[1]),
-            d.d1 * d.e1 ** 2 * _greg(wu1, self._ddchi1[1], wv1, self._dxi2[1]),
-        )
-
-    def _omega21(self, u, v):
-        d = self.data
-        wu0, wu1 = u * u, (1.0 - u) ** 2
-        wv0, wv1 = v * v, (1.0 - v) ** 2
-        return (
-            d.d0 ** 2 * d.e0 * _greg(wu0, self._dxi3[0], wv0, self._ddchi0[0]),
-            d.d1 ** 2 * d.e0 * _greg(wu0, self._dxi3[1], wv1, self._ddchi2[0]),
-            d.d0 ** 2 * d.e1 * _greg(wu1, self._dxi1[0], wv0, self._ddchi0[1]),
-            d.d1 ** 2 * d.e1 * _greg(wu1, self._dxi1[1], wv1, self._ddchi2[1]),
-        )
-
-    def _omega22(self, u, v):
-        d = self.data
-        wu0, wu1 = u * u, (1.0 - u) ** 2
-        wv0, wv1 = v * v, (1.0 - v) ** 2
-        return (
-            d.d0 ** 2 * d.e0 ** 2 * _greg(wu0, self._ddxi3[0], wv0, self._ddxi0[0]),
-            d.d1 ** 2 * d.e0 ** 2 * _greg(wu0, self._ddxi3[1], wv1, self._ddxi2[0]),
-            d.d0 ** 2 * d.e1 ** 2 * _greg(wu1, self._ddxi1[0], wv0, self._ddxi0[1]),
-            d.d1 ** 2 * d.e1 ** 2 * _greg(wu1, self._ddxi1[1], wv1, self._ddxi2[1]),
-        )
 
     def eval(self, u, v):
         M = self._matrix(u, v)
@@ -287,15 +226,3 @@ class GregoryPatch:
 
     def __call__(self, u, v):
         return self.eval(u, v)
-
-
-def eval_g1(patch, u, v):
-    if patch.mode != "g1":
-        raise ValueError("patch is not bicubically blended")
-    return patch.eval(u, v)
-
-
-def eval_g2(patch, u, v):
-    if patch.mode != "g2":
-        raise ValueError("patch is not biquintically blended")
-    return patch.eval(u, v)

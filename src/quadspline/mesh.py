@@ -31,6 +31,10 @@ class QuadMesh:
         if len(self.faces) and (self.faces.min() < 0
                                 or self.faces.max() >= len(self.vertices)):
             raise MeshStructureError("face references a vertex out of range")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(bad):
+            raise MeshStructureError(
+                f"vertex {bad[0]} has a non-finite coordinate")
         # set by build_connectivity
         self.he_twin = None
         self.he_origin = None
@@ -104,12 +108,6 @@ class QuadMesh:
 
     def is_boundary_vertex(self, v):
         return bool(self._vertex_boundary[v])
-
-    def is_boundary_edge(self, i, j):
-        h = self._he_dir.get((i, j))
-        if h is None:
-            h = self._he_dir.get((j, i))
-        return h is not None and self.twin(h) is None
 
     def has_boundary(self):
         return bool(np.any(self.he_twin < 0))
@@ -243,6 +241,14 @@ class QuadMesh:
         for h in range(4 * nf):
             if self.he_twin[h] < 0:
                 self._vertex_out[self.origin(h)] = h
+        # the faces at a vertex must form one fan; two fans that share only
+        # the vertex (a bowtie) leave some of its half edges off the star
+        fan_sizes = np.bincount(self.he_origin, minlength=nv)
+        for v in range(nv):
+            if len(self.vertex_star(v)) != fan_sizes[v]:
+                raise MeshStructureError(
+                    f"non-manifold vertex {v}: its faces form more than "
+                    "one fan")
 
         self._reject_degenerate_edges(pairs.keys())
         return self

@@ -61,6 +61,15 @@ class VecPoly:
             c = c[1:] * np.arange(1, len(c))[:, None]
         return VecPoly(c)
 
+    def reversed(self, d):
+        """The same curve run backwards over [0, d]: x -> d - x."""
+        c = self.coeffs
+        out = np.zeros_like(c)
+        for k in range(len(c)):
+            for m in range(k + 1):
+                out[m] += math.comb(k, m) * d ** (k - m) * (-1.0) ** m * c[k]
+        return VecPoly(out)
+
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         out = np.zeros((n, self.dim))

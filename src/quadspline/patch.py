@@ -16,7 +16,7 @@ blend value, which keeps boundary data exact and cheap.
 
 import numpy as np
 
-from .splines import fundamental_weights, segment_coefficients
+from .splines import fundamental_weights
 
 SIDES = ("v0", "v1", "u0", "u1")
 
@@ -53,10 +53,6 @@ class LocalParamFn:
                      5: 720.0}
             val = polys.get(r, 0.0)
         return c * val if r >= 1 else self(t)
-
-
-def smooth_blend(k, a, b):
-    return LocalParamFn(k, a, b)
 
 
 class RegularPatch:
@@ -130,9 +126,28 @@ class RegularPatch:
         w = fundamental_weights(self.family, x, d, r)
         return np.asarray(w) @ pts
 
-    def boundary_segment_coefficients(self, side):
-        pts, d = self.section_data(side)
-        return segment_coefficients(pts, d, self.family)
+    def side_field(self, side, q, x, r=0):
+        """r-th x-derivative of a side's order-q cross field (q = 0: the
+        boundary curve) in the side's local variable x.
+
+        x-derivatives of cross fields are exact, and offered, only at the
+        side's endpoints, where they are mixed corner derivatives.
+        """
+        if q > self.k:
+            raise ValueError(f"cross order {q} exceeds continuity {self.k}")
+        if q == 0:
+            return self.eval_boundary(side, x, r)
+        if r == 0:
+            return self.cross_field(side, x, q)
+        d_edge = self.side_interval(side)
+        if abs(x) <= 1e-9 * d_edge:
+            ti = 0
+        elif abs(x - d_edge) <= 1e-9 * d_edge:
+            ti = 1
+        else:
+            raise ValueError("cross-field derivatives are exact at endpoints "
+                             "only")
+        return self.corner_mixed(*_side_corner(side, ti, q, r))
 
     def cross_field(self, side, x, r=1):
         """r-th cross derivative in local variables along a side.
@@ -216,26 +231,18 @@ class RegularPatch:
         if t not in (0.0, 1.0):
             raise ValueError("mixed boundary derivatives are exact only at "
                              "corners")
-        ti = int(t)
-        if side == "v0":
-            ui, vi, q, r = ti, 0, r_along, r_cross
-        elif side == "v1":
-            ui, vi, q, r = ti, 1, r_along, r_cross
-        elif side == "u0":
-            ui, vi, q, r = 0, ti, r_cross, r_along
-        else:
-            ui, vi, q, r = 1, ti, r_cross, r_along
+        ui, vi, q, r = _side_corner(side, int(t), r_cross, r_along)
         dv = self.row_blends[self._c](float(vi))
         ev = self.col_blends[self._c](float(ui))
         return dv ** q * ev ** r * self.corner_mixed(ui, vi, q, r)
 
 
-def eval_patch(patch, u, v):
-    return patch.eval(u, v)
-
-
-def eval_patch_boundary_deriv(patch, side, t, r_cross, r_along=0):
-    return patch.boundary_deriv(side, t, r_cross, r_along)
+def _side_corner(side, ti, cross, along):
+    """(ui, vi, x order, y order) of a mixed derivative at endpoint ti of a
+    side, with `cross` derivatives across the side and `along` along it."""
+    if side in ("v0", "v1"):
+        return ti, int(side == "v1"), along, cross
+    return int(side == "u1"), ti, cross, along
 
 
 def boundary_scaling_delta(patch, neighbor, v):
@@ -252,57 +259,6 @@ def boundary_scaling_delta(patch, neighbor, v):
     num = patch.row_blends[c](v)
     den = patch.row_blends[c - 1](v)
     return num / den
-
-
-def sample_boundary_data(patch, side):
-    """Boundary curve and cross fields of one side, in its local variable.
-
-    Returns a dict of callables: gamma(x, r), chi(x) and (for C2 families)
-    xi(x), each expressed in local variables so a consumer on the other side
-    of the boundary can rescale them with its own blend functions.  chi/xi
-    derivatives are exposed at the side endpoints only, where they are exact.
-    """
-    k = patch.k
-
-    def chi(x, r=0):
-        if r == 0:
-            return patch.cross_field(side, x, 1)
-        return _endpoint_cross_deriv(patch, side, x, 1, r)
-
-    def xi(x, r=0):
-        if k < 2:
-            raise ValueError("second-order cross field needs a C2 family")
-        if r == 0:
-            return patch.cross_field(side, x, 2)
-        return _endpoint_cross_deriv(patch, side, x, 2, r)
-
-    data = {
-        "interval": patch.side_interval(side),
-        "gamma": lambda x, r=0: patch.eval_boundary(side, x, r),
-        "chi": chi,
-    }
-    if k >= 2:
-        data["xi"] = xi
-    return data
-
-
-def _endpoint_cross_deriv(patch, side, x, cross_order, along_order):
-    d_edge = patch.side_interval(side)
-    if abs(x) <= 1e-9 * d_edge:
-        ti = 0
-    elif abs(x - d_edge) <= 1e-9 * d_edge:
-        ti = 1
-    else:
-        raise ValueError("cross-field derivatives are exact at endpoints only")
-    if side == "v0":
-        ui, vi, q, r = ti, 0, along_order, cross_order
-    elif side == "v1":
-        ui, vi, q, r = ti, 1, along_order, cross_order
-    elif side == "u0":
-        ui, vi, q, r = 0, ti, cross_order, along_order
-    else:
-        ui, vi, q, r = 1, ti, cross_order, along_order
-    return patch.corner_mixed(ui, vi, q, r)
 
 
 def principal_curvatures(su, sv, suu, suv, svv):

@@ -105,12 +105,6 @@ def _coeffs_all_d5(dm, d0, dp):
 _COEFF_ALL = {"d3c1p2s4": _coeffs_all_d3, "d5c2p2s4": _coeffs_all_d5}
 
 
-def _coeffs_one(fam_name, offset, dm, d0, dp):
-    if not -1 <= offset <= 2:
-        raise ValueError(f"offset {offset} outside the support window")
-    return _COEFF_ALL[fam_name](dm, d0, dp)[offset + 1]
-
-
 def fundamental_coefficients(fam, offset, d):
     """Monomial coefficients of psi_{s+offset} on [0, d_s] for local vector d.
 
@@ -123,7 +117,9 @@ def fundamental_coefficients(fam, offset, d):
     dm, d0, dp = d
     if dm <= 0.0 or d0 <= 0.0 or dp <= 0.0:
         raise DegenerateEdgeError("parameter intervals must be positive")
-    return _coeffs_one(fam.name, offset, dm, d0, dp)
+    if not -1 <= offset <= 2:
+        raise ValueError(f"offset {offset} outside the support window")
+    return _COEFF_ALL[fam.name](dm, d0, dp)[offset + 1]
 
 
 def _check_x(x, d0):
@@ -144,23 +140,6 @@ def _deriv_coeffs(coeffs, r):
         if not coeffs:
             return (0.0,)
     return coeffs
-
-
-def eval_fundamental(fam, offset, x, d):
-    """Value of the basis function psi_{s+offset} at local coordinate x."""
-    _check_x(x, d[1])
-    return _horner(fundamental_coefficients(fam, offset, d), x)
-
-
-def eval_fundamental_deriv(fam, offset, x, d, r):
-    """Exact r-th derivative of psi_{s+offset} at x (0 above the degree)."""
-    if r < 0:
-        raise ValueError("derivative order must be >= 0")
-    _check_x(x, d[1])
-    if r > fam.degree:
-        return 0.0
-    coeffs = fundamental_coefficients(fam, offset, d)
-    return _horner(_deriv_coeffs(coeffs, r), x)
 
 
 def fundamental_weights(fam, x, d, r=0):
@@ -271,6 +250,9 @@ class PolylineCurve:
     def eval(self, x, r=0):
         """Point (r = 0) or r-th derivative vector at parameter x."""
         s, xloc = self._locate(x)
+        return self._eval_segment(s, xloc, r)
+
+    def _eval_segment(self, s, xloc, r):
         idx, d = self._window(s)
         w = fundamental_weights(self.family, xloc, d, r)
         out = np.zeros(self.dim)
@@ -288,35 +270,17 @@ class PolylineCurve:
         starting there.  Used to verify knot continuity of the family.
         """
         if side == "right":
-            s = knot_index
-            xloc = 0.0
+            s, xloc = knot_index, 0.0
         elif side == "left":
             s = knot_index - 1
-            if not self.closed:
-                if s < 1:
-                    raise ValueError("no full window left of this knot")
-            else:
+            if self.closed:
                 s %= len(self.points)
-            idx, d = self._window(s)
-            xloc = d[1]
-            w = fundamental_weights(self.family, xloc, d, r)
-            out = np.zeros(self.dim)
-            for k, i in enumerate(idx):
-                out += w[k] * self.points[i]
-            return out
+            elif s < 1:
+                raise ValueError("no full window left of this knot")
+            xloc = self._d[s]
         else:
             raise ValueError("side must be 'left' or 'right'")
-        idx, d = self._window(s)
-        w = fundamental_weights(self.family, xloc, d, r)
-        out = np.zeros(self.dim)
-        for k, i in enumerate(idx):
-            out += w[k] * self.points[i]
-        return out
-
-
-def eval_curve(curve, x, r=0):
-    """Functional form of PolylineCurve.eval."""
-    return curve.eval(x, r)
+        return self._eval_segment(s, xloc, r)
 
 
 def segment_coefficients(points4, d, fam):

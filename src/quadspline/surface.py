@@ -8,16 +8,16 @@ watertight by construction.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import mesh as qm
 from . import network as net
 from .errors import ConstructionError
-from .gregory import BoundaryData, GregoryPatch
-from .patch import RegularPatch, _endpoint_cross_deriv
+from .gregory import BoundaryData, GregoryPatch, Side
+from .patch import RegularPatch
 from .splines import D5C2P2S4, family as family_by_name, segment_coefficients
 
 LIGHT_DIRECTION = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
@@ -32,11 +32,6 @@ class BuildOptions:
     param_method: str = "centripetal"
     alpha: float = None
     r_degree: int = 2
-    # None: guide points are placed at their curve-parameter abscissas
-    # (d/4, d/2).  A float switches to |q - p0|^alpha, which degenerates the
-    # fitted gradient on smooth data (|q - p0| equals the squared radius by
-    # construction) and is kept only as an experimentation knob.
-    guide_radius_alpha: float = None
 
     def __post_init__(self):
         if isinstance(self.family, str):
@@ -53,45 +48,6 @@ class BuildOptions:
     @property
     def k(self):
         return 2 if self.mode == "g2" else 1
-
-
-class SampledSide:
-    """Gregory side data read off an adjacent regular patch.
-
-    The patch is extracted with an anchor that puts the shared edge on the
-    requested side; flip_param reverses the traversal, flip_cross negates odd
-    cross orders (the patch's +y points away from the consuming face).
-    """
-
-    def __init__(self, patch, side, flip_param, flip_cross):
-        self.patch = patch
-        self.side = side
-        self.d = patch.side_interval(side)
-        self.flip_param = flip_param
-        self.cross_sign = -1.0 if flip_cross else 1.0
-
-    def _m(self, x):
-        return self.d - x if self.flip_param else x
-
-    def _psign(self, r):
-        return -1.0 if (self.flip_param and r % 2) else 1.0
-
-    def gamma(self, x, r=0):
-        return self._psign(r) * self.patch.eval_boundary(self.side,
-                                                         self._m(x), r)
-
-    def chi(self, x, r=0):
-        if r == 0:
-            return self.cross_sign * self.patch.cross_field(
-                self.side, self._m(x), 1)
-        val = _endpoint_cross_deriv(self.patch, self.side, self._m(x), 1, r)
-        return self.cross_sign * self._psign(r) * val
-
-    def xi(self, x, r=0):
-        if r == 0:
-            return self.patch.cross_field(self.side, self._m(x), 2)
-        return self._psign(r) * _endpoint_cross_deriv(
-            self.patch, self.side, self._m(x), 2, r)
 
 
 @dataclass
@@ -123,8 +79,6 @@ class CompositeSurface:
         self.gregory = {}
         self.anchors = {}
         self.edge_records = {}
-        self.regular_faces = []
-        self.extraordinary_faces = []
 
     @property
     def real_faces(self):
@@ -132,9 +86,6 @@ class CompositeSurface:
 
     def patch(self, f):
         return self.regular.get(f) or self.gregory[f]
-
-    def eval(self, f, u, v):
-        return self.patch(f).eval(u, v)
 
     def eval_on_edge(self, f, he, t):
         """Patch value at fraction t along half edge he of face f."""
@@ -165,8 +116,6 @@ def build_surface(mesh, options=None, params=None):
     surf = CompositeSurface(mesh, params, options)
     w = options.family.support
     regular, extraordinary = qm.classify_faces(mesh, w)
-    surf.regular_faces = regular
-    surf.extraordinary_faces = extraordinary
 
     for f in regular:
         grid = qm.extract_local_grid(mesh, params, f, w)
@@ -190,8 +139,6 @@ class _GregoryBuilder:
         self.family = surf.options.family
         self.vertex_data = {}
         self.sampled_patches = {}
-        # face -> list of 4 side objects, gamma available before cross fields
-        self._face_sides = {}
 
     # -- derivative sampling along section curves ---------------------------
     def _opposite_vertex(self, a, c):
@@ -292,15 +239,10 @@ class _GregoryBuilder:
                 q1, q2 = net.guide_points(p0, pts[i], ds[i], tans[i], ti0)
                 qs.append((q1, q2))
             etas = net.planar_angles(tans)
-            alpha = self.options.guide_radius_alpha
             samples = []
             xys = []
             for i in range(len(nbrs)):
-                for q, abscissa in zip(qs[i], (ds[i] / 4.0, ds[i] / 2.0)):
-                    if alpha is None:
-                        r = abscissa
-                    else:
-                        r = float(np.linalg.norm(q - p0)) ** alpha
+                for q, r in zip(qs[i], (ds[i] / 4.0, ds[i] / 2.0)):
                     samples.append(q)
                     xys.append((r * np.cos(etas[i]), r * np.sin(etas[i])))
             degree = 3 if len(nbrs) >= 5 else 2
@@ -434,7 +376,11 @@ class _GregoryBuilder:
                                          self.family.support, anchor=anchor)
             patch = RegularPatch(grid, self.family)
             self.sampled_patches[key] = patch
-        return SampledSide(patch, side, flip_param, flip_cross)
+        return Side(patch.side_interval(side),
+                    [partial(patch.side_field, side, q)
+                     for q in range(patch.k + 1)],
+                    reverse=(0, 1, 2) if flip_param else (),
+                    negate_cross=flip_cross)
 
     def build_face(self, f):
         mesh = self.mesh
@@ -457,8 +403,10 @@ class _GregoryBuilder:
                 info["kind"] = "network"
                 rec = self._edge_record(info["va"], info["vb"])
                 info["record"] = rec
-                sides[info["role"]] = _NetworkSideView(rec, info["va"])
-        self._face_sides[f] = sides
+                info["reverse"] = (0,) if rec.a != info["va"] else ()
+                # the curve alone, for the corner targets below
+                sides[info["role"]] = Side(rec.d, [rec.gamma.eval],
+                                           reverse=info["reverse"])
 
         # cross fields for the network sides, targets taken from the
         # neighboring sides' curve derivatives at the shared corners
@@ -470,23 +418,23 @@ class _GregoryBuilder:
         def corner_targets(role, order):
             g0, g1, g2, g3 = sides
             if role == 0:
-                return g3.gamma(0.0, order), g1.gamma(0.0, order)
+                return g3.field(0, 0.0, order), g1.field(0, 0.0, order)
             if role == 1:
-                return g0.gamma(d0, order), g2.gamma(d1, order)
+                return g0.field(0, d0, order), g2.field(0, d1, order)
             if role == 2:
-                return g3.gamma(e0, order), g1.gamma(e1, order)
-            return g0.gamma(0.0, order), g2.gamma(0.0, order)
+                return g3.field(0, e0, order), g1.field(0, e1, order)
+            return g0.field(0, 0.0, order), g2.field(0, 0.0, order)
 
         for info in plan:
             if info["kind"] != "network":
                 continue
             role = info["role"]
-            side = sides[role]
             rec = info["record"]
             if f in rec.chi and (self.options.mode == "g1" or f in rec.xi):
                 continue
             d = rec.d
-            gamma_view = side.gamma_poly()
+            gamma_view = rec.gamma.reversed(d) if info["reverse"] \
+                else rec.gamma
             nm = None
             if self.options.r_degree == 2:
                 twin = mesh.twin(info["he"])
@@ -521,61 +469,19 @@ class _GregoryBuilder:
                 rec.xi[f] = net.build_cross_field_xi(
                     gamma_view, d, a_lin, b_lin, ruled, w_field, s0, s1)
 
+        # cross fields were built in this face's orientation already
         for info in plan:
             if info["kind"] == "network":
-                sides[info["role"]].attach_fields(
-                    info["record"].chi[f],
-                    info["record"].xi.get(f))
+                rec = info["record"]
+                fields = [rec.gamma, rec.chi[f], rec.xi.get(f)]
+                sides[info["role"]] = Side(
+                    rec.d, [p.eval for p in fields if p is not None],
+                    reverse=info["reverse"])
 
         data = BoundaryData(corners, sides, d0, d1, e0, e1,
                             k=self.options.k, face=f)
         self.surf.gregory[f] = GregoryPatch(
             data, mode=self.options.mode)
-
-
-class _NetworkSideView:
-    """View of a shared curve record in one face's traversal direction."""
-
-    def __init__(self, record, start_vertex):
-        self.record = record
-        self.flip = record.a != start_vertex
-        self.d = record.d
-        self._chi = None
-        self._xi = None
-
-    def _m(self, x):
-        return self.d - x if self.flip else x
-
-    def _sign(self, r):
-        return -1.0 if (self.flip and r % 2) else 1.0
-
-    def gamma(self, x, r=0):
-        return self._sign(r) * self.record.gamma.eval(self._m(x), r)
-
-    def gamma_poly(self):
-        """The curve as a polynomial in this view's own parameter."""
-        if not self.flip:
-            return self.record.gamma
-        c = self.record.gamma.coeffs
-        n = len(c)
-        out = np.zeros_like(c)
-        # substitute x -> d - x
-        for k in range(n):
-            for m in range(k + 1):
-                coef = math.comb(k, m) * self.d ** (k - m) * (-1.0) ** m
-                out[m] += coef * c[k]
-        return net.VecPoly(out)
-
-    def attach_fields(self, chi, xi):
-        # fields were built in this view's parametrization already
-        self._chi = chi
-        self._xi = xi
-
-    def chi(self, x, r=0):
-        return self._chi.eval(x, r)
-
-    def xi(self, x, r=0):
-        return self._xi.eval(x, r)
 
 
 # -- tessellation -----------------------------------------------------------------
@@ -868,22 +774,11 @@ def continuity_report(surface, samples=16, fd_step=5e-3):
 
 def _cross_frame(surface, f, he, u, v):
     """(axis, inward sign, blend value) for the cross direction at a boundary
-    point of face f reached along half edge he."""
+    point of regular face f reached along half edge he."""
     c = (he - surface.anchors[f]) % 4
-    patch = surface.patch(f)
-    if hasattr(patch, "side_blend"):
-        blends = {0: patch.side_blend("v0"), 1: patch.side_blend("u1"),
-                  2: patch.side_blend("v1"), 3: patch.side_blend("u0")}
-    else:
-        blends = {0: patch.epsilon, 1: patch.delta,
-                  2: patch.epsilon, 3: patch.delta}
-    if c == 0:
-        return 1, 1, blends[0](u)
-    if c == 1:
-        return 0, -1, blends[1](v)
-    if c == 2:
-        return 1, -1, blends[2](u)
-    return 0, 1, blends[3](v)
+    side, axis, inward, t = (("v0", 1, 1, u), ("u1", 0, -1, v),
+                             ("v1", 1, -1, u), ("u0", 0, 1, v))[c]
+    return axis, inward, surface.regular[f].side_blend(side)(t)
 
 
 # -- exports --------------------------------------------------------------------------

@@ -48,6 +48,18 @@ def open_grid(nx=5, ny=5, spacing=1.0, height=None):
     return QuadMesh(verts, faces)
 
 
+def bowtie_grids(n=2):
+    """Two open n x n grids that share only one corner vertex: the top-right
+    corner of the first is the bottom-left corner of the second."""
+    grid = open_grid(n, n)
+    nv = len(grid.vertices)
+    shared = nv - 1
+    verts = np.vstack([grid.vertices,
+                       grid.vertices[1:] + grid.vertices[shared]])
+    remap = np.concatenate([[shared], nv + np.arange(nv - 1)])
+    return QuadMesh(verts, np.vstack([grid.faces, remap[grid.faces]]))
+
+
 def cube_mesh():
     verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
              [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]]

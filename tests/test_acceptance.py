@@ -20,7 +20,7 @@ from quadspline.mesh import (assign_edge_params, extract_local_grid,
 from quadspline.network import estimate_tangent_bessel
 from quadspline.patch import RegularPatch, boundary_scaling_delta
 from quadspline.splines import (D3C1P2S4, D5C2P2S4, PolylineCurve,
-                                eval_fundamental, fundamental_weights)
+                                fundamental_weights)
 from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
                                 tessellate)
 
@@ -67,7 +67,7 @@ def test_criterion_02_uniform_midpoint_weights():
     want = (-1 / 16, 9 / 16, 9 / 16, -1 / 16)
     for fam in BOTH:
         for off, w in zip((-1, 0, 1, 2), want):
-            assert abs(eval_fundamental(fam, off, 0.5, d) - w) < 1e-14
+            assert abs(fundamental_weights(fam, 0.5, d)[off + 1] - w) < 1e-14
     report(2, "uniform midpoint weights (-1/16, 9/16, 9/16, -1/16) to 1e-14")
 
 
@@ -198,14 +198,14 @@ def test_criterion_07_gregory_interpolation_contract():
         g0 = data.sides[0]
         for t in rng.uniform(0, 1, 5):
             assert np.linalg.norm(patch.eval(t, 0)
-                                  - g0.gamma(t * data.d0)) < 1e-10
+                                  - g0.field(0, t * data.d0)) < 1e-10
         for u in rng.uniform(0.05, 0.95, 4):
-            want = patch.epsilon(u) * g0.chi(u * data.d0)
+            want = patch.epsilon(u) * g0.field(1, u * data.d0)
             got = fd_cross_v(patch, u, 0.0, order=1, sign=1)
             assert np.linalg.norm(got - want) / max(np.linalg.norm(want),
                                                     1.0) < 1e-4
             if k == 2:
-                want2 = patch.epsilon(u) ** 2 * g0.xi(u * data.d0)
+                want2 = patch.epsilon(u) ** 2 * g0.field(2, u * data.d0)
                 got2 = fd_cross_v(patch, u, 0.0, h=2e-3, order=2, sign=1)
                 assert np.linalg.norm(got2 - want2) / max(
                     np.linalg.norm(want2), 1.0) < 1e-3

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (FIG1_POLYLINE, cube_mesh, jittered_torus, open_grid,
-                      torus_grid)
+from conftest import (FIG1_POLYLINE, bowtie_grids, cube_mesh, jittered_torus,
+                      open_grid, torus_grid)
 from quadspline.cli import count_sign_changes, main
 from quadspline.mesh import save_obj
 
@@ -54,6 +54,20 @@ def test_build_mean_on_cube_exit_1(tmp_path):
 def test_build_missing_file_exit_1(tmp_path):
     code = main(["build", str(tmp_path / "nope.obj")])
     assert code == 1
+
+
+@pytest.mark.parametrize("kind", ["bowtie", "nan"])
+def test_build_malformed_mesh_exit_1(tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.obj"
+    save_obj(bowtie_grids() if kind == "bowtie" else open_grid(2, 2), path)
+    if kind == "nan":
+        lines = path.read_text().splitlines()
+        lines[4] = "v 1 1 nan"
+        path.write_text("\n".join(lines) + "\n")
+    code = main(["build", str(path), "--samples", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_build_bad_flag_exit_2(torus_obj):

@@ -1,22 +1,19 @@
-import math
-
 import numpy as np
 import pytest
 
 from quadspline.errors import ConstructionError
-from quadspline.gregory import (BoundaryData, GregoryPatch, PolySide,
-                                eval_g1, eval_g2, hermite_basis)
+from quadspline.gregory import BoundaryData, GregoryPatch, Side, hermite_basis
 from quadspline.network import (VecPoly, hermite_curve3, hermite_curve5)
 
 
-def flip_poly(poly, d):
-    """Substitute x -> d - x in a VecPoly."""
-    c = poly.coeffs
-    out = np.zeros_like(c)
-    for k in range(len(c)):
-        for m in range(k + 1):
-            out[m] += math.comb(k, m) * d ** (k - m) * (-1.0) ** m * c[k]
-    return VecPoly(out)
+def poly_side(d, *polys):
+    """Side whose fields are the given VecPolys (None entries dropped)."""
+    return Side(d, [p.eval for p in polys if p is not None])
+
+
+def polys(side):
+    """The VecPolys behind a poly_side's fields."""
+    return [f.__self__ for f in side.fields]
 
 
 def rand_curve(rng, k, p0, p1, d, m0=None, m1=None, a0=None, a1=None):
@@ -83,8 +80,8 @@ def random_boundary_data(rng, k, bottom=None, const_intervals=False):
         xi3 = value_interp(rng, gamma0.eval(0.0, 2), gamma2.eval(0.0, 2), e0)
         xis = [xi0, xi1, xi2, xi3]
 
-    sides = [PolySide(g, c, x) for g, c, x in
-             zip((gamma0, gamma1, gamma2, gamma3),
+    sides = [poly_side(d, g, c, x) for d, g, c, x in
+             zip((d0, e1, d1, e0), (gamma0, gamma1, gamma2, gamma3),
                  (chi0, chi1, chi2, chi3), xis)]
     return BoundaryData(corners, sides, d0, d1, e0, e1, k=k)
 
@@ -126,13 +123,13 @@ def test_boundary_interpolation(k):
     g0, g1, g2, g3 = data.sides
     for t in rng.uniform(0, 1, 20):
         assert np.linalg.norm(patch.eval(t, 0)
-                              - g0.gamma(t * data.d0)) < 1e-10
+                              - g0.field(0, t * data.d0)) < 1e-10
         assert np.linalg.norm(patch.eval(t, 1)
-                              - g2.gamma(t * data.d1)) < 1e-10
+                              - g2.field(0, t * data.d1)) < 1e-10
         assert np.linalg.norm(patch.eval(0, t)
-                              - g3.gamma(t * data.e0)) < 1e-10
+                              - g3.field(0, t * data.e0)) < 1e-10
         assert np.linalg.norm(patch.eval(1, t)
-                              - g1.gamma(t * data.e1)) < 1e-10
+                              - g1.field(0, t * data.e1)) < 1e-10
 
 
 def fd_cross_v(patch, u, v0, h=1e-3, order=1, sign=1):
@@ -156,11 +153,11 @@ def test_first_cross_derivative_interpolation(k):
     g0 = data.sides[0]
     g2 = data.sides[2]
     for u in rng.uniform(0.05, 0.95, 10):
-        want = patch.epsilon(u) * g0.chi(u * data.d0)
+        want = patch.epsilon(u) * g0.field(1, u * data.d0)
         got = fd_cross_v(patch, u, 0.0, order=1, sign=1)
         assert np.linalg.norm(got - want) / max(np.linalg.norm(want),
                                                 1.0) < 1e-4
-        want2 = patch.epsilon(u) * g2.chi(u * data.d1)
+        want2 = patch.epsilon(u) * g2.field(1, u * data.d1)
         got2 = fd_cross_v(patch, u, 1.0, order=1, sign=-1)
         assert np.linalg.norm(got2 - want2) / max(np.linalg.norm(want2),
                                                   1.0) < 1e-4
@@ -172,7 +169,7 @@ def test_second_cross_derivative_interpolation():
     patch = GregoryPatch(data)
     g0 = data.sides[0]
     for u in rng.uniform(0.05, 0.95, 10):
-        want = patch.epsilon(u) ** 2 * g0.xi(u * data.d0)
+        want = patch.epsilon(u) ** 2 * g0.field(2, u * data.d0)
         got = fd_cross_v(patch, u, 0.0, h=2e-3, order=2, sign=1)
         assert np.linalg.norm(got - want) / max(np.linalg.norm(want),
                                                 1.0) < 1e-3
@@ -199,8 +196,8 @@ def test_bilinear_reproduction():
     chi2 = chi0
     chi3 = VecPoly(np.stack([(p1 - p0) / d, (p2 - p3 - p1 + p0) / (d * e)]))
     chi1 = chi3
-    sides = [PolySide(gamma0, chi0), PolySide(gamma1, chi1),
-             PolySide(gamma2, chi2), PolySide(gamma3, chi3)]
+    sides = [poly_side(d, gamma0, chi0), poly_side(e, gamma1, chi1),
+             poly_side(d, gamma2, chi2), poly_side(e, gamma3, chi3)]
     data = BoundaryData(corners, sides, d, d, e, e, k=1)
     patch = GregoryPatch(data)
     for u, v in rng.uniform(0, 1, (20, 2)):
@@ -211,24 +208,23 @@ def test_compatible_twists_make_blend_irrelevant():
     rng = np.random.default_rng(45)
     data = random_boundary_data(rng, 1)
 
+    # the twist weights of the corner (u, v) = (1, 0) resp. (0, 1)
     class LeftOnly(GregoryPatch):
-        def _omega11(self, u, v, quadratic):
-            return super()._omega11(1.0, 0.0, quadratic)
+        def _twist(self, M, wu, wv, *block):
+            super()._twist(M, (1.0, 0.0), (0.0, 1.0), *block)
 
     class RightOnly(GregoryPatch):
-        def _omega11(self, u, v, quadratic):
-            return super()._omega11(0.0, 1.0, quadratic)
+        def _twist(self, M, wu, wv, *block):
+            super()._twist(M, (0.0, 1.0), (1.0, 0.0), *block)
 
     # force compatible twist data: all chi derivatives at a corner equal
-    g0, g1, g2, g3 = data.sides
     twist = rng.normal(size=3)
-    for side, d_side in ((g0, data.d0), (g1, data.e1), (g2, data.d1),
-                         (g3, data.e0)):
-        c = side._chi.coeffs.copy()
+    for side in data.sides:
+        c = polys(side)[1].coeffs.copy()
         # linear field with slope `twist`: endpoint derivative everywhere
         c[1] = twist
         c[2:] = 0.0
-        side._chi = VecPoly(c)
+        side.fields[1] = VecPoly(c).eval
     blended = GregoryPatch(data)
     left = LeftOnly(data)
     right = RightOnly(data)
@@ -246,11 +242,9 @@ def test_affine_equivariance(k):
     t = np.array([1.0, -2.0, 0.5])
 
     def map_side(side):
-        gamma = VecPoly(side._gamma.coeffs @ A.T)
-        gamma.coeffs[0] += t
-        chi = VecPoly(side._chi.coeffs @ A.T)
-        xi = None if side._xi is None else VecPoly(side._xi.coeffs @ A.T)
-        return PolySide(gamma, chi, xi)
+        mapped = [VecPoly(p.coeffs @ A.T) for p in polys(side)]
+        mapped[0].coeffs[0] += t
+        return poly_side(side.d, *mapped)
 
     mapped = BoundaryData(data.corners @ A.T + t,
                           [map_side(s) for s in data.sides],
@@ -267,11 +261,11 @@ def test_g1_join_tangent_planes(k):
     matching tangent planes along the curve."""
     rng = np.random.default_rng(48)
     data1 = random_boundary_data(rng, k)
-    g0 = data1.sides[0]
     d = data1.d0
-    flipped_gamma = flip_poly(g0._gamma, d)
-    flipped_chi = VecPoly(-flip_poly(g0._chi, d).coeffs)
-    flipped_xi = None if g0._xi is None else flip_poly(g0._xi, d)
+    gamma0, chi0, *xi0 = polys(data1.sides[0])
+    flipped_gamma = gamma0.reversed(d)
+    flipped_chi = VecPoly(-chi0.reversed(d).coeffs)
+    flipped_xi = xi0[0].reversed(d) if xi0 else None
     data2 = random_boundary_data(
         rng, k, bottom=(flipped_gamma, flipped_chi, flipped_xi, d))
     patch1 = GregoryPatch(data1)
@@ -312,26 +306,12 @@ def test_missing_xi_rejected():
         GregoryPatch(data, mode="g2")
 
 
-def test_eval_wrappers_check_mode():
-    rng = np.random.default_rng(50)
-    d1 = random_boundary_data(rng, 1)
-    d2 = random_boundary_data(rng, 2)
-    p1 = GregoryPatch(d1)
-    p2 = GregoryPatch(d2)
-    assert np.allclose(eval_g1(p1, 0.3, 0.4), p1.eval(0.3, 0.4))
-    assert np.allclose(eval_g2(p2, 0.3, 0.4), p2.eval(0.3, 0.4))
-    with pytest.raises(ValueError):
-        eval_g1(p2, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        eval_g2(p1, 0.1, 0.1)
-
-
 def test_corner_mismatch_rejected():
     rng = np.random.default_rng(51)
     data = random_boundary_data(rng, 1)
-    bad = data.sides[0]._gamma.coeffs.copy()
+    bad = polys(data.sides[0])[0].coeffs.copy()
     bad[0] += 0.5
-    data.sides[0]._gamma = VecPoly(bad)
+    data.sides[0].fields[0] = VecPoly(bad).eval
     with pytest.raises(ConstructionError):
         BoundaryData(data.corners, data.sides, data.d0, data.d1,
                      data.e0, data.e1, k=1)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import open_grid, torus_grid, torus_with_rotated_edge
+from conftest import (bowtie_grids, open_grid, torus_grid,
+                      torus_with_rotated_edge)
 from quadspline.errors import (DegenerateEdgeError, MeshStructureError,
                                UnsupportedFaceError, UnsupportedMeshError)
 from quadspline.mesh import (EdgeParams, QuadMesh, assign_edge_params,
@@ -74,6 +75,27 @@ def test_nonmanifold_edge_rejected():
     faces = [[0, 1, 2, 3], [0, 1, 5, 4], [0, 1, 7, 6]]
     with pytest.raises(MeshStructureError):
         QuadMesh(verts, faces).build_connectivity()
+
+
+def test_bowtie_vertex_rejected():
+    with pytest.raises(MeshStructureError, match="non-manifold vertex"):
+        bowtie_grids().build_connectivity()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_vertex_rejected(tmp_path, bad):
+    grid = open_grid(2, 2)
+    verts = grid.vertices.copy()
+    verts[4, 2] = float(bad)
+    with pytest.raises(MeshStructureError, match="vertex 4"):
+        QuadMesh(verts, grid.faces)
+    path = tmp_path / "grid.obj"
+    save_obj(grid, path)
+    lines = path.read_text().splitlines()
+    lines[4] = f"v 1 1 {bad}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshStructureError, match="non-finite"):
+        load_obj(path)
 
 
 def test_inconsistent_orientation_rejected():

@@ -4,9 +4,8 @@ import pytest
 from conftest import torus_grid
 from quadspline.mesh import (assign_edge_params, extract_local_grid,
                              section_polyline_curve, trace_section_polylines)
-from quadspline.patch import (RegularPatch, boundary_scaling_delta,
-                              eval_patch, eval_patch_boundary_deriv,
-                              smooth_blend)
+from quadspline.patch import (LocalParamFn, RegularPatch,
+                              boundary_scaling_delta)
 from quadspline.splines import D3C1P2S4, D5C2P2S4
 
 BOTH = [D3C1P2S4, D5C2P2S4]
@@ -23,23 +22,23 @@ def make_patch(mesh, params, face, fam, anchor=None):
                                            anchor=anchor), fam)
 
 
-def test_smooth_blend_examples():
-    b = smooth_blend(2, 1.0, 3.0)
+def test_local_param_fn_examples():
+    b = LocalParamFn(2, 1.0, 3.0)
     assert b(0.5) == pytest.approx(2.0)
     assert b(0.0) == 1.0 and b(1.0) == 3.0
     for t in (0.0, 1.0):
         assert abs(b.deriv(t, 1)) < 1e-14
         assert abs(b.deriv(t, 2)) < 1e-14
-    const = smooth_blend(1, 5.0, 5.0)
+    const = LocalParamFn(1, 5.0, 5.0)
     for t in np.linspace(0, 1, 7):
         assert const(t) == pytest.approx(5.0)
         assert const.deriv(t, 1) == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        smooth_blend(1, -1.0, 2.0)
+        LocalParamFn(1, -1.0, 2.0)
 
 
-def test_smooth_blend_k1_end_derivatives():
-    b = smooth_blend(1, 0.5, 2.5)
+def test_local_param_fn_k1_end_derivatives():
+    b = LocalParamFn(1, 0.5, 2.5)
     for t in (0.0, 1.0):
         assert abs(b.deriv(t, 1)) < 1e-14
     h = 1e-6
@@ -315,8 +314,10 @@ def test_functional_wrappers():
     fam = D5C2P2S4
     mesh, params = perturbed_torus(fam)
     patch = make_patch(mesh, params, 7, fam)
-    assert np.allclose(eval_patch(patch, 0.3, 0.6), patch.eval(0.3, 0.6))
-    assert np.allclose(eval_patch_boundary_deriv(patch, "v0", 0.4, 1),
+    assert np.allclose(patch(0.3, 0.6), patch.eval(0.3, 0.6))
+    d = patch.side_interval("v0")
+    assert np.allclose(patch.side_blend("v0")(0.4)
+                       * patch.side_field("v0", 1, 0.4 * d),
                        patch.boundary_deriv("v0", 0.4, 1))
 
 
@@ -329,27 +330,27 @@ def test_r_cross_capped_at_continuity():
 
 
 @pytest.mark.parametrize("fam", BOTH)
-def test_sample_boundary_data_contract(fam):
-    from quadspline.patch import sample_boundary_data
+def test_side_field_contract(fam):
     mesh, params = perturbed_torus(fam)
     patch = make_patch(mesh, params, 3, fam)
-    data = sample_boundary_data(patch, "v1")
-    d = data["interval"]
+    d = patch.side_interval("v1")
     ids = patch.grid.vertex_ids
-    assert np.allclose(data["gamma"](0.0), mesh.vertices[ids[1, 2]],
-                       atol=1e-12)
-    assert np.allclose(data["gamma"](d), mesh.vertices[ids[2, 2]],
-                       atol=1e-12)
+    assert np.allclose(patch.side_field("v1", 0, 0.0),
+                       mesh.vertices[ids[1, 2]], atol=1e-12)
+    assert np.allclose(patch.side_field("v1", 0, d),
+                       mesh.vertices[ids[2, 2]], atol=1e-12)
     # chi in local variables: the uv cross derivative divided by the blend
     for t in (0.2, 0.7):
         uvderiv = patch.boundary_deriv("v1", t, 1)
         blend = patch.side_blend("v1")(t)
-        assert np.allclose(data["chi"](t * d), uvderiv / blend, atol=1e-10)
+        assert np.allclose(patch.side_field("v1", 1, t * d), uvderiv / blend,
+                           atol=1e-10)
     if fam.continuity >= 2:
-        xi = data["xi"](0.3 * d)
+        xi = patch.side_field("v1", 2, 0.3 * d)
         assert xi.shape == (3,)
     else:
-        assert "xi" not in data
+        with pytest.raises(ValueError):
+            patch.side_field("v1", 2, 0.3 * d)
 
 
 def test_sampled_fields_planar_grid():
@@ -360,9 +361,7 @@ def test_sampled_fields_planar_grid():
     mesh.vertices[:] = verts
     params = assign_edge_params(mesh, "centripetal")
     patch = make_patch(mesh, params, 14, fam)
-    from quadspline.patch import sample_boundary_data
-    data = sample_boundary_data(patch, "v0")
-    d = data["interval"]
+    d = patch.side_interval("v0")
     for t in np.linspace(0, 1, 5):
-        assert abs(data["chi"](t * d)[2]) < 1e-12
-        assert abs(data["xi"](t * d)[2]) < 1e-12
+        assert abs(patch.side_field("v0", 1, t * d)[2]) < 1e-12
+        assert abs(patch.side_field("v0", 2, t * d)[2]) < 1e-12

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from quadspline.errors import DegenerateEdgeError
-from quadspline.splines import (D3C1P2S4, D5C2P2S4, PolylineCurve,
-                                eval_curve, eval_fundamental,
-                                eval_fundamental_deriv, family,
+from quadspline.splines import (D3C1P2S4, D5C2P2S4, PolylineCurve, family,
+                                fundamental_coefficients,
                                 fundamental_weights, make_knots,
                                 segment_coefficients)
 
@@ -47,7 +46,7 @@ def test_coefficients_match_factored_forms(fam):
         d = tuple(rng.uniform(0.2, 3.0, 3))
         x = rng.uniform(0.0, d[1])
         for off in (-1, 0, 1, 2):
-            got = eval_fundamental(fam, off, x, d)
+            got = fundamental_weights(fam, x, d)[off + 1]
             want = factored_basis(fam, off, x, d)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
@@ -57,7 +56,7 @@ def test_uniform_midpoint_weights(fam):
     d = (1.0, 1.0, 1.0)
     expected = (-1.0 / 16.0, 9.0 / 16.0, 9.0 / 16.0, -1.0 / 16.0)
     for off, want in zip((-1, 0, 1, 2), expected):
-        assert abs(eval_fundamental(fam, off, 0.5, d) - want) < 1e-14
+        assert abs(fundamental_weights(fam, 0.5, d)[off + 1] - want) < 1e-14
 
 
 @pytest.mark.parametrize("fam", BOTH)
@@ -90,13 +89,14 @@ def test_derivative_matches_finite_differences(fam):
         x = rng.uniform(2 * h, d[1] - 2 * h)
         for off in (-1, 0, 1, 2):
             for r in range(1, fam.continuity + 2):
-                exact = eval_fundamental_deriv(fam, off, x, d, r)
+                exact = fundamental_weights(fam, x, d, r)[off + 1]
                 if r == 1:
-                    fd = (eval_fundamental(fam, off, x + h, d)
-                          - eval_fundamental(fam, off, x - h, d)) / (2 * h)
+                    fd = (fundamental_weights(fam, x + h, d)[off + 1]
+                          - fundamental_weights(fam, x - h, d)[off + 1]
+                          ) / (2 * h)
                 else:
-                    fd = (eval_fundamental_deriv(fam, off, x + h, d, r - 1)
-                          - eval_fundamental_deriv(fam, off, x - h, d, r - 1)
+                    fd = (fundamental_weights(fam, x + h, d, r - 1)[off + 1]
+                          - fundamental_weights(fam, x - h, d, r - 1)[off + 1]
                           ) / (2 * h)
                 assert fd == pytest.approx(exact, rel=1e-5, abs=1e-6)
 
@@ -108,23 +108,24 @@ def test_deriv_order_zero_and_cap(fam):
         d = tuple(rng.uniform(0.2, 2.0, 3))
         x = rng.uniform(0.0, d[1])
         for off in (-1, 0, 1, 2):
-            assert eval_fundamental_deriv(fam, off, x, d, 0) == \
-                pytest.approx(eval_fundamental(fam, off, x, d), abs=1e-15)
-            assert eval_fundamental_deriv(fam, off, x, d,
-                                          fam.degree + 1) == 0.0
+            assert fundamental_weights(fam, x, d, 0)[off + 1] == \
+                pytest.approx(fundamental_weights(fam, x, d)[off + 1],
+                              abs=1e-15)
+            assert fundamental_weights(fam, x, d,
+                                       fam.degree + 1)[off + 1] == 0.0
     # derivative of the partition of unity vanishes
     d = (0.7, 1.3, 0.4)
     for x in np.linspace(0.0, d[1], 7):
-        total = sum(eval_fundamental_deriv(fam, off, x, d, 1)
+        total = sum(fundamental_weights(fam, x, d, 1)[off + 1]
                     for off in (-1, 0, 1, 2))
         assert abs(total) < 1e-10
 
 
 def test_offset_out_of_support():
     with pytest.raises(ValueError):
-        eval_fundamental(D3C1P2S4, 3, 0.1, (1.0, 1.0, 1.0))
+        fundamental_coefficients(D3C1P2S4, 3, (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        eval_fundamental(D5C2P2S4, -2, 0.1, (1.0, 1.0, 1.0))
+        fundamental_coefficients(D5C2P2S4, -2, (1.0, 1.0, 1.0))
 
 
 def test_family_lookup():
@@ -242,9 +243,3 @@ def test_segment_coefficients_match_eval(fam):
             horner = horner * x + row
         assert np.allclose(direct, horner, atol=1e-12)
 
-
-def test_eval_curve_wrapper():
-    pts = np.random.default_rng(12).normal(size=(6, 3))
-    curve = PolylineCurve.from_points(pts, D3C1P2S4, closed=True)
-    x = 0.4 * curve.knots[-1]
-    assert np.allclose(eval_curve(curve, x), curve.eval(x))

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import (grid_with_rotated_edge, open_grid, sphere_mesh,
                       torus_grid, torus_with_rotated_edge)
-from quadspline.mesh import classify_faces
+from quadspline.mesh import classify_faces, edge_key
 from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
                                 continuity_report, export_obj, export_ply,
                                 tessellate, write_report)
@@ -336,8 +336,8 @@ def test_alpha_override():
     s_default = build_surface(mesh, BuildOptions())
     s_alpha = build_surface(mesh, BuildOptions(param_method="centripetal",
                                                alpha=0.8))
-    p1 = s_default.eval(0, 0.37, 0.41)
-    p2 = s_alpha.eval(0, 0.37, 0.41)
+    p1 = s_default.patch(0).eval(0.37, 0.41)
+    p2 = s_alpha.patch(0).eval(0.37, 0.41)
     assert not np.allclose(p1, p2, atol=1e-6)  # different parametrization
     rep = continuity_report(s_alpha, samples=5)
     assert rep["summary"]["position_gap"]["max"] < 1e-8
@@ -351,7 +351,8 @@ def test_build_with_user_supplied_params():
     s1 = build_surface(mesh, BuildOptions(), params=sidecar)
     s2 = build_surface(mesh, BuildOptions())
     for (u, v) in ((0.2, 0.7), (0.9, 0.1)):
-        assert np.allclose(s1.eval(3, u, v), s2.eval(3, u, v), atol=1e-14)
+        assert np.allclose(s1.patch(3).eval(u, v), s2.patch(3).eval(u, v),
+                           atol=1e-14)
 
 
 def test_randomized_multi_ev_meshes_watertight():
@@ -411,3 +412,89 @@ def test_determinism_same_inputs_same_surface():
     t2 = tessellate(s2, 3)
     assert np.array_equal(t1.positions, t2.positions)
     assert np.array_equal(t1.triangles, t2.triangles)
+
+
+# -- Gregory side contract ----------------------------------------------------
+
+SIDE_CASES = {
+    "sphere_g2": (lambda: sphere_mesh(2), BuildOptions()),
+    "open_ev_grid_g1": (
+        lambda: grid_with_rotated_edge(
+            8, 8, height=lambda x, y: 0.1 * np.sin(0.7 * x) * np.cos(0.5 * y)),
+        BuildOptions(family="d3c1p2s4", mode="g1")),
+}
+
+
+def _gregory_sides(case):
+    """The surface, then (role, half edge, side) of every Gregory side;
+    role 0..3 is the side's place gamma0..gamma3 in its face's frame."""
+    make, options = SIDE_CASES[case]
+    surf = build_surface(make().build_connectivity(), options)
+    mesh = surf.mesh
+    sides = []
+    for f, patch in sorted(surf.gregory.items()):
+        a = surf.anchors[f]
+        hes = (a, mesh.he_next(a), mesh.he_next(mesh.he_next(a)),
+               mesh.he_prev(a))
+        sides += [(role, h, side)
+                  for role, (h, side) in enumerate(zip(hes, patch.data.sides))]
+    return surf, sides
+
+
+@pytest.mark.parametrize("case", sorted(SIDE_CASES))
+def test_sampled_sides_match_neighbouring_patch(case):
+    surf, sides = _gregory_sides(case)
+    mesh, k = surf.mesh, surf.options.k
+    checked = 0
+    for role, h, side in sides:
+        twin = mesh.twin(h)
+        g = None if twin is None else mesh.he_face(twin)
+        if g is None or g >= mesh.real_face_count or g not in surf.regular:
+            continue
+        nbr = surf.regular[g]
+        c = (twin - surf.anchors[g]) % 4
+        nside = ("v0", "u1", "v1", "u0")[c]
+        # the Gregory side runs along h for roles 0, 1; the neighbour's side
+        # runs along the twin, i.e. against h, for c = 0, 1
+        same_way = (role < 2) != (c < 2)
+        # chi points into the Gregory face for roles 0, 3; the neighbour's
+        # cross derivative points into the neighbour for c = 0, 3
+        same_cross = (role in (0, 3)) != (c in (0, 3))
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            tn = t if same_way else 1.0 - t
+            blend = nbr.side_blend(nside)(tn)
+            for q in range(k + 1):
+                want = nbr.boundary_deriv(nside, tn, q) / blend ** q
+                if q % 2 and not same_cross:
+                    want = -want
+                assert np.linalg.norm(side.field(q, t * side.d) - want) \
+                    < 1e-12
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("case", sorted(SIDE_CASES))
+def test_network_sides_share_one_curve(case):
+    surf, sides = _gregory_sides(case)
+    mesh = surf.mesh
+    views = {}
+    for role, h, side in sides:
+        rec = surf.edge_records.get(edge_key(mesh.origin(h), mesh.target(h)))
+        if rec is None:
+            continue
+        start = mesh.origin(h) if role < 2 else mesh.target(h)
+        views.setdefault(id(rec), []).append((start != rec.a, side))
+    shared = [v for v in views.values() if len(v) == 2]
+    assert shared
+    for pair in shared:
+        # the view that reads the record forwards first
+        (rev1, s1), (rev2, s2) = sorted(pair, key=lambda view: view[0])
+        d = s1.d
+        for x in d * np.linspace(0.0, 1.0, 5):
+            for r in range(surf.options.k + 1):
+                if rev1 == rev2:
+                    assert np.array_equal(s1.field(0, x, r),
+                                          s2.field(0, x, r))
+                else:
+                    assert np.array_equal(s2.field(0, x, r),
+                                          (-1.0) ** r * s1.field(0, d - x, r))
