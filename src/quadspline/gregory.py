@@ -27,35 +27,38 @@ from .errors import ConstructionError
 from .patch import LocalParamFn
 
 CORNER_EPS = 1e-12
+EVAL_CHUNK = 2048   # points per batch of GregoryPatch.eval
 
 
 def hermite_basis(degree, u):
-    """Blending vector: leading -1 then the Hermite basis polynomials."""
+    """Blending vector: leading -1 then the Hermite basis polynomials, shape
+    (degree + 2,) + u.shape."""
+    u = np.asarray(u, float)
     if degree == 3:
         u2 = u * u
         u3 = u2 * u
-        return np.array([
-            -1.0,
+        rows = [
             2.0 * u3 - 3.0 * u2 + 1.0,
             -2.0 * u3 + 3.0 * u2,
             u3 - 2.0 * u2 + u,
             u3 - u2,
-        ])
-    if degree == 5:
+        ]
+    elif degree == 5:
         u2 = u * u
         u3 = u2 * u
         u4 = u3 * u
         u5 = u4 * u
-        return np.array([
-            -1.0,
+        rows = [
             -6.0 * u5 + 15.0 * u4 - 10.0 * u3 + 1.0,
             6.0 * u5 - 15.0 * u4 + 10.0 * u3,
             -3.0 * u5 + 8.0 * u4 - 6.0 * u3 + u,
             -3.0 * u5 + 7.0 * u4 - 4.0 * u3,
             -0.5 * u5 + 1.5 * u4 - 1.5 * u3 + 0.5 * u2,
             0.5 * u5 - u4 + 0.5 * u3,
-        ])
-    raise ValueError("blending degree must be 3 or 5")
+        ]
+    else:
+        raise ValueError("blending degree must be 3 or 5")
+    return np.stack([np.full_like(u, -1.0)] + rows)
 
 
 class Side:
@@ -64,7 +67,8 @@ class Side:
     fields[q] is the order-q cross-derivative field along the side (q = 0
     the boundary curve gamma, 1 chi, 2 xi), a callable f(x, r) returning
     the r-th derivative in the side's local variable x in [0, d], as
-    VecPoly.eval does.  The orders listed in `reverse` are stored running
+    VecPoly.eval does; x may be an array, the result then has shape
+    x.shape + (3,).  The orders listed in `reverse` are stored running
     from the far end: they are read at d - x, which flips the sign of odd
     x-derivatives.  negate_cross negates the odd cross orders, for fields
     whose cross direction points out of the patch.
@@ -113,30 +117,26 @@ class BoundaryData:
         self._check_corners()
 
     def _check_corners(self):
-        p0, p1, p2, p3 = self.corners
         scale = max(1.0, float(np.abs(self.corners).max()))
-        pairs = [
-            (self.sides[0].field(0, 0.0), p0, "gamma0(0)"),
-            (self.sides[0].field(0, self.d0), p1, "gamma0(d0)"),
-            (self.sides[1].field(0, 0.0), p1, "gamma1(0)"),
-            (self.sides[1].field(0, self.e1), p2, "gamma1(e1)"),
-            (self.sides[2].field(0, 0.0), p3, "gamma2(0)"),
-            (self.sides[2].field(0, self.d1), p2, "gamma2(d1)"),
-            (self.sides[3].field(0, 0.0), p0, "gamma3(0)"),
-            (self.sides[3].field(0, self.e0), p3, "gamma3(e0)"),
-        ]
-        for got, want, label in pairs:
-            if np.linalg.norm(got - want) > 1e-7 * scale:
-                raise ConstructionError(
-                    f"boundary data of face {self.face}: {label} does not "
-                    "meet its corner")
+        # side s runs over [0, length] from corner start to corner end
+        spans = ((self.d0, "d0", 0, 1), (self.e1, "e1", 1, 2),
+                 (self.d1, "d1", 3, 2), (self.e0, "e0", 0, 3))
+        for s, (length, name, start, end) in enumerate(spans):
+            ends = self.sides[s].field(0, np.array([0.0, length]))
+            for got, x, c in zip(ends, ("0", name), (start, end)):
+                if np.linalg.norm(got - self.corners[c]) > 1e-7 * scale:
+                    raise ConstructionError(
+                        f"boundary data of face {self.face}: gamma{s}({x}) "
+                        "does not meet its corner")
 
 
 def _greg(wa, A, wb, B):
+    """(wa A + wb B) / (wa + wb) per element, and the mean of A and B where
+    both weights vanish."""
     den = wa + wb
-    if den < CORNER_EPS:
-        return 0.5 * (A + B)
-    return (wa * A + wb * B) / den
+    corner = den < CORNER_EPS
+    return np.where(corner, 0.5 * (A + B),
+                    (wa * A + wb * B) / np.where(corner, 1.0, den))
 
 
 class GregoryPatch:
@@ -158,7 +158,7 @@ class GregoryPatch:
         lengths = (d.d0, d.e1, d.d1, d.e0)
         # ends[q][r - 1][s][e]: r-th x-derivative of side s's order-q field
         # at its start (e = 0) or end (e = 1)
-        ends = [[[[side.field(q, x, r) for x in (0.0, length)]
+        ends = [[[side.field(q, np.array([0.0, length]), r)
                   for side, length in zip(d.sides, lengths)]
                  for r in range(1, n + 1)]
                 for q in range(n + 1)]
@@ -176,40 +176,45 @@ class GregoryPatch:
                     M[1 + i, 1 + 2 * r + e] = ep[r][i] * dg[(3, 1)[i]][e]
                     M[1 + 2 * r + e, 1 + i] = dp[r][i] * dg[(0, 2)[i]][e]
         self._M0 = M
-        # twist block (i, j) covers rows 1+2i.., columns 1+2j..: it blends
-        # side 3/1 data of cross order i against side 0/2 data of order j
+        # twist block (i, j) covers rows 1+2i.., columns 1+2j..: its entry
+        # (a, b) blends the order-i data of side (3, 1)[a] at end b against
+        # the order-j data of side (0, 2)[b] at end a
         self._twists = [
-            (i, j, ends[i][j - 1], ends[j][i - 1],
-             [[dp[i][b] * ep[j][a] for b in (0, 1)] for a in (0, 1)])
+            (i, j, np.stack([ends[i][j - 1][3], ends[i][j - 1][1]]),
+             np.stack([ends[j][i - 1][0], ends[j][i - 1][2]], axis=1),
+             np.array([[dp[i][b] * ep[j][a] for b in (0, 1)]
+                       for a in (0, 1)])[..., None])
             for i in range(1, n + 1) for j in range(1, n + 1)]
 
     # -- matrix assembly ------------------------------------------------------
     def _twist(self, M, wu, wv, i, j, A, B, scale):
-        """Gregory blends of one twist block, weights wu/wv per corner."""
-        for a in (0, 1):
-            for b in (0, 1):
-                M[1 + 2 * i + a, 1 + 2 * j + b] = scale[a][b] * _greg(
-                    wu[a], A[(3, 1)[a]][b], wv[b], B[(0, 2)[b]][a])
+        """Gregory blends of one twist block, weights wu[a]/wv[b] at its
+        corner (a, b); the weights are scalars or arrays over the points."""
+        wa = np.moveaxis(np.asarray(wu, float), 0, -1)[..., :, None, None]
+        wb = np.moveaxis(np.asarray(wv, float), 0, -1)[..., None, :, None]
+        M[:, 1 + 2 * i:3 + 2 * i, 1 + 2 * j:3 + 2 * j] = \
+            scale * _greg(wa, A, wb, B)
 
     def _matrix(self, u, v):
+        """M at the points of the 1-D arrays u, v: (N, 2n+3, 2n+3, 3)."""
         d = self.data
         g0, g1, g2, g3 = d.sides
         x0, x1 = u * d.d0, u * d.d1
         y0, y1 = v * d.e0, v * d.e1
-        M = self._M0.copy()
-        M[0, 1] = g0.field(0, x0)
-        M[0, 2] = g2.field(0, x1)
-        M[1, 0] = g3.field(0, y0)
-        M[2, 0] = g1.field(0, y1)
-        eps = self.epsilon(u)
-        dlt = self.delta(v)
+        M = np.repeat(self._M0[None], len(u), axis=0)
+        M[:, 0, 1] = g0.field(0, x0)
+        M[:, 0, 2] = g2.field(0, x1)
+        M[:, 1, 0] = g3.field(0, y0)
+        M[:, 2, 0] = g1.field(0, y1)
+        eps = self.epsilon(u)[:, None]
+        dlt = self.delta(v)[:, None]
         # cross fields scale by the blend functions' powers
         for q, su, sv in ((1, eps, dlt), (2, eps * eps, dlt * dlt))[:self._n]:
             c = 1 + 2 * q
-            M[0, c] = su * g0.field(q, x0)
-            M[0, c + 1] = su * g2.field(q, x1)
-            M[c, 0] = sv * g3.field(q, y0)
-            M[c + 1, 0] = sv * g1.field(q, y1)
+            M[:, 0, c] = su * g0.field(q, x0)
+            M[:, 0, c + 1] = su * g2.field(q, x1)
+            M[:, c, 0] = sv * g3.field(q, y0)
+            M[:, c + 1, 0] = sv * g1.field(q, y1)
         if self._n == 2:
             wu, wv = (u * u, (1.0 - u) ** 2), (v * v, (1.0 - v) ** 2)
         else:
@@ -219,10 +224,22 @@ class GregoryPatch:
         return M
 
     def eval(self, u, v):
-        M = self._matrix(u, v)
-        hu = hermite_basis(self.blend_degree, u)
-        hv = hermite_basis(self.blend_degree, v)
-        return -np.einsum("i,ijk,j->k", hu, M, hv)
+        """S(u, v) for scalars or equal-shaped arrays; shape (..., 3).
+
+        Points are taken in chunks of EVAL_CHUNK, which bounds the memory of
+        the per-point matrices M.
+        """
+        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        shape = u.shape
+        u, v = u.ravel(), v.ravel()
+        out = np.empty((len(u), 3))
+        for lo in range(0, len(u), EVAL_CHUNK):
+            uc, vc = u[lo:lo + EVAL_CHUNK], v[lo:lo + EVAL_CHUNK]
+            hu = hermite_basis(self.blend_degree, uc)
+            hv = hermite_basis(self.blend_degree, vc)
+            out[lo:lo + EVAL_CHUNK] = -np.einsum(
+                "in,nijk,jn->nk", hu, self._matrix(uc, vc), hv)
+        return out.reshape(shape + (3,))
 
     def __call__(self, u, v):
         return self.eval(u, v)

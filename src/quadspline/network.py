@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .errors import ConstructionError, DegenerateEdgeError, FitError
+from .splines import derivative_factors
 
 
 class VecPoly:
@@ -40,13 +41,12 @@ class VecPoly:
         return self.coeffs.shape[1]
 
     def eval(self, x, r=0):
-        c = self.coeffs
-        for _ in range(r):
-            if len(c) <= 1:
-                return np.zeros(self.dim)
-            c = c[1:] * np.arange(1, len(c))[:, None]
-        acc = np.zeros(self.dim)
-        for row in c[::-1]:
+        """r-th derivative at x (scalar or array); shape x.shape + (dim,)."""
+        x = np.asarray(x, float)
+        acc = np.zeros(x.shape + (self.dim,))
+        if x.ndim:
+            x = x[..., None]   # a 0-d x keeps numpy's faster scalar path
+        for row in self._derivative(r)[::-1]:
             acc = acc * x + row
         return acc
 
@@ -54,12 +54,15 @@ class VecPoly:
         return self.eval(x)
 
     def deriv(self, r=1):
-        c = self.coeffs
-        for _ in range(r):
-            if len(c) <= 1:
-                return VecPoly(np.zeros((1, self.dim)))
-            c = c[1:] * np.arange(1, len(c))[:, None]
-        return VecPoly(c)
+        return VecPoly(self._derivative(r))
+
+    def _derivative(self, r):
+        if r == 0:
+            return self.coeffs
+        if r > self.degree:
+            return np.zeros((1, self.dim))
+        factors = derivative_factors(self.degree)[r]
+        return self.coeffs[r:] * np.array(factors)[:, None]
 
     def reversed(self, d):
         """The same curve run backwards over [0, d]: x -> d - x."""

@@ -82,14 +82,17 @@ class RegularPatch:
         evec = tuple(b(u) for b in self.col_blends)
         return dvec, evec
 
+    def _combine(self, wx, wy):
+        """sum_ij wx_i wy_j p_ij for (4, ...) weight arrays; shape (..., 3)."""
+        w = wx[:, None] * wy[None]
+        return (w.reshape(16, -1).T @ self._p16).reshape(w.shape[2:] + (3,))
+
     def eval(self, u, v):
+        """S(u, v) for scalars or equal-shaped arrays; shape (..., 3)."""
         dvec, evec = self._vectors(u, v)
-        x = u * dvec[self._c]
-        y = v * evec[self._c]
-        wx = fundamental_weights(self.family, x, dvec)
-        wy = fundamental_weights(self.family, y, evec)
-        w = np.outer(wx, wy).reshape(16)
-        return w @ self._p16
+        wx = fundamental_weights(self.family, u * dvec[self._c], dvec)
+        wy = fundamental_weights(self.family, v * evec[self._c], evec)
+        return self._combine(wx, wy)
 
     def __call__(self, u, v):
         return self.eval(u, v)
@@ -121,14 +124,15 @@ class RegularPatch:
         raise ValueError(f"unknown side {side!r}")
 
     def eval_boundary(self, side, x, r=0):
-        """Boundary curve (or its x-derivatives) in the side's local variable."""
+        """Boundary curve (or its x-derivatives) in the side's local variable;
+        x may be an array, the result has shape x.shape + (3,)."""
         pts, d = self.section_data(side)
         w = fundamental_weights(self.family, x, d, r)
-        return np.asarray(w) @ pts
+        return (w.reshape(4, -1).T @ pts).reshape(w.shape[1:] + (3,))
 
     def side_field(self, side, q, x, r=0):
         """r-th x-derivative of a side's order-q cross field (q = 0: the
-        boundary curve) in the side's local variable x.
+        boundary curve) in the side's local variable x (scalar or array).
 
         x-derivatives of cross fields are exact, and offered, only at the
         side's endpoints, where they are mixed corner derivatives.
@@ -140,17 +144,18 @@ class RegularPatch:
         if r == 0:
             return self.cross_field(side, x, q)
         d_edge = self.side_interval(side)
-        if abs(x) <= 1e-9 * d_edge:
-            ti = 0
-        elif abs(x - d_edge) <= 1e-9 * d_edge:
-            ti = 1
-        else:
+        x = np.asarray(x, float)
+        at_end = np.abs(x - d_edge) <= 1e-9 * d_edge
+        if not np.all(at_end | (np.abs(x) <= 1e-9 * d_edge)):
             raise ValueError("cross-field derivatives are exact at endpoints "
                              "only")
-        return self.corner_mixed(*_side_corner(side, ti, q, r))
+        start, end = (self.corner_mixed(*_side_corner(side, ti, q, r))
+                      for ti in (0, 1))
+        return np.where(at_end[..., None], end, start)
 
     def cross_field(self, side, x, r=1):
-        """r-th cross derivative in local variables along a side.
+        """r-th cross derivative in local variables along a side, at x
+        (scalar or array).
 
         For side v0/v1 this is the r-th y-partial as a function of the
         boundary variable x; for u0/u1 the roles of the axes swap.
@@ -162,18 +167,14 @@ class RegularPatch:
             u = x / d[c]
             evec = tuple(b(u) for b in self.col_blends)
             y = 0.0 if side == "v0" else evec[c]
-            wx = fundamental_weights(self.family, x, d)
-            wy = fundamental_weights(self.family, y, evec, r)
-            w = np.outer(wx, wy).reshape(16)
-            return w @ self._p16
+            return self._combine(fundamental_weights(self.family, x, d),
+                                 fundamental_weights(self.family, y, evec, r))
         d = tuple(g.e0 if side == "u0" else g.e1)
         v = x / d[c]
         dvec = tuple(b(v) for b in self.row_blends)
         xx = 0.0 if side == "u0" else dvec[c]
-        wx = fundamental_weights(self.family, xx, dvec, r)
-        wy = fundamental_weights(self.family, x, d)
-        w = np.outer(wx, wy).reshape(16)
-        return w @ self._p16
+        return self._combine(fundamental_weights(self.family, xx, dvec, r),
+                             fundamental_weights(self.family, x, d))
 
     def corner_mixed(self, ui, vi, q, r):
         """Exact mixed local derivative d^q/dx^q d^r/dy^r at a patch corner.
@@ -187,10 +188,8 @@ class RegularPatch:
         e = tuple(g.e0 if ui == 0 else g.e1)
         x = 0.0 if ui == 0 else d[c]
         y = 0.0 if vi == 0 else e[c]
-        wx = fundamental_weights(self.family, x, d, q)
-        wy = fundamental_weights(self.family, y, e, r)
-        w = np.outer(wx, wy).reshape(16)
-        return w @ self._p16
+        return self._combine(fundamental_weights(self.family, x, d, q),
+                             fundamental_weights(self.family, y, e, r))
 
     def corner_normal(self, ui, vi):
         su = self.corner_mixed(ui, vi, 1, 0)

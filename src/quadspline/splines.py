@@ -14,7 +14,9 @@ segment polynomials are evaluated from expanded monomial coefficients so that
 derivatives of any order are exact.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,34 +125,55 @@ def fundamental_coefficients(fam, offset, d):
 
 
 def _check_x(x, d0):
-    if x < -_X_TOL * d0 or x > d0 * (1.0 + _X_TOL):
-        raise ValueError(f"x={x} outside the segment [0, {d0}]")
+    outside = (x < -_X_TOL * d0) | (x > d0 * (1.0 + _X_TOL))
+    if np.count_nonzero(outside):
+        i = np.argmax(outside)
+        x, d0 = np.broadcast_arrays(x, d0)
+        raise ValueError(f"x={x.flat[i]} outside the segment "
+                         f"[0, {d0.flat[i]}]")
 
 
-def _horner(coeffs, x):
-    acc = 0.0
-    for c in reversed(coeffs):
+@lru_cache(maxsize=None)
+def derivative_factors(degree):
+    """Table F[r][k] = (k + r)! / k! for k + r <= degree, made once per
+    degree: the r-th derivative of sum_j c_j x^j is
+    sum_k F[r][k] c_{k+r} x^k."""
+    return tuple(tuple(float(math.perm(k + r, r))
+                       for k in range(degree - r + 1))
+                 for r in range(degree + 1))
+
+
+def _horner(coeffs, x, r=0):
+    """r-th derivative at x of the polynomial with ascending coefficients."""
+    if r:
+        factors = derivative_factors(len(coeffs) - 1)[r]
+        coeffs = [f * c for f, c in zip(factors, coeffs[r:])]
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
         acc = acc * x + c
     return acc
 
 
-def _deriv_coeffs(coeffs, r):
-    for _ in range(r):
-        coeffs = tuple(k * c for k, c in enumerate(coeffs))[1:]
-        if not coeffs:
-            return (0.0,)
-    return coeffs
-
-
 def fundamental_weights(fam, x, d, r=0):
-    """All four basis values (offsets -1..2) at x, optionally differentiated."""
+    """All four basis values (offsets -1..2) at x, optionally differentiated.
+
+    x and the three entries of d may be scalars or arrays that broadcast
+    together; the result has shape (4,) + their broadcast shape.
+    """
     _check_x(x, d[1])
-    all_coeffs = _COEFF_ALL[fam.name](d[0], d[1], d[2])
-    if not r:
-        return [_horner(c, x) for c in all_coeffs]
-    if r > fam.degree:
-        return [0.0, 0.0, 0.0, 0.0]
-    return [_horner(_deriv_coeffs(c, r), x) for c in all_coeffs]
+    # the broadcast shape, by arithmetic: np.broadcast is slow on scalars
+    out = np.zeros((4,) + np.asarray(x + d[0] + d[1] + d[2]).shape)
+    if r <= fam.degree:
+        for k, coeffs in enumerate(_COEFF_ALL[fam.name](*d)):
+            out[k] = _horner(coeffs, x, r)
+    return out
+
+
+def _check_finite(points):
+    bad = ~np.isfinite(points).all(axis=-1)
+    if bad.any():
+        raise DegenerateEdgeError(f"point {int(np.argmax(bad))} is not "
+                                  "finite")
 
 
 def make_knots(points, alpha=0.5, closed=False):
@@ -165,6 +188,7 @@ def make_knots(points, alpha=0.5, closed=False):
         raise ValueError("need at least two points")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    _check_finite(pts)
     segs = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
     if closed:
         segs.append((pts[-1], pts[0]))
@@ -198,9 +222,11 @@ class PolylineCurve:
             raise ValueError(f"expected {expected} knots for "
                              f"{'closed' if closed else 'open'} curve, "
                              f"got {len(self.knots)}")
+        _check_finite(self.points)
         ds = np.diff(self.knots)
-        if np.any(ds <= 0.0):
-            raise DegenerateEdgeError("knots must be strictly increasing")
+        if not (np.isfinite(self.knots).all() and np.all(ds > 0.0)):
+            raise DegenerateEdgeError("knots must be finite and strictly "
+                                      "increasing")
         self._d = ds
         if closed and n < 3:
             raise ValueError("closed polyline needs at least 3 points")

@@ -93,14 +93,12 @@ class CompositeSurface:
         return self.patch(f).eval(u, v)
 
     def _edge_uv(self, f, he, t):
+        """(u, v) at the fractions t (scalar or array) along half edge he of
+        face f."""
+        t = np.asarray(t, float)
+        zero, one = np.zeros_like(t), np.ones_like(t)
         c = (he - self.anchors[f]) % 4
-        if c == 0:
-            return t, 0.0
-        if c == 1:
-            return 1.0, t
-        if c == 2:
-            return 1.0 - t, 1.0
-        return 0.0, 1.0 - t
+        return ((t, zero), (one, t), (1.0 - t, one), (zero, 1.0 - t))[c]
 
 
 def build_surface(mesh, options=None, params=None):
@@ -138,6 +136,9 @@ class _GregoryBuilder:
         self.options = surf.options
         self.family = surf.options.family
         self.vertex_data = {}
+        # corner frames per vertex, shared by the faces around it
+        self.normals = {}
+        self.curvatures = {}
         self.sampled_patches = {}
 
     # -- derivative sampling along section curves ---------------------------
@@ -282,21 +283,27 @@ class _GregoryBuilder:
         return None
 
     def _corner_normal(self, v):
-        reg = self._regular_corner(v)
-        if reg is not None:
-            patch, ui, vi = reg
-            return patch.corner_normal(ui, vi)
-        return self._vertex_data(v).normal
+        if v not in self.normals:
+            reg = self._regular_corner(v)
+            if reg is not None:
+                patch, ui, vi = reg
+                self.normals[v] = patch.corner_normal(ui, vi)
+            else:
+                self.normals[v] = self._vertex_data(v).normal
+        return self.normals[v]
 
     def _corner_curvature(self, v):
-        reg = self._regular_corner(v)
-        if reg is not None:
-            patch, ui, vi = reg
-            return patch.corner_curvature(ui, vi)
-        data = self._vertex_data(v)
-        if data.curvature is None:
-            raise ConstructionError(f"no curvature data at vertex {v}")
-        return data.curvature
+        if v not in self.curvatures:
+            reg = self._regular_corner(v)
+            if reg is not None:
+                patch, ui, vi = reg
+                self.curvatures[v] = patch.corner_curvature(ui, vi)
+            else:
+                data = self._vertex_data(v)
+                if data.curvature is None:
+                    raise ConstructionError(f"no curvature data at vertex {v}")
+                self.curvatures[v] = data.curvature
+        return self.curvatures[v]
 
     def _face_normal(self, f):
         quad = self.mesh.faces[f]
@@ -496,82 +503,91 @@ class TriangleMesh:
 
 
 def tessellate(surface, n=16, weld=True):
-    """Sample every patch on an (n+1)^2 grid and triangulate."""
+    """Sample every patch on an (n+1)^2 grid and triangulate.
+
+    Welding merges samples whose positions round to the same multiple of a
+    tolerance relative to the mesh size; a merged vertex keeps its first
+    sample (faces in ascending order, u running fastest).
+    """
     if n < 1:
         raise ValueError("need at least one sample per edge")
     bbox = surface.mesh.vertices.max(axis=0) - surface.mesh.vertices.min(axis=0)
     tol = WELD_REL_TOL * max(float(np.linalg.norm(bbox)), 1e-300)
 
-    positions = []
-    triangles = []
-    src_face = []
-    src_uv = []
-    weld_map = {}
+    t = np.arange(n + 1) / n
+    u, v = (g.ravel() for g in np.meshgrid(t, t))
+    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)   # [j, i]
+    a, b, c, d = idx[:-1, :-1], idx[:-1, 1:], idx[1:, 1:], idx[1:, :-1]
+    cells = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
-    for f in sorted(list(surface.regular) + list(surface.gregory)):
-        patch = surface.patch(f)
-        index = {}
-        for j in range(n + 1):
-            v = j / n
-            for i in range(n + 1):
-                u = i / n
-                p = patch.eval(u, v)
-                if weld:
-                    key = tuple(np.round(p / tol).astype(np.int64))
-                    vid = weld_map.get(key)
-                    if vid is None:
-                        vid = len(positions)
-                        weld_map[key] = vid
-                        positions.append(p)
-                        src_face.append(f)
-                        src_uv.append((u, v))
-                else:
-                    vid = len(positions)
-                    positions.append(p)
-                    src_face.append(f)
-                    src_uv.append((u, v))
-                index[(i, j)] = vid
-        for j in range(n):
-            for i in range(n):
-                a = index[(i, j)]
-                b = index[(i + 1, j)]
-                c = index[(i + 1, j + 1)]
-                d = index[(i, j + 1)]
-                triangles.append((a, b, c))
-                triangles.append((a, c, d))
+    faces = sorted(list(surface.regular) + list(surface.gregory))
+    positions = np.concatenate(
+        [surface.patch(f).eval(u, v) for f in faces]).reshape(-1, 3)
+    src_face = np.repeat(np.asarray(faces, int), len(u))
+    src_uv = np.tile(np.stack([u, v], axis=1), (len(faces), 1))
+    vertex = np.arange(len(positions))   # of each sample
+    if weld:
+        keys = np.round(positions / tol).astype(np.int64)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)   # welded vertices in first-seen order
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        vertex = rank[inverse.reshape(-1)]
+        keep = first[order]
+        positions, src_face, src_uv = \
+            positions[keep], src_face[keep], src_uv[keep]
+    triangles = vertex.reshape(len(faces), -1)[:, cells].reshape(-1, 3)
+    return TriangleMesh(positions=positions, triangles=triangles,
+                        src_face=src_face, src_uv=src_uv)
 
-    return TriangleMesh(
-        positions=np.asarray(positions, float).reshape(-1, 3),
-        triangles=np.asarray(triangles, int).reshape(-1, 3),
-        src_face=np.asarray(src_face, int),
-        src_uv=np.asarray(src_uv, float).reshape(-1, 2))
+
+# first/second derivative stencils, central then forward then backward; the
+# central ones are padded with a zero weight at offset 0.  Weights are for
+# step 1 and get divided by h (resp. h^2) by the caller.
+_FIRST = (np.array([[-1, 1, 0], [0, 1, 2], [0, -1, -2]]),
+          np.array([[-0.5, 0.5, 0.0], [-1.5, 2.0, -0.5], [1.5, -2.0, 0.5]]))
+_SECOND = (np.array([[-1, 0, 1, 0], [0, 1, 2, 3], [0, -1, -2, -3]]),
+           np.array([[1.0, -2.0, 1.0, 0.0], [2.0, -5.0, 4.0, -1.0],
+                     [2.0, -5.0, 4.0, -1.0]]))
 
 
 def _stencils(t, h):
-    """First/second derivative stencils at t in [0,1], step h.
+    """First/second derivative stencils at every t of an array in [0, 1].
 
-    Returns ((offsets1, weights1), (offsets2, weights2)); weights are for
-    step 1 and get divided by h (resp. h^2) by the caller.  One sided at the
-    domain edges.
+    Returns ((offsets1, weights1), (offsets2, weights2)) of shapes
+    t.shape + (3,) and t.shape + (4,).  One sided at the domain edges: where
+    the central stencil would leave [0, 1] (reach h for the first and 3 h
+    for the second derivative), forward below and backward above.
     """
-    if h <= t <= 1.0 - h:
-        first = ((-1, 1), (-0.5, 0.5))
-    elif t < h:
-        first = ((0, 1, 2), (-1.5, 2.0, -0.5))
-    else:
-        first = ((0, -1, -2), (1.5, -2.0, 0.5))
-    lo = 3 * h
-    if lo <= t <= 1.0 - lo:
-        second = ((-1, 0, 1), (1.0, -2.0, 1.0))
-    elif t < lo:
-        second = ((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0))
-    else:
-        second = ((0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0))
-    return first, second
+    t = np.asarray(t, float)
+    out = []
+    for (offsets, weights), reach in ((_FIRST, h), (_SECOND, 3 * h)):
+        kind = np.where((reach <= t) & (t <= 1.0 - reach), 0,
+                        np.where(t < reach, 1, 2))
+        out.append((offsets[kind], weights[kind]))
+    return out
+
+
+def _eval_sets(fn, uv_sets):
+    """fn at several (u, v) pairs of equal-shaped arrays in one call; the
+    values of each pair come back with shape u.shape + (3,)."""
+    shapes = [np.shape(u) for u, _ in uv_sets]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    vals = fn(np.concatenate([np.ravel(u) for u, _ in uv_sets]),
+              np.concatenate([np.ravel(v) for _, v in uv_sets]))
+    return [part.reshape(shape + (3,)) for part, shape in
+            zip(np.split(vals, np.cumsum(sizes)[:-1]), shapes)]
+
+
+def _contract(weights, values):
+    """sum_k weights[n, k] values[n, k] for every n."""
+    return np.einsum("nk,nkd->nd", weights, values)
 
 
 def _fd_partials(fn, u, v, h, h_select=None):
-    """(su, sv, suu, suv, svv) by finite differences at (u, v).
+    """(su, sv, suu, suv, svv), each (N, 3), by finite differences at the
+    points of the 1-D arrays u, v, all evaluated in one fn call.
 
     h_select fixes which stencil variants are used (so two step sizes can be
     combined by Richardson extrapolation without switching stencils).
@@ -580,24 +596,24 @@ def _fd_partials(fn, u, v, h, h_select=None):
     hs = h if h_select is None else h_select
     (ou1, wu1), (ou2, wu2) = _stencils(u, hs)
     (ov1, wv1), (ov2, wv2) = _stencils(v, hs)
-    cache = {}
-
-    def at(ou, ov):
-        key = (ou, ov)
-        val = cache.get(key)
-        if val is None:
-            val = fn(u + ou * h, v + ov * h)
-            cache[key] = val
-        return val
-
-    su = sum(w * at(o, 0) for o, w in zip(ou1, wu1)) / h
-    sv = sum(w * at(0, o) for o, w in zip(ov1, wv1)) / h
-    suu = sum(w * at(o, 0) for o, w in zip(ou2, wu2)) / (h * h)
-    svv = sum(w * at(0, o) for o, w in zip(ov2, wv2)) / (h * h)
-    suv = sum(wu * wv * at(o_u, o_v)
-              for o_u, wu in zip(ou1, wu1)
-              for o_v, wv in zip(ov1, wv1)) / (h * h)
-    return su, sv, suu, suv, svv
+    n = len(u)
+    # every derivative as (u offsets, v offsets, weights, divisor)
+    terms = [(ou1, 0, wu1, h), (0, ov1, wv1, h), (ou2, 0, wu2, h * h),
+             (np.repeat(ou1, 3, axis=1), np.tile(ov1, 3),
+              (wu1[:, :, None] * wv1[:, None, :]).reshape(n, 9), h * h),
+             (0, ov2, wv2, h * h)]
+    du, dv = (np.concatenate([np.broadcast_to(term[i], term[2].shape)
+                              for term in terms], axis=1) for i in (0, 1))
+    # offsets lie in -3..3: one integer key per (point, du, dv)
+    keys = (np.arange(n)[:, None] * 7 + du + 3) * 7 + dv + 3
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    rows = first // keys.shape[1]
+    vals = fn(u[rows] + du.flat[first] * h, v[rows] + dv.flat[first] * h)
+    vals = vals[inverse.reshape(keys.shape)]
+    sizes = np.cumsum([term[2].shape[1] for term in terms])[:-1]
+    return tuple(_contract(w, part) / div for (_, _, w, div), part
+                 in zip(terms, np.split(vals, sizes, axis=1)))
 
 
 def _partials(fn, u, v, h, richardson=False):
@@ -609,58 +625,63 @@ def _partials(fn, u, v, h, richardson=False):
     return tuple((4.0 * a - b) / 3.0 for a, b in zip(fine, coarse))
 
 
-def surface_normal(patch, u, v, h=FD_STEP):
-    fn = patch.eval
-    (ou1, wu1), _ = _stencils(u, h)
-    (ov1, wv1), _ = _stencils(v, h)
-    su = sum(w * fn(u + o * h, v) for o, w in zip(ou1, wu1)) / h
-    sv = sum(w * fn(u, v + o * h) for o, w in zip(ov1, wv1)) / h
+def _unit_normals(su, sv):
+    """Unit normals of (N, 3) tangent pairs, and the mask of the pairs whose
+    cross product is too short (< 1e-12) to normalize."""
     n = np.cross(su, sv)
-    norm = np.linalg.norm(n)
-    if norm < 1e-12:
-        return None
-    return n / norm
+    norm = np.linalg.norm(n, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return n / norm[:, None], norm < 1e-12
+
+
+def _dot(a, b):
+    return np.einsum("nd,nd->n", a, b)
 
 
 def analysis_fields(surface, tri, h=None, richardson=False):
     """Per-vertex mean curvature and isophote value channels.
 
     Partial derivatives come from central differences (one sided at the
-    patch-domain edges); samples with a degenerate normal are flagged NaN.
+    patch-domain edges), with the stencil points of all vertices of a face
+    evaluated in one call; samples with a degenerate normal are flagged NaN.
     Richardson extrapolation trades double the evaluations for two extra
     orders of accuracy.
     """
     if h is None:
         h = 1e-3 if richardson else FD_STEP
-    nv = len(tri.positions)
-    mean_curv = np.full(nv, np.nan)
-    isophote = np.full(nv, np.nan)
+    faces = np.asarray(tri.src_face)
+    mean_curv = np.full(len(tri.positions), np.nan)
+    isophote = np.full(len(tri.positions), np.nan)
     degenerate = 0
-    for idx in range(nv):
-        f = int(tri.src_face[idx])
-        u, v = tri.src_uv[idx]
-        fn = surface.patch(f).eval
-        su, sv, suu, suv, svv = _partials(fn, u, v, h, richardson)
-        ncross = np.cross(su, sv)
-        norm = np.linalg.norm(ncross)
-        if norm < 1e-12:
-            degenerate += 1
-            continue
-        nrm = ncross / norm
-        E, F, G = su @ su, su @ sv, sv @ sv
-        L, M, N = suu @ nrm, suv @ nrm, svv @ nrm
+    order = np.argsort(faces, kind="stable")
+    fs, starts = np.unique(faces[order], return_index=True)
+    for f, idx in zip(fs, np.split(order, starts[1:])):
+        u, v = tri.src_uv[idx].T
+        su, sv, suu, suv, svv = _partials(surface.patch(int(f)).eval, u, v,
+                                          h, richardson)
+        nrm, bad = _unit_normals(su, sv)
+        E, F, G = _dot(su, su), _dot(su, sv), _dot(sv, sv)
+        L, M, N = _dot(suu, nrm), _dot(suv, nrm), _dot(svv, nrm)
         denom = E * G - F * F
-        if abs(denom) < 1e-300:
-            degenerate += 1
-            continue
-        mean_curv[idx] = (E * N - 2.0 * F * M + G * L) / (2.0 * denom)
-        isophote[idx] = float(nrm @ LIGHT_DIRECTION)
+        bad |= np.abs(denom) < 1e-300
+        degenerate += int(bad.sum())
+        with np.errstate(invalid="ignore", divide="ignore"):
+            H = (E * N - 2.0 * F * M + G * L) / (2.0 * denom)
+        good = ~bad
+        mean_curv[idx[good]] = H[good]
+        isophote[idx[good]] = (nrm @ LIGHT_DIRECTION)[good]
     tri.channels["mean_curvature"] = mean_curv
     tri.channels["isophote"] = isophote
     return {"degenerate_samples": degenerate}
 
 
 # -- continuity audit ---------------------------------------------------------------
+
+# one-sided stencils of the first and second derivative along the inward
+# cross direction, for step 1 and up to a divisor 12
+_CROSS_STENCILS = {1: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]),
+                   2: np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0])}
+
 
 def _interior_shared_edges(surface):
     mesh = surface.mesh
@@ -676,21 +697,75 @@ def _interior_shared_edges(surface):
     return out
 
 
-def _fd_cross_into(patch_eval, u, v, axis, inward, r, h):
-    """One-sided r-th derivative along the inward cross direction."""
-    def at(k):
-        k = k * inward
-        return (patch_eval(u + k * h, v) if axis == 0
-                else patch_eval(u, v + k * h))
+def _seam_samples(surface, f, seams, k, fd_step):
+    """Samples of face f along its seam half edges, from one eval call.
 
-    if r == 1:
-        return (-25.0 * at(0) + 48.0 * at(1) - 36.0 * at(2)
-                + 16.0 * at(3) - 3.0 * at(4)) / (12.0 * h)
-    if r == 2:
-        return (45.0 * at(0) - 154.0 * at(1) + 214.0 * at(2)
-                - 156.0 * at(3) + 61.0 * at(4) - 10.0 * at(5)) \
-            / (12.0 * h * h)
-    raise ValueError("only first and second cross orders are audited")
+    seams maps a half edge to (t, audit): the fractions sampled along it and
+    whether the cross derivatives through order k are audited there.  Each
+    half edge gets its positions, unit normals and the mask of degenerate
+    normals and, when audited, the inward cross derivatives and the blend
+    values at the interior samples.
+    """
+    sets, frames = [], []
+    for he, (t, audit) in seams.items():
+        u, v = surface._edge_uv(f, he, t)
+        (ou, wu), _ = _stencils(u, FD_STEP)
+        (ov, wv), _ = _stencils(v, FD_STEP)
+        sets += [(u, v),
+                 np.broadcast_arrays(u[:, None] + ou * FD_STEP, v[:, None]),
+                 np.broadcast_arrays(u[:, None], v[:, None] + ov * FD_STEP)]
+        blend = None
+        if audit:
+            line = [u[1:-1, None], v[1:-1, None]]
+            axis, inward, blend = _cross_frame(surface, f, he, u[1:-1],
+                                               v[1:-1])
+            steps = np.arange(len(_CROSS_STENCILS[k])) * inward
+            line[axis] = line[axis] + steps * fd_step
+            sets.append(np.broadcast_arrays(*line))
+        frames.append((he, wu, wv, blend))
+    vals = iter(_eval_sets(surface.patch(f).eval, sets))
+    out = {}
+    for he, wu, wv, blend in frames:
+        pos, at_u, at_v = next(vals), next(vals), next(vals)
+        normal, degenerate = _unit_normals(_contract(wu, at_u) / FD_STEP,
+                                           _contract(wv, at_v) / FD_STEP)
+        # a copy: a view would keep the face's whole batch alive while the
+        # seam waits for its other face
+        rec = {"pos": pos.copy(), "normal": normal, "degenerate": degenerate}
+        if blend is not None:
+            line = next(vals)
+            rec["blend"] = blend
+            rec["cross"] = {
+                r: np.einsum("k,nkd->nd", _CROSS_STENCILS[r],
+                             line[:, :len(_CROSS_STENCILS[r])])
+                / (12.0 * fd_step ** r) for r in range(1, k + 1)}
+        out[he] = rec
+    return out
+
+
+def _max(values):
+    """Largest value, 0 for none; NaN values are skipped."""
+    return float(np.fmax.reduce(values, initial=0.0))
+
+
+def _measure_seam(a, b, k):
+    """Gaps between the samples a and b of the two faces along one seam."""
+    both = ~(a["degenerate"] | b["degenerate"])
+    cosang = np.clip(np.abs(_dot(a["normal"][both], b["normal"][both])),
+                     -1.0, 1.0)
+    delta_residual = {}
+    if "cross" in a:
+        ratio = a["blend"] / b["blend"]
+        for r in range(1, k + 1):
+            d1v = a["cross"][r]
+            # orient both derivatives the same way: odd orders flip
+            d2v = b["cross"][r] if r % 2 == 0 else -b["cross"][r]
+            num = np.linalg.norm(d1v - (ratio ** r)[:, None] * d2v, axis=1)
+            den = np.maximum(np.linalg.norm(d1v, axis=1), 1e-12)
+            delta_residual[str(r)] = _max(num / den)
+    return {"position_gap": _max(np.linalg.norm(a["pos"] - b["pos"], axis=1)),
+            "normal_angle_deg": _max(np.degrees(np.arccos(cosang))),
+            "delta_residual": delta_residual}
 
 
 def continuity_report(surface, samples=16, fd_step=5e-3):
@@ -699,61 +774,33 @@ def continuity_report(surface, samples=16, fd_step=5e-3):
     Reports position gaps and tangent-plane angles for all edges; for pairs
     of grid patches it additionally checks that one-sided cross derivatives
     match after scaling by the blend-function ratio, through the family
-    continuity order.
+    continuity order.  Each face's samples along all its seams are
+    evaluated in one call.
     """
     mesh = surface.mesh
     k = surface.options.family.continuity if surface.options.mode == "g2" \
         else min(surface.options.family.continuity, 2)
-    edges = []
     ts = np.linspace(0.0, 1.0, samples)
+    seams = []
+    wanted = {}
     for h, t in _interior_shared_edges(surface):
         f1, f2 = mesh.he_face(h), mesh.he_face(t)
-        p1 = surface.patch(f1)
-        p2 = surface.patch(f2)
         kind = ("regular" if f1 in surface.regular else "gregory",
                 "regular" if f2 in surface.regular else "gregory")
-        pos_gap = 0.0
-        ang_gap = 0.0
-        delta_residual = {}
-        for tv in ts:
-            a = surface.eval_on_edge(f1, h, tv)
-            b = surface.eval_on_edge(f2, t, 1.0 - tv)
-            pos_gap = max(pos_gap, float(np.linalg.norm(a - b)))
-            u1, v1 = surface._edge_uv(f1, h, tv)
-            u2, v2 = surface._edge_uv(f2, t, 1.0 - tv)
-            n1 = surface_normal(p1, u1, v1)
-            n2 = surface_normal(p2, u2, v2)
-            if n1 is not None and n2 is not None:
-                cosang = np.clip(abs(float(n1 @ n2)), -1.0, 1.0)
-                ang_gap = max(ang_gap, float(np.degrees(np.arccos(cosang))))
-        if kind == ("regular", "regular"):
-            residuals = {r: 0.0 for r in range(1, k + 1)}
-            for tv in ts[1:-1]:
-                u1, v1 = surface._edge_uv(f1, h, tv)
-                u2, v2 = surface._edge_uv(f2, t, 1.0 - tv)
-                ax1, in1, b1 = _cross_frame(surface, f1, h, u1, v1)
-                ax2, in2, b2 = _cross_frame(surface, f2, t, u2, v2)
-                for r in range(1, k + 1):
-                    d1v = _fd_cross_into(p1.eval, u1, v1, ax1, in1, r,
-                                         fd_step)
-                    d2v = _fd_cross_into(p2.eval, u2, v2, ax2, in2, r,
-                                         fd_step)
-                    if r % 2 == 0:
-                        pass  # even orders keep sign under direction flip
-                    else:
-                        d2v = -d2v  # orient both derivatives the same way
-                    ratio = (b1 / b2) ** r
-                    num = float(np.linalg.norm(d1v - ratio * d2v))
-                    den = max(float(np.linalg.norm(d1v)), 1e-12)
-                    residuals[r] = max(residuals[r], num / den)
-            delta_residual = {str(r): residuals[r] for r in residuals}
-        edges.append({
-            "faces": [int(f1), int(f2)],
-            "kinds": list(kind),
-            "position_gap": pos_gap,
-            "normal_angle_deg": ang_gap,
-            "delta_residual": delta_residual,
-        })
+        audit = kind == ("regular", "regular")
+        seams.append((h, f1, f2, kind))
+        wanted.setdefault(f1, {})[h] = (ts, audit)
+        wanted.setdefault(f2, {})[t] = (1.0 - ts, audit)
+    # a seam is measured, and its samples dropped, once both faces are sampled
+    pending, measured = {}, {}
+    for f, sides in wanted.items():
+        pending.update(_seam_samples(surface, f, sides, k, fd_step))
+        for he in sides:
+            h, t = sorted((he, mesh.twin(he)))
+            if h in pending and t in pending:
+                measured[h] = _measure_seam(pending.pop(h), pending.pop(t), k)
+    edges = [{"faces": [int(f1), int(f2)], "kinds": list(kind), **measured[h]}
+             for h, f1, f2, kind in seams]
     gaps = np.array([e["position_gap"] for e in edges]) if edges else \
         np.zeros(0)
     angs = np.array([e["normal_angle_deg"] for e in edges]) if edges else \
@@ -773,8 +820,8 @@ def continuity_report(surface, samples=16, fd_step=5e-3):
 
 
 def _cross_frame(surface, f, he, u, v):
-    """(axis, inward sign, blend value) for the cross direction at a boundary
-    point of regular face f reached along half edge he."""
+    """(axis, inward sign, blend values) for the cross direction at boundary
+    points of regular face f reached along half edge he."""
     c = (he - surface.anchors[f]) % 4
     side, axis, inward, t = (("v0", 1, 1, u), ("u1", 0, -1, v),
                              ("v1", 1, -1, u), ("u0", 0, 1, v))[c]

@@ -1,0 +1,273 @@
+"""The array-in evaluation path against point-by-point evaluation.
+
+Patch evaluation takes arrays of (u, v); tessellate, analysis_fields and
+continuity_report evaluate each face's points in one call.  The oracles
+below evaluate one point per call with the same stencils and step sizes.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from conftest import (grid_with_rotated_edge, sphere_mesh,
+                      torus_with_rotated_edge)
+from quadspline.surface import (FD_STEP, WELD_REL_TOL, BuildOptions,
+                                _cross_frame, _interior_shared_edges,
+                                analysis_fields, build_surface,
+                                continuity_report, tessellate)
+
+CASES = {
+    "sphere_g2": (lambda: sphere_mesh(2), BuildOptions()),
+    "open_ev_grid_g1": (
+        lambda: grid_with_rotated_edge(
+            8, 8, height=lambda x, y: 0.1 * np.sin(0.7 * x) * np.cos(0.5 * y)),
+        BuildOptions(family="d3c1p2s4", mode="g1")),
+    "ev_torus_g2_r1": (lambda: torus_with_rotated_edge(10, 10),
+                       BuildOptions(r_degree=1)),
+}
+
+
+@lru_cache(maxsize=None)
+def surface_of(case):
+    make, options = CASES[case]
+    return build_surface(make().build_connectivity(), options)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batched_eval_equals_scalar(case):
+    surf = surface_of(case)
+    assert surf.gregory and surf.regular
+    # the grid holds the corners and edges, where the Gregory twist weights
+    # are 0/0
+    t = np.linspace(0.0, 1.0, 9)
+    U, V = np.meshgrid(t, t)
+    for f in surf.real_faces:
+        patch = surf.patch(f)
+        got = patch.eval(U, V)
+        assert got.shape == (9, 9, 3)
+        want = np.array([[patch.eval(u, v) for u, v in zip(ur, vr)]
+                         for ur, vr in zip(U, V)])
+        assert np.abs(got - want).max() <= 1e-14
+        assert patch.eval(0.25, 0.75).shape == (3,)
+        assert patch.eval(U[0], V[0]).shape == (9, 3)
+        assert np.array_equal(patch.eval(U[0], V[0]), got[0])
+
+
+@pytest.mark.parametrize("case", ["open_ev_grid_g1", "sphere_g2"])
+def test_batched_side_fields_equal_scalar(case):
+    surf = surface_of(case)
+    k = surf.options.k
+    for patch in surf.regular.values():
+        for side in ("v0", "v1", "u0", "u1"):
+            d = patch.side_interval(side)
+            x = np.array([0.0, 0.3 * d, d])
+            for q in range(k + 1):
+                for r in range(k + 1):
+                    # cross-field x-derivatives exist at the endpoints only
+                    xs = x[[0, 2]] if q and r else x
+                    got = patch.side_field(side, q, xs, r)
+                    want = [patch.side_field(side, q, xi, r) for xi in xs]
+                    assert np.abs(got - want).max() <= 1e-14 * max(
+                        1.0, np.abs(want).max())
+
+
+def test_one_x_outside_the_segment_raises():
+    surf = surface_of("sphere_g2")
+    patch = surf.regular[min(surf.regular)]
+    u = np.linspace(0.0, 1.0, 5)
+    v = np.full(5, 0.5)
+    patch.eval(u, v)
+    u[3] = 1.5
+    with pytest.raises(ValueError):
+        patch.eval(u, v)
+    d = patch.side_interval("v0")
+    x = np.linspace(0.0, d, 5)
+    patch.eval_boundary("v0", x)
+    patch.cross_field("v0", x)
+    x[1] = -0.1 * d
+    with pytest.raises(ValueError):
+        patch.eval_boundary("v0", x)
+    with pytest.raises(ValueError):
+        patch.cross_field("v0", x)
+
+
+# -- point-by-point oracles ---------------------------------------------------
+
+def stencils(t, h):
+    """First/second derivative stencils at t, one sided at the edges."""
+    if h <= t <= 1.0 - h:
+        first = ((-1, 1), (-0.5, 0.5))
+    elif t < h:
+        first = ((0, 1, 2), (-1.5, 2.0, -0.5))
+    else:
+        first = ((0, -1, -2), (1.5, -2.0, 0.5))
+    lo = 3 * h
+    if lo <= t <= 1.0 - lo:
+        second = ((-1, 0, 1), (1.0, -2.0, 1.0))
+    elif t < lo:
+        second = ((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0))
+    else:
+        second = ((0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0))
+    return first, second
+
+
+def partials(fn, u, v, h, hs):
+    (ou1, wu1), (ou2, wu2) = stencils(u, hs)
+    (ov1, wv1), (ov2, wv2) = stencils(v, hs)
+    at = lru_cache(maxsize=None)(lambda a, b: fn(u + a * h, v + b * h))
+    su = sum(w * at(o, 0) for o, w in zip(ou1, wu1)) / h
+    sv = sum(w * at(0, o) for o, w in zip(ov1, wv1)) / h
+    suu = sum(w * at(o, 0) for o, w in zip(ou2, wu2)) / (h * h)
+    svv = sum(w * at(0, o) for o, w in zip(ov2, wv2)) / (h * h)
+    suv = sum(a * b * at(p, q) for p, a in zip(ou1, wu1)
+              for q, b in zip(ov1, wv1)) / (h * h)
+    return su, sv, suu, suv, svv
+
+
+def oracle_tessellation(surf, n):
+    """(positions, triangles, source faces, source uv), welding each sample
+    to the first one seen within the weld tolerance."""
+    verts = surf.mesh.vertices
+    tol = WELD_REL_TOL * np.linalg.norm(verts.max(axis=0) - verts.min(axis=0))
+    positions, triangles, src = [], [], []
+    weld = {}
+    for f in sorted(surf.real_faces):
+        index = {}
+        for j in range(n + 1):
+            for i in range(n + 1):
+                p = surf.patch(f).eval(i / n, j / n)
+                key = tuple(np.round(p / tol).astype(np.int64))
+                if key not in weld:
+                    weld[key] = len(positions)
+                    positions.append(p)
+                    src.append((f, i / n, j / n))
+                index[i, j] = weld[key]
+        for j in range(n):
+            for i in range(n):
+                a, b = index[i, j], index[i + 1, j]
+                c, d = index[i + 1, j + 1], index[i, j + 1]
+                triangles += [(a, b, c), (a, c, d)]
+    src = np.array(src)
+    return np.array(positions), np.array(triangles), src[:, 0], src[:, 1:]
+
+
+def oracle_channels(surf, tri, richardson):
+    """(mean curvature, isophote) per vertex."""
+    h = 1e-3 if richardson else FD_STEP
+    light = np.ones(3) / np.sqrt(3.0)
+    out = []
+    for f, (u, v) in zip(tri.src_face, tri.src_uv):
+        fn = surf.patch(int(f)).eval
+        if richardson:
+            fine = partials(fn, u, v, h, 2 * h)
+            coarse = partials(fn, u, v, 2 * h, 2 * h)
+            su, sv, suu, suv, svv = ((4 * a - b) / 3 for a, b
+                                     in zip(fine, coarse))
+        else:
+            su, sv, suu, suv, svv = partials(fn, u, v, h, h)
+        n = np.cross(su, sv)
+        n = n / np.linalg.norm(n)
+        E, F, G = su @ su, su @ sv, sv @ sv
+        L, M, N = suu @ n, suv @ n, svv @ n
+        out.append(((E * N - 2 * F * M + G * L) / (2 * (E * G - F * F)),
+                    n @ light))
+    return np.array(out)
+
+
+def normal(fn, u, v, h=FD_STEP):
+    (ou, wu), _ = stencils(u, h)
+    (ov, wv), _ = stencils(v, h)
+    su = sum(w * fn(u + o * h, v) for o, w in zip(ou, wu)) / h
+    sv = sum(w * fn(u, v + o * h) for o, w in zip(ov, wv)) / h
+    n = np.cross(su, sv)
+    return n / np.linalg.norm(n)
+
+
+def cross_derivative(fn, u, v, axis, inward, r, h):
+    def at(k):
+        k = k * inward
+        return fn(u + k * h, v) if axis == 0 else fn(u, v + k * h)
+    if r == 1:
+        return (-25 * at(0) + 48 * at(1) - 36 * at(2) + 16 * at(3)
+                - 3 * at(4)) / (12 * h)
+    return (45 * at(0) - 154 * at(1) + 214 * at(2) - 156 * at(3)
+            + 61 * at(4) - 10 * at(5)) / (12 * h * h)
+
+
+def oracle_edge(surf, h, t, samples, k, fd_step=5e-3):
+    """(position gap, normal angle, {order: delta residual}) of one seam."""
+    mesh = surf.mesh
+    f1, f2 = mesh.he_face(h), mesh.he_face(t)
+    p1, p2 = surf.patch(f1).eval, surf.patch(f2).eval
+    gap = angle = 0.0
+    residual = {}
+    ts = np.linspace(0.0, 1.0, samples)
+    for i, tv in enumerate(ts):
+        u1, v1 = (float(c) for c in surf._edge_uv(f1, h, tv))
+        u2, v2 = (float(c) for c in surf._edge_uv(f2, t, 1.0 - tv))
+        gap = max(gap, float(np.linalg.norm(p1(u1, v1) - p2(u2, v2))))
+        cos = min(abs(float(normal(p1, u1, v1) @ normal(p2, u2, v2))), 1.0)
+        angle = max(angle, float(np.degrees(np.arccos(cos))))
+        if f1 not in surf.regular or f2 not in surf.regular \
+                or i in (0, samples - 1):
+            continue
+        ax1, in1, b1 = _cross_frame(surf, f1, h, u1, v1)
+        ax2, in2, b2 = _cross_frame(surf, f2, t, u2, v2)
+        for r in range(1, k + 1):
+            d1 = cross_derivative(p1, u1, v1, ax1, in1, r, fd_step)
+            d2 = (-1) ** r * cross_derivative(p2, u2, v2, ax2, in2, r,
+                                              fd_step)
+            res = np.linalg.norm(d1 - (b1 / b2) ** r * d2) \
+                / max(np.linalg.norm(d1), 1e-12)
+            residual[str(r)] = max(residual.get(str(r), 0.0), float(res))
+    return gap, angle, residual
+
+
+# -- tessellation, analysis and audit against the oracles -----------------------------------
+
+@pytest.mark.parametrize("case", ["open_ev_grid_g1", "sphere_g2"])
+def test_tessellate_matches_pointwise_oracle(case):
+    surf = surface_of(case)
+    tri = tessellate(surf, 3)
+    positions, triangles, faces, uv = oracle_tessellation(surf, 3)
+    assert np.abs(tri.positions - positions).max() <= 1e-12
+    assert np.array_equal(tri.triangles, triangles)
+    assert np.array_equal(tri.src_face, faces)
+    assert np.array_equal(tri.src_uv, uv)
+
+
+@pytest.mark.parametrize("case", ["open_ev_grid_g1", "sphere_g2"])
+def test_analysis_fields_match_pointwise_oracle(case):
+    surf = surface_of(case)
+    tri = tessellate(surf, 2)
+    for richardson in (False, True):
+        info = analysis_fields(surf, tri, richardson=richardson)
+        assert info["degenerate_samples"] == 0
+        want = oracle_channels(surf, tri, richardson)
+        H = tri.channels["mean_curvature"]
+        # last-ulp differences of eval are amplified by 1/h^2
+        assert np.all(np.abs(H - want[:, 0])
+                      <= 1e-5 * (1 + np.abs(want[:, 0])))
+        assert np.abs(tri.channels["isophote"] - want[:, 1]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["open_ev_grid_g1", "sphere_g2"])
+def test_continuity_report_matches_pointwise_oracle(case):
+    surf = surface_of(case)
+    samples = 5
+    report = continuity_report(surf, samples=samples)
+    edges = _interior_shared_edges(surf)
+    assert len(report["edges"]) == len(edges)
+    k = surf.options.family.continuity
+    audited = 0
+    for (h, t), got in zip(edges, report["edges"]):
+        gap, angle, residual = oracle_edge(surf, h, t, samples, k)
+        assert got["faces"] == [surf.mesh.he_face(h), surf.mesh.he_face(t)]
+        assert abs(got["position_gap"] - gap) <= 1e-12
+        assert abs(got["normal_angle_deg"] - angle) <= 1e-5
+        assert sorted(got["delta_residual"]) == sorted(residual)
+        for r, value in residual.items():
+            assert abs(got["delta_residual"][r] - value) <= 1e-6
+        audited += bool(residual)
+    assert audited > 0

@@ -126,6 +126,21 @@ def test_curve_square_symmetry(tmp_path):
     assert (tmp_path / "sq.svg").exists()
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_curve_non_finite_point_exit_1(tmp_path, capsys, closed):
+    pts_file = tmp_path / "nan.txt"
+    write_points(pts_file, [(0, 0), (1, 0), (2, 1), (1, 2), (0, 2), (-1, 1)])
+    lines = pts_file.read_text().splitlines()
+    lines[3] = "nan 2"
+    pts_file.write_text("\n".join(lines) + "\n")
+    argv = ["curve", str(pts_file), "--out", str(tmp_path / "nan")]
+    code = main(argv + ([] if closed else ["--open"]))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "nan.csv").exists()
+
+
 def test_curve_too_few_points_is_usage_error(tmp_path):
     pts_file = tmp_path / "two.txt"
     write_points(pts_file, [(0, 0), (1, 0)])

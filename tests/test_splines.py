@@ -150,6 +150,56 @@ def test_make_knots_rejects_coincident_points():
         make_knots([(0, 0), (0, 0), (1, 1)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_rejected(bad):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [1.0, 2.0],
+                    [0.0, 2.0], [-1.0, 1.0]])
+    pts[3, 1] = bad
+    with pytest.raises(DegenerateEdgeError):
+        make_knots(pts)
+    with pytest.raises(DegenerateEdgeError):
+        PolylineCurve.from_points(pts, D5C2P2S4, closed=True)
+    # knots from the finite points do not make the curve acceptable
+    knots = np.arange(len(pts) + 1, dtype=float)
+    with pytest.raises(DegenerateEdgeError):
+        PolylineCurve(pts, knots, D5C2P2S4, closed=True)
+    good = pts.copy()
+    good[3, 1] = 2.0
+    knots[2] = bad
+    with pytest.raises(DegenerateEdgeError):
+        PolylineCurve(good, knots, D5C2P2S4, closed=True)
+
+
+@pytest.mark.parametrize("fam", BOTH)
+def test_weights_broadcast_over_x_and_intervals(fam):
+    rng = np.random.default_rng(12)
+    d = tuple(rng.uniform(0.3, 1.8, (3, 5, 2)))
+    x = rng.uniform(0.0, 1.0, (5, 2)) * d[1]
+    for r in range(fam.degree + 2):
+        got = fundamental_weights(fam, x, d, r)
+        assert got.shape == (4, 5, 2)
+        for idx in np.ndindex(5, 2):
+            want = fundamental_weights(fam, x[idx],
+                                       tuple(di[idx] for di in d), r)
+            # array powers may round the last bit differently
+            assert np.allclose(got[(slice(None),) + idx], want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
+    # scalar x, array intervals
+    assert fundamental_weights(fam, 0.0, d).shape == (4, 5, 2)
+
+
+def test_weights_reject_one_x_outside_the_segment():
+    d = (0.5, 1.0, 0.7)
+    x = np.linspace(0.0, 1.0, 7)
+    fundamental_weights(D5C2P2S4, x, d)
+    x[4] = 1.01
+    with pytest.raises(ValueError, match="x=1.01"):
+        fundamental_weights(D5C2P2S4, x, d)
+    x[4] = -0.01
+    with pytest.raises(ValueError):
+        fundamental_weights(D5C2P2S4, x, d, 2)
+
+
 @pytest.mark.parametrize("fam", BOTH)
 def test_curve_interpolates_at_knots(fam):
     rng = np.random.default_rng(6)

@@ -119,7 +119,7 @@ def test_analysis_fields_flags_degenerate_samples():
 
     class PointPatch:
         def eval(self, u, v):
-            return np.zeros(3)
+            return np.zeros(np.shape(u) + (3,))
 
     class FakeSurface:
         def patch(self, f):
