@@ -81,6 +81,9 @@ def _apply_config(subparsers, argv):
         return
     with open(argv[idx + 1], "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {argv[idx + 1]} must hold a JSON "
+                         "object")
     build = subparsers["build"]
     known = {a.dest for a in build._actions}
     bad = set(cfg) - known
@@ -114,10 +117,13 @@ def cmd_build(args):
 def load_points_file(path):
     pts = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
+            if len(parts) < 2:
+                raise ValueError(f"{path}:{lineno}: expected 'x y', got "
+                                 f"{line.strip()!r}")
             pts.append([float(parts[0]), float(parts[1])])
     return np.asarray(pts)
 

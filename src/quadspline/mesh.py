@@ -526,90 +526,35 @@ class _GridFail(Exception):
     pass
 
 
-def _row_halfedges(mesh, h_start, half):
-    """Half edges (i,j)->(i+1,j) for i in [-half+1, half-1] from the i=0 one."""
-    row = [h_start]
-    g = h_start
+def _chain(mesh, h, half):
+    """Half edges at offsets -half+1..half-1 along the grid line through h
+    (offset 0), walked both ways with continuation."""
+    if h is None:
+        raise _GridFail
+    chain = [h]
+    ahead = behind = h
     for _ in range(half - 1):
-        g = mesh.continuation(g)
-        if g is None:
+        ahead = mesh.continuation(ahead)
+        back = mesh.twin(behind)
+        back = None if back is None else mesh.continuation(back)
+        behind = None if back is None else mesh.twin(back)
+        if ahead is None or behind is None:
             raise _GridFail
-        row.append(g)
-    g = h_start
-    for _ in range(half - 1):
-        t = mesh.twin(g)
-        if t is None:
-            raise _GridFail
-        nxt = mesh.continuation(t)
-        if nxt is None:
-            raise _GridFail
-        g = mesh.twin(nxt)
-        if g is None:
-            raise _GridFail
-        row.insert(0, g)
-    return row
+        chain = [behind] + chain + [ahead]
+    return chain
 
 
 def _try_extract(mesh, face, w, anchor, params=None):
     half = w // 2
     a = anchor
-
-    # vertical half edges (0,j)->(0,j+1), j in [-half+1, half-1]
-    v0 = mesh.rot_ccw(a)
-    if v0 is None:
-        raise _GridFail
-    vcol0 = {0: v0}
-    g = v0
-    for j in range(1, half):
-        g = mesh.continuation(g)
-        if g is None:
-            raise _GridFail
-        vcol0[j] = g
-    g = v0
-    for j in range(-1, -half, -1):
-        t = mesh.twin(g)
-        if t is None:
-            raise _GridFail
-        nxt = mesh.continuation(t)
-        if nxt is None:
-            raise _GridFail
-        g = mesh.twin(nxt)
-        if g is None:
-            raise _GridFail
-        vcol0[j] = g
-
-    # column 1 the same way, starting from the face's right edge
-    v1 = mesh.he_next(a)
-    vcol1 = {0: v1}
-    g = v1
-    for j in range(1, half):
-        g = mesh.continuation(g)
-        if g is None:
-            raise _GridFail
-        vcol1[j] = g
-    g = v1
-    for j in range(-1, -half, -1):
-        t = mesh.twin(g)
-        if t is None:
-            raise _GridFail
-        nxt = mesh.continuation(t)
-        if nxt is None:
-            raise _GridFail
-        g = mesh.twin(nxt)
-        if g is None:
-            raise _GridFail
-        vcol1[j] = g
-
-    # inner rows j in [-half+2, half-1] as half-edge chains
-    rows = {}
-    for j in range(-half + 2, half):
-        if j == 0:
-            h_j = a
-        else:
-            h_j = mesh.rot_cw(vcol0[j])
-            if h_j is None:
-                raise _GridFail
-        rows[j] = _row_halfedges(mesh, h_j, half)
+    # columns 0 and 1 as vertical half edges (i,j)->(i,j+1) and the inner
+    # rows j in [-half+2, half-1] as horizontal ones (i,j)->(i+1,j), each
+    # indexed by its offset + half - 1
+    col0 = _chain(mesh, mesh.rot_ccw(a), half)
+    col1 = _chain(mesh, mesh.he_next(a), half)
+    rows = {j: _chain(mesh, a if j == 0 else mesh.rot_cw(col0[j + half - 1]),
+                      half)
+            for j in range(-half + 2, half)}
 
     vid = {}
 
@@ -654,8 +599,8 @@ def _try_extract(mesh, face, w, anchor, params=None):
 
         grid.d0 = np.array([interval(h) for h in rows[0]])
         grid.d1 = np.array([interval(h) for h in rows[1]])
-        grid.e0 = np.array([interval(vcol0[j]) for j in range(-half + 1, half)])
-        grid.e1 = np.array([interval(vcol1[j]) for j in range(-half + 1, half)])
+        grid.e0 = np.array([interval(h) for h in col0])
+        grid.e1 = np.array([interval(h) for h in col1])
     return grid
 
 

@@ -22,7 +22,10 @@ from .splines import D5C2P2S4, family as family_by_name, segment_coefficients
 
 LIGHT_DIRECTION = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 FD_STEP = 1e-4
+CROSS_STEP = 5e-3   # step of the continuity report's cross stencils
 WELD_REL_TOL = 1e-9
+# side of a regular patch along its half edge anchor + c, for c = 0..3
+SIDE_OF_CORNER = ("v0", "u1", "v1", "u0")
 
 
 @dataclass
@@ -139,21 +142,13 @@ class _GregoryBuilder:
         # corner frames per vertex, shared by the faces around it
         self.normals = {}
         self.curvatures = {}
-        self.sampled_patches = {}
 
     # -- derivative sampling along section curves ---------------------------
     def _opposite_vertex(self, a, c):
-        mesh = self.mesh
-        if mesh.is_boundary_vertex(a) or mesh.valence(a) != 4:
-            return None
-        h = mesh.halfedge_between(a, c)
-        if h is None:
-            return None
-        g = mesh.rot_ccw(h)
-        if g is None:
-            return None
-        g = mesh.rot_ccw(g)
-        return None if g is None else mesh.target(g)
+        """Vertex continuing the grid line c -> a past a, or None."""
+        h = self.mesh.halfedge_between(c, a)
+        g = None if h is None else self.mesh.continuation(h)
+        return None if g is None else self.mesh.target(g)
 
     def _segment_window(self, a, c):
         z = self._opposite_vertex(a, c)
@@ -358,36 +353,21 @@ class _GregoryBuilder:
                          "forward": forward})
         return anchor, plan
 
-    def _sampled_side(self, side_info):
-        mesh = self.mesh
-        h = side_info["he"]
-        twin = mesh.twin(h)
-        g = mesh.he_face(twin)
-        role = side_info["role"]
-        if role == 0:
-            anchor = mesh.he_next(mesh.he_next(twin))
-            side, flip_param, flip_cross = "v1", False, False
-        elif role == 1:
-            anchor = twin
-            side, flip_param, flip_cross = "v0", True, False
-        elif role == 2:
-            anchor = twin
-            side, flip_param, flip_cross = "v0", False, False
-        else:
-            anchor = twin
-            side, flip_param, flip_cross = "v0", False, True
-        key = (g, anchor)
-        patch = self.sampled_patches.get(key)
-        if patch is None:
-            grid = qm.extract_local_grid(mesh, self.params, g,
-                                         self.family.support, anchor=anchor)
-            patch = RegularPatch(grid, self.family)
-            self.sampled_patches[key] = patch
+    def _sampled_side(self, role, he):
+        """Side along half edge he read from the regular patch across it."""
+        twin = self.mesh.twin(he)
+        g = self.mesh.he_face(twin)
+        patch = self.surf.regular[g]
+        c = (twin - self.surf.anchors[g]) % 4
+        side = SIDE_OF_CORNER[c]
+        # the side runs along he for roles 0, 1 and the neighbour's along the
+        # twin for c = 0, 1; chi points into this face for roles 0, 3 and the
+        # neighbour's cross derivative into the neighbour for c = 0, 3
         return Side(patch.side_interval(side),
                     [partial(patch.side_field, side, q)
                      for q in range(patch.k + 1)],
-                    reverse=(0, 1, 2) if flip_param else (),
-                    negate_cross=flip_cross)
+                    reverse=(0, 1, 2) if (role < 2) == (c < 2) else (),
+                    negate_cross=(role in (0, 3)) == (c in (0, 3)))
 
     def build_face(self, f):
         mesh = self.mesh
@@ -401,11 +381,10 @@ class _GregoryBuilder:
         sides = [None] * 4
         for info in plan:
             twin = mesh.twin(info["he"])
-            g = None if twin is None else mesh.he_face(twin)
-            if (g is not None and g < mesh.real_face_count
-                    and g in self.surf.regular):
+            if twin is not None and mesh.he_face(twin) in self.surf.regular:
                 info["kind"] = "sampled"
-                sides[info["role"]] = self._sampled_side(info)
+                sides[info["role"]] = self._sampled_side(info["role"],
+                                                         info["he"])
             else:
                 info["kind"] = "network"
                 rec = self._edge_record(info["va"], info["vb"])
@@ -638,7 +617,7 @@ def _dot(a, b):
     return np.einsum("nd,nd->n", a, b)
 
 
-def analysis_fields(surface, tri, h=None, richardson=False):
+def analysis_fields(surface, tri, richardson=False):
     """Per-vertex mean curvature and isophote value channels.
 
     Partial derivatives come from central differences (one sided at the
@@ -647,8 +626,7 @@ def analysis_fields(surface, tri, h=None, richardson=False):
     Richardson extrapolation trades double the evaluations for two extra
     orders of accuracy.
     """
-    if h is None:
-        h = 1e-3 if richardson else FD_STEP
+    h = 1e-3 if richardson else FD_STEP
     faces = np.asarray(tri.src_face)
     mean_curv = np.full(len(tri.positions), np.nan)
     isophote = np.full(len(tri.positions), np.nan)
@@ -697,7 +675,7 @@ def _interior_shared_edges(surface):
     return out
 
 
-def _seam_samples(surface, f, seams, k, fd_step):
+def _seam_samples(surface, f, seams, k):
     """Samples of face f along its seam half edges, from one eval call.
 
     seams maps a half edge to (t, audit): the fractions sampled along it and
@@ -720,7 +698,7 @@ def _seam_samples(surface, f, seams, k, fd_step):
             axis, inward, blend = _cross_frame(surface, f, he, u[1:-1],
                                                v[1:-1])
             steps = np.arange(len(_CROSS_STENCILS[k])) * inward
-            line[axis] = line[axis] + steps * fd_step
+            line[axis] = line[axis] + steps * CROSS_STEP
             sets.append(np.broadcast_arrays(*line))
         frames.append((he, wu, wv, blend))
     vals = iter(_eval_sets(surface.patch(f).eval, sets))
@@ -738,7 +716,7 @@ def _seam_samples(surface, f, seams, k, fd_step):
             rec["cross"] = {
                 r: np.einsum("k,nkd->nd", _CROSS_STENCILS[r],
                              line[:, :len(_CROSS_STENCILS[r])])
-                / (12.0 * fd_step ** r) for r in range(1, k + 1)}
+                / (12.0 * CROSS_STEP ** r) for r in range(1, k + 1)}
         out[he] = rec
     return out
 
@@ -768,7 +746,7 @@ def _measure_seam(a, b, k):
             "delta_residual": delta_residual}
 
 
-def continuity_report(surface, samples=16, fd_step=5e-3):
+def continuity_report(surface, samples=16):
     """Sampled gaps across every interior shared edge.
 
     Reports position gaps and tangent-plane angles for all edges; for pairs
@@ -794,7 +772,7 @@ def continuity_report(surface, samples=16, fd_step=5e-3):
     # a seam is measured, and its samples dropped, once both faces are sampled
     pending, measured = {}, {}
     for f, sides in wanted.items():
-        pending.update(_seam_samples(surface, f, sides, k, fd_step))
+        pending.update(_seam_samples(surface, f, sides, k))
         for he in sides:
             h, t = sorted((he, mesh.twin(he)))
             if h in pending and t in pending:
@@ -823,9 +801,10 @@ def _cross_frame(surface, f, he, u, v):
     """(axis, inward sign, blend values) for the cross direction at boundary
     points of regular face f reached along half edge he."""
     c = (he - surface.anchors[f]) % 4
-    side, axis, inward, t = (("v0", 1, 1, u), ("u1", 0, -1, v),
-                             ("v1", 1, -1, u), ("u0", 0, 1, v))[c]
-    return axis, inward, surface.regular[f].side_blend(side)(t)
+    # sides v0, v1 (even c) run along u and are crossed along v
+    axis, inward = (c + 1) % 2, (1 if c in (0, 3) else -1)
+    blend = surface.regular[f].side_blend(SIDE_OF_CORNER[c])
+    return axis, inward, blend((u, v)[c % 2])
 
 
 # -- exports --------------------------------------------------------------------------

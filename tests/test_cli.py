@@ -105,6 +105,17 @@ def test_build_config_file(tmp_path, torus_obj):
     assert main(["build", str(torus_obj), "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("content", ["5", "[1, 2]", "null"])
+def test_build_non_object_config_exit_2(tmp_path, capsys, torus_obj,
+                                        content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code = main(["build", str(torus_obj), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "JSON object" in err
+
+
 def test_curve_square_symmetry(tmp_path):
     pts_file = tmp_path / "square.txt"
     write_points(pts_file, [(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -139,6 +150,19 @@ def test_curve_non_finite_point_exit_1(tmp_path, capsys, closed):
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "nan.csv").exists()
+
+
+def test_curve_one_number_line_exit_1(tmp_path, capsys):
+    pts_file = tmp_path / "short.txt"
+    write_points(pts_file, [(0, 0), (1, 0), (2, 1), (1, 2), (0, 2), (-1, 1)])
+    lines = pts_file.read_text().splitlines()
+    lines[2] = "3"
+    pts_file.write_text("\n".join(lines) + "\n")
+    code = main(["curve", str(pts_file), "--out", str(tmp_path / "short")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and ":3:" in err
+    assert not (tmp_path / "short.csv").exists()
 
 
 def test_curve_too_few_points_is_usage_error(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (bowtie_grids, open_grid, torus_grid,
+from conftest import (bowtie_grids, grid_with_rotated_edge, jittered_torus,
+                      open_grid, sphere_mesh, torus_grid,
                       torus_with_rotated_edge)
 from quadspline.errors import (DegenerateEdgeError, MeshStructureError,
                                UnsupportedFaceError, UnsupportedMeshError)
@@ -252,6 +253,51 @@ def test_adjacent_grids_overlap():
     ids_a = set(ga.vertex_ids.ravel())
     ids_b = set(gb.vertex_ids.ravel())
     assert len(ids_a & ids_b) == 12  # 3 x 4 shared block
+
+
+WINDOW_MESHES = {
+    "sphere": lambda: sphere_mesh(3),   # the first with 6 x 6 windows
+    "open_rotated": lambda: grid_with_rotated_edge(6, 6),
+    "torus_rotated": lambda: torus_with_rotated_edge(10, 10),
+    "jittered_torus": lambda: jittered_torus(),
+}
+
+
+@pytest.mark.parametrize("w", [4, 6])
+@pytest.mark.parametrize("name", sorted(WINDOW_MESHES))
+def test_windows_follow_mesh_edges(name, w):
+    mesh = WINDOW_MESHES[name]().build_connectivity()
+    mesh, params = extrapolate_boundary_layer(
+        mesh, assign_edge_params(mesh, "centripetal"))
+    c = w // 2 - 1   # index of the face's own row/column
+    checked = 0
+    for f in range(mesh.num_faces):
+        for anchor in mesh.halfedges_of_face(f):
+            try:
+                grid = extract_local_grid(mesh, params, f, w, anchor=anchor)
+            except UnsupportedMeshError:
+                continue
+            ids = grid.vertex_ids
+            # p_{0,0} -> p_{1,0} is the anchor, p_{0,0} -> p_{0,1} the edge
+            # before it
+            assert (ids[c, c], ids[c + 1, c]) == (mesh.origin(anchor),
+                                                  mesh.target(anchor))
+            assert ids[c, c + 1] == mesh.origin(mesh.he_prev(anchor))
+            lines = [ids[:, j] for j in range(w)] + [ids[i] for i in range(w)]
+            for line in lines:
+                for a, b in zip(line[:-1], line[1:]):
+                    assert (mesh.halfedge_between(a, b) is not None
+                            or mesh.halfedge_between(b, a) is not None)
+
+            def intervals(line):
+                return [params.get(a, b) for a, b in zip(line[:-1], line[1:])]
+
+            assert list(grid.d0) == intervals(ids[:, c])
+            assert list(grid.d1) == intervals(ids[:, c + 1])
+            assert list(grid.e0) == intervals(ids[c])
+            assert list(grid.e1) == intervals(ids[c + 1])
+            checked += 1
+    assert checked > 0
 
 
 def test_extract_on_extraordinary_raises(cube):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import (grid_with_rotated_edge, open_grid, sphere_mesh,
-                      torus_grid, torus_with_rotated_edge)
-from quadspline.mesh import classify_faces, edge_key
+from conftest import (grid_with_rotated_edge, jittered_torus, open_grid,
+                      sphere_mesh, torus_grid, torus_with_rotated_edge)
+from quadspline.mesh import classify_faces, edge_key, extract_local_grid
+from quadspline.patch import RegularPatch
 from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
                                 continuity_report, export_obj, export_ply,
                                 tessellate, write_report)
@@ -498,3 +499,59 @@ def test_network_sides_share_one_curve(case):
                 else:
                     assert np.array_equal(s2.field(0, x, r),
                                           (-1.0) ** r * s1.field(0, d - x, r))
+
+
+@pytest.mark.parametrize("case, patches", [("open_ev_grid_g1", 54),
+                                           ("sphere_g2", 72)])
+def test_sampled_sides_read_the_neighbours_own_patch(case, patches,
+                                                     monkeypatch):
+    built = []
+    init = RegularPatch.__init__
+
+    def counting_init(self, grid, fam):
+        built.append(grid.face)
+        init(self, grid, fam)
+
+    monkeypatch.setattr(RegularPatch, "__init__", counting_init)
+    surf, sides = _gregory_sides(case)
+    # one patch per regular face, and nothing else
+    assert sorted(built) == sorted(surf.regular)
+    assert len(built) == patches
+    mesh = surf.mesh
+    sampled = 0
+    for _role, h, side in sides:
+        twin = mesh.twin(h)
+        g = None if twin is None else mesh.he_face(twin)
+        if g not in surf.regular:
+            continue
+        assert all(fn.func.__self__ is surf.regular[g] for fn in side.fields)
+        sampled += 1
+    assert sampled > 0
+
+
+def _rotated_uv(u, v, c):
+    """Canonical (u, v) of the point at (u, v) in the frame anchored c half
+    edges further along the face."""
+    for _ in range(c):
+        u, v = 1.0 - v, u
+    return u, v
+
+
+@pytest.mark.parametrize("family", ["d3c1p2s4", "d5c2p2s4"])
+@pytest.mark.parametrize("make", [lambda: sphere_mesh(2), jittered_torus,
+                                  lambda: torus_with_rotated_edge(10, 10)],
+                         ids=["sphere", "jittered_torus", "rotated_torus"])
+def test_grid_patch_is_independent_of_its_anchor(make, family):
+    surf = build_surface(make().build_connectivity(),
+                         BuildOptions(family=family, mode="g1"))
+    mesh = surf.mesh
+    t = np.linspace(0.0, 1.0, 5)
+    u, v = np.meshgrid(t, t)
+    for f, patch in surf.regular.items():
+        for c in (1, 2, 3):
+            anchor = 4 * f + (surf.anchors[f] + c) % 4
+            other = RegularPatch(extract_local_grid(
+                mesh, surf.params, f, patch.family.support, anchor=anchor),
+                patch.family)
+            want = patch.eval(*_rotated_uv(u, v, c))
+            assert np.abs(other.eval(u, v) - want).max() < 1e-13
