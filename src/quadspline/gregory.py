@@ -12,22 +12,24 @@ is substituted, which is exact when the data are compatible and never affects
 interpolation because the blend weights vanish there at second order.
 
 Every side is a `Side`: the side's interval and its fields (the boundary
-curve, the first cross-derivative field chi and, for G2, the second xi), each
-evaluated like VecPoly.eval.  Sides sampled from an adjacent grid patch, sides
-generated from the curve network and hand-built sides differ only in the
-fields they hold; the Side alone maps a field stored in another orientation
-into the patch's.  The entries of M that depend on neither u nor v (corners
-and curve endpoint derivatives) are filled once per patch; x-derivatives of
-the cross fields are only requested at the side endpoints, also once.
+curve, the first cross-derivative field chi and, for G2, the second xi).  A
+field is data: a network curve `VecPoly`, or a `GridField` naming a side of
+an adjacent grid patch; the Side alone maps a field stored in another
+orientation into the patch's.  All Coons-Gregory patches of a surface live in
+one GregoryPatchSet, which stacks the entries of M that depend on neither u
+nor v (corners and curve endpoint derivatives, filled once) and the twist
+data, and evaluates arrays of (slot, u, v) in chunks of EVAL_CHUNK; network
+fields of all orders are evaluated in one Horner pass and grid fields in one
+GridPatchSet call.  A GregoryPatch is a view of one slot.
 """
 
 import numpy as np
 
 from .errors import ConstructionError
-from .patch import LocalParamFn
+from .patch import GridField, LocalParamFn, PatchView, _blend, chunked
+from .splines import derivative_factors
 
 CORNER_EPS = 1e-12
-EVAL_CHUNK = 2048   # points per batch of GregoryPatch.eval
 
 
 def hermite_basis(degree, u):
@@ -65,13 +67,13 @@ class Side:
     """One side of a Coons-Gregory patch: its interval d and its fields.
 
     fields[q] is the order-q cross-derivative field along the side (q = 0
-    the boundary curve gamma, 1 chi, 2 xi), a callable f(x, r) returning
-    the r-th derivative in the side's local variable x in [0, d], as
-    VecPoly.eval does; x may be an array, the result then has shape
-    x.shape + (3,).  The orders listed in `reverse` are stored running
-    from the far end: they are read at d - x, which flips the sign of odd
-    x-derivatives.  negate_cross negates the odd cross orders, for fields
-    whose cross direction points out of the patch.
+    the boundary curve gamma, 1 chi, 2 xi): a VecPoly or a GridField, whose
+    eval(x, r) returns the r-th derivative in the side's local variable x in
+    [0, d]; x may be an array, the result then has shape x.shape + (3,).
+    The orders listed in `reverse` are stored running from the far end: they
+    are read at d - x, which flips the sign of odd x-derivatives.
+    negate_cross negates the odd cross orders, for fields whose cross
+    direction points out of the patch.
     """
 
     def __init__(self, d, fields, reverse=(), negate_cross=False):
@@ -88,7 +90,7 @@ class Side:
             x = self.d - x
             if r % 2:
                 sign = -sign
-        return sign * self.fields[q](x, r)
+        return sign * self.fields[q].eval(x, r)
 
 
 class BoundaryData:
@@ -139,54 +141,151 @@ def _greg(wa, A, wb, B):
                     (wa * A + wb * B) / np.where(corner, 1.0, den))
 
 
-class GregoryPatch:
-    """Evaluable Coons-Gregory patch over a BoundaryData record."""
+class GregoryPatchSet:
+    """Every Coons-Gregory patch of a surface as stacked arrays.
 
-    def __init__(self, data, mode=None):
-        self.data = data
+    Slot i is the patch over datas[i].  M0 holds each patch's constant
+    entries of M; A, B and scale its twist blocks, one per (i, j) in
+    `blocks`; lengths its side intervals (d0, e1, d1, e0).  The fields of
+    side s, order q of slot i are indexed by [i, s, q]: a row of the padded
+    network coefficient table, or a (grid set, slot, side) reference.
+    """
+
+    def __init__(self, datas, mode=None):
+        self.datas = list(datas)
+        ks = {data.k for data in self.datas}
+        if len(ks) > 1:
+            raise ValueError("boundary data of one set must share one "
+                             "smoothness order")
+        self.k = ks.pop() if ks else (2 if mode == "g2" else 1)
         if mode is None:
-            mode = "g2" if data.k == 2 else "g1"
-        if mode == "g2" and data.k < 2:
+            mode = "g2" if self.k == 2 else "g1"
+        if mode == "g2" and self.k < 2:
             raise ValueError("g2 patch needs second-order side data")
         self.mode = mode
         self.blend_degree = 5 if mode == "g2" else 3
-        d = data
-        self.delta = LocalParamFn(data.k, d.d0, d.d1)
-        self.epsilon = LocalParamFn(data.k, d.e0, d.e1)
         # highest cross order, and highest derivative order along a side
-        n = self._n = 2 if mode == "g2" else 1
-        lengths = (d.d0, d.e1, d.d1, d.e0)
-        # ends[q][r - 1][s][e]: r-th x-derivative of side s's order-q field
-        # at its start (e = 0) or end (e = 1)
-        ends = [[[side.field(q, np.array([0.0, length]), r)
-                  for side, length in zip(d.sides, lengths)]
-                 for r in range(1, n + 1)]
-                for q in range(n + 1)]
-        # powers of the intervals: dp[r] = (d0^r, d1^r), ep[r] = (e0^r, e1^r)
-        dp = {1: (d.d0, d.d1), 2: (d.d0 ** 2, d.d1 ** 2)}
-        ep = {1: (d.e0, d.e1), 2: (d.e0 ** 2, d.e1 ** 2)}
+        self._n = 2 if mode == "g2" else 1
+        self.lengths = np.array([(d.d0, d.e1, d.d1, d.e0)
+                                 for d in self.datas]).reshape(-1, 4)
+        self._stack_fields()
+        self._stack_constants()
 
-        # constant entries: corners and curve endpoint derivatives
-        M = np.zeros((2 * n + 3, 2 * n + 3, 3))
-        M[1, 1], M[1, 2], M[2, 1], M[2, 2] = d.corners[[0, 3, 1, 2]]
+    def _stack_fields(self):
+        shape = (len(self.datas), 4, self._n + 1)
+        self._flip = np.zeros(shape, bool)
+        self._sign = np.ones(shape)
+        self._side_d = np.zeros(shape[:2])
+        self._poly = np.full(shape, -1)
+        # a side sampled from a grid patch: (index into grid_sets, slot, side)
+        self._grid = np.full(shape[:2] + (3,), -1)
+        self.grid_sets, polys = [], []
+        for i, data in enumerate(self.datas):
+            for s, side in enumerate(data.sides):
+                self._side_d[i, s] = side.d
+                self._flip[i, s] = side._flip[:self._n + 1]
+                self._sign[i, s] = side._sign[:self._n + 1]
+                fields = side.fields[:self._n + 1]
+                if isinstance(fields[0], GridField):
+                    self._grid[i, s] = self._grid_side(side, fields)
+                    continue
+                for q, fld in enumerate(fields):
+                    self._poly[i, s, q] = len(polys)
+                    polys.append(fld.coeffs)
+        self.coeffs = np.zeros((len(polys), max(map(len, polys), default=1),
+                                3))
+        for row, c in zip(self.coeffs, polys):
+            row[:len(c)] = c
+
+    def _grid_side(self, side, fields):
+        """(index into grid_sets, slot, side) of a side sampled from a grid
+        patch: its fields must be that grid side's orders 0, 1, ..., all
+        read the same way."""
+        first = fields[0]
+        if not (all(isinstance(f, GridField) and f.q == q
+                    and (f.patches, f.slot, f.side)
+                    == (first.patches, first.slot, first.side)
+                    for q, f in enumerate(fields))
+                and len(set(side._flip)) == 1):
+            raise ValueError("a sampled side must read the orders 0, 1, ... "
+                             "of one grid patch side, all the same way")
+        ids = [id(p) for p in self.grid_sets]
+        if id(first.patches) not in ids:
+            self.grid_sets.append(first.patches)
+            ids.append(id(first.patches))
+        return ids.index(id(first.patches)), first.slot, first.side
+
+    def _fields(self, slots, sides, x, r=0):
+        """r-th x-derivative at x[i] of every field (orders 0..n) of side
+        sides[i] of patch slots[i], in patch orientation; shape
+        (n + 1, m, 3).  Network fields are evaluated in one Horner pass,
+        grid fields in one call per grid set."""
+        flip = self._flip[slots, sides]
+        xs = np.where(flip, (self._side_d[slots, sides] - x)[:, None],
+                      x[:, None])
+        sign = self._sign[slots, sides]
+        if r % 2:
+            sign = np.where(flip, -sign, sign)
+        out = np.empty(flip.shape + (3,))
+        poly = self._poly[slots, sides]
+        net = poly >= 0
+        if net.any():
+            out[net] = _horner_rows(self.coeffs, poly[net], xs[net], r)
+        grid_set, grid_slot, grid_side = self._grid[slots, sides].T
+        for g, patches in enumerate(self.grid_sets):
+            at = grid_set == g
+            if at.any():
+                out[at] = patches.side_fields(
+                    grid_slot[at], grid_side[at], range(self._n + 1),
+                    xs[at, 0], r).transpose(1, 0, 2)
+        out *= sign[..., None]
+        return out.transpose(1, 0, 2)
+
+    def _stack_constants(self):
+        """M0, and the twist blocks, from the endpoint derivatives of every
+        side field: corners and curve endpoint derivatives are constant."""
+        n, count = self._n, len(self.datas)
+        slots = np.repeat(np.arange(count), 8)
+        sides = np.tile(np.repeat(np.arange(4), 2), count)
+        x = self.lengths[slots, sides] * np.tile([0.0, 1.0], 4 * count)
+        # ends[q, r][i, s, e]: r-th x-derivative of side s's order-q field
+        # at its start (e = 0) or end (e = 1)
+        ends = {}
         for r in range(1, n + 1):
-            dg = ends[0][r - 1]
+            fields = self._fields(slots, sides, x, r)
+            for q in range(n + 1):
+                ends[q, r] = fields[q].reshape(count, 4, 2, 3)
+        d0, e1, d1, e0 = self.lengths.T
+        # powers of the intervals: dp[r] = (d0^r, d1^r), ep[r] = (e0^r, e1^r)
+        dp = {1: (d0, d1), 2: (d0 ** 2, d1 ** 2)}
+        ep = {1: (e0, e1), 2: (e0 ** 2, e1 ** 2)}
+
+        M = self.M0 = np.zeros((count, 2 * n + 3, 2 * n + 3, 3))
+        corners = np.array([d.corners for d in self.datas]).reshape(-1, 4, 3)
+        M[:, 1, 1], M[:, 1, 2], M[:, 2, 1], M[:, 2, 2] = \
+            corners.transpose(1, 0, 2)[[0, 3, 1, 2]]
+        for r in range(1, n + 1):
+            dg = ends[0, r]
             for i in (0, 1):
                 for e in (0, 1):
-                    M[1 + i, 1 + 2 * r + e] = ep[r][i] * dg[(3, 1)[i]][e]
-                    M[1 + 2 * r + e, 1 + i] = dp[r][i] * dg[(0, 2)[i]][e]
-        self._M0 = M
+                    M[:, 1 + i, 1 + 2 * r + e] = \
+                        ep[r][i][:, None] * dg[:, (3, 1)[i], e]
+                    M[:, 1 + 2 * r + e, 1 + i] = \
+                        dp[r][i][:, None] * dg[:, (0, 2)[i], e]
         # twist block (i, j) covers rows 1+2i.., columns 1+2j..: its entry
         # (a, b) blends the order-i data of side (3, 1)[a] at end b against
         # the order-j data of side (0, 2)[b] at end a
-        self._twists = [
-            (i, j, np.stack([ends[i][j - 1][3], ends[i][j - 1][1]]),
-             np.stack([ends[j][i - 1][0], ends[j][i - 1][2]], axis=1),
-             np.array([[dp[i][b] * ep[j][a] for b in (0, 1)]
-                       for a in (0, 1)])[..., None])
-            for i in range(1, n + 1) for j in range(1, n + 1)]
+        self.blocks = [(i, j) for i in range(1, n + 1)
+                       for j in range(1, n + 1)]
+        self.A = np.stack([ends[i, j][:, [3, 1]] for i, j in self.blocks], 1)
+        self.B = np.stack([ends[j, i][:, [0, 2]].transpose(0, 2, 1, 3)
+                           for i, j in self.blocks], 1)
+        self.scale = np.stack(
+            [np.stack([np.stack([dp[i][b] * ep[j][a] for b in (0, 1)], -1)
+                       for a in (0, 1)], -2) for i, j in self.blocks],
+            1)[..., None]
 
-    # -- matrix assembly ------------------------------------------------------
+    # -- evaluation -----------------------------------------------------------
     def _twist(self, M, wu, wv, i, j, A, B, scale):
         """Gregory blends of one twist block, weights wu[a]/wv[b] at its
         corner (a, b); the weights are scalars or arrays over the points."""
@@ -195,51 +294,73 @@ class GregoryPatch:
         M[:, 1 + 2 * i:3 + 2 * i, 1 + 2 * j:3 + 2 * j] = \
             scale * _greg(wa, A, wb, B)
 
-    def _matrix(self, u, v):
-        """M at the points of the 1-D arrays u, v: (N, 2n+3, 2n+3, 3)."""
-        d = self.data
-        g0, g1, g2, g3 = d.sides
-        x0, x1 = u * d.d0, u * d.d1
-        y0, y1 = v * d.e0, v * d.e1
-        M = np.repeat(self._M0[None], len(u), axis=0)
-        M[:, 0, 1] = g0.field(0, x0)
-        M[:, 0, 2] = g2.field(0, x1)
-        M[:, 1, 0] = g3.field(0, y0)
-        M[:, 2, 0] = g1.field(0, y1)
-        eps = self.epsilon(u)[:, None]
-        dlt = self.delta(v)[:, None]
+    def _matrix(self, slots, u, v):
+        """M at the points (slots[i], u[i], v[i]): (N, 2n+3, 2n+3, 3)."""
+        n, count = self._n, len(slots)
+        lengths = self.lengths[slots]
+        # sides 0 and 2 run along u, sides 1 and 3 along v
+        x = (np.stack([u, v, u, v], 1) * lengths).ravel()
+        f = self._fields(np.repeat(slots, 4), np.tile(np.arange(4), count),
+                         x).reshape(n + 1, count, 4, 3)
+        M = self.M0[slots]
+        M[:, 0, 1], M[:, 0, 2] = f[0][:, 0], f[0][:, 2]
+        M[:, 1, 0], M[:, 2, 0] = f[0][:, 3], f[0][:, 1]
+        d0, e1, d1, e0 = lengths.T
+        eps = (e0 + (e1 - e0) * _blend(self.k, u))[:, None]
+        dlt = (d0 + (d1 - d0) * _blend(self.k, v))[:, None]
         # cross fields scale by the blend functions' powers
-        for q, su, sv in ((1, eps, dlt), (2, eps * eps, dlt * dlt))[:self._n]:
+        for q, su, sv in ((1, eps, dlt), (2, eps * eps, dlt * dlt))[:n]:
             c = 1 + 2 * q
-            M[:, 0, c] = su * g0.field(q, x0)
-            M[:, 0, c + 1] = su * g2.field(q, x1)
-            M[:, c, 0] = sv * g3.field(q, y0)
-            M[:, c + 1, 0] = sv * g1.field(q, y1)
-        if self._n == 2:
+            M[:, 0, c], M[:, 0, c + 1] = su * f[q][:, 0], su * f[q][:, 2]
+            M[:, c, 0], M[:, c + 1, 0] = sv * f[q][:, 3], sv * f[q][:, 1]
+        del f   # in M now; freed before the twist blends, the peak of a chunk
+        if n == 2:
             wu, wv = (u * u, (1.0 - u) ** 2), (v * v, (1.0 - v) ** 2)
         else:
             wu, wv = (u, 1.0 - u), (v, 1.0 - v)
-        for block in self._twists:
-            self._twist(M, wu, wv, *block)
+        for b, (i, j) in enumerate(self.blocks):
+            self._twist(M, wu, wv, i, j, self.A[slots, b], self.B[slots, b],
+                        self.scale[slots, b])
         return M
 
-    def eval(self, u, v):
-        """S(u, v) for scalars or equal-shaped arrays; shape (..., 3).
+    def eval(self, slots, u, v):
+        """S(u[i], v[i]) of patch slots[i] for 1-D arrays; shape (n, 3)."""
+        return chunked(self._eval, slots, np.asarray(u, float),
+                       np.asarray(v, float))
 
-        Points are taken in chunks of EVAL_CHUNK, which bounds the memory of
-        the per-point matrices M.
-        """
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        shape = u.shape
-        u, v = u.ravel(), v.ravel()
-        out = np.empty((len(u), 3))
-        for lo in range(0, len(u), EVAL_CHUNK):
-            uc, vc = u[lo:lo + EVAL_CHUNK], v[lo:lo + EVAL_CHUNK]
-            hu = hermite_basis(self.blend_degree, uc)
-            hv = hermite_basis(self.blend_degree, vc)
-            out[lo:lo + EVAL_CHUNK] = -np.einsum(
-                "in,nijk,jn->nk", hu, self._matrix(uc, vc), hv)
-        return out.reshape(shape + (3,))
+    def _eval(self, slots, u, v):
+        hu = hermite_basis(self.blend_degree, u)
+        hv = hermite_basis(self.blend_degree, v)
+        return -np.einsum("jn,njk->nk", hv, np.einsum(
+            "in,nijk->njk", hu, self._matrix(slots, u, v)))
 
-    def __call__(self, u, v):
-        return self.eval(u, v)
+
+def _horner_rows(coeffs, rows, x, r):
+    """r-th derivative at x[i] of the polynomial coeffs[rows[i]] of a padded
+    (P, D + 1, 3) coefficient table; shape (m, 3)."""
+    factors = derivative_factors(coeffs.shape[1] - 1)[r]
+    acc = np.zeros((len(x), 3))
+    for k in range(len(factors) - 1, -1, -1):
+        acc *= x[:, None]
+        acc += factors[k] * coeffs[rows, k + r]
+    return acc
+
+
+class GregoryPatch(PatchView):
+    """A view of a GregoryPatchSet: one Coons-Gregory patch.
+    GregoryPatch(data, mode) makes a standalone patch, a set of one."""
+
+    def __init__(self, data, mode=None):
+        self._bind(GregoryPatchSet([data], mode), 0)
+
+    @property
+    def data(self):
+        return self.patches.datas[self.slot]
+
+    @property
+    def delta(self):
+        return LocalParamFn(self.patches.k, self.data.d0, self.data.d1)
+
+    @property
+    def epsilon(self):
+        return LocalParamFn(self.patches.k, self.data.e0, self.data.e1)

@@ -162,9 +162,6 @@ class QuadMesh:
                 faces.append(self.he_face(h))
         return faces
 
-    def vertex_neighbors(self, v):
-        return self._vertex_neighbors[v]
-
     def polyline_continuation(self, a, b):
         """Vertex c continuing the section polyline a -> b past b, or None.
 
@@ -187,6 +184,8 @@ class QuadMesh:
     def build_connectivity(self):
         """Fill twin/origin tables, valences and boundary flags."""
         nf = len(self.faces)
+        if nf == 0:
+            raise MeshStructureError("mesh has no faces")
         self.he_origin = np.empty(4 * nf, dtype=int)
         for f in range(nf):
             quad = self.faces[f]
@@ -402,8 +401,9 @@ def assign_edge_params(mesh, method="centripetal", alpha=None):
     """Compute one interval per edge.
 
     uniform/chordal/centripetal follow |edge|^alpha with alpha 0, 1, 1/2
-    (an explicit alpha overrides the exponent).  mean averages the
-    centripetal value over each edge ribbon and requires a regular mesh.
+    (an explicit alpha overrides the exponent; like make_knots, it must lie
+    in [0, 1]).  mean averages the centripetal value over each edge ribbon
+    and requires a regular mesh.
     """
     if not mesh.has_connectivity:
         raise ValueError("build_connectivity first")
@@ -412,6 +412,8 @@ def assign_edge_params(mesh, method="centripetal", alpha=None):
     if method not in exponents:
         raise ValueError(f"unknown parametrization {method!r}")
     a = exponents[method] if alpha is None else float(alpha)
+    if not 0.0 <= a <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
 
     base = EdgeParams()
     for i, j in mesh.edges():
@@ -617,21 +619,22 @@ def extract_local_grid(mesh, params, face, w=4, anchor=None):
             f"face {face} has no {w}x{w} vertex grid") from None
 
 
-def is_regular_face(mesh, face, w=4):
-    try:
-        _try_extract(mesh, face, w, mesh.canonical_halfedge(face))
-        return True
-    except _GridFail:
-        return False
+def classify_faces(mesh, w=4, faces=None, params=None):
+    """Split faces into (regular, extraordinary) for support width w.
 
-
-def classify_faces(mesh, w=4, faces=None):
-    """Split faces into (regular, extraordinary) for support width w."""
+    regular maps each regular face, in order, to the LocalGrid its window
+    walk built (at the canonical anchor, with intervals when params are
+    given); extraordinary lists the other faces.
+    """
     if faces is None:
         faces = range(mesh.real_face_count)
-    regular, extraordinary = [], []
+    regular, extraordinary = {}, []
     for f in faces:
-        (regular if is_regular_face(mesh, f, w) else extraordinary).append(f)
+        try:
+            regular[f] = _try_extract(mesh, f, w, mesh.canonical_halfedge(f),
+                                      params)
+        except _GridFail:
+            extraordinary.append(f)
     return regular, extraordinary
 
 

@@ -1,4 +1,4 @@
-"""Surface patch over one regular face with per-edge parameter intervals.
+"""Surface patches over regular faces with per-edge parameter intervals.
 
 The patch on [0,1]^2 blends, for each grid row, the bottom and top interval of
 that row with a degree-(2k+1) polynomial whose derivatives through order k
@@ -12,13 +12,44 @@ and the patch is S(u, v) = sum_ij p_ij psi_i(x; d(v)) psi_j(y; e(u)).
 Because the blend derivatives vanish at the ends, cross-boundary derivatives
 through order k collapse to the x/y partials times a power of the boundary
 blend value, which keeps boundary data exact and cheap.
+
+All grid patches of a surface live in one GridPatchSet, which evaluates
+arrays of (slot, u, v) in chunks of EVAL_CHUNK points; a RegularPatch is a
+view of one slot.
 """
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .splines import fundamental_weights
 
 SIDES = ("v0", "v1", "u0", "u1")
+# points per batch of every patch-set evaluation; bounds the memory of the
+# gathered per-point arrays
+EVAL_CHUNK = 512
+
+
+def _blend(k, t):
+    """Flat-ended blend from 0 at t = 0 to 1 at t = 1, of order k."""
+    if k == 1:
+        return t * t * (3.0 - 2.0 * t)
+    return t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
+
+
+def chunked(fn, *arrays):
+    """fn over EVAL_CHUNK-long slices of equal-length 1-D arrays, its
+    (..., m, 3) results joined into one (..., n, 3) array."""
+    n = len(arrays[0])
+    out = None
+    # fn runs once even for no points: its result gives the leading shape
+    for lo in range(0, max(n, 1), EVAL_CHUNK):
+        part = fn(*(a[lo:lo + EVAL_CHUNK] for a in arrays))
+        if out is None:
+            out = np.empty(part.shape[:-2] + (n, 3))
+        out[..., lo:lo + EVAL_CHUNK, :] = part
+    return out
 
 
 class LocalParamFn:
@@ -34,11 +65,7 @@ class LocalParamFn:
         self.b = float(b)
 
     def __call__(self, t):
-        if self.k == 1:
-            blend = t * t * (3.0 - 2.0 * t)
-        else:
-            blend = t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
-        return self.a + (self.b - self.a) * blend
+        return self.a + (self.b - self.a) * _blend(self.k, t)
 
     def deriv(self, t, r=1):
         c = self.b - self.a
@@ -55,54 +82,233 @@ class LocalParamFn:
         return c * val if r >= 1 else self(t)
 
 
-class RegularPatch:
-    """Evaluable patch over a LocalGrid (support width 4 families)."""
+class GridPatchSet:
+    """Every grid patch of a surface as stacked arrays.
 
-    def __init__(self, grid, fam):
-        if grid.w != fam.support:
-            raise ValueError("grid width does not match the family support")
+    Slot i holds grids[i]: its window points in points[i] (4, 4, 3) and its
+    row and column intervals d0, d1, e0, e1 in intervals[i] (4, 3), in SIDES
+    order (the intervals along side v0 are d0, ..., along u1 e1).  Every
+    method takes 1-D arrays of slots and points, and evaluates them in
+    chunks of EVAL_CHUNK.
+    """
+
+    def __init__(self, grids, fam):
         if fam.support != 4:
             raise ValueError("only support-4 families are evaluable")
-        if grid.d0 is None:
-            raise ValueError("grid carries no parameter intervals")
-        self.grid = grid
+        for grid in grids:
+            if grid.w != fam.support:
+                raise ValueError("grid width does not match the family "
+                                 "support")
+            if grid.d0 is None:
+                raise ValueError("grid carries no parameter intervals")
+        self.grids = list(grids)
         self.family = fam
         self.k = fam.continuity
-        k = min(self.k, 2)
-        self.row_blends = [LocalParamFn(k, a, b)
-                           for a, b in zip(grid.d0, grid.d1)]
-        self.col_blends = [LocalParamFn(k, a, b)
-                           for a, b in zip(grid.e0, grid.e1)]
-        self._c = grid.w // 2 - 1  # index of the face's own row/column cell
-        self._p16 = grid.points.reshape(16, 3)
+        self._blend_k = min(self.k, 2)
+        self.points = np.array([g.points for g in grids],
+                               float).reshape(-1, 4, 4, 3)
+        self.intervals = np.array([[g.d0, g.d1, g.e0, g.e1] for g in grids],
+                                  float).reshape(-1, 4, 3)
 
-    # -- evaluation ----------------------------------------------------------
-    def _vectors(self, u, v):
-        dvec = tuple(b(v) for b in self.row_blends)
-        evec = tuple(b(u) for b in self.col_blends)
-        return dvec, evec
+    def _blended(self, slots, first, t):
+        """Interval triples blended at t from the pair first, first + 1 of
+        SIDES (rows: 0, columns: 2; first may be an array); shape (3, n)."""
+        lo = self.intervals[slots, first].T
+        hi = self.intervals[slots, first + 1].T
+        return lo + (hi - lo) * _blend(self._blend_k, t)
 
-    def _combine(self, wx, wy):
-        """sum_ij wx_i wy_j p_ij for (4, ...) weight arrays; shape (..., 3)."""
-        w = wx[:, None] * wy[None]
-        return (w.reshape(16, -1).T @ self._p16).reshape(w.shape[2:] + (3,))
+    @staticmethod
+    def _combine(points, wx, wy):
+        """sum_ij wx_i wy_j p_ij for (4, n) weight arrays and the (n, 4, 4, 3)
+        points of each point's patch; shape (n, 3)."""
+        return np.einsum("jn,njd->nd", wy, np.einsum("in,nijd->njd", wx,
+                                                     points))
+
+    def eval(self, slots, u, v):
+        """S(u[i], v[i]) of patch slots[i] for 1-D arrays; shape (n, 3)."""
+        return chunked(self._eval, slots, np.asarray(u, float),
+                       np.asarray(v, float))
+
+    def _eval(self, slots, u, v):
+        # rows blend at v, columns at u: one weights call for both
+        both = self._blended(np.concatenate([slots, slots]),
+                             np.repeat([0, 2], len(slots)),
+                             np.concatenate([v, u]))
+        w = fundamental_weights(self.family,
+                                np.concatenate([u, v]) * both[1], both)
+        return self._combine(self.points[slots], *np.split(w, 2, axis=1))
+
+    def side_blend(self, slots, sides, t):
+        """The blend whose powers scale cross derivatives on side sides[i]
+        of patch slots[i], at the fraction t[i] along it: the column blend
+        for v0/v1, the row blend for u0/u1."""
+        return self._blended(slots, np.where(sides < 2, 2, 0), t)[1]
+
+    @cached_property
+    def side_ends(self):
+        """side_fields at both ends of every side of every patch, for cross
+        orders q and x-derivatives r up to k, made in one pass on first
+        use; shape (F, 4, 2, k + 1, k + 1, 3), indexed [slot, side, end,
+        q, r].  At the ends these are exact mixed corner derivatives."""
+        count, k = len(self.grids), self.k
+        slots = np.repeat(np.arange(count), 8)
+        sides = np.tile(np.repeat(np.arange(4), 2), count)
+        x = np.tile([0.0, 1.0], 4 * count) * self.intervals[slots, sides, 1]
+        table = np.stack([self.side_fields(slots, sides, range(k + 1), x, r)
+                          for r in range(k + 1)])
+        return table.reshape(k + 1, k + 1, count, 4, 2, 3) \
+            .transpose(2, 3, 4, 1, 0, 5)
+
+    def side_fields(self, slots, sides, orders, x, r=0):
+        """r-th x-derivative of the order-q cross field (q = 0: the boundary
+        curve), for every q in orders, along side sides[i] (an index into
+        SIDES) of patch slots[i], at x[i] in the side's local variable;
+        shape (len(orders), n, 3).
+
+        For sides v0/v1 the cross field is the q-th y-partial as a function
+        of the boundary variable x; for u0/u1 the roles of the axes swap.
+        x-derivatives of cross fields are exact, and offered, only at the
+        side's endpoints, where they are mixed corner derivatives.
+        """
+        if max(orders) > self.k:
+            raise ValueError(f"cross order {max(orders)} exceeds continuity "
+                             f"{self.k}")
+        return chunked(lambda s, c, t: self._side_fields(s, c, orders, t, r),
+                       slots, sides, np.asarray(x, float))
+
+    def _side_fields(self, slots, sides, orders, x, r):
+        along = self.intervals[slots, sides].T
+        cross_orders = tuple(q for q in orders if q)
+        if cross_orders and r:
+            at_end = np.abs(x - along[1]) <= 1e-9 * along[1]
+            if not np.all(at_end | (np.abs(x) <= 1e-9 * along[1])):
+                raise ValueError("cross-field derivatives are exact at "
+                                 "endpoints only")
+            x = np.where(at_end, along[1], 0.0)
+        w_along = fundamental_weights(self.family, x, along, r)
+        vertical = sides < 2   # v0/v1 run along u and are crossed in v
+        w_cross = {}
+        if 0 in orders:
+            # the boundary curve is the grid line of the side itself
+            w_cross[0] = np.zeros_like(w_along)
+            w_cross[0][1 + sides % 2, np.arange(len(x))] = 1.0
+        if cross_orders:
+            cross = self._blended(slots, np.where(vertical, 2, 0),
+                                  x / along[1])
+            w_cross.update(zip(cross_orders, fundamental_weights(
+                self.family, np.where(sides % 2, cross[1], 0.0), cross,
+                cross_orders)))
+        points = self.points[slots]
+        return np.stack([
+            self._combine(points, np.where(vertical, w_along, w_cross[q]),
+                          np.where(vertical, w_cross[q], w_along))
+            for q in orders])
+
+
+@dataclass(frozen=True)
+class GridField:
+    """The order-q field along one side (an index into SIDES) of one patch
+    of a GridPatchSet, as data; eval(x, r) evaluates it like VecPoly.eval."""
+
+    patches: GridPatchSet
+    slot: int
+    side: int
+    q: int
+
+    def eval(self, x, r=0):
+        x = np.asarray(x, float)
+        patches = self.patches
+        length = patches.intervals[self.slot, self.side, 1]
+        if max(self.q, r) <= patches.k and np.all((x == 0.0) | (x == length)):
+            # the side's ends: read the table made for all sides at once
+            return patches.side_ends[self.slot, self.side,
+                                     (x == length).astype(int), self.q, r]
+        n = x.size
+        return self.patches.side_fields(
+            np.full(n, self.slot), np.full(n, self.side), (self.q,),
+            x.ravel(), r)[0].reshape(x.shape + (3,))
+
+
+class PatchView:
+    """A view of a patch set: the patch in slot `slot`.
+
+    view(patches, slot) views a slot of a shared set.  eval also serves a
+    view whose slot is an array aligned with the points, as
+    CompositeSurface.eval makes one per call; the other members of a
+    subclass need one slot.
+    """
+
+    @classmethod
+    def view(cls, patches, slot):
+        patch = cls.__new__(cls)
+        patch._bind(patches, slot)
+        return patch
+
+    def _bind(self, patches, slot):
+        self.patches = patches
+        self.slot = slot
 
     def eval(self, u, v):
         """S(u, v) for scalars or equal-shaped arrays; shape (..., 3)."""
-        dvec, evec = self._vectors(u, v)
-        wx = fundamental_weights(self.family, u * dvec[self._c], dvec)
-        wy = fundamental_weights(self.family, v * evec[self._c], evec)
-        return self._combine(wx, wy)
+        u, v, slots = np.broadcast_arrays(np.asarray(u, float),
+                                          np.asarray(v, float), self.slot)
+        return self.patches.eval(slots.ravel(), u.ravel(),
+                                 v.ravel()).reshape(u.shape + (3,))
 
     def __call__(self, u, v):
         return self.eval(u, v)
 
+
+class RegularPatch(PatchView):
+    """A view of a GridPatchSet: one grid patch.  RegularPatch(grid, fam)
+    makes a standalone patch, a set of one."""
+
+    def __init__(self, grid, fam):
+        self._bind(GridPatchSet([grid], fam), 0)
+
+    def _bind(self, patches, slot):
+        super()._bind(patches, slot)
+        self.family = patches.family
+        self.k = patches.k
+        self._c = 1   # index of the face's own row/column cell
+
+    @property
+    def grid(self):
+        return self.patches.grids[self.slot]
+
+    @property
+    def row_blends(self):
+        k, g = min(self.k, 2), self.grid
+        return [LocalParamFn(k, a, b) for a, b in zip(g.d0, g.d1)]
+
+    @property
+    def col_blends(self):
+        k, g = min(self.k, 2), self.grid
+        return [LocalParamFn(k, a, b) for a, b in zip(g.e0, g.e1)]
+
     # -- boundary data ---------------------------------------------------------
+    def field(self, side, q):
+        """The order-q field along a side, as a GridField."""
+        return GridField(self.patches, self.slot, SIDES.index(side), q)
+
+    def side_field(self, side, q, x, r=0):
+        """r-th x-derivative of a side's order-q cross field (q = 0: the
+        boundary curve) at x (scalar or array) in the side's local variable;
+        see GridPatchSet.side_fields."""
+        return self.field(side, q).eval(x, r)
+
+    def eval_boundary(self, side, x, r=0):
+        """Boundary curve (or its x-derivatives) in the side's local
+        variable; x may be an array, the result has shape x.shape + (3,)."""
+        return self.side_field(side, 0, x, r)
+
+    def cross_field(self, side, x, r=1):
+        """r-th cross derivative in local variables along a side, at x."""
+        return self.side_field(side, r, x)
+
     def side_interval(self, side):
         """Length of the local variable range along a side."""
-        c = self._c
-        return {"v0": self.grid.d0[c], "v1": self.grid.d1[c],
-                "u0": self.grid.e0[c], "u1": self.grid.e1[c]}[side]
+        return float(self.patches.intervals[self.slot, SIDES.index(side), 1])
 
     def side_blend(self, side):
         """Blend function whose powers scale cross derivatives on that side."""
@@ -110,86 +316,17 @@ class RegularPatch:
             return self.row_blends[self._c]
         return self.col_blends[self._c]
 
-    def section_data(self, side):
-        """(window points, interval triple) of the side's section curve."""
-        g = self.grid
-        if side == "v0":
-            return g.points[:, 1, :], tuple(g.d0)
-        if side == "v1":
-            return g.points[:, 2, :], tuple(g.d1)
-        if side == "u0":
-            return g.points[1, :, :], tuple(g.e0)
-        if side == "u1":
-            return g.points[2, :, :], tuple(g.e1)
-        raise ValueError(f"unknown side {side!r}")
-
-    def eval_boundary(self, side, x, r=0):
-        """Boundary curve (or its x-derivatives) in the side's local variable;
-        x may be an array, the result has shape x.shape + (3,)."""
-        pts, d = self.section_data(side)
-        w = fundamental_weights(self.family, x, d, r)
-        return (w.reshape(4, -1).T @ pts).reshape(w.shape[1:] + (3,))
-
-    def side_field(self, side, q, x, r=0):
-        """r-th x-derivative of a side's order-q cross field (q = 0: the
-        boundary curve) in the side's local variable x (scalar or array).
-
-        x-derivatives of cross fields are exact, and offered, only at the
-        side's endpoints, where they are mixed corner derivatives.
-        """
-        if q > self.k:
-            raise ValueError(f"cross order {q} exceeds continuity {self.k}")
-        if q == 0:
-            return self.eval_boundary(side, x, r)
-        if r == 0:
-            return self.cross_field(side, x, q)
-        d_edge = self.side_interval(side)
-        x = np.asarray(x, float)
-        at_end = np.abs(x - d_edge) <= 1e-9 * d_edge
-        if not np.all(at_end | (np.abs(x) <= 1e-9 * d_edge)):
-            raise ValueError("cross-field derivatives are exact at endpoints "
-                             "only")
-        start, end = (self.corner_mixed(*_side_corner(side, ti, q, r))
-                      for ti in (0, 1))
-        return np.where(at_end[..., None], end, start)
-
-    def cross_field(self, side, x, r=1):
-        """r-th cross derivative in local variables along a side, at x
-        (scalar or array).
-
-        For side v0/v1 this is the r-th y-partial as a function of the
-        boundary variable x; for u0/u1 the roles of the axes swap.
-        """
-        g = self.grid
-        c = self._c
-        if side in ("v0", "v1"):
-            d = tuple(g.d0 if side == "v0" else g.d1)
-            u = x / d[c]
-            evec = tuple(b(u) for b in self.col_blends)
-            y = 0.0 if side == "v0" else evec[c]
-            return self._combine(fundamental_weights(self.family, x, d),
-                                 fundamental_weights(self.family, y, evec, r))
-        d = tuple(g.e0 if side == "u0" else g.e1)
-        v = x / d[c]
-        dvec = tuple(b(v) for b in self.row_blends)
-        xx = 0.0 if side == "u0" else dvec[c]
-        return self._combine(fundamental_weights(self.family, xx, dvec, r),
-                             fundamental_weights(self.family, x, d))
-
     def corner_mixed(self, ui, vi, q, r):
         """Exact mixed local derivative d^q/dx^q d^r/dy^r at a patch corner.
 
-        ui, vi pick the corner (0 or 1 per axis).  Valid for q, r <= k where
-        the blend derivatives vanish.
+        ui, vi pick the corner (0 or 1 per axis).  Offered for q, r <= k,
+        where the blend derivatives vanish.
         """
-        g = self.grid
-        c = self._c
-        d = tuple(g.d0 if vi == 0 else g.d1)
-        e = tuple(g.e0 if ui == 0 else g.e1)
-        x = 0.0 if ui == 0 else d[c]
-        y = 0.0 if vi == 0 else e[c]
-        return self._combine(fundamental_weights(self.family, x, d, q),
-                             fundamental_weights(self.family, y, e, r))
+        if max(q, r) > self.k:
+            raise ValueError(f"order {max(q, r)} exceeds continuity {self.k}")
+        # corner (ui, vi) is end ui of side v0 or v1 (SIDES index vi), where
+        # x runs along the side and y across it
+        return self.patches.side_ends[self.slot, vi, ui, r, q].copy()
 
     def corner_normal(self, ui, vi):
         su = self.corner_mixed(ui, vi, 1, 0)
@@ -210,38 +347,17 @@ class RegularPatch:
         return principal_curvatures(su, sv, suu, suv, svv)
 
     def boundary_deriv(self, side, t, r_cross, r_along=0):
-        """uv-domain derivative at a boundary point.
+        """uv-domain derivative at the fraction t along a side, r_cross
+        times across it and r_along times along it.
 
-        Supported combinations: pure along-boundary (r_cross = 0), pure cross
-        (r_along = 0, r_cross <= k), and mixed at the side's endpoints
-        (t in {0, 1}, orders <= k).  Elsewhere the chain rule involves blend
-        derivatives and no closed form is exposed.
+        Pure along-boundary and pure cross derivatives (r_cross <= k) exist
+        everywhere; mixed ones only at the side's endpoints (t in {0, 1}),
+        elsewhere the chain rule involves blend derivatives and no closed
+        form is exposed.
         """
-        if r_cross > self.k:
-            raise ValueError(f"cross order {r_cross} exceeds continuity "
-                             f"{self.k}")
         d_edge = self.side_interval(side)
-        x = t * d_edge
-        if r_cross == 0:
-            return d_edge ** r_along * self.eval_boundary(side, x, r_along)
-        if r_along == 0:
-            scale = self.side_blend(side)(t) ** r_cross
-            return scale * self.cross_field(side, x, r_cross)
-        if t not in (0.0, 1.0):
-            raise ValueError("mixed boundary derivatives are exact only at "
-                             "corners")
-        ui, vi, q, r = _side_corner(side, int(t), r_cross, r_along)
-        dv = self.row_blends[self._c](float(vi))
-        ev = self.col_blends[self._c](float(ui))
-        return dv ** q * ev ** r * self.corner_mixed(ui, vi, q, r)
-
-
-def _side_corner(side, ti, cross, along):
-    """(ui, vi, x order, y order) of a mixed derivative at endpoint ti of a
-    side, with `cross` derivatives across the side and `along` along it."""
-    if side in ("v0", "v1"):
-        return ti, int(side == "v1"), along, cross
-    return int(side == "u1"), ti, cross, along
+        return (d_edge ** r_along * self.side_blend(side)(t) ** r_cross
+                * self.side_field(side, r_cross, t * d_edge, r_along))
 
 
 def boundary_scaling_delta(patch, neighbor, v):

@@ -158,15 +158,23 @@ def fundamental_weights(fam, x, d, r=0):
     """All four basis values (offsets -1..2) at x, optionally differentiated.
 
     x and the three entries of d may be scalars or arrays that broadcast
-    together; the result has shape (4,) + their broadcast shape.
+    together; the result has shape (4,) + their broadcast shape.  r may also
+    be a sequence of orders, all served by one coefficient table; the result
+    then has a leading axis over them.
     """
     _check_x(x, d[1])
+    several = not isinstance(r, (int, np.integer))
+    orders = tuple(r) if several else (r,)
     # the broadcast shape, by arithmetic: np.broadcast is slow on scalars
-    out = np.zeros((4,) + np.asarray(x + d[0] + d[1] + d[2]).shape)
-    if r <= fam.degree:
-        for k, coeffs in enumerate(_COEFF_ALL[fam.name](*d)):
-            out[k] = _horner(coeffs, x, r)
-    return out
+    shape = np.asarray(x + d[0] + d[1] + d[2]).shape
+    out = np.zeros((len(orders), 4) + shape)
+    if min(orders) <= fam.degree:
+        coeffs = _COEFF_ALL[fam.name](*d)
+        for i, order in enumerate(orders):
+            if order <= fam.degree:
+                for k, c in enumerate(coeffs):
+                    out[i, k] = _horner(c, x, order)
+    return out if several else out[0]
 
 
 def _check_finite(points):

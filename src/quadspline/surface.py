@@ -5,19 +5,24 @@ whose boundary data is sampled from adjacent grid patches where one exists
 and generated from the curve network otherwise.  Both incident faces of a
 shared curve consume the same curve record, so the composite evaluation is
 watertight by construction.
+
+The patches of each kind live in one set (patch.GridPatchSet,
+gregory.GregoryPatchSet).  CompositeSurface.eval takes arrays of (face, u, v)
+and makes one call per set; tessellation, the analysis channels and the
+continuity audit each build one table of (face, u, v) for the whole surface
+and evaluate it through that call, in bounded chunks.
 """
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import mesh as qm
 from . import network as net
 from .errors import ConstructionError
-from .gregory import BoundaryData, GregoryPatch, Side
-from .patch import RegularPatch
+from .gregory import BoundaryData, GregoryPatch, GregoryPatchSet, Side
+from .patch import EVAL_CHUNK, SIDES, GridPatchSet, RegularPatch
 from .splines import D5C2P2S4, family as family_by_name, segment_coefficients
 
 LIGHT_DIRECTION = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
@@ -26,6 +31,7 @@ CROSS_STEP = 5e-3   # step of the continuity report's cross stencils
 WELD_REL_TOL = 1e-9
 # side of a regular patch along its half edge anchor + c, for c = 0..3
 SIDE_OF_CORNER = ("v0", "u1", "v1", "u0")
+_SIDE_INDEX_OF_CORNER = np.array([SIDES.index(s) for s in SIDE_OF_CORNER])
 
 
 @dataclass
@@ -72,7 +78,11 @@ class _EdgeRecord:
 
 
 class CompositeSurface:
-    """Face -> patch map over an (optionally extrapolated) quad mesh."""
+    """Face -> patch map over an (optionally extrapolated) quad mesh.
+
+    regular and gregory map faces to views of grid_patches and
+    gregory_patches; eval evaluates arrays of (face, u, v) through the sets.
+    """
 
     def __init__(self, mesh, params, options):
         self.mesh = mesh
@@ -82,6 +92,8 @@ class CompositeSurface:
         self.gregory = {}
         self.anchors = {}
         self.edge_records = {}
+        self.grid_patches = None
+        self.gregory_patches = None
 
     @property
     def real_faces(self):
@@ -90,18 +102,50 @@ class CompositeSurface:
     def patch(self, f):
         return self.regular.get(f) or self.gregory[f]
 
+    def _index(self):
+        """Per-face tables: slot in grid_patches and in gregory_patches (-1
+        where the face has none), and anchor half edge."""
+        self._slot = np.full((2, self.mesh.num_faces), -1)
+        for kind, views in enumerate((self.regular, self.gregory)):
+            for f, view in views.items():
+                self._slot[kind, f] = view.slot
+        self._anchor = np.full(self.mesh.num_faces, -1)
+        self._anchor[list(self.anchors)] = list(self.anchors.values())
+
+    def eval(self, faces, u, v):
+        """Positions at the points (faces, u, v) of equal-shaped arrays, with
+        one evaluation call per patch kind; shape (..., 3)."""
+        faces, u, v = np.broadcast_arrays(np.asarray(faces, int),
+                                          np.asarray(u, float),
+                                          np.asarray(v, float))
+        shape = faces.shape
+        faces, u, v = faces.ravel(), u.ravel(), v.ravel()
+        slots = self._slot[:, faces]
+        if (slots < 0).all(axis=0).any():
+            f = faces[np.argmax((slots < 0).all(axis=0))]
+            raise KeyError(f"face {f} has no patch")
+        out = np.empty((len(faces), 3))
+        for view, patches, kind_slots in zip(
+                (RegularPatch.view, GregoryPatch.view),
+                (self.grid_patches, self.gregory_patches), slots):
+            at = kind_slots >= 0
+            if at.any():
+                out[at] = view(patches, kind_slots[at]).eval(u[at], v[at])
+        return out.reshape(shape + (3,))
+
     def eval_on_edge(self, f, he, t):
         """Patch value at fraction t along half edge he of face f."""
         u, v = self._edge_uv(f, he, t)
         return self.patch(f).eval(u, v)
 
     def _edge_uv(self, f, he, t):
-        """(u, v) at the fractions t (scalar or array) along half edge he of
-        face f."""
+        """(u, v) at the fractions t along half edges he of faces f; f and
+        he are scalars or arrays that broadcast against t."""
         t = np.asarray(t, float)
         zero, one = np.zeros_like(t), np.ones_like(t)
-        c = (he - self.anchors[f]) % 4
-        return ((t, zero), (one, t), (1.0 - t, one), (zero, 1.0 - t))[c]
+        c = (np.asarray(he) - self._anchor[f]) % 4
+        return (np.choose(c, (t, one, 1.0 - t, zero)),
+                np.choose(c, (zero, t, one, 1.0 - t)))
 
 
 def build_surface(mesh, options=None, params=None):
@@ -115,17 +159,19 @@ def build_surface(mesh, options=None, params=None):
     mesh, params = qm.extrapolate_boundary_layer(mesh, params)
 
     surf = CompositeSurface(mesh, params, options)
-    w = options.family.support
-    regular, extraordinary = qm.classify_faces(mesh, w)
-
-    for f in regular:
-        grid = qm.extract_local_grid(mesh, params, f, w)
-        surf.regular[f] = RegularPatch(grid, options.family)
+    grids, extraordinary = qm.classify_faces(mesh, options.family.support,
+                                             params=params)
+    surf.grid_patches = GridPatchSet(grids.values(), options.family)
+    for slot, (f, grid) in enumerate(grids.items()):
+        surf.regular[f] = RegularPatch.view(surf.grid_patches, slot)
         surf.anchors[f] = grid.anchor
 
     builder = _GregoryBuilder(surf)
-    for f in extraordinary:
-        builder.build_face(f)
+    datas = [builder.build_face(f) for f in extraordinary]
+    surf.gregory_patches = GregoryPatchSet(datas, options.mode)
+    for slot, f in enumerate(extraordinary):
+        surf.gregory[f] = GregoryPatch.view(surf.gregory_patches, slot)
+    surf._index()
     return surf
 
 
@@ -364,12 +410,12 @@ class _GregoryBuilder:
         # twin for c = 0, 1; chi points into this face for roles 0, 3 and the
         # neighbour's cross derivative into the neighbour for c = 0, 3
         return Side(patch.side_interval(side),
-                    [partial(patch.side_field, side, q)
-                     for q in range(patch.k + 1)],
+                    [patch.field(side, q) for q in range(patch.k + 1)],
                     reverse=(0, 1, 2) if (role < 2) == (c < 2) else (),
                     negate_cross=(role in (0, 3)) == (c in (0, 3)))
 
     def build_face(self, f):
+        """BoundaryData of extraordinary face f."""
         mesh = self.mesh
         anchor, plan = self._side_plan(f)
         self.surf.anchors[f] = anchor
@@ -391,7 +437,7 @@ class _GregoryBuilder:
                 info["record"] = rec
                 info["reverse"] = (0,) if rec.a != info["va"] else ()
                 # the curve alone, for the corner targets below
-                sides[info["role"]] = Side(rec.d, [rec.gamma.eval],
+                sides[info["role"]] = Side(rec.d, [rec.gamma],
                                            reverse=info["reverse"])
 
         # cross fields for the network sides, targets taken from the
@@ -461,13 +507,11 @@ class _GregoryBuilder:
                 rec = info["record"]
                 fields = [rec.gamma, rec.chi[f], rec.xi.get(f)]
                 sides[info["role"]] = Side(
-                    rec.d, [p.eval for p in fields if p is not None],
+                    rec.d, [p for p in fields if p is not None],
                     reverse=info["reverse"])
 
-        data = BoundaryData(corners, sides, d0, d1, e0, e1,
+        return BoundaryData(corners, sides, d0, d1, e0, e1,
                             k=self.options.k, face=f)
-        self.surf.gregory[f] = GregoryPatch(
-            data, mode=self.options.mode)
 
 
 # -- tessellation -----------------------------------------------------------------
@@ -500,8 +544,8 @@ def tessellate(surface, n=16, weld=True):
     cells = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
     faces = sorted(list(surface.regular) + list(surface.gregory))
-    positions = np.concatenate(
-        [surface.patch(f).eval(u, v) for f in faces]).reshape(-1, 3)
+    positions = surface.eval(np.repeat(faces, len(u)),
+                             np.tile(u, len(faces)), np.tile(v, len(faces)))
     src_face = np.repeat(np.asarray(faces, int), len(u))
     src_uv = np.tile(np.stack([u, v], axis=1), (len(faces), 1))
     vertex = np.arange(len(positions))   # of each sample
@@ -548,25 +592,14 @@ def _stencils(t, h):
     return out
 
 
-def _eval_sets(fn, uv_sets):
-    """fn at several (u, v) pairs of equal-shaped arrays in one call; the
-    values of each pair come back with shape u.shape + (3,)."""
-    shapes = [np.shape(u) for u, _ in uv_sets]
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    vals = fn(np.concatenate([np.ravel(u) for u, _ in uv_sets]),
-              np.concatenate([np.ravel(v) for _, v in uv_sets]))
-    return [part.reshape(shape + (3,)) for part, shape in
-            zip(np.split(vals, np.cumsum(sizes)[:-1]), shapes)]
-
-
 def _contract(weights, values):
-    """sum_k weights[n, k] values[n, k] for every n."""
-    return np.einsum("nk,nkd->nd", weights, values)
+    """sum_k weights[..., k] values[..., k, :] at every point."""
+    return np.einsum("...k,...kd->...d", weights, values)
 
 
-def _fd_partials(fn, u, v, h, h_select=None):
+def _fd_partials(surface, faces, u, v, h, h_select=None):
     """(su, sv, suu, suv, svv), each (N, 3), by finite differences at the
-    points of the 1-D arrays u, v, all evaluated in one fn call.
+    points (faces, u, v) of 1-D arrays, all evaluated in one surface.eval.
 
     h_select fixes which stencil variants are used (so two step sizes can be
     combined by Richardson extrapolation without switching stencils).
@@ -588,54 +621,55 @@ def _fd_partials(fn, u, v, h, h_select=None):
     _, first, inverse = np.unique(keys, return_index=True,
                                   return_inverse=True)
     rows = first // keys.shape[1]
-    vals = fn(u[rows] + du.flat[first] * h, v[rows] + dv.flat[first] * h)
+    vals = surface.eval(faces[rows], u[rows] + du.flat[first] * h,
+                        v[rows] + dv.flat[first] * h)
     vals = vals[inverse.reshape(keys.shape)]
     sizes = np.cumsum([term[2].shape[1] for term in terms])[:-1]
     return tuple(_contract(w, part) / div for (_, _, w, div), part
                  in zip(terms, np.split(vals, sizes, axis=1)))
 
 
-def _partials(fn, u, v, h, richardson=False):
+def _partials(surface, faces, u, v, h, richardson=False):
     if not richardson:
-        return _fd_partials(fn, u, v, h)
+        return _fd_partials(surface, faces, u, v, h)
     big = 2.0 * h
-    coarse = _fd_partials(fn, u, v, big, h_select=big)
-    fine = _fd_partials(fn, u, v, h, h_select=big)
+    coarse = _fd_partials(surface, faces, u, v, big, h_select=big)
+    fine = _fd_partials(surface, faces, u, v, h, h_select=big)
     return tuple((4.0 * a - b) / 3.0 for a, b in zip(fine, coarse))
 
 
 def _unit_normals(su, sv):
-    """Unit normals of (N, 3) tangent pairs, and the mask of the pairs whose
-    cross product is too short (< 1e-12) to normalize."""
+    """Unit normals of (..., 3) tangent pairs, and the mask of the pairs
+    whose cross product is too short (< 1e-12) to normalize."""
     n = np.cross(su, sv)
     norm = np.linalg.norm(n, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return n / norm[:, None], norm < 1e-12
+        return n / norm[..., None], norm < 1e-12
 
 
 def _dot(a, b):
-    return np.einsum("nd,nd->n", a, b)
+    return np.einsum("...d,...d->...", a, b)
 
 
 def analysis_fields(surface, tri, richardson=False):
     """Per-vertex mean curvature and isophote value channels.
 
     Partial derivatives come from central differences (one sided at the
-    patch-domain edges), with the stencil points of all vertices of a face
-    evaluated in one call; samples with a degenerate normal are flagged NaN.
-    Richardson extrapolation trades double the evaluations for two extra
-    orders of accuracy.
+    patch-domain edges), with the stencil points of EVAL_CHUNK // 4
+    vertices at a time evaluated in one surface.eval call; samples with a
+    degenerate normal are flagged NaN.  Richardson extrapolation trades
+    double the evaluations for two extra orders of accuracy.
     """
     h = 1e-3 if richardson else FD_STEP
-    faces = np.asarray(tri.src_face)
+    faces = np.asarray(tri.src_face, int)
+    u, v = np.asarray(tri.src_uv, float).reshape(-1, 2).T
     mean_curv = np.full(len(tri.positions), np.nan)
     isophote = np.full(len(tri.positions), np.nan)
     degenerate = 0
-    order = np.argsort(faces, kind="stable")
-    fs, starts = np.unique(faces[order], return_index=True)
-    for f, idx in zip(fs, np.split(order, starts[1:])):
-        u, v = tri.src_uv[idx].T
-        su, sv, suu, suv, svv = _partials(surface.patch(int(f)).eval, u, v,
+    step = max(1, EVAL_CHUNK // 4)
+    for lo in range(0, len(faces), step):
+        at = slice(lo, lo + step)
+        su, sv, suu, suv, svv = _partials(surface, faces[at], u[at], v[at],
                                           h, richardson)
         nrm, bad = _unit_normals(su, sv)
         E, F, G = _dot(su, su), _dot(su, sv), _dot(sv, sv)
@@ -645,9 +679,9 @@ def analysis_fields(surface, tri, richardson=False):
         degenerate += int(bad.sum())
         with np.errstate(invalid="ignore", divide="ignore"):
             H = (E * N - 2.0 * F * M + G * L) / (2.0 * denom)
-        good = ~bad
-        mean_curv[idx[good]] = H[good]
-        isophote[idx[good]] = (nrm @ LIGHT_DIRECTION)[good]
+        good = lo + np.flatnonzero(~bad)
+        mean_curv[good] = H[~bad]
+        isophote[good] = (nrm @ LIGHT_DIRECTION)[~bad]
     tri.channels["mean_curvature"] = mean_curv
     tri.channels["isophote"] = isophote
     return {"degenerate_samples": degenerate}
@@ -662,88 +696,88 @@ _CROSS_STENCILS = {1: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]),
 
 
 def _interior_shared_edges(surface):
+    """(h, twin) with h < twin for every edge between two real faces, in
+    half-edge order."""
     mesh = surface.mesh
-    out = []
-    for h in range(mesh.num_halfedges):
-        t = mesh.twin(h)
-        if t is None or t < h:
-            continue
-        f1, f2 = mesh.he_face(h), mesh.he_face(t)
-        if f1 >= mesh.real_face_count or f2 >= mesh.real_face_count:
-            continue
-        out.append((h, t))
-    return out
+    h = np.arange(mesh.num_halfedges)
+    t = mesh.he_twin   # -1 on the boundary
+    real = mesh.real_face_count
+    keep = (t > h) & (mesh.he_face(h) < real) & (mesh.he_face(t) < real)
+    return list(zip(h[keep].tolist(), t[keep].tolist()))
 
 
-def _seam_samples(surface, f, seams, k):
-    """Samples of face f along its seam half edges, from one eval call.
-
-    seams maps a half edge to (t, audit): the fractions sampled along it and
-    whether the cross derivatives through order k are audited there.  Each
-    half edge gets its positions, unit normals and the mask of degenerate
-    normals and, when audited, the inward cross derivatives and the blend
-    values at the interior samples.
-    """
-    sets, frames = [], []
-    for he, (t, audit) in seams.items():
-        u, v = surface._edge_uv(f, he, t)
-        (ou, wu), _ = _stencils(u, FD_STEP)
-        (ov, wv), _ = _stencils(v, FD_STEP)
-        sets += [(u, v),
-                 np.broadcast_arrays(u[:, None] + ou * FD_STEP, v[:, None]),
-                 np.broadcast_arrays(u[:, None], v[:, None] + ov * FD_STEP)]
-        blend = None
-        if audit:
-            line = [u[1:-1, None], v[1:-1, None]]
-            axis, inward, blend = _cross_frame(surface, f, he, u[1:-1],
-                                               v[1:-1])
-            steps = np.arange(len(_CROSS_STENCILS[k])) * inward
-            line[axis] = line[axis] + steps * CROSS_STEP
-            sets.append(np.broadcast_arrays(*line))
-        frames.append((he, wu, wv, blend))
-    vals = iter(_eval_sets(surface.patch(f).eval, sets))
-    out = {}
-    for he, wu, wv, blend in frames:
-        pos, at_u, at_v = next(vals), next(vals), next(vals)
-        normal, degenerate = _unit_normals(_contract(wu, at_u) / FD_STEP,
-                                           _contract(wv, at_v) / FD_STEP)
-        # a copy: a view would keep the face's whole batch alive while the
-        # seam waits for its other face
-        rec = {"pos": pos.copy(), "normal": normal, "degenerate": degenerate}
-        if blend is not None:
-            line = next(vals)
-            rec["blend"] = blend
-            rec["cross"] = {
-                r: np.einsum("k,nkd->nd", _CROSS_STENCILS[r],
-                             line[:, :len(_CROSS_STENCILS[r])])
-                / (12.0 * CROSS_STEP ** r) for r in range(1, k + 1)}
-        out[he] = rec
-    return out
+def _fmax(values, axis):
+    """Largest value along axis, 0 for none; NaN values are skipped."""
+    return np.fmax.reduce(values, axis=axis, initial=0.0)
 
 
-def _max(values):
-    """Largest value, 0 for none; NaN values are skipped."""
-    return float(np.fmax.reduce(values, initial=0.0))
+def _seam_table(surface, hes, audit, ts, k):
+    """Evaluate, in one surface.eval call, the samples of both sides of the
+    seams hes (E, 2): side 0 at the fractions ts along hes[:, 0], side 1 at
+    1 - ts along hes[:, 1].  Returns the positions (E, 2, S, 3), the unit
+    normals and their degenerate mask, and for the audited seams the inward
+    cross derivatives {r: (A, 2, S - 2, 3)} and the blend values
+    (A, 2, S - 2) at the interior samples."""
+    faces = surface.mesh.he_face(hes)[..., None]
+    u, v = surface._edge_uv(faces, hes[..., None], np.stack([ts, 1.0 - ts]))
+    f = np.broadcast_to(faces, u.shape)
+    (ou, wu), _ = _stencils(u, FD_STEP)
+    (ov, wv), _ = _stencils(v, FD_STEP)
+    fa, ua, va = (a[audit][..., 1:-1] for a in (f, u, v))
+    axis, inward, blend = _cross_frame(
+        surface, fa, hes[audit][..., None], ua, va)
+    steps = np.arange(len(_CROSS_STENCILS[k])) * inward[..., None] \
+        * CROSS_STEP
+    # every stencil holds the sample itself once (offset or step 0): only
+    # the points off the sample are evaluated beside it
+    stencils = [
+        (f[..., None], u[..., None] + ou * FD_STEP, v[..., None], ou != 0),
+        (f[..., None], u[..., None], v[..., None] + ov * FD_STEP, ov != 0),
+        (fa[..., None],
+         ua[..., None] + np.where(axis[..., None] == 0, steps, 0.0),
+         va[..., None] + np.where(axis[..., None] == 1, steps, 0.0),
+         steps != 0)]
+    parts = [(f, u, v)] + [[np.broadcast_to(a, off.shape)[off]
+                            for a in (fs, us, vs)]
+                           for fs, us, vs, off in stencils]
+    vals = surface.eval(*(np.concatenate([part[i].ravel() for part in parts])
+                          for i in range(3)))
+    ends = np.cumsum([part[0].size for part in parts])[:-1]
+    pos, *off_vals = np.split(vals, ends)
+    pos = pos.reshape(u.shape + (3,))
+    at_u, at_v, line = (np.empty(off.shape + (3,)) for *_, off in stencils)
+    at_u[...], at_v[...] = pos[..., None, :], pos[..., None, :]
+    line[...] = pos[audit][:, :, 1:-1, None, :]
+    for table, values, (*_, off) in zip((at_u, at_v, line), off_vals,
+                                        stencils):
+        table[off] = values
+    normal, degenerate = _unit_normals(_contract(wu, at_u) / FD_STEP,
+                                       _contract(wv, at_v) / FD_STEP)
+    cross = {r: np.einsum("k,...kd->...d", _CROSS_STENCILS[r],
+                          line[..., :len(_CROSS_STENCILS[r]), :])
+             / (12.0 * CROSS_STEP ** r) for r in range(1, k + 1)}
+    return pos, normal, degenerate, cross, blend
 
 
-def _measure_seam(a, b, k):
-    """Gaps between the samples a and b of the two faces along one seam."""
-    both = ~(a["degenerate"] | b["degenerate"])
-    cosang = np.clip(np.abs(_dot(a["normal"][both], b["normal"][both])),
-                     -1.0, 1.0)
-    delta_residual = {}
-    if "cross" in a:
-        ratio = a["blend"] / b["blend"]
-        for r in range(1, k + 1):
-            d1v = a["cross"][r]
-            # orient both derivatives the same way: odd orders flip
-            d2v = b["cross"][r] if r % 2 == 0 else -b["cross"][r]
-            num = np.linalg.norm(d1v - (ratio ** r)[:, None] * d2v, axis=1)
-            den = np.maximum(np.linalg.norm(d1v, axis=1), 1e-12)
-            delta_residual[str(r)] = _max(num / den)
-    return {"position_gap": _max(np.linalg.norm(a["pos"] - b["pos"], axis=1)),
-            "normal_angle_deg": _max(np.degrees(np.arccos(cosang))),
-            "delta_residual": delta_residual}
+def _measure_seams(surface, hes, audit, ts, k):
+    """(position gaps, normal angles, {r: delta residuals}) of the seams
+    hes; the residuals are those of the audited seams only."""
+    pos, normal, degenerate, cross, blend = _seam_table(surface, hes, audit,
+                                                        ts, k)
+    gap = _fmax(np.linalg.norm(pos[:, 0] - pos[:, 1], axis=-1), 1)
+    both = ~(degenerate[:, 0] | degenerate[:, 1])
+    cosang = np.clip(np.abs(_dot(normal[:, 0], normal[:, 1])), -1.0, 1.0)
+    angle = _fmax(np.where(both, np.degrees(np.arccos(cosang)), 0.0), 1)
+    ratio = blend[:, 0] / blend[:, 1]
+    residual = {}
+    for r in range(1, k + 1):
+        d1v = cross[r][:, 0]
+        # orient both derivatives the same way: odd orders flip
+        d2v = cross[r][:, 1] if r % 2 == 0 else -cross[r][:, 1]
+        num = np.linalg.norm(d1v - (ratio ** r)[..., None] * d2v, axis=-1)
+        den = np.maximum(np.linalg.norm(d1v, axis=-1), 1e-12)
+        residual[r] = _fmax(num / den, 1)
+    return gap, angle, residual
 
 
 def continuity_report(surface, samples=16):
@@ -752,37 +786,36 @@ def continuity_report(surface, samples=16):
     Reports position gaps and tangent-plane angles for all edges; for pairs
     of grid patches it additionally checks that one-sided cross derivatives
     match after scaling by the blend-function ratio, through the family
-    continuity order.  Each face's samples along all its seams are
-    evaluated in one call.
+    continuity order.  The samples of both sides of EVAL_CHUNK // (2
+    samples) seams at a time form one table, evaluated in one surface.eval
+    call and reduced per seam.
     """
     mesh = surface.mesh
     k = surface.options.family.continuity if surface.options.mode == "g2" \
         else min(surface.options.family.continuity, 2)
     ts = np.linspace(0.0, 1.0, samples)
-    seams = []
-    wanted = {}
-    for h, t in _interior_shared_edges(surface):
-        f1, f2 = mesh.he_face(h), mesh.he_face(t)
-        kind = ("regular" if f1 in surface.regular else "gregory",
-                "regular" if f2 in surface.regular else "gregory")
-        audit = kind == ("regular", "regular")
-        seams.append((h, f1, f2, kind))
-        wanted.setdefault(f1, {})[h] = (ts, audit)
-        wanted.setdefault(f2, {})[t] = (1.0 - ts, audit)
-    # a seam is measured, and its samples dropped, once both faces are sampled
-    pending, measured = {}, {}
-    for f, sides in wanted.items():
-        pending.update(_seam_samples(surface, f, sides, k))
-        for he in sides:
-            h, t = sorted((he, mesh.twin(he)))
-            if h in pending and t in pending:
-                measured[h] = _measure_seam(pending.pop(h), pending.pop(t), k)
-    edges = [{"faces": [int(f1), int(f2)], "kinds": list(kind), **measured[h]}
-             for h, f1, f2, kind in seams]
-    gaps = np.array([e["position_gap"] for e in edges]) if edges else \
-        np.zeros(0)
-    angs = np.array([e["normal_angle_deg"] for e in edges]) if edges else \
-        np.zeros(0)
+    hes = np.array(_interior_shared_edges(surface), int).reshape(-1, 2)
+    faces = mesh.he_face(hes)
+    regular = surface._slot[0, faces] >= 0
+    audit = regular.all(axis=1)
+    gap, angle = np.zeros(len(hes)), np.zeros(len(hes))
+    residual = {r: np.zeros(audit.sum()) for r in range(1, k + 1)}
+    audited = np.cumsum(audit) - audit   # row of each seam among the audited
+    step = max(1, EVAL_CHUNK // (2 * samples))
+    for lo in range(0, len(hes), step):
+        at = slice(lo, lo + step)
+        gap[at], angle[at], res = _measure_seams(surface, hes[at], audit[at],
+                                                 ts, k)
+        for r, values in res.items():
+            residual[r][audited[at][audit[at]]] = values
+    edges = [{"faces": [int(f1), int(f2)],
+              "kinds": ["regular" if r else "gregory" for r in reg],
+              "position_gap": float(g), "normal_angle_deg": float(a),
+              "delta_residual": {str(r): float(res[row])
+                                 for r, res in residual.items()} if aud
+              else {}}
+             for (f1, f2), reg, g, a, aud, row
+             in zip(faces, regular, gap, angle, audit, audited)]
 
     def stats(arr):
         if not len(arr):
@@ -792,19 +825,24 @@ def continuity_report(surface, samples=16):
                 "p90": float(np.percentile(arr, 90))}
 
     return {"edges": edges,
-            "summary": {"position_gap": stats(gaps),
-                        "normal_angle_deg": stats(angs),
+            "summary": {"position_gap": stats(gap),
+                        "normal_angle_deg": stats(angle),
                         "edge_count": len(edges)}}
 
 
 def _cross_frame(surface, f, he, u, v):
     """(axis, inward sign, blend values) for the cross direction at boundary
-    points of regular face f reached along half edge he."""
-    c = (he - surface.anchors[f]) % 4
+    points (u, v) of regular faces f reached along half edges he; f and he
+    are scalars or arrays that broadcast against u and v."""
+    c = (np.asarray(he) - surface._anchor[f]) % 4
     # sides v0, v1 (even c) run along u and are crossed along v
-    axis, inward = (c + 1) % 2, (1 if c in (0, 3) else -1)
-    blend = surface.regular[f].side_blend(SIDE_OF_CORNER[c])
-    return axis, inward, blend((u, v)[c % 2])
+    axis, inward = (c + 1) % 2, np.where((c == 0) | (c == 3), 1, -1)
+    slots, sides, t = np.broadcast_arrays(surface._slot[0, f],
+                                          _SIDE_INDEX_OF_CORNER[c],
+                                          np.where(c % 2, v, u))
+    blend = surface.grid_patches.side_blend(slots.ravel(), sides.ravel(),
+                                            t.ravel()).reshape(t.shape)
+    return axis, inward, blend
 
 
 # -- exports --------------------------------------------------------------------------
@@ -821,13 +859,11 @@ def export_ply(tri, path, channels=()):
         fh.write(f"element face {len(tri.triangles)}\n")
         fh.write("property list uchar int vertex_indices\n")
         fh.write("end_header\n")
-        for i, p in enumerate(tri.positions):
-            row = [f"{p[0]:.9g}", f"{p[1]:.9g}", f"{p[2]:.9g}"]
-            for _, arr in chans:
-                row.append(f"{arr[i]:.9g}")
-            fh.write(" ".join(row) + "\n")
-        for tri3 in tri.triangles:
-            fh.write(f"3 {tri3[0]} {tri3[1]} {tri3[2]}\n")
+        rows = np.column_stack([tri.positions] + [arr for _, arr in chans])
+        template = " ".join(["%.9g"] * rows.shape[1]) + "\n"
+        fh.write(template * len(rows) % tuple(rows.ravel().tolist()))
+        fh.write("3 %d %d %d\n" * len(tri.triangles)
+                 % tuple(np.ravel(tri.triangles).tolist()))
 
 
 def export_obj(tri, path):

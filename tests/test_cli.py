@@ -70,6 +70,25 @@ def test_build_malformed_mesh_exit_1(tmp_path, capsys, kind):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "3", "-1"])
+def test_build_alpha_outside_unit_interval_exit_1(capfd, torus_obj, alpha):
+    code = main(["build", str(torus_obj), "--alpha", alpha, "--samples", "2",
+                 "--out", str(torus_obj.with_suffix(".ply"))])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert err == "error: alpha must lie in [0, 1]\n"
+    assert "DLASCL" not in out + err
+
+
+def test_build_mesh_without_faces_exit_1(tmp_path, capsys):
+    path = tmp_path / "points.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n", encoding="utf-8")
+    code = main(["build", str(path), "--samples", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: mesh has no faces\n"
+
+
 def test_build_bad_flag_exit_2(torus_obj):
     code = main(["build", str(torus_obj), "--param", "bogus"])
     assert code == 2

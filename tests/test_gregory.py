@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from quadspline.errors import ConstructionError
-from quadspline.gregory import BoundaryData, GregoryPatch, Side, hermite_basis
+from quadspline.gregory import (BoundaryData, GregoryPatch, GregoryPatchSet,
+                                Side, hermite_basis)
 from quadspline.network import (VecPoly, hermite_curve3, hermite_curve5)
 
 
 def poly_side(d, *polys):
     """Side whose fields are the given VecPolys (None entries dropped)."""
-    return Side(d, [p.eval for p in polys if p is not None])
+    return Side(d, [p for p in polys if p is not None])
 
 
 def polys(side):
-    """The VecPolys behind a poly_side's fields."""
-    return [f.__self__ for f in side.fields]
+    """The VecPolys of a poly_side's fields."""
+    return list(side.fields)
 
 
 def rand_curve(rng, k, p0, p1, d, m0=None, m1=None, a0=None, a1=None):
@@ -209,11 +210,11 @@ def test_compatible_twists_make_blend_irrelevant():
     data = random_boundary_data(rng, 1)
 
     # the twist weights of the corner (u, v) = (1, 0) resp. (0, 1)
-    class LeftOnly(GregoryPatch):
+    class LeftOnly(GregoryPatchSet):
         def _twist(self, M, wu, wv, *block):
             super()._twist(M, (1.0, 0.0), (0.0, 1.0), *block)
 
-    class RightOnly(GregoryPatch):
+    class RightOnly(GregoryPatchSet):
         def _twist(self, M, wu, wv, *block):
             super()._twist(M, (0.0, 1.0), (1.0, 0.0), *block)
 
@@ -224,10 +225,10 @@ def test_compatible_twists_make_blend_irrelevant():
         # linear field with slope `twist`: endpoint derivative everywhere
         c[1] = twist
         c[2:] = 0.0
-        side.fields[1] = VecPoly(c).eval
+        side.fields[1] = VecPoly(c)
     blended = GregoryPatch(data)
-    left = LeftOnly(data)
-    right = RightOnly(data)
+    left = GregoryPatch.view(LeftOnly([data]), 0)
+    right = GregoryPatch.view(RightOnly([data]), 0)
     for u, v in rng.uniform(0.05, 0.95, (10, 2)):
         a = blended.eval(u, v)
         assert np.linalg.norm(left.eval(u, v) - a) < 1e-11
@@ -311,7 +312,7 @@ def test_corner_mismatch_rejected():
     data = random_boundary_data(rng, 1)
     bad = polys(data.sides[0])[0].coeffs.copy()
     bad[0] += 0.5
-    data.sides[0].fields[0] = VecPoly(bad).eval
+    data.sides[0].fields[0] = VecPoly(bad)
     with pytest.raises(ConstructionError):
         BoundaryData(data.corners, data.sides, data.d0, data.d1,
                      data.e0, data.e1, k=1)

@@ -1,0 +1,152 @@
+"""Patch sets: one evaluation call per patch kind for the whole surface.
+
+CompositeSurface.eval takes arrays of (face, u, v) and evaluates every grid
+patch through one GridPatchSet call and every Coons-Gregory patch through one
+GregoryPatchSet call; the per-face views evaluate through the same sets.
+"""
+
+import tracemalloc
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from conftest import (grid_with_rotated_edge, sphere_mesh,
+                      torus_with_rotated_edge)
+from quadspline import mesh as qm
+from quadspline.gregory import GregoryPatchSet, Side
+from quadspline.patch import EVAL_CHUNK, GridField
+from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
+                                continuity_report, tessellate)
+
+CASES = {
+    "sphere_g2": (lambda: sphere_mesh(2), BuildOptions()),
+    "open_ev_grid_g1": (
+        lambda: grid_with_rotated_edge(
+            8, 8, height=lambda x, y: 0.1 * np.sin(0.7 * x) * np.cos(0.5 * y)),
+        BuildOptions(family="d3c1p2s4", mode="g1")),
+    "ev_torus_g2_r1": (lambda: torus_with_rotated_edge(10, 10),
+                       BuildOptions(r_degree=1)),
+}
+
+
+@lru_cache(maxsize=None)
+def surface_of(case):
+    make, options = CASES[case]
+    return build_surface(make().build_connectivity(), options)
+
+
+def mixed_points(surf, per_face, seed=0):
+    """A shuffled mix of (face, u, v) over every real face, corners and
+    edges included."""
+    rng = np.random.default_rng(seed)
+    faces = np.repeat(np.asarray(surf.real_faces), per_face)
+    u = rng.choice([0.0, 0.5, 1.0, *rng.uniform(0, 1, 8)], faces.size)
+    v = rng.uniform(0.0, 1.0, faces.size)
+    v[::7] = 1.0
+    order = rng.permutation(faces.size)
+    return faces[order], u[order], v[order]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_surface_eval_equals_per_face_views(case):
+    surf = surface_of(case)
+    assert surf.gregory and surf.regular
+    faces, u, v = mixed_points(surf, 40)
+    assert faces.size > 2 * EVAL_CHUNK
+    # both kinds within one chunk
+    assert {f in surf.gregory for f in faces[:EVAL_CHUNK].tolist()} \
+        == {True, False}
+    got = surf.eval(faces, u, v)
+    want = np.array([surf.patch(int(f)).eval(a, b)
+                     for f, a, b in zip(faces, u, v)])
+    assert np.abs(got - want).max() <= 1e-14
+    # the same points split into other batches give the same bits
+    cuts = [0, 7, EVAL_CHUNK - 3, EVAL_CHUNK + 100, faces.size]
+    parts = [surf.eval(faces[a:b], u[a:b], v[a:b])
+             for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(parts), got)
+    # shapes follow the (broadcast) input
+    assert surf.eval(faces[:12].reshape(3, 4), u[:12].reshape(3, 4),
+                     0.5).shape == (3, 4, 3)
+
+
+@pytest.mark.parametrize("case", ["sphere_g2", "open_ev_grid_g1"])
+def test_grid_side_fields_of_several_orders_in_one_call(case):
+    surf = surface_of(case)
+    patches = surf.grid_patches
+    rng = np.random.default_rng(3)
+    slots = rng.integers(0, len(patches.grids), 50)
+    sides = rng.integers(0, 4, 50)
+    x = rng.uniform(0, 1, 50) * patches.intervals[slots, sides, 1]
+    orders = range(patches.k + 1)
+    got = patches.side_fields(slots, sides, orders, x)
+    for q in orders:
+        for i in (0, 17, 49):
+            want = GridField(patches, slots[i], sides[i], q).eval(x[i])
+            assert np.abs(got[q, i] - want).max() <= 1e-14
+
+
+def test_unknown_face_raises():
+    surf = surface_of("open_ev_grid_g1")
+    phantom = surf.mesh.real_face_count   # extrapolated faces get no patch
+    with pytest.raises(KeyError):
+        surf.eval(np.array([0, phantom]), 0.5, 0.5)
+
+
+def test_sampled_side_must_read_one_grid_side():
+    surf = surface_of("sphere_g2")
+    data = surf.gregory[min(surf.gregory)].data
+    sampled = next(s for s in data.sides
+                   if isinstance(s.fields[0], GridField))
+    other = GridField(sampled.fields[1].patches, sampled.fields[1].slot,
+                      (sampled.fields[1].side + 1) % 4, 1)
+    sides = list(data.sides)
+    sides[sides.index(sampled)] = Side(sampled.d, [sampled.fields[0], other,
+                                                   sampled.fields[2]])
+    data.sides, kept = sides, data.sides
+    try:
+        with pytest.raises(ValueError):
+            GregoryPatchSet([data], "g2")
+    finally:
+        data.sides = kept
+
+
+def test_classification_hands_back_the_window_grids(monkeypatch):
+    mesh = torus_with_rotated_edge(10, 10).build_connectivity()
+    params = qm.assign_edge_params(mesh)
+    grids, extraordinary = qm.classify_faces(mesh, 4, params=params)
+    assert extraordinary and grids
+    for f, grid in grids.items():
+        want = qm.extract_local_grid(mesh, params, f, 4)
+        assert grid.anchor == want.anchor
+        assert np.array_equal(grid.vertex_ids, want.vertex_ids)
+        for name in ("points", "d0", "d1", "e0", "e1"):
+            assert np.array_equal(getattr(grid, name), getattr(want, name))
+    # the build walks every window once: no second extraction
+    calls = []
+    monkeypatch.setattr(qm, "extract_local_grid",
+                        lambda *a, **k: calls.append(a))
+    surf = build_surface(mesh, BuildOptions())
+    assert not calls
+    assert sorted(surf.regular) == sorted(grids)
+
+
+# tracemalloc peaks of analysis_fields and continuity_report on
+# sphere_mesh(2) at n = 4, numpy 2.4: 1.27 and 1.74 MB in chunks of
+# EVAL_CHUNK = 512 points (the transients of one Gregory chunk dominate);
+# 12.7 and 31.7 MB with each whole-surface table evaluated in one piece.
+PEAK_BOUND_MB = 2.5
+
+
+def test_whole_surface_audits_stay_in_bounded_memory():
+    surf = build_surface(sphere_mesh(2).build_connectivity(), BuildOptions())
+    tri = tessellate(surf, 4)
+    tracemalloc.start()
+    try:
+        analysis_fields(surf, tri)
+        continuity_report(surf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BOUND_MB * 1e6

@@ -186,6 +186,10 @@ def test_weights_broadcast_over_x_and_intervals(fam):
                                atol=1e-13 * np.abs(want).max())
     # scalar x, array intervals
     assert fundamental_weights(fam, 0.0, d).shape == (4, 5, 2)
+    # several orders from one call
+    orders = range(fam.degree + 2)
+    assert np.array_equal(fundamental_weights(fam, x, d, orders),
+                          [fundamental_weights(fam, x, d, r) for r in orders])
 
 
 def test_weights_reject_one_x_outside_the_segment():

@@ -4,7 +4,7 @@ import pytest
 from conftest import (grid_with_rotated_edge, jittered_torus, open_grid,
                       sphere_mesh, torus_grid, torus_with_rotated_edge)
 from quadspline.mesh import classify_faces, edge_key, extract_local_grid
-from quadspline.patch import RegularPatch
+from quadspline.patch import GridPatchSet, RegularPatch
 from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
                                 continuity_report, export_obj, export_ply,
                                 tessellate, write_report)
@@ -126,6 +126,9 @@ def test_analysis_fields_flags_degenerate_samples():
         def patch(self, f):
             return PointPatch()
 
+        def eval(self, faces, u, v):
+            return PointPatch().eval(u, v)
+
     tri = TriangleMesh(positions=np.zeros((3, 3)),
                        triangles=np.array([[0, 1, 2]]),
                        src_face=np.zeros(3, dtype=int),
@@ -201,6 +204,35 @@ def test_exports_roundtrip(tmp_path, torus):
     export_obj(tri, obj)
     mesh2 = [ln for ln in obj.read_text().splitlines() if ln.startswith("v ")]
     assert len(mesh2) == nv
+
+
+def _ply_rows(tri, channels):
+    """The PLY body written one row at a time: the reference for the
+    vectorized export."""
+    rows = []
+    for i, p in enumerate(tri.positions):
+        row = [f"{p[0]:.9g}", f"{p[1]:.9g}", f"{p[2]:.9g}"]
+        row += [f"{tri.channels[name][i]:.9g}" for name in channels]
+        rows.append(" ".join(row) + "\n")
+    rows += [f"3 {t[0]} {t[1]} {t[2]}\n" for t in tri.triangles]
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("channels", [(), ("mean_curvature", "isophote")])
+def test_export_ply_bytes_match_row_writer(tmp_path, torus, channels):
+    surf = build_surface(torus, BuildOptions())
+    tri = tessellate(surf, 2)
+    analysis_fields(surf, tri)
+    tri.channels["mean_curvature"][[0, 3]] = (np.nan, -0.0)
+    tri.positions[1] = (-0.0, 1e-300, -123456.789)
+    ply = tmp_path / "out.ply"
+    export_ply(tri, ply, channels=channels)
+    text = ply.read_text(encoding="utf-8")
+    body = text[text.index("end_header\n") + len("end_header\n"):]
+    assert body == _ply_rows(tri, channels)
+    if channels:
+        assert " nan " in body.splitlines()[0] + " "
+        assert body.splitlines()[3].split()[3] == "-0"
 
 
 def test_export_empty_mesh(tmp_path):
@@ -505,18 +537,23 @@ def test_network_sides_share_one_curve(case):
                                            ("sphere_g2", 72)])
 def test_sampled_sides_read_the_neighbours_own_patch(case, patches,
                                                      monkeypatch):
-    built = []
-    init = RegularPatch.__init__
+    built, standalone = [], []
+    init = GridPatchSet.__init__
 
-    def counting_init(self, grid, fam):
-        built.append(grid.face)
-        init(self, grid, fam)
+    def counting_init(self, grids, fam):
+        grids = list(grids)
+        built.extend(grid.face for grid in grids)
+        init(self, grids, fam)
 
-    monkeypatch.setattr(RegularPatch, "__init__", counting_init)
+    monkeypatch.setattr(GridPatchSet, "__init__", counting_init)
+    monkeypatch.setattr(RegularPatch, "__init__",
+                        lambda self, grid, fam: standalone.append(grid.face))
     surf, sides = _gregory_sides(case)
-    # one patch per regular face, and nothing else
+    # one patch per regular face, all in the surface's one set, and nothing
+    # else
     assert sorted(built) == sorted(surf.regular)
     assert len(built) == patches
+    assert not standalone
     mesh = surf.mesh
     sampled = 0
     for _role, h, side in sides:
@@ -524,7 +561,9 @@ def test_sampled_sides_read_the_neighbours_own_patch(case, patches,
         g = None if twin is None else mesh.he_face(twin)
         if g not in surf.regular:
             continue
-        assert all(fn.func.__self__ is surf.regular[g] for fn in side.fields)
+        nbr = surf.regular[g]
+        assert all(fld.patches is nbr.patches is surf.grid_patches
+                   and fld.slot == nbr.slot for fld in side.fields)
         sampled += 1
     assert sampled > 0
 
