@@ -10,7 +10,7 @@ from .mesh import (EdgeParams, LocalGrid, QuadMesh, SectionPolyline,
                    assign_edge_params, classify_faces,
                    extract_local_grid, extrapolate_boundary_layer, load_obj,
                    save_obj, section_polyline_curve, trace_section_polylines)
-from .patch import LocalParamFn, RegularPatch, boundary_scaling_delta
+from .patch import RegularPatch
 from .network import (build_cross_field_chi, build_cross_field_xi,
                       build_missing_boundary_curve, directional_derivs,
                       estimate_tangent_bessel, fit_guide_polynomial,

@@ -72,24 +72,45 @@ def make_parser():
     return parser, {"build": b, "curve": c, "compare": m}
 
 
+def _config_value(action, value):
+    """A config value read like the flag's own argument: a string or a
+    number, converted by the flag's type and checked against its choices."""
+    bad = isinstance(value, (list, dict))
+    if not bad and action.type is not None:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            bad = True
+    if bad or action.choices is not None and value not in action.choices:
+        choices = f"; choose from {list(action.choices)}" \
+            if action.choices else ""
+        raise ValueError(f"invalid config value {value!r} for {action.dest}"
+                         f"{choices}")
+    return value
+
+
 def _apply_config(subparsers, argv):
-    """Seed the build parser's defaults from --config; explicit flags win."""
-    if "--config" not in argv:
+    """Seed the build parser's defaults from --config PATH or --config=PATH;
+    explicit flags win, and a JSON null keeps a flag's default."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:   # left to the full parse to report
         return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    if path is None:
         return
-    with open(argv[idx + 1], "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise ValueError(f"config file {argv[idx + 1]} must hold a JSON "
-                         "object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     build = subparsers["build"]
-    known = {a.dest for a in build._actions}
-    bad = set(cfg) - known
+    actions = {a.dest: a for a in build._actions}
+    bad = set(cfg) - set(actions)
     if bad:
         raise ValueError(f"unknown config keys: {sorted(bad)}")
-    build.set_defaults(**cfg)
+    build.set_defaults(**{key: _config_value(actions[key], value)
+                          for key, value in cfg.items() if value is not None})
 
 
 def cmd_build(args):

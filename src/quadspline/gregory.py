@@ -26,8 +26,8 @@ GridPatchSet call.  A GregoryPatch is a view of one slot.
 import numpy as np
 
 from .errors import ConstructionError
-from .patch import GridField, LocalParamFn, PatchView, _blend, chunked
-from .splines import derivative_factors
+from .patch import GridField, PatchView, _blend, chunked
+from .splines import _horner
 
 CORNER_EPS = 1e-12
 
@@ -114,6 +114,9 @@ class BoundaryData:
             raise ValueError("corner intervals must be positive")
         if k not in (1, 2):
             raise ValueError("smoothness order must be 1 or 2")
+        if min(len(side.fields) for side in self.sides) <= k:
+            raise ValueError(f"every side of order-{k} boundary data needs "
+                             f"the fields of orders 0..{k}")
         self.k = k
         self.face = face
         self._check_corners()
@@ -151,28 +154,21 @@ class GregoryPatchSet:
     network coefficient table, or a (grid set, slot, side) reference.
     """
 
-    def __init__(self, datas, mode=None):
+    def __init__(self, datas):
         self.datas = list(datas)
         ks = {data.k for data in self.datas}
         if len(ks) > 1:
             raise ValueError("boundary data of one set must share one "
                              "smoothness order")
-        self.k = ks.pop() if ks else (2 if mode == "g2" else 1)
-        if mode is None:
-            mode = "g2" if self.k == 2 else "g1"
-        if mode == "g2" and self.k < 2:
-            raise ValueError("g2 patch needs second-order side data")
-        self.mode = mode
-        self.blend_degree = 5 if mode == "g2" else 3
-        # highest cross order, and highest derivative order along a side
-        self._n = 2 if mode == "g2" else 1
+        # the highest cross order; an empty set evaluates nothing
+        self.k = ks.pop() if ks else 1
         self.lengths = np.array([(d.d0, d.e1, d.d1, d.e0)
                                  for d in self.datas]).reshape(-1, 4)
         self._stack_fields()
         self._stack_constants()
 
     def _stack_fields(self):
-        shape = (len(self.datas), 4, self._n + 1)
+        shape = (len(self.datas), 4, self.k + 1)
         self._flip = np.zeros(shape, bool)
         self._sign = np.ones(shape)
         self._side_d = np.zeros(shape[:2])
@@ -183,9 +179,9 @@ class GregoryPatchSet:
         for i, data in enumerate(self.datas):
             for s, side in enumerate(data.sides):
                 self._side_d[i, s] = side.d
-                self._flip[i, s] = side._flip[:self._n + 1]
-                self._sign[i, s] = side._sign[:self._n + 1]
-                fields = side.fields[:self._n + 1]
+                self._flip[i, s] = side._flip[:self.k + 1]
+                self._sign[i, s] = side._sign[:self.k + 1]
+                fields = side.fields[:self.k + 1]
                 if isinstance(fields[0], GridField):
                     self._grid[i, s] = self._grid_side(side, fields)
                     continue
@@ -216,9 +212,9 @@ class GregoryPatchSet:
         return ids.index(id(first.patches)), first.slot, first.side
 
     def _fields(self, slots, sides, x, r=0):
-        """r-th x-derivative at x[i] of every field (orders 0..n) of side
+        """r-th x-derivative at x[i] of every field (orders 0..k) of side
         sides[i] of patch slots[i], in patch orientation; shape
-        (n + 1, m, 3).  Network fields are evaluated in one Horner pass,
+        (k + 1, m, 3).  Network fields are evaluated in one Horner pass,
         grid fields in one call per grid set."""
         flip = self._flip[slots, sides]
         xs = np.where(flip, (self._side_d[slots, sides] - x)[:, None],
@@ -230,13 +226,14 @@ class GregoryPatchSet:
         poly = self._poly[slots, sides]
         net = poly >= 0
         if net.any():
-            out[net] = _horner_rows(self.coeffs, poly[net], xs[net], r)
+            out[net] = _horner(self.coeffs[poly[net]].transpose(1, 0, 2),
+                               xs[net][:, None], r)
         grid_set, grid_slot, grid_side = self._grid[slots, sides].T
         for g, patches in enumerate(self.grid_sets):
             at = grid_set == g
             if at.any():
                 out[at] = patches.side_fields(
-                    grid_slot[at], grid_side[at], range(self._n + 1),
+                    grid_slot[at], grid_side[at], range(self.k + 1),
                     xs[at, 0], r).transpose(1, 0, 2)
         out *= sign[..., None]
         return out.transpose(1, 0, 2)
@@ -244,27 +241,27 @@ class GregoryPatchSet:
     def _stack_constants(self):
         """M0, and the twist blocks, from the endpoint derivatives of every
         side field: corners and curve endpoint derivatives are constant."""
-        n, count = self._n, len(self.datas)
+        k, count = self.k, len(self.datas)
         slots = np.repeat(np.arange(count), 8)
         sides = np.tile(np.repeat(np.arange(4), 2), count)
         x = self.lengths[slots, sides] * np.tile([0.0, 1.0], 4 * count)
         # ends[q, r][i, s, e]: r-th x-derivative of side s's order-q field
         # at its start (e = 0) or end (e = 1)
         ends = {}
-        for r in range(1, n + 1):
+        for r in range(1, k + 1):
             fields = self._fields(slots, sides, x, r)
-            for q in range(n + 1):
+            for q in range(k + 1):
                 ends[q, r] = fields[q].reshape(count, 4, 2, 3)
         d0, e1, d1, e0 = self.lengths.T
         # powers of the intervals: dp[r] = (d0^r, d1^r), ep[r] = (e0^r, e1^r)
         dp = {1: (d0, d1), 2: (d0 ** 2, d1 ** 2)}
         ep = {1: (e0, e1), 2: (e0 ** 2, e1 ** 2)}
 
-        M = self.M0 = np.zeros((count, 2 * n + 3, 2 * n + 3, 3))
+        M = self.M0 = np.zeros((count, 2 * k + 3, 2 * k + 3, 3))
         corners = np.array([d.corners for d in self.datas]).reshape(-1, 4, 3)
         M[:, 1, 1], M[:, 1, 2], M[:, 2, 1], M[:, 2, 2] = \
             corners.transpose(1, 0, 2)[[0, 3, 1, 2]]
-        for r in range(1, n + 1):
+        for r in range(1, k + 1):
             dg = ends[0, r]
             for i in (0, 1):
                 for e in (0, 1):
@@ -275,8 +272,8 @@ class GregoryPatchSet:
         # twist block (i, j) covers rows 1+2i.., columns 1+2j..: its entry
         # (a, b) blends the order-i data of side (3, 1)[a] at end b against
         # the order-j data of side (0, 2)[b] at end a
-        self.blocks = [(i, j) for i in range(1, n + 1)
-                       for j in range(1, n + 1)]
+        self.blocks = [(i, j) for i in range(1, k + 1)
+                       for j in range(1, k + 1)]
         self.A = np.stack([ends[i, j][:, [3, 1]] for i, j in self.blocks], 1)
         self.B = np.stack([ends[j, i][:, [0, 2]].transpose(0, 2, 1, 3)
                            for i, j in self.blocks], 1)
@@ -295,13 +292,13 @@ class GregoryPatchSet:
             scale * _greg(wa, A, wb, B)
 
     def _matrix(self, slots, u, v):
-        """M at the points (slots[i], u[i], v[i]): (N, 2n+3, 2n+3, 3)."""
-        n, count = self._n, len(slots)
+        """M at the points (slots[i], u[i], v[i]): (N, 2k+3, 2k+3, 3)."""
+        k, count = self.k, len(slots)
         lengths = self.lengths[slots]
         # sides 0 and 2 run along u, sides 1 and 3 along v
         x = (np.stack([u, v, u, v], 1) * lengths).ravel()
         f = self._fields(np.repeat(slots, 4), np.tile(np.arange(4), count),
-                         x).reshape(n + 1, count, 4, 3)
+                         x).reshape(k + 1, count, 4, 3)
         M = self.M0[slots]
         M[:, 0, 1], M[:, 0, 2] = f[0][:, 0], f[0][:, 2]
         M[:, 1, 0], M[:, 2, 0] = f[0][:, 3], f[0][:, 1]
@@ -309,12 +306,12 @@ class GregoryPatchSet:
         eps = (e0 + (e1 - e0) * _blend(self.k, u))[:, None]
         dlt = (d0 + (d1 - d0) * _blend(self.k, v))[:, None]
         # cross fields scale by the blend functions' powers
-        for q, su, sv in ((1, eps, dlt), (2, eps * eps, dlt * dlt))[:n]:
+        for q, su, sv in ((1, eps, dlt), (2, eps * eps, dlt * dlt))[:k]:
             c = 1 + 2 * q
             M[:, 0, c], M[:, 0, c + 1] = su * f[q][:, 0], su * f[q][:, 2]
             M[:, c, 0], M[:, c + 1, 0] = sv * f[q][:, 3], sv * f[q][:, 1]
         del f   # in M now; freed before the twist blends, the peak of a chunk
-        if n == 2:
+        if k == 2:
             wu, wv = (u * u, (1.0 - u) ** 2), (v * v, (1.0 - v) ** 2)
         else:
             wu, wv = (u, 1.0 - u), (v, 1.0 - v)
@@ -329,38 +326,19 @@ class GregoryPatchSet:
                        np.asarray(v, float))
 
     def _eval(self, slots, u, v):
-        hu = hermite_basis(self.blend_degree, u)
-        hv = hermite_basis(self.blend_degree, v)
+        hu = hermite_basis(2 * self.k + 1, u)
+        hv = hermite_basis(2 * self.k + 1, v)
         return -np.einsum("jn,njk->nk", hv, np.einsum(
             "in,nijk->njk", hu, self._matrix(slots, u, v)))
 
 
-def _horner_rows(coeffs, rows, x, r):
-    """r-th derivative at x[i] of the polynomial coeffs[rows[i]] of a padded
-    (P, D + 1, 3) coefficient table; shape (m, 3)."""
-    factors = derivative_factors(coeffs.shape[1] - 1)[r]
-    acc = np.zeros((len(x), 3))
-    for k in range(len(factors) - 1, -1, -1):
-        acc *= x[:, None]
-        acc += factors[k] * coeffs[rows, k + r]
-    return acc
-
-
 class GregoryPatch(PatchView):
     """A view of a GregoryPatchSet: one Coons-Gregory patch.
-    GregoryPatch(data, mode) makes a standalone patch, a set of one."""
+    GregoryPatch(data) makes a standalone patch, a set of one."""
 
-    def __init__(self, data, mode=None):
-        self._bind(GregoryPatchSet([data], mode), 0)
+    def __init__(self, data):
+        self._bind(GregoryPatchSet([data]), 0)
 
     @property
     def data(self):
         return self.patches.datas[self.slot]
-
-    @property
-    def delta(self):
-        return LocalParamFn(self.patches.k, self.data.d0, self.data.d1)
-
-    @property
-    def epsilon(self):
-        return LocalParamFn(self.patches.k, self.data.e0, self.data.e1)

@@ -325,8 +325,9 @@ class EdgeParams:
         return self._d[edge_key(i, j)]
 
     def set(self, i, j, value):
-        if value <= 0.0:
-            raise DegenerateEdgeError(f"edge ({i}, {j}): interval must be > 0")
+        if not 0.0 < value < np.inf:
+            raise DegenerateEdgeError(f"edge ({i}, {j}): interval must be "
+                                      "finite and > 0")
         self._d[edge_key(i, j)] = float(value)
 
     def __contains__(self, key):

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import ConstructionError, DegenerateEdgeError, FitError
-from .splines import derivative_factors
+from .splines import _horner, derivative_factors
 
 
 class VecPoly:
@@ -44,25 +44,16 @@ class VecPoly:
         """r-th derivative at x (scalar or array); shape x.shape + (dim,)."""
         x = np.asarray(x, float)
         acc = np.zeros(x.shape + (self.dim,))
-        if x.ndim:
-            x = x[..., None]   # a 0-d x keeps numpy's faster scalar path
-        for row in self._derivative(r)[::-1]:
-            acc = acc * x + row
+        if r <= self.degree:
+            # a 0-d x keeps numpy's faster scalar path
+            acc += _horner(self.coeffs, x[..., None] if x.ndim else x, r)
         return acc
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def deriv(self, r=1):
-        return VecPoly(self._derivative(r))
-
-    def _derivative(self, r):
-        if r == 0:
-            return self.coeffs
         if r > self.degree:
-            return np.zeros((1, self.dim))
+            return VecPoly(np.zeros((1, self.dim)))
         factors = derivative_factors(self.degree)[r]
-        return self.coeffs[r:] * np.array(factors)[:, None]
+        return VecPoly(self.coeffs[r:] * np.array(factors)[:, None])
 
     def reversed(self, d):
         """The same curve run backwards over [0, d]: x -> d - x."""

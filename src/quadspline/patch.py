@@ -52,36 +52,6 @@ def chunked(fn, *arrays):
     return out
 
 
-class LocalParamFn:
-    """Monotone polynomial on [0,1] from a to b with flat ends of order k."""
-
-    def __init__(self, k, a, b):
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError("interval endpoints must be positive")
-        if k not in (1, 2):
-            raise ValueError("only smoothness orders 1 and 2 are supported")
-        self.k = k
-        self.a = float(a)
-        self.b = float(b)
-
-    def __call__(self, t):
-        return self.a + (self.b - self.a) * _blend(self.k, t)
-
-    def deriv(self, t, r=1):
-        c = self.b - self.a
-        if self.k == 1:
-            polys = {1: 6.0 * t * (1.0 - t), 2: 6.0 - 12.0 * t, 3: -12.0}
-            val = polys.get(r, 0.0)
-        else:
-            polys = {1: 30.0 * t * t * (1.0 - t) ** 2,
-                     2: t * (60.0 + t * (-180.0 + 120.0 * t)),
-                     3: 60.0 + t * (-360.0 + 360.0 * t),
-                     4: -360.0 + 720.0 * t,
-                     5: 720.0}
-            val = polys.get(r, 0.0)
-        return c * val if r >= 1 else self(t)
-
-
 class GridPatchSet:
     """Every grid patch of a surface as stacked arrays.
 
@@ -104,7 +74,6 @@ class GridPatchSet:
         self.grids = list(grids)
         self.family = fam
         self.k = fam.continuity
-        self._blend_k = min(self.k, 2)
         self.points = np.array([g.points for g in grids],
                                float).reshape(-1, 4, 4, 3)
         self.intervals = np.array([[g.d0, g.d1, g.e0, g.e1] for g in grids],
@@ -115,7 +84,7 @@ class GridPatchSet:
         SIDES (rows: 0, columns: 2; first may be an array); shape (3, n)."""
         lo = self.intervals[slots, first].T
         hi = self.intervals[slots, first + 1].T
-        return lo + (hi - lo) * _blend(self._blend_k, t)
+        return lo + (hi - lo) * _blend(self.k, t)
 
     @staticmethod
     def _combine(points, wx, wy):
@@ -223,10 +192,9 @@ class GridField:
             # the side's ends: read the table made for all sides at once
             return patches.side_ends[self.slot, self.side,
                                      (x == length).astype(int), self.q, r]
-        n = x.size
         return self.patches.side_fields(
-            np.full(n, self.slot), np.full(n, self.side), (self.q,),
-            x.ravel(), r)[0].reshape(x.shape + (3,))
+            np.full(x.size, self.slot), np.full(x.size, self.side),
+            (self.q,), x.ravel(), r)[0].reshape(x.shape + (3,))
 
 
 class PatchView:
@@ -255,9 +223,6 @@ class PatchView:
         return self.patches.eval(slots.ravel(), u.ravel(),
                                  v.ravel()).reshape(u.shape + (3,))
 
-    def __call__(self, u, v):
-        return self.eval(u, v)
-
 
 class RegularPatch(PatchView):
     """A view of a GridPatchSet: one grid patch.  RegularPatch(grid, fam)
@@ -266,55 +231,18 @@ class RegularPatch(PatchView):
     def __init__(self, grid, fam):
         self._bind(GridPatchSet([grid], fam), 0)
 
-    def _bind(self, patches, slot):
-        super()._bind(patches, slot)
-        self.family = patches.family
-        self.k = patches.k
-        self._c = 1   # index of the face's own row/column cell
-
     @property
     def grid(self):
         return self.patches.grids[self.slot]
-
-    @property
-    def row_blends(self):
-        k, g = min(self.k, 2), self.grid
-        return [LocalParamFn(k, a, b) for a, b in zip(g.d0, g.d1)]
-
-    @property
-    def col_blends(self):
-        k, g = min(self.k, 2), self.grid
-        return [LocalParamFn(k, a, b) for a, b in zip(g.e0, g.e1)]
 
     # -- boundary data ---------------------------------------------------------
     def field(self, side, q):
         """The order-q field along a side, as a GridField."""
         return GridField(self.patches, self.slot, SIDES.index(side), q)
 
-    def side_field(self, side, q, x, r=0):
-        """r-th x-derivative of a side's order-q cross field (q = 0: the
-        boundary curve) at x (scalar or array) in the side's local variable;
-        see GridPatchSet.side_fields."""
-        return self.field(side, q).eval(x, r)
-
-    def eval_boundary(self, side, x, r=0):
-        """Boundary curve (or its x-derivatives) in the side's local
-        variable; x may be an array, the result has shape x.shape + (3,)."""
-        return self.side_field(side, 0, x, r)
-
-    def cross_field(self, side, x, r=1):
-        """r-th cross derivative in local variables along a side, at x."""
-        return self.side_field(side, r, x)
-
     def side_interval(self, side):
         """Length of the local variable range along a side."""
         return float(self.patches.intervals[self.slot, SIDES.index(side), 1])
-
-    def side_blend(self, side):
-        """Blend function whose powers scale cross derivatives on that side."""
-        if side in ("u0", "u1"):
-            return self.row_blends[self._c]
-        return self.col_blends[self._c]
 
     def corner_mixed(self, ui, vi, q, r):
         """Exact mixed local derivative d^q/dx^q d^r/dy^r at a patch corner.
@@ -322,8 +250,9 @@ class RegularPatch(PatchView):
         ui, vi pick the corner (0 or 1 per axis).  Offered for q, r <= k,
         where the blend derivatives vanish.
         """
-        if max(q, r) > self.k:
-            raise ValueError(f"order {max(q, r)} exceeds continuity {self.k}")
+        k = self.patches.k
+        if max(q, r) > k:
+            raise ValueError(f"order {max(q, r)} exceeds continuity {k}")
         # corner (ui, vi) is end ui of side v0 or v1 (SIDES index vi), where
         # x runs along the side and y across it
         return self.patches.side_ends[self.slot, vi, ui, r, q].copy()
@@ -345,35 +274,6 @@ class RegularPatch(PatchView):
         suv = self.corner_mixed(ui, vi, 1, 1)
         svv = self.corner_mixed(ui, vi, 0, 2)
         return principal_curvatures(su, sv, suu, suv, svv)
-
-    def boundary_deriv(self, side, t, r_cross, r_along=0):
-        """uv-domain derivative at the fraction t along a side, r_cross
-        times across it and r_along times along it.
-
-        Pure along-boundary and pure cross derivatives (r_cross <= k) exist
-        everywhere; mixed ones only at the side's endpoints (t in {0, 1}),
-        elsewhere the chain rule involves blend derivatives and no closed
-        form is exposed.
-        """
-        d_edge = self.side_interval(side)
-        return (d_edge ** r_along * self.side_blend(side)(t) ** r_cross
-                * self.side_field(side, r_cross, t * d_edge, r_along))
-
-
-def boundary_scaling_delta(patch, neighbor, v):
-    """Cross-derivative scaling between a patch and its left neighbor.
-
-    The configuration is the aligned one: the patch's u0 side coincides with
-    the neighbor's u1 side, traversed by the same v.  The ratio returned
-    relates r-th cross derivatives as (patch side) = delta^r (neighbor side).
-    """
-    if not np.allclose(patch.grid.points[1], neighbor.grid.points[2],
-                       atol=1e-12):
-        raise ValueError("patches do not share an aligned u0/u1 boundary")
-    c = patch._c
-    num = patch.row_blends[c](v)
-    den = patch.row_blends[c - 1](v)
-    return num / den
 
 
 def principal_curvatures(su, sv, suu, suv, svv):

@@ -294,9 +294,6 @@ class PolylineCurve:
             out += w[k] * self.points[i]
         return out
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def eval_one_sided(self, knot_index, r, side):
         """Derivative at an interior knot taken from one adjacent segment.
 

@@ -133,11 +133,6 @@ class CompositeSurface:
                 out[at] = view(patches, kind_slots[at]).eval(u[at], v[at])
         return out.reshape(shape + (3,))
 
-    def eval_on_edge(self, f, he, t):
-        """Patch value at fraction t along half edge he of face f."""
-        u, v = self._edge_uv(f, he, t)
-        return self.patch(f).eval(u, v)
-
     def _edge_uv(self, f, he, t):
         """(u, v) at the fractions t along half edges he of faces f; f and
         he are scalars or arrays that broadcast against t."""
@@ -168,7 +163,7 @@ def build_surface(mesh, options=None, params=None):
 
     builder = _GregoryBuilder(surf)
     datas = [builder.build_face(f) for f in extraordinary]
-    surf.gregory_patches = GregoryPatchSet(datas, options.mode)
+    surf.gregory_patches = GregoryPatchSet(datas)
     for slot, f in enumerate(extraordinary):
         surf.gregory[f] = GregoryPatch.view(surf.gregory_patches, slot)
     surf._index()
@@ -410,7 +405,8 @@ class _GregoryBuilder:
         # twin for c = 0, 1; chi points into this face for roles 0, 3 and the
         # neighbour's cross derivative into the neighbour for c = 0, 3
         return Side(patch.side_interval(side),
-                    [patch.field(side, q) for q in range(patch.k + 1)],
+                    [patch.field(side, q)
+                     for q in range(patch.patches.k + 1)],
                     reverse=(0, 1, 2) if (role < 2) == (c < 2) else (),
                     negate_cross=(role in (0, 3)) == (c in (0, 3)))
 
@@ -791,8 +787,7 @@ def continuity_report(surface, samples=16):
     call and reduced per seam.
     """
     mesh = surface.mesh
-    k = surface.options.family.continuity if surface.options.mode == "g2" \
-        else min(surface.options.family.continuity, 2)
+    k = surface.options.family.continuity
     ts = np.linspace(0.0, 1.0, samples)
     hes = np.array(_interior_shared_edges(surface), int).reshape(-1, 2)
     faces = mesh.he_face(hes)

@@ -18,7 +18,7 @@ from quadspline.mesh import (assign_edge_params, extract_local_grid,
                              save_obj, section_polyline_curve,
                              trace_section_polylines)
 from quadspline.network import estimate_tangent_bessel
-from quadspline.patch import RegularPatch, boundary_scaling_delta
+from quadspline.patch import SIDES, RegularPatch, _blend
 from quadspline.splines import (D3C1P2S4, D5C2P2S4, PolylineCurve,
                                 fundamental_weights)
 from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
@@ -161,7 +161,8 @@ def test_criterion_06_cross_boundary_scaling(perturbed_torus_12):
                 mesh, params, mesh.he_face(h_n), 4,
                 anchor=mesh.he_prev(h_n)), fam)
             v = rng.uniform(0.1, 0.9)
-            delta = boundary_scaling_delta(ps, pn, v)
+            delta = ps.patches.side_blend(ps.slot, SIDES.index("u0"), v) \
+                / pn.patches.side_blend(pn.slot, SIDES.index("u1"), v)
             for r in range(1, k + 1):
                 if r == 1:
                     ds = (-25 * ps.eval(0, v) + 48 * ps.eval(h, v)
@@ -200,12 +201,14 @@ def test_criterion_07_gregory_interpolation_contract():
             assert np.linalg.norm(patch.eval(t, 0)
                                   - g0.field(0, t * data.d0)) < 1e-10
         for u in rng.uniform(0.05, 0.95, 4):
-            want = patch.epsilon(u) * g0.field(1, u * data.d0)
+            # the column blend, which scales cross fields along v = 0
+            eps = data.e0 + (data.e1 - data.e0) * _blend(k, u)
+            want = eps * g0.field(1, u * data.d0)
             got = fd_cross_v(patch, u, 0.0, order=1, sign=1)
             assert np.linalg.norm(got - want) / max(np.linalg.norm(want),
                                                     1.0) < 1e-4
             if k == 2:
-                want2 = patch.epsilon(u) ** 2 * g0.field(2, u * data.d0)
+                want2 = eps ** 2 * g0.field(2, u * data.d0)
                 got2 = fd_cross_v(patch, u, 0.0, h=2e-3, order=2, sign=1)
                 assert np.linalg.norm(got2 - want2) / max(
                     np.linalg.norm(want2), 1.0) < 1e-3

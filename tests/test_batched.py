@@ -66,8 +66,8 @@ def test_batched_side_fields_equal_scalar(case):
                 for r in range(k + 1):
                     # cross-field x-derivatives exist at the endpoints only
                     xs = x[[0, 2]] if q and r else x
-                    got = patch.side_field(side, q, xs, r)
-                    want = [patch.side_field(side, q, xi, r) for xi in xs]
+                    got = patch.field(side, q).eval(xs, r)
+                    want = [patch.field(side, q).eval(xi, r) for xi in xs]
                     assert np.abs(got - want).max() <= 1e-14 * max(
                         1.0, np.abs(want).max())
 
@@ -83,13 +83,14 @@ def test_one_x_outside_the_segment_raises():
         patch.eval(u, v)
     d = patch.side_interval("v0")
     x = np.linspace(0.0, d, 5)
-    patch.eval_boundary("v0", x)
-    patch.cross_field("v0", x)
+    curve, chi = patch.field("v0", 0), patch.field("v0", 1)
+    curve.eval(x)
+    chi.eval(x)
     x[1] = -0.1 * d
     with pytest.raises(ValueError):
-        patch.eval_boundary("v0", x)
+        curve.eval(x)
     with pytest.raises(ValueError):
-        patch.cross_field("v0", x)
+        chi.eval(x)
 
 
 # -- point-by-point oracles ---------------------------------------------------

@@ -124,6 +124,38 @@ def test_build_config_file(tmp_path, torus_obj):
     assert main(["build", str(torus_obj), "--config", str(cfg)]) == 2
 
 
+def test_build_config_equals_form(tmp_path, torus_obj):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 1}))
+    plys = []
+    for flags in (["--config=" + str(cfg)], ["--samples", "1"]):
+        out = tmp_path / f"{len(plys)}.ply"
+        assert main(["build", str(torus_obj), *flags, "--out", str(out),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        plys.append(out.read_bytes())
+    assert plys[0] == plys[1]
+
+
+@pytest.mark.parametrize("form", ["split", "equals"])
+@pytest.mark.parametrize("cfg", [{"family": "xyz"}, {"samples": 2.5},
+                                 {"mode": "g3"}, {"r_degree": 5},
+                                 {"out": ["a.ply"]}],
+                         ids=["family", "samples", "mode", "r_degree", "out"])
+def test_build_bad_config_value_is_a_usage_error(tmp_path, capsys, cfg,
+                                                 form):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    flag = ["--config", str(path)] if form == "split" \
+        else ["--config=" + str(path)]
+    # the input does not exist: exit 2 rather than 1 shows that the value
+    # was refused before any work
+    code = main(["build", str(tmp_path / "missing.obj"), *flag])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert next(iter(cfg)) in err
+
+
 @pytest.mark.parametrize("content", ["5", "[1, 2]", "null"])
 def test_build_non_object_config_exit_2(tmp_path, capsys, torus_obj,
                                         content):

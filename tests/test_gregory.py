@@ -5,6 +5,7 @@ from quadspline.errors import ConstructionError
 from quadspline.gregory import (BoundaryData, GregoryPatch, GregoryPatchSet,
                                 Side, hermite_basis)
 from quadspline.network import (VecPoly, hermite_curve3, hermite_curve5)
+from quadspline.patch import _blend
 
 
 def poly_side(d, *polys):
@@ -133,6 +134,11 @@ def test_boundary_interpolation(k):
                               - g1.field(0, t * data.e1)) < 1e-10
 
 
+def column_blend(data, u):
+    """The blend that scales cross fields along v = 0 and v = 1."""
+    return data.e0 + (data.e1 - data.e0) * _blend(data.k, u)
+
+
 def fd_cross_v(patch, u, v0, h=1e-3, order=1, sign=1):
     def at(k):
         return patch.eval(u, v0 + sign * k * h)
@@ -154,11 +160,11 @@ def test_first_cross_derivative_interpolation(k):
     g0 = data.sides[0]
     g2 = data.sides[2]
     for u in rng.uniform(0.05, 0.95, 10):
-        want = patch.epsilon(u) * g0.field(1, u * data.d0)
+        want = column_blend(data, u) * g0.field(1, u * data.d0)
         got = fd_cross_v(patch, u, 0.0, order=1, sign=1)
         assert np.linalg.norm(got - want) / max(np.linalg.norm(want),
                                                 1.0) < 1e-4
-        want2 = patch.epsilon(u) * g2.field(1, u * data.d1)
+        want2 = column_blend(data, u) * g2.field(1, u * data.d1)
         got2 = fd_cross_v(patch, u, 1.0, order=1, sign=-1)
         assert np.linalg.norm(got2 - want2) / max(np.linalg.norm(want2),
                                                   1.0) < 1e-4
@@ -170,7 +176,7 @@ def test_second_cross_derivative_interpolation():
     patch = GregoryPatch(data)
     g0 = data.sides[0]
     for u in rng.uniform(0.05, 0.95, 10):
-        want = patch.epsilon(u) ** 2 * g0.field(2, u * data.d0)
+        want = column_blend(data, u) ** 2 * g0.field(2, u * data.d0)
         got = fd_cross_v(patch, u, 0.0, h=2e-3, order=2, sign=1)
         assert np.linalg.norm(got - want) / max(np.linalg.norm(want),
                                                 1.0) < 1e-3
@@ -303,8 +309,10 @@ def fd_cross_u(patch, u0, v, h=1e-3):
 def test_missing_xi_rejected():
     rng = np.random.default_rng(49)
     data = random_boundary_data(rng, 1)
-    with pytest.raises(ValueError):
-        GregoryPatch(data, mode="g2")
+    # order-1 sides carry no xi field: they cannot make order-2 data
+    with pytest.raises(ValueError, match="orders 0..2"):
+        BoundaryData(data.corners, data.sides, data.d0, data.d1,
+                     data.e0, data.e1, k=2)
 
 
 def test_corner_mismatch_rejected():

@@ -190,6 +190,14 @@ def test_edge_params_json_roundtrip(torus):
         EdgeParams.from_json(records[:-1], mesh=torus)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_edge_params_reject_non_finite_intervals(torus, bad):
+    records = assign_edge_params(torus, "centripetal").to_json()
+    records[3]["d"] = bad
+    with pytest.raises(DegenerateEdgeError, match="finite"):
+        EdgeParams.from_json(records, mesh=torus)
+
+
 def test_classify_torus_all_regular(torus):
     regular, extra = classify_faces(torus, 4)
     assert len(regular) == torus.num_faces

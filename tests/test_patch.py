@@ -4,9 +4,8 @@ import pytest
 from conftest import torus_grid
 from quadspline.mesh import (assign_edge_params, extract_local_grid,
                              section_polyline_curve, trace_section_polylines)
-from quadspline.patch import (LocalParamFn, RegularPatch,
-                              boundary_scaling_delta)
-from quadspline.splines import D3C1P2S4, D5C2P2S4
+from quadspline.patch import SIDES, RegularPatch, _blend
+from quadspline.splines import D3C1P2S4, D5C2P2S4, fundamental_weights
 
 BOTH = [D3C1P2S4, D5C2P2S4]
 
@@ -22,30 +21,10 @@ def make_patch(mesh, params, face, fam, anchor=None):
                                            anchor=anchor), fam)
 
 
-def test_local_param_fn_examples():
-    b = LocalParamFn(2, 1.0, 3.0)
-    assert b(0.5) == pytest.approx(2.0)
-    assert b(0.0) == 1.0 and b(1.0) == 3.0
-    for t in (0.0, 1.0):
-        assert abs(b.deriv(t, 1)) < 1e-14
-        assert abs(b.deriv(t, 2)) < 1e-14
-    const = LocalParamFn(1, 5.0, 5.0)
-    for t in np.linspace(0, 1, 7):
-        assert const(t) == pytest.approx(5.0)
-        assert const.deriv(t, 1) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        LocalParamFn(1, -1.0, 2.0)
-
-
-def test_local_param_fn_k1_end_derivatives():
-    b = LocalParamFn(1, 0.5, 2.5)
-    for t in (0.0, 1.0):
-        assert abs(b.deriv(t, 1)) < 1e-14
-    h = 1e-6
-    fd = (b(0.5 + h) - b(0.5 - h)) / (2 * h)
-    assert fd == pytest.approx(b.deriv(0.5, 1), rel=1e-6)
-    fd2 = (b(0.5 + h) - 2 * b(0.5) + b(0.5 - h)) / h ** 2
-    assert fd2 == pytest.approx(b.deriv(0.5, 2), rel=1e-4)
+def side_blend(patch, side, t):
+    """The blend that scales cross derivatives on a side of a patch, at the
+    fraction t along it."""
+    return patch.patches.side_blend(patch.slot, SIDES.index(side), t)
 
 
 @pytest.mark.parametrize("fam", BOTH)
@@ -112,7 +91,7 @@ def test_boundary_curve_restriction(fam):
     for side in ("v0", "v1", "u0", "u1"):
         d = patch.side_interval(side)
         for t in np.linspace(0, 1, 7):
-            gamma = patch.eval_boundary(side, t * d)
+            gamma = patch.field(side, 0).eval(t * d)
             if side == "v0":
                 direct = patch.eval(t, 0.0)
             elif side == "v1":
@@ -132,7 +111,9 @@ def test_boundary_cross_deriv_matches_fd(fam):
     rng = np.random.default_rng(6)
     for side in ("v0", "v1", "u0", "u1"):
         for t in rng.uniform(0.05, 0.95, 10):
-            exact = patch.boundary_deriv(side, t, 1)
+            d = patch.side_interval(side)
+            exact = side_blend(patch, side, t) * patch.field(side, 1).eval(
+                t * d)
             if side == "v0":
                 fd = (patch.eval(t, h) - patch.eval(t, 0.0)) / h \
                     - 0.5 * (patch.eval(t, 2 * h) - 2 * patch.eval(t, h)
@@ -159,8 +140,8 @@ def test_uniform_intervals_cross_equals_local():
     params = assign_edge_params(mesh, "uniform")
     patch = make_patch(mesh, params, 20, fam)
     for t in np.linspace(0.1, 0.9, 5):
-        uv = patch.boundary_deriv("v0", t, 1)
-        local = patch.cross_field("v0", t * patch.side_interval("v0"), 1)
+        local = patch.field("v0", 1).eval(t * patch.side_interval("v0"))
+        uv = side_blend(patch, "v0", t) * local
         assert np.allclose(uv, local, atol=1e-12)
 
 
@@ -182,7 +163,7 @@ def test_cross_boundary_scaling_law(fam):
         pn = make_patch(mesh, params, face_n, fam,
                         anchor=mesh.he_prev(h_n))
         for v in rng.uniform(0.1, 0.9, 3):
-            delta = boundary_scaling_delta(ps, pn, v)
+            delta = side_blend(ps, "u0", v) / side_blend(pn, "u1", v)
             for r in range(1, k + 1):
                 if r == 1:
                     ds = (-25 * ps.eval(0, v) + 48 * ps.eval(h, v)
@@ -216,7 +197,8 @@ def test_boundary_scaling_delta_values():
     pn = make_patch(mesh, uniform, mesh.he_face(h_n), fam,
                     anchor=mesh.he_prev(h_n))
     for v in np.linspace(0, 1, 5):
-        assert boundary_scaling_delta(ps, pn, v) == pytest.approx(1.0)
+        assert side_blend(ps, "u0", v) / side_blend(pn, "u1", v) \
+            == pytest.approx(1.0)
 
     # making every row interval of the patch's central cell 4x the rest
     # turns the blend ratio into the constant 4
@@ -232,10 +214,11 @@ def test_boundary_scaling_delta_values():
     pn2 = make_patch(mesh, params, mesh.he_face(h_n), fam,
                      anchor=mesh.he_prev(h_n))
     for v in np.linspace(0, 1, 5):
-        assert boundary_scaling_delta(ps2, pn2, v) == pytest.approx(4.0)
+        assert side_blend(ps2, "u0", v) / side_blend(pn2, "u1", v) \
+            == pytest.approx(4.0)
     # endpoint value is the interval ratio at v = 0
-    assert boundary_scaling_delta(ps2, pn2, 0.0) == pytest.approx(
-        ps2.grid.d0[1] / ps2.grid.d0[0])
+    assert side_blend(ps2, "u0", 0.0) / side_blend(pn2, "u1", 0.0) \
+        == pytest.approx(ps2.grid.d0[1] / ps2.grid.d0[0])
 
 
 @pytest.mark.parametrize("fam", BOTH)
@@ -281,7 +264,9 @@ def test_mixed_corner_derivative_fd():
     mesh, params = perturbed_torus(fam)
     patch = make_patch(mesh, params, 11, fam)
     h = 1e-4
-    mixed = patch.boundary_deriv("v0", 0.0, 1, 1)  # d2/dudv at (0,0)
+    # d2/dudv at (0,0): the x-derivative of chi, scaled to uv
+    mixed = patch.side_interval("v0") * side_blend(patch, "v0", 0.0) \
+        * patch.field("v0", 1).eval(0.0, 1)
     # one-sided mixed difference at the corner
     fd = (patch.eval(2 * h, 2 * h) - patch.eval(2 * h, 0.0)
           - patch.eval(0.0, 2 * h) + patch.eval(0.0, 0.0)) / (4 * h * h)
@@ -293,13 +278,13 @@ def test_mixed_corner_derivative_fd():
 def test_frozen_vector_tensor_interpretation(fam):
     """At any fixed (u, v) the patch value equals a plain tensor-product
     evaluation over the interval vectors frozen at that point."""
-    from quadspline.splines import fundamental_weights
     mesh, params = perturbed_torus(fam)
     patch = make_patch(mesh, params, 21, fam)
+    g = patch.grid
     rng = np.random.default_rng(77)
     for u, v in rng.uniform(0, 1, (10, 2)):
-        dvec = tuple(b(v) for b in patch.row_blends)
-        evec = tuple(b(u) for b in patch.col_blends)
+        dvec = tuple(g.d0 + (g.d1 - g.d0) * _blend(fam.continuity, v))
+        evec = tuple(g.e0 + (g.e1 - g.e0) * _blend(fam.continuity, u))
         x = u * dvec[1]
         y = v * evec[1]
         # two-stage univariate evaluation of the frozen tensor product
@@ -310,23 +295,13 @@ def test_frozen_vector_tensor_interpretation(fam):
         assert np.allclose(tensor, patch.eval(u, v), atol=1e-12)
 
 
-def test_functional_wrappers():
-    fam = D5C2P2S4
-    mesh, params = perturbed_torus(fam)
-    patch = make_patch(mesh, params, 7, fam)
-    assert np.allclose(patch(0.3, 0.6), patch.eval(0.3, 0.6))
-    d = patch.side_interval("v0")
-    assert np.allclose(patch.side_blend("v0")(0.4)
-                       * patch.side_field("v0", 1, 0.4 * d),
-                       patch.boundary_deriv("v0", 0.4, 1))
-
-
 def test_r_cross_capped_at_continuity():
     fam = D3C1P2S4
     mesh, params = perturbed_torus(fam)
     patch = make_patch(mesh, params, 2, fam)
+    d = patch.side_interval("v0")
     with pytest.raises(ValueError):
-        patch.boundary_deriv("v0", 0.5, 2)
+        patch.field("v0", 2).eval(0.5 * d)
 
 
 @pytest.mark.parametrize("fam", BOTH)
@@ -335,22 +310,28 @@ def test_side_field_contract(fam):
     patch = make_patch(mesh, params, 3, fam)
     d = patch.side_interval("v1")
     ids = patch.grid.vertex_ids
-    assert np.allclose(patch.side_field("v1", 0, 0.0),
+    assert np.allclose(patch.field("v1", 0).eval(0.0),
                        mesh.vertices[ids[1, 2]], atol=1e-12)
-    assert np.allclose(patch.side_field("v1", 0, d),
+    assert np.allclose(patch.field("v1", 0).eval(d),
                        mesh.vertices[ids[2, 2]], atol=1e-12)
-    # chi in local variables: the uv cross derivative divided by the blend
+    # chi in local variables: the uv cross derivative divided by the blend.
+    # On v = 1 the row blend is flat, so that quotient is the tensor product
+    # of the row weights at v = 1 and the y-derivative of the column
+    # weights frozen at u.
+    g = patch.grid
     for t in (0.2, 0.7):
-        uvderiv = patch.boundary_deriv("v1", t, 1)
-        blend = patch.side_blend("v1")(t)
-        assert np.allclose(patch.side_field("v1", 1, t * d), uvderiv / blend,
+        evec = g.e0 + (g.e1 - g.e0) * _blend(fam.continuity, t)
+        wx = fundamental_weights(fam, t * g.d1[1], g.d1)
+        wy = fundamental_weights(fam, evec[1], evec, 1)
+        assert np.allclose(patch.field("v1", 1).eval(t * d),
+                           np.einsum("i,j,ijd->d", wx, wy, g.points),
                            atol=1e-10)
     if fam.continuity >= 2:
-        xi = patch.side_field("v1", 2, 0.3 * d)
+        xi = patch.field("v1", 2).eval(0.3 * d)
         assert xi.shape == (3,)
     else:
         with pytest.raises(ValueError):
-            patch.side_field("v1", 2, 0.3 * d)
+            patch.field("v1", 2).eval(0.3 * d)
 
 
 def test_sampled_fields_planar_grid():
@@ -363,5 +344,5 @@ def test_sampled_fields_planar_grid():
     patch = make_patch(mesh, params, 14, fam)
     d = patch.side_interval("v0")
     for t in np.linspace(0, 1, 5):
-        assert abs(patch.side_field("v0", 1, t * d)[2]) < 1e-12
-        assert abs(patch.side_field("v0", 2, t * d)[2]) < 1e-12
+        assert abs(patch.field("v0", 1).eval(t * d)[2]) < 1e-12
+        assert abs(patch.field("v0", 2).eval(t * d)[2]) < 1e-12

@@ -107,7 +107,7 @@ def test_sampled_side_must_read_one_grid_side():
     data.sides, kept = sides, data.sides
     try:
         with pytest.raises(ValueError):
-            GregoryPatchSet([data], "g2")
+            GregoryPatchSet([data])
     finally:
         data.sides = kept
 

@@ -264,8 +264,8 @@ def test_identical_patch_against_itself_zero_gap(torus):
     f = 0
     anchor = surf.anchors[f]
     for t in np.linspace(0, 1, 5):
-        a = surf.eval_on_edge(f, anchor, t)
-        b = surf.eval_on_edge(f, anchor, t)
+        a = surf.eval(f, *surf._edge_uv(f, anchor, t))
+        b = surf.eval(f, *surf._edge_uv(f, anchor, t))
         assert np.linalg.norm(a - b) == 0.0
 
 
@@ -495,9 +495,10 @@ def test_sampled_sides_match_neighbouring_patch(case):
         same_cross = (role in (0, 3)) != (c in (0, 3))
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             tn = t if same_way else 1.0 - t
-            blend = nbr.side_blend(nside)(tn)
             for q in range(k + 1):
-                want = nbr.boundary_deriv(nside, tn, q) / blend ** q
+                # the neighbour's uv cross derivative of order q over the
+                # q-th power of its blend: its order-q field
+                want = nbr.field(nside, q).eval(tn * nbr.side_interval(nside))
                 if q % 2 and not same_cross:
                     want = -want
                 assert np.linalg.norm(side.field(q, t * side.d) - want) \
@@ -590,7 +591,7 @@ def test_grid_patch_is_independent_of_its_anchor(make, family):
         for c in (1, 2, 3):
             anchor = 4 * f + (surf.anchors[f] + c) % 4
             other = RegularPatch(extract_local_grid(
-                mesh, surf.params, f, patch.family.support, anchor=anchor),
-                patch.family)
+                mesh, surf.params, f, patch.patches.family.support,
+                anchor=anchor), patch.patches.family)
             want = patch.eval(*_rotated_uv(u, v, c))
             assert np.abs(other.eval(u, v) - want).max() < 1e-13
