@@ -113,6 +113,15 @@ def _apply_config(subparsers, argv):
                           for key, value in cfg.items() if value is not None})
 
 
+def _analysis_fields(surf, tri):
+    """sf.analysis_fields, with a warning on stderr when samples with a
+    degenerate normal leave NaN channel values."""
+    bad = sf.analysis_fields(surf, tri)["degenerate_samples"]
+    if bad:
+        print(f"warning: {bad} of {len(tri.positions)} samples have a "
+              f"degenerate normal; their channels are NaN", file=sys.stderr)
+
+
 def cmd_build(args):
     mesh = qm.load_obj(args.input)
     mesh.build_connectivity()
@@ -121,7 +130,7 @@ def cmd_build(args):
                               r_degree=args.r_degree)
     surf = sf.build_surface(mesh, options)
     tri = sf.tessellate(surf, args.samples)
-    sf.analysis_fields(surf, tri)
+    _analysis_fields(surf, tri)
     report = sf.continuity_report(surf)
 
     stem = Path(args.input).with_suffix("")
@@ -271,15 +280,15 @@ def cmd_compare(args):
                                   param_method=method)
         surf = sf.build_surface(mesh, options, params=params)
         tri = sf.tessellate(surf, args.samples)
-        sf.analysis_fields(surf, tri)
+        _analysis_fields(surf, tri)
         report = sf.continuity_report(surf)
         curv = tri.channels["mean_curvature"]
         finite = curv[np.isfinite(curv)]
         results[label] = {
             "section_sign_changes": section_sign_changes(mesh, params, fam),
             "continuity": report["summary"],
-            "mean_curvature": {"min": float(finite.min()),
-                               "max": float(finite.max())},
+            "mean_curvature": dict.fromkeys(("min", "max")) if not finite.size
+            else {"min": float(finite.min()), "max": float(finite.max())},
         }
         tris[label] = tri
 

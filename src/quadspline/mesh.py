@@ -620,17 +620,15 @@ def extract_local_grid(mesh, params, face, w=4, anchor=None):
             f"face {face} has no {w}x{w} vertex grid") from None
 
 
-def classify_faces(mesh, w=4, faces=None, params=None):
-    """Split faces into (regular, extraordinary) for support width w.
+def classify_faces(mesh, w=4, params=None):
+    """Split real faces into (regular, extraordinary) for support width w.
 
     regular maps each regular face, in order, to the LocalGrid its window
     walk built (at the canonical anchor, with intervals when params are
     given); extraordinary lists the other faces.
     """
-    if faces is None:
-        faces = range(mesh.real_face_count)
     regular, extraordinary = {}, []
-    for f in faces:
+    for f in range(mesh.real_face_count):
         try:
             regular[f] = _try_extract(mesh, f, w, mesh.canonical_halfedge(f),
                                       params)

@@ -27,7 +27,6 @@ from .splines import D5C2P2S4, family as family_by_name, segment_coefficients
 
 LIGHT_DIRECTION = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 FD_STEP = 1e-4
-CROSS_STEP = 5e-3   # step of the continuity report's cross stencils
 WELD_REL_TOL = 1e-9
 # side of a regular patch along its half edge anchor + c, for c = 0..3
 SIDE_OF_CORNER = ("v0", "u1", "v1", "u0")
@@ -309,13 +308,10 @@ class _GregoryBuilder:
         for h in self.mesh.vertex_star(v):
             f = self.mesh.he_face(h)
             patch = self.surf.regular.get(f)
-            if patch is None:
-                continue
-            ids = patch.grid.vertex_ids
-            for (ui, vi), (gi, gj) in (((0, 0), (1, 1)), ((1, 0), (2, 1)),
-                                       ((1, 1), (2, 2)), ((0, 1), (1, 2))):
-                if ids[gi, gj] == v:
-                    return patch, ui, vi
+            if patch is not None:
+                # v is the origin of h, corner c of f as in SIDE_OF_CORNER
+                c = (h - self.surf.anchors[f]) % 4
+                return (patch,) + ((0, 0), (1, 0), (1, 1), (0, 1))[c]
         return None
 
     def _corner_normal(self, v):
@@ -521,7 +517,7 @@ class TriangleMesh:
     src_uv: np.ndarray = None
 
 
-def tessellate(surface, n=16, weld=True):
+def tessellate(surface, n=16):
     """Sample every patch on an (n+1)^2 grid and triangulate.
 
     Welding merges samples whose positions round to the same multiple of a
@@ -542,22 +538,18 @@ def tessellate(surface, n=16, weld=True):
     faces = sorted(list(surface.regular) + list(surface.gregory))
     positions = surface.eval(np.repeat(faces, len(u)),
                              np.tile(u, len(faces)), np.tile(v, len(faces)))
-    src_face = np.repeat(np.asarray(faces, int), len(u))
-    src_uv = np.tile(np.stack([u, v], axis=1), (len(faces), 1))
-    vertex = np.arange(len(positions))   # of each sample
-    if weld:
-        keys = np.round(positions / tol).astype(np.int64)
-        _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)   # welded vertices in first-seen order
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        vertex = rank[inverse.reshape(-1)]
-        keep = first[order]
-        positions, src_face, src_uv = \
-            positions[keep], src_face[keep], src_uv[keep]
+    keys = np.round(positions / tol).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)   # welded vertices in first-seen order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    vertex = rank[inverse.reshape(-1)]
+    keep = first[order]
+    src_face = np.repeat(np.asarray(faces, int), len(u))[keep]
+    src_uv = np.tile(np.stack([u, v], axis=1), (len(faces), 1))[keep]
     triangles = vertex.reshape(len(faces), -1)[:, cells].reshape(-1, 3)
-    return TriangleMesh(positions=positions, triangles=triangles,
+    return TriangleMesh(positions=positions[keep], triangles=triangles,
                         src_face=src_face, src_uv=src_uv)
 
 
@@ -685,11 +677,6 @@ def analysis_fields(surface, tri, richardson=False):
 
 # -- continuity audit ---------------------------------------------------------------
 
-# one-sided stencils of the first and second derivative along the inward
-# cross direction, for step 1 and up to a divisor 12
-_CROSS_STENCILS = {1: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]),
-                   2: np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0])}
-
 
 def _interior_shared_edges(surface):
     """(h, twin) with h < twin for every edge between two real faces, in
@@ -711,47 +698,41 @@ def _seam_table(surface, hes, audit, ts, k):
     """Evaluate, in one surface.eval call, the samples of both sides of the
     seams hes (E, 2): side 0 at the fractions ts along hes[:, 0], side 1 at
     1 - ts along hes[:, 1].  Returns the positions (E, 2, S, 3), the unit
-    normals and their degenerate mask, and for the audited seams the inward
-    cross derivatives {r: (A, 2, S - 2, 3)} and the blend values
-    (A, 2, S - 2) at the interior samples."""
+    normals and their degenerate mask, and for the audited seams the exact
+    inward cross derivatives {r: (A, 2, S - 2, 3)} from the side fields and
+    the blend values (A, 2, S - 2) at the interior samples."""
     faces = surface.mesh.he_face(hes)[..., None]
     u, v = surface._edge_uv(faces, hes[..., None], np.stack([ts, 1.0 - ts]))
     f = np.broadcast_to(faces, u.shape)
     (ou, wu), _ = _stencils(u, FD_STEP)
     (ov, wv), _ = _stencils(v, FD_STEP)
-    fa, ua, va = (a[audit][..., 1:-1] for a in (f, u, v))
-    axis, inward, blend = _cross_frame(
-        surface, fa, hes[audit][..., None], ua, va)
-    steps = np.arange(len(_CROSS_STENCILS[k])) * inward[..., None] \
-        * CROSS_STEP
-    # every stencil holds the sample itself once (offset or step 0): only
-    # the points off the sample are evaluated beside it
+    # every stencil holds the sample itself once (offset 0): only the points
+    # off the sample are evaluated beside it
     stencils = [
-        (f[..., None], u[..., None] + ou * FD_STEP, v[..., None], ou != 0),
-        (f[..., None], u[..., None], v[..., None] + ov * FD_STEP, ov != 0),
-        (fa[..., None],
-         ua[..., None] + np.where(axis[..., None] == 0, steps, 0.0),
-         va[..., None] + np.where(axis[..., None] == 1, steps, 0.0),
-         steps != 0)]
+        (u[..., None] + ou * FD_STEP, v[..., None], ou != 0),
+        (u[..., None], v[..., None] + ov * FD_STEP, ov != 0)]
     parts = [(f, u, v)] + [[np.broadcast_to(a, off.shape)[off]
-                            for a in (fs, us, vs)]
-                           for fs, us, vs, off in stencils]
+                            for a in (f[..., None], us, vs)]
+                           for us, vs, off in stencils]
     vals = surface.eval(*(np.concatenate([part[i].ravel() for part in parts])
                           for i in range(3)))
     ends = np.cumsum([part[0].size for part in parts])[:-1]
     pos, *off_vals = np.split(vals, ends)
     pos = pos.reshape(u.shape + (3,))
-    at_u, at_v, line = (np.empty(off.shape + (3,)) for *_, off in stencils)
+    at_u, at_v = (np.empty(off.shape + (3,)) for *_, off in stencils)
     at_u[...], at_v[...] = pos[..., None, :], pos[..., None, :]
-    line[...] = pos[audit][:, :, 1:-1, None, :]
-    for table, values, (*_, off) in zip((at_u, at_v, line), off_vals,
-                                        stencils):
+    for table, values, (*_, off) in zip((at_u, at_v), off_vals, stencils):
         table[off] = values
     normal, degenerate = _unit_normals(_contract(wu, at_u) / FD_STEP,
                                        _contract(wv, at_v) / FD_STEP)
-    cross = {r: np.einsum("k,...kd->...d", _CROSS_STENCILS[r],
-                          line[..., :len(_CROSS_STENCILS[r]), :])
-             / (12.0 * CROSS_STEP ** r) for r in range(1, k + 1)}
+    fa, ua, va = (a[audit][..., 1:-1] for a in (f, u, v))
+    slots, sides, x, inward, blend = _cross_frame(
+        surface, fa, hes[audit][..., None], ua, va)
+    fields = surface.grid_patches.side_fields(
+        slots.ravel(), sides.ravel(), range(1, k + 1), x.ravel())
+    cross = {r: ((inward * blend) ** r)[..., None]
+             * fields[r - 1].reshape(x.shape + (3,))
+             for r in range(1, k + 1)}
     return pos, normal, degenerate, cross, blend
 
 
@@ -826,18 +807,21 @@ def continuity_report(surface, samples=16):
 
 
 def _cross_frame(surface, f, he, u, v):
-    """(axis, inward sign, blend values) for the cross direction at boundary
-    points (u, v) of regular faces f reached along half edges he; f and he
-    are scalars or arrays that broadcast against u and v."""
+    """(grid slots, side indices, side-local x, inward sign, blend values)
+    at boundary points (u, v) of regular faces f reached along half edges
+    he; f and he are scalars or arrays that broadcast against u and v.  The
+    r-th inward cross derivative there is (inward * blend) ** r times the
+    side's order-r field at x."""
     c = (np.asarray(he) - surface._anchor[f]) % 4
     # sides v0, v1 (even c) run along u and are crossed along v
-    axis, inward = (c + 1) % 2, np.where((c == 0) | (c == 3), 1, -1)
+    inward = np.where((c == 0) | (c == 3), 1, -1)
     slots, sides, t = np.broadcast_arrays(surface._slot[0, f],
                                           _SIDE_INDEX_OF_CORNER[c],
                                           np.where(c % 2, v, u))
-    blend = surface.grid_patches.side_blend(slots.ravel(), sides.ravel(),
-                                            t.ravel()).reshape(t.shape)
-    return axis, inward, blend
+    patches = surface.grid_patches
+    blend = patches.side_blend(slots.ravel(), sides.ravel(),
+                               t.ravel()).reshape(t.shape)
+    return slots, sides, t * patches.intervals[slots, sides, 1], inward, blend
 
 
 # -- exports --------------------------------------------------------------------------

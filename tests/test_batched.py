@@ -213,8 +213,10 @@ def oracle_edge(surf, h, t, samples, k, fd_step=5e-3):
         if f1 not in surf.regular or f2 not in surf.regular \
                 or i in (0, samples - 1):
             continue
-        ax1, in1, b1 = _cross_frame(surf, f1, h, u1, v1)
-        ax2, in2, b2 = _cross_frame(surf, f2, t, u2, v2)
+        _, s1, _, in1, b1 = _cross_frame(surf, f1, h, u1, v1)
+        _, s2, _, in2, b2 = _cross_frame(surf, f2, t, u2, v2)
+        # sides v0, v1 (indices 0, 1) are crossed along v
+        ax1, ax2 = int(s1 < 2), int(s2 < 2)
         for r in range(1, k + 1):
             d1 = cross_derivative(p1, u1, v1, ax1, in1, r, fd_step)
             d2 = (-1) ** r * cross_derivative(p2, u2, v2, ax2, in2, r,
@@ -270,5 +272,7 @@ def test_continuity_report_matches_pointwise_oracle(case):
         assert sorted(got["delta_residual"]) == sorted(residual)
         for r, value in residual.items():
             assert abs(got["delta_residual"][r] - value) <= 1e-6
+            # exact cross derivatives: only round-off is left
+            assert got["delta_residual"][r] <= 1e-11
         audited += bool(residual)
     assert audited > 0

@@ -89,6 +89,34 @@ def test_build_mesh_without_faces_exit_1(tmp_path, capsys):
     assert err == "error: mesh has no faces\n"
 
 
+# one quad on a line: every sample has a degenerate normal
+COLLINEAR_QUAD = "v 0 0 0\nv 1 0 0\nv 2 0 0\nv 3 0 0\nf 1 2 3 4\n"
+
+
+def test_build_warns_of_nan_channels(tmp_path, capsys):
+    path = tmp_path / "line.obj"
+    path.write_text(COLLINEAR_QUAD, encoding="utf-8")
+    code = main(["build", str(path), "--samples", "2"])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err == ("warning: 7 of 7 samples have a degenerate normal; "
+                   "their channels are NaN\n")
+    assert "nan" in (tmp_path / "line.ply").read_text()
+
+
+def test_compare_without_finite_curvature_writes_null(tmp_path, capsys):
+    path = tmp_path / "line.obj"
+    path.write_text(COLLINEAR_QUAD, encoding="utf-8")
+    code = main(["compare", str(path), "--samples", "2",
+                 "--out", str(tmp_path / "cmp")])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err.startswith("warning: 7 of 7 samples")
+    results = json.loads((tmp_path / "cmp.compare.json").read_text())
+    for label in ("augmented", "mean"):
+        assert results[label]["mean_curvature"] == {"min": None, "max": None}
+
+
 def test_build_bad_flag_exit_2(torus_obj):
     code = main(["build", str(torus_obj), "--param", "bogus"])
     assert code == 2

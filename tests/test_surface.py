@@ -60,6 +60,17 @@ def test_watertight_seams_torus_with_evs():
             assert e["normal_angle_deg"] < 0.1
 
 
+def test_regular_seam_residuals_on_a_height_field():
+    # second-order finite differences read up to 2.2e-5 on these seams
+    mesh = grid_with_rotated_edge(
+        8, 8, height=lambda x, y: 0.1 * np.sin(0.7 * x) * np.cos(0.5 * y))
+    surf = build_surface(mesh.build_connectivity(), BuildOptions())
+    residuals = [e["delta_residual"] for e in continuity_report(surf)["edges"]
+                 if e["delta_residual"]]
+    assert residuals
+    assert max(d["2"] for d in residuals) <= 1e-8
+
+
 def test_watertight_seams_g1_mode():
     mesh = torus_with_rotated_edge(10, 10).build_connectivity()
     surf = build_surface(mesh, BuildOptions(family="d3c1p2s4", mode="g1"))
@@ -84,15 +95,12 @@ def test_open_mesh_boundary_patches():
 
 def test_tessellate_counts_and_welding(torus):
     surf = build_surface(torus, BuildOptions())
-    tri = tessellate(surf, 4, weld=False)
-    assert len(tri.positions) == torus.num_faces * 25
-    assert len(tri.triangles) == torus.num_faces * 32
-    welded = tessellate(surf, 4, weld=True)
-    assert len(welded.positions) < len(tri.positions)
-    assert len(welded.triangles) == len(tri.triangles)
-    # doubling n roughly quadruples the triangle count
-    tri2 = tessellate(surf, 8, weld=False)
-    assert len(tri2.triangles) == 4 * len(tri.triangles)
+    for n in (1, 2, 4, 8):
+        tri = tessellate(surf, n)
+        # welding leaves the V mesh vertices, n - 1 samples per edge and
+        # (n - 1)^2 per face: V + E (n - 1) + F (n - 1)^2 = F n^2 on a torus
+        assert len(tri.positions) == torus.num_faces * n * n
+        assert len(tri.triangles) == torus.num_faces * 2 * n * n
 
 
 def test_tessellation_planar_mesh_stays_planar():
