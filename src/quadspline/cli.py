@@ -26,10 +26,18 @@ class UsageError(Exception):
     """Bad invocation detectable before any real work."""
 
 
+def positive_int(text):
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text} is below 1")
+    return value
+
+
 def _add_common_flags(p):
     p.add_argument("--family", default="d5c2p2s4",
                    choices=sorted(sp.FAMILIES))
-    p.add_argument("--samples", type=int, default=16,
+    p.add_argument("--samples", type=positive_int, default=16,
                    help="tessellation/sampling density per patch edge")
 
 

@@ -94,7 +94,8 @@ class Side:
 
 
 class BoundaryData:
-    """Four corners, sides gamma0..gamma3 and the corner intervals.
+    """Four corners and sides gamma0..gamma3; the corner intervals are the
+    sides' intervals.
 
     The frame matches the uv square: gamma0 runs p0 -> p1 along v=0 over
     [0, d0], gamma1 runs p1 -> p2 along u=1 over [0, e1], gamma2 runs
@@ -103,13 +104,12 @@ class BoundaryData:
     local directions; xi the second (G2 only).
     """
 
-    def __init__(self, corners, sides, d0, d1, e0, e1, k, face=None):
+    def __init__(self, corners, sides, k, face=None):
         self.corners = np.asarray(corners, dtype=float).reshape(4, 3)
         if len(sides) != 4:
             raise ValueError("need exactly four sides")
         self.sides = list(sides)
-        self.d0, self.d1, self.e0, self.e1 = (float(d0), float(d1),
-                                              float(e0), float(e1))
+        self.d0, self.e1, self.d1, self.e0 = (float(s.d) for s in self.sides)
         if min(self.d0, self.d1, self.e0, self.e1) <= 0.0:
             raise ValueError("corner intervals must be positive")
         if k not in (1, 2):
@@ -123,15 +123,14 @@ class BoundaryData:
 
     def _check_corners(self):
         scale = max(1.0, float(np.abs(self.corners).max()))
-        # side s runs over [0, length] from corner start to corner end
-        spans = ((self.d0, "d0", 0, 1), (self.e1, "e1", 1, 2),
-                 (self.d1, "d1", 3, 2), (self.e0, "e0", 0, 3))
-        for s, (length, name, start, end) in enumerate(spans):
-            ends = self.sides[s].field(0, np.array([0.0, length]))
-            for got, x, c in zip(ends, ("0", name), (start, end)):
+        # side s runs over [0, d] from corner start to corner end
+        for s, (start, end) in enumerate(((0, 1), (1, 2), (3, 2), (0, 3))):
+            d = self.sides[s].d
+            ends = self.sides[s].field(0, np.array([0.0, d]))
+            for got, x, c in zip(ends, (0.0, d), (start, end)):
                 if np.linalg.norm(got - self.corners[c]) > 1e-7 * scale:
                     raise ConstructionError(
-                        f"boundary data of face {self.face}: gamma{s}({x}) "
+                        f"boundary data of face {self.face}: gamma{s}({x:g}) "
                         "does not meet its corner")
 
 
@@ -171,14 +170,12 @@ class GregoryPatchSet:
         shape = (len(self.datas), 4, self.k + 1)
         self._flip = np.zeros(shape, bool)
         self._sign = np.ones(shape)
-        self._side_d = np.zeros(shape[:2])
         self._poly = np.full(shape, -1)
         # a side sampled from a grid patch: (index into grid_sets, slot, side)
         self._grid = np.full(shape[:2] + (3,), -1)
         self.grid_sets, polys = [], []
         for i, data in enumerate(self.datas):
             for s, side in enumerate(data.sides):
-                self._side_d[i, s] = side.d
                 self._flip[i, s] = side._flip[:self.k + 1]
                 self._sign[i, s] = side._sign[:self.k + 1]
                 fields = side.fields[:self.k + 1]
@@ -217,7 +214,7 @@ class GregoryPatchSet:
         (k + 1, m, 3).  Network fields are evaluated in one Horner pass,
         grid fields in one call per grid set."""
         flip = self._flip[slots, sides]
-        xs = np.where(flip, (self._side_d[slots, sides] - x)[:, None],
+        xs = np.where(flip, (self.lengths[slots, sides] - x)[:, None],
                       x[:, None])
         sign = self._sign[slots, sides]
         if r % 2:

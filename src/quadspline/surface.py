@@ -72,8 +72,6 @@ class _EdgeRecord:
     b: int
     d: float
     gamma: net.VecPoly
-    chi: dict = field(default_factory=dict)   # face -> VecPoly in face view
-    xi: dict = field(default_factory=dict)
 
 
 class CompositeSurface:
@@ -180,8 +178,7 @@ class _GregoryBuilder:
         self.family = surf.options.family
         self.vertex_data = {}
         # corner frames per vertex, shared by the faces around it
-        self.normals = {}
-        self.curvatures = {}
+        self.frames = {}
 
     # -- derivative sampling along section curves ---------------------------
     def _opposite_vertex(self, a, c):
@@ -281,8 +278,7 @@ class _GregoryBuilder:
                 for q, r in zip(qs[i], (ds[i] / 4.0, ds[i] / 2.0)):
                     samples.append(q)
                     xys.append((r * np.cos(etas[i]), r * np.sin(etas[i])))
-            degree = 3 if len(nbrs) >= 5 else 2
-            poly = net.fit_guide_polynomial(p0, samples, xys, degree)
+            poly = net.fit_guide_polynomial(p0, samples, xys)
             tangents, seconds = {}, {}
             for i, c in enumerate(nbrs):
                 t1, t2 = net.directional_derivs(poly, etas[i])
@@ -303,39 +299,27 @@ class _GregoryBuilder:
         return data.tangents[other], data.seconds[other]
 
     # -- per-vertex frame data ----------------------------------------------
-    def _regular_corner(self, v):
-        """(patch, ui, vi) of a regular patch having v as a face corner."""
-        for h in self.mesh.vertex_star(v):
-            f = self.mesh.he_face(h)
-            patch = self.surf.regular.get(f)
-            if patch is not None:
-                # v is the origin of h, corner c of f as in SIDE_OF_CORNER
-                c = (h - self.surf.anchors[f]) % 4
-                return (patch,) + ((0, 0), (1, 0), (1, 1), (0, 1))[c]
-        return None
-
-    def _corner_normal(self, v):
-        if v not in self.normals:
-            reg = self._regular_corner(v)
-            if reg is not None:
-                patch, ui, vi = reg
-                self.normals[v] = patch.corner_normal(ui, vi)
-            else:
-                self.normals[v] = self._vertex_data(v).normal
-        return self.normals[v]
-
-    def _corner_curvature(self, v):
-        if v not in self.curvatures:
-            reg = self._regular_corner(v)
-            if reg is not None:
-                patch, ui, vi = reg
-                self.curvatures[v] = patch.corner_curvature(ui, vi)
+    def _corner_frame(self, v):
+        """(unit normal, principal curvature data or None in G1) at vertex v,
+        read at v from a regular patch having v as a corner, else from the
+        vertex fit."""
+        if v not in self.frames:
+            g2 = self.options.mode == "g2"
+            for h in self.mesh.vertex_star(v):
+                f = self.mesh.he_face(h)
+                patch = self.surf.regular.get(f)
+                if patch is not None:
+                    # v is the origin of h, corner c of f as in SIDE_OF_CORNER
+                    uv = ((0, 0), (1, 0), (1, 1), (0, 1))[
+                        (h - self.surf.anchors[f]) % 4]
+                    self.frames[v] = (patch.corner_normal(*uv),
+                                      patch.corner_curvature(*uv) if g2
+                                      else None)
+                    break
             else:
                 data = self._vertex_data(v)
-                if data.curvature is None:
-                    raise ConstructionError(f"no curvature data at vertex {v}")
-                self.curvatures[v] = data.curvature
-        return self.curvatures[v]
+                self.frames[v] = data.normal, data.curvature
+        return self.frames[v]
 
     def _face_normal(self, f):
         quad = self.mesh.faces[f]
@@ -358,152 +342,100 @@ class _GregoryBuilder:
         else:
             m0, s0 = self._endpoint_derivs(a, b)
             mb, sb = self._endpoint_derivs(b, a)
-            if self.options.mode == "g1":
-                gamma = net.build_missing_boundary_curve(
-                    self.mesh.vertices[a], self.mesh.vertices[b], d,
-                    m0, -mb)
-            else:
-                gamma = net.build_missing_boundary_curve(
-                    self.mesh.vertices[a], self.mesh.vertices[b], d,
-                    m0, -mb, s0, sb)
+            # a quintic through the second derivatives in G2, else a cubic
+            seconds = (s0, sb) if self.options.mode == "g2" else ()
+            gamma = net.build_missing_boundary_curve(
+                self.mesh.vertices[a], self.mesh.vertices[b], d, m0, -mb,
+                *seconds)
         rec = _EdgeRecord(a=a, b=b, d=d, gamma=gamma)
         self.surf.edge_records[key] = rec
         return rec
 
     # -- face assembly -----------------------------------------------------------
-    def _side_plan(self, f):
-        """Half edges of f in gamma-role order with view orientation flags."""
-        mesh = self.mesh
-        anchor = mesh.canonical_halfedge(f)
-        hs = [anchor, mesh.he_next(anchor),
-              mesh.he_next(mesh.he_next(anchor)),
-              mesh.he_prev(anchor)]
-        # role order gamma0..gamma3 = bottom, right, top, left
-        plan = []
-        for role, h in ((0, hs[0]), (1, hs[1]), (2, hs[2]), (3, hs[3])):
-            forward = role in (0, 1)
-            if forward:
-                va, vb = mesh.origin(h), mesh.target(h)
-            else:
-                va, vb = mesh.target(h), mesh.origin(h)
-            plan.append({"role": role, "he": h, "va": va, "vb": vb,
-                         "forward": forward})
-        return anchor, plan
-
-    def _sampled_side(self, role, he):
-        """Side along half edge he read from the regular patch across it."""
+    def _sampled_side(self, c, he):
+        """Side c along half edge he read from the regular patch across it,
+        or None where no regular patch lies across he."""
         twin = self.mesh.twin(he)
-        g = self.mesh.he_face(twin)
-        patch = self.surf.regular[g]
-        c = (twin - self.surf.anchors[g]) % 4
-        side = SIDE_OF_CORNER[c]
-        # the side runs along he for roles 0, 1 and the neighbour's along the
-        # twin for c = 0, 1; chi points into this face for roles 0, 3 and the
-        # neighbour's cross derivative into the neighbour for c = 0, 3
+        g = None if twin is None else self.mesh.he_face(twin)
+        patch = self.surf.regular.get(g)
+        if patch is None:
+            return None
+        n = (twin - self.surf.anchors[g]) % 4
+        side = SIDE_OF_CORNER[n]
+        # side c runs along he for c = 0, 1 and the neighbour's along the
+        # twin for n = 0, 1; chi points into this face for c = 0, 3 and the
+        # neighbour's cross derivative into the neighbour for n = 0, 3
         return Side(patch.side_interval(side),
                     [patch.field(side, q)
                      for q in range(patch.patches.k + 1)],
-                    reverse=(0, 1, 2) if (role < 2) == (c < 2) else (),
-                    negate_cross=(role in (0, 3)) == (c in (0, 3)))
+                    reverse=(0, 1, 2) if (c < 2) == (n < 2) else (),
+                    negate_cross=(c in (0, 3)) == (n in (0, 3)))
+
+    def _network_side(self, f, he, va, vb, nbrs=None, at_end=False):
+        """Side of face f from va to vb along half edge he, generated from the
+        curve network: the edge record's curve and, given the neighbouring
+        sides nbrs, the cross fields built in this face's orientation with
+        corner targets read at the ends (at_end) or starts of nbrs."""
+        mesh, opts = self.mesh, self.options
+        rec = self._edge_record(va, vb)
+        d = rec.d
+        reverse = (0,) if rec.a != va else ()
+        fields = [rec.gamma]
+        if nbrs is None:   # the curve alone, a corner target of its neighbours
+            return Side(d, fields, reverse=reverse)
+        gamma = rec.gamma.reversed(d) if reverse else rec.gamma
+        nm = None
+        if opts.r_degree == 2:
+            twin = mesh.twin(he)
+            normals = [self._face_normal(f)]
+            if twin is not None:
+                normals.append(self._face_normal(mesh.he_face(twin)))
+            nm = np.mean(normals, axis=0)
+            norm = np.linalg.norm(nm)
+            nm = nm / norm if norm > 1e-12 else None
+        (n_a, k_a), (n_b, k_b) = map(self._corner_frame, (va, vb))
+        ruled = net.make_ruled_direction(gamma, d, n_a, n_b, opts.r_degree,
+                                         nm, curv0=k_a, curv1=k_b)
+
+        def targets(order):
+            return [s.field(0, s.d if at_end else 0.0, order) for s in nbrs]
+
+        chi, a_lin, b_lin = net.build_cross_field_chi(gamma, d, ruled,
+                                                      *targets(1))
+        fields.append(chi)
+        if opts.mode == "g2":
+            w0 = net.normal_curvature_vector(ruled.eval(0.0), *k_a)
+            w1 = net.normal_curvature_vector(ruled.eval(d), *k_b)
+            w_field = net.VecPoly(np.stack([w0, (w1 - w0) / d]))
+            fields.append(net.build_cross_field_xi(
+                gamma, d, a_lin, b_lin, ruled, w_field, *targets(2)))
+        return Side(d, fields, reverse=reverse)
 
     def build_face(self, f):
-        """BoundaryData of extraordinary face f."""
+        """BoundaryData of extraordinary face f.
+
+        Side c lies along half edge anchor + c and runs with it for c = 0, 1,
+        against it for c = 2, 3.  It is sampled from the regular patch across
+        its edge where there is one, and generated from the curve network
+        otherwise; a network side's corner targets are the sides (3, 1) for
+        even c and (0, 2) for odd c, read at their ends for c = 1, 2 and at
+        their starts for c = 0, 3.
+        """
         mesh = self.mesh
-        anchor, plan = self._side_plan(f)
-        self.surf.anchors[f] = anchor
-        corners = mesh.vertices[[mesh.origin(h) for h in
-                                 (anchor, mesh.he_next(anchor),
-                                  mesh.he_next(mesh.he_next(anchor)),
-                                  mesh.he_prev(anchor))]]
-
-        sides = [None] * 4
-        for info in plan:
-            twin = mesh.twin(info["he"])
-            if twin is not None and mesh.he_face(twin) in self.surf.regular:
-                info["kind"] = "sampled"
-                sides[info["role"]] = self._sampled_side(info["role"],
-                                                         info["he"])
-            else:
-                info["kind"] = "network"
-                rec = self._edge_record(info["va"], info["vb"])
-                info["record"] = rec
-                info["reverse"] = (0,) if rec.a != info["va"] else ()
-                # the curve alone, for the corner targets below
-                sides[info["role"]] = Side(rec.d, [rec.gamma],
-                                           reverse=info["reverse"])
-
-        # cross fields for the network sides, targets taken from the
-        # neighboring sides' curve derivatives at the shared corners
-        d0 = self.params.get(plan[0]["va"], plan[0]["vb"])
-        e1 = self.params.get(plan[1]["va"], plan[1]["vb"])
-        d1 = self.params.get(plan[2]["va"], plan[2]["vb"])
-        e0 = self.params.get(plan[3]["va"], plan[3]["vb"])
-
-        def corner_targets(role, order):
-            g0, g1, g2, g3 = sides
-            if role == 0:
-                return g3.field(0, 0.0, order), g1.field(0, 0.0, order)
-            if role == 1:
-                return g0.field(0, d0, order), g2.field(0, d1, order)
-            if role == 2:
-                return g3.field(0, e0, order), g1.field(0, e1, order)
-            return g0.field(0, 0.0, order), g2.field(0, 0.0, order)
-
-        for info in plan:
-            if info["kind"] != "network":
-                continue
-            role = info["role"]
-            rec = info["record"]
-            if f in rec.chi and (self.options.mode == "g1" or f in rec.xi):
-                continue
-            d = rec.d
-            gamma_view = rec.gamma.reversed(d) if info["reverse"] \
-                else rec.gamma
-            nm = None
-            if self.options.r_degree == 2:
-                twin = mesh.twin(info["he"])
-                normals = [self._face_normal(f)]
-                if twin is not None:
-                    normals.append(self._face_normal(mesh.he_face(twin)))
-                nm = np.mean(normals, axis=0)
-                norm = np.linalg.norm(nm)
-                nm = nm / norm if norm > 1e-12 else None
-            if self.options.mode == "g2":
-                ka = self._corner_curvature(info["va"])
-                kb = self._corner_curvature(info["vb"])
-                n_a, n_b = ka[4], kb[4]
-                ruled = net.make_ruled_direction(
-                    gamma_view, d, n_a, n_b, self.options.r_degree, nm,
-                    curv0=ka, curv1=kb)
-            else:
-                n_a = self._corner_normal(info["va"])
-                n_b = self._corner_normal(info["vb"])
-                ruled = net.make_ruled_direction(gamma_view, d, n_a, n_b,
-                                                 self.options.r_degree, nm)
-            t0, t1 = corner_targets(role, 1)
-            chi, a_lin, b_lin = net.build_cross_field_chi(
-                gamma_view, d, ruled, t0, t1)
-            rec.chi[f] = chi
-            if self.options.mode == "g2":
-                w0 = net.normal_curvature_vector(ruled.eval(0.0), *ka)
-                w1 = net.normal_curvature_vector(ruled.eval(d), *kb)
-                w_field = net.VecPoly(
-                    np.stack([w0, (w1 - w0) / d]))
-                s0, s1 = corner_targets(role, 2)
-                rec.xi[f] = net.build_cross_field_xi(
-                    gamma_view, d, a_lin, b_lin, ruled, w_field, s0, s1)
-
-        # cross fields were built in this face's orientation already
-        for info in plan:
-            if info["kind"] == "network":
-                rec = info["record"]
-                fields = [rec.gamma, rec.chi[f], rec.xi.get(f)]
-                sides[info["role"]] = Side(
-                    rec.d, [p for p in fields if p is not None],
-                    reverse=info["reverse"])
-
-        return BoundaryData(corners, sides, d0, d1, e0, e1,
-                            k=self.options.k, face=f)
+        anchor = self.surf.anchors[f] = mesh.canonical_halfedge(f)
+        hes = [anchor & ~3 | (anchor + c) & 3 for c in range(4)]
+        p = [mesh.origin(h) for h in hes]
+        ends = [(p[0], p[1]), (p[1], p[2]), (p[3], p[2]), (p[0], p[3])]
+        sampled = [self._sampled_side(c, h) for c, h in enumerate(hes)]
+        curves = [side or self._network_side(f, h, *ends[c])
+                  for c, (h, side) in enumerate(zip(hes, sampled))]
+        sides = []
+        for c, (h, side) in enumerate(zip(hes, sampled)):
+            if side is None:
+                nbrs = [curves[n] for n in ((3, 1), (0, 2))[c % 2]]
+                side = self._network_side(f, h, *ends[c], nbrs, c in (1, 2))
+            sides.append(side)
+        return BoundaryData(mesh.vertices[p], sides, k=self.options.k, face=f)
 
 
 # -- tessellation -----------------------------------------------------------------

@@ -184,6 +184,24 @@ def test_build_bad_config_value_is_a_usage_error(tmp_path, capsys, cfg,
     assert next(iter(cfg)) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--samples", "0"], ["compare", "--samples", "0"],
+    ["curve", "--samples", "0"], ["build", "--samples", "-2"],
+    ["build", "--config", "CFG"]],
+    ids=["build", "compare", "curve", "negative", "config"])
+def test_samples_below_one_is_a_usage_error(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 0}))
+    argv = [str(cfg) if a == "CFG" else a for a in argv]
+    # the input does not exist: exit 2 rather than 1 shows that the value
+    # was refused before any input was read
+    code = main([argv[0], str(tmp_path / "missing.obj"), *argv[1:]])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert code == 2
+    assert len(errors) == 1 and "samples" in errors[0]
+
+
 @pytest.mark.parametrize("content", ["5", "[1, 2]", "null"])
 def test_build_non_object_config_exit_2(tmp_path, capsys, torus_obj,
                                         content):

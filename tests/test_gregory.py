@@ -85,7 +85,7 @@ def random_boundary_data(rng, k, bottom=None, const_intervals=False):
     sides = [poly_side(d, g, c, x) for d, g, c, x in
              zip((d0, e1, d1, e0), (gamma0, gamma1, gamma2, gamma3),
                  (chi0, chi1, chi2, chi3), xis)]
-    return BoundaryData(corners, sides, d0, d1, e0, e1, k=k)
+    return BoundaryData(corners, sides, k=k)
 
 
 def test_hermite_basis_printed_values():
@@ -205,7 +205,7 @@ def test_bilinear_reproduction():
     chi1 = chi3
     sides = [poly_side(d, gamma0, chi0), poly_side(e, gamma1, chi1),
              poly_side(d, gamma2, chi2), poly_side(e, gamma3, chi3)]
-    data = BoundaryData(corners, sides, d, d, e, e, k=1)
+    data = BoundaryData(corners, sides, k=1)
     patch = GregoryPatch(data)
     for u, v in rng.uniform(0, 1, (20, 2)):
         assert np.linalg.norm(patch.eval(u, v) - bilinear(u, v)) < 1e-10
@@ -254,8 +254,7 @@ def test_affine_equivariance(k):
         return poly_side(side.d, *mapped)
 
     mapped = BoundaryData(data.corners @ A.T + t,
-                          [map_side(s) for s in data.sides],
-                          data.d0, data.d1, data.e0, data.e1, k=k)
+                          [map_side(s) for s in data.sides], k=k)
     pa = GregoryPatch(data)
     pb = GregoryPatch(mapped)
     for u, v in np.random.default_rng(47).uniform(0, 1, (10, 2)):
@@ -311,8 +310,7 @@ def test_missing_xi_rejected():
     data = random_boundary_data(rng, 1)
     # order-1 sides carry no xi field: they cannot make order-2 data
     with pytest.raises(ValueError, match="orders 0..2"):
-        BoundaryData(data.corners, data.sides, data.d0, data.d1,
-                     data.e0, data.e1, k=2)
+        BoundaryData(data.corners, data.sides, k=2)
 
 
 def test_corner_mismatch_rejected():
@@ -322,5 +320,4 @@ def test_corner_mismatch_rejected():
     bad[0] += 0.5
     data.sides[0].fields[0] = VecPoly(bad)
     with pytest.raises(ConstructionError):
-        BoundaryData(data.corners, data.sides, data.d0, data.d1,
-                     data.e0, data.e1, k=1)
+        BoundaryData(data.corners, data.sides, k=1)
