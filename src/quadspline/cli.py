@@ -234,6 +234,9 @@ def write_curve_svg(rows, points, path, comb_scale=0.25):
 
 
 def cmd_curve(args):
+    if args.samples < 3:
+        raise UsageError(f"curve needs --samples of at least 3, got "
+                         f"{args.samples}")
     pts = load_points_file(args.input)
     fam = sp.family(args.family)
     need = fam.support if args.closed else fam.support + 1
@@ -243,7 +246,7 @@ def cmd_curve(args):
     alpha = alphas[args.param] if args.alpha is None else args.alpha
     curve = sp.PolylineCurve.from_points(pts, fam, alpha=alpha,
                                          closed=args.closed)
-    rows = curvature_profile(curve, max(args.samples, 3))
+    rows = curvature_profile(curve, args.samples)
     stem = args.out or str(Path(args.input).with_suffix(""))
     write_curve_csv(rows, f"{stem}.csv")
     write_curve_svg(rows, pts, f"{stem}.svg")

@@ -1,6 +1,6 @@
 """Transfinite patches interpolating four boundary curves and cross fields.
 
-The patch is assembled as S(u,v) = -H(u)^T M(u,v) H(v) with the cubic (G1) or
+The patch is defined as S(u,v) = -H(u)^T M(u,v) H(v) with the cubic (G1) or
 quintic (G2) Hermite blending vector H carrying a leading -1.  The matrix M
 holds boundary/corner data with scalings that map the per-edge local
 variables to the uv domain: curve derivatives scale by the constant edge
@@ -16,11 +16,14 @@ curve, the first cross-derivative field chi and, for G2, the second xi).  A
 field is data: a network curve `VecPoly`, or a `GridField` naming a side of
 an adjacent grid patch; the Side alone maps a field stored in another
 orientation into the patch's.  All Coons-Gregory patches of a surface live in
-one GregoryPatchSet, which stacks the entries of M that depend on neither u
-nor v (corners and curve endpoint derivatives, filled once) and the twist
-data, and evaluates arrays of (slot, u, v) in chunks of EVAL_CHUNK; network
-fields of all orders are evaluated in one Horner pass and grid fields in one
-GridPatchSet call.  A GregoryPatch is a view of one slot.
+one GregoryPatchSet, which evaluates arrays of (slot, u, v) in chunks of
+EVAL_CHUNK without forming M: row 0 and column 0 of M (the side fields,
+evaluated once per distinct side point; network fields of all orders in one
+Horner pass, grid fields in one GridPatchSet call) contract against H(v) and
+H(u), and the rest against per-slot tables of the entries that depend on
+neither u nor v and of the pre-scaled twist estimates, which every twist
+entry blends with the one ratio of its corner.  A GregoryPatch is a view of
+one slot.
 """
 
 import numpy as np
@@ -134,23 +137,28 @@ class BoundaryData:
                         "does not meet its corner")
 
 
-def _greg(wa, A, wb, B):
-    """(wa A + wb B) / (wa + wb) per element, and the mean of A and B where
-    both weights vanish."""
-    den = wa + wb
-    corner = den < CORNER_EPS
-    return np.where(corner, 0.5 * (A + B),
-                    (wa * A + wb * B) / np.where(corner, 1.0, den))
+def _distinct(keys, t):
+    """Indices of the first of each distinct (keys[i], t[i]) pair, and the
+    index of every pair among those firsts."""
+    order = np.lexsort((t, keys))
+    keys, t = keys[order], t[order]
+    first = np.ones(len(order), bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (t[1:] != t[:-1])
+    inverse = np.empty(len(order), int)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
 
 
 class GregoryPatchSet:
     """Every Coons-Gregory patch of a surface as stacked arrays.
 
-    Slot i is the patch over datas[i].  M0 holds each patch's constant
-    entries of M; A, B and scale its twist blocks, one per (i, j) in
-    `blocks`; lengths its side intervals (d0, e1, d1, e0).  The fields of
-    side s, order q of slot i are indexed by [i, s, q]: a row of the padded
-    network coefficient table, or a (grid set, slot, side) reference.
+    Slot i is the patch over datas[i].  inner[i] holds the entries of M
+    that depend on neither u nor v, M without its row and column 0, with
+    the second, pre-scaled estimate B of each twist entry; twist[i] the
+    first estimate minus the second, A - B; lengths[i] the side intervals
+    (d0, e1, d1, e0).  The fields of side s, order q of slot i are indexed
+    by [i, s, q]: a row of the padded network coefficient table, or a (grid
+    set, slot, side) reference.
     """
 
     def __init__(self, datas):
@@ -236,8 +244,8 @@ class GregoryPatchSet:
         return out.transpose(1, 0, 2)
 
     def _stack_constants(self):
-        """M0, and the twist blocks, from the endpoint derivatives of every
-        side field: corners and curve endpoint derivatives are constant."""
+        """inner and twist from the endpoint derivatives of every side
+        field: corners and curve endpoint derivatives are constant."""
         k, count = self.k, len(self.datas)
         slots = np.repeat(np.arange(count), 8)
         sides = np.tile(np.repeat(np.arange(4), 2), count)
@@ -251,71 +259,49 @@ class GregoryPatchSet:
                 ends[q, r] = fields[q].reshape(count, 4, 2, 3)
         d0, e1, d1, e0 = self.lengths.T
         # powers of the intervals: dp[r] = (d0^r, d1^r), ep[r] = (e0^r, e1^r)
-        dp = {1: (d0, d1), 2: (d0 ** 2, d1 ** 2)}
-        ep = {1: (e0, e1), 2: (e0 ** 2, e1 ** 2)}
+        dp = {r: np.stack([d0 ** r, d1 ** r], -1) for r in (1, 2)}
+        ep = {r: np.stack([e0 ** r, e1 ** r], -1) for r in (1, 2)}
 
-        M = self.M0 = np.zeros((count, 2 * k + 3, 2 * k + 3, 3))
+        # M without its row and column 0: inner[i, :, a, b] is M[1 + a, 1 + b]
+        # of slot i; the tables put the coordinate axis second
+        inner = np.zeros((count, 2 * k + 2, 2 * k + 2, 3))
         corners = np.array([d.corners for d in self.datas]).reshape(-1, 4, 3)
-        M[:, 1, 1], M[:, 1, 2], M[:, 2, 1], M[:, 2, 2] = \
-            corners.transpose(1, 0, 2)[[0, 3, 1, 2]]
+        inner[:, :2, :2] = corners[:, [[0, 3], [1, 2]]]
         for r in range(1, k + 1):
             dg = ends[0, r]
-            for i in (0, 1):
-                for e in (0, 1):
-                    M[:, 1 + i, 1 + 2 * r + e] = \
-                        ep[r][i][:, None] * dg[:, (3, 1)[i], e]
-                    M[:, 1 + 2 * r + e, 1 + i] = \
-                        dp[r][i][:, None] * dg[:, (0, 2)[i], e]
-        # twist block (i, j) covers rows 1+2i.., columns 1+2j..: its entry
-        # (a, b) blends the order-i data of side (3, 1)[a] at end b against
-        # the order-j data of side (0, 2)[b] at end a
-        self.blocks = [(i, j) for i in range(1, k + 1)
-                       for j in range(1, k + 1)]
-        self.A = np.stack([ends[i, j][:, [3, 1]] for i, j in self.blocks], 1)
-        self.B = np.stack([ends[j, i][:, [0, 2]].transpose(0, 2, 1, 3)
-                           for i, j in self.blocks], 1)
-        self.scale = np.stack(
-            [np.stack([np.stack([dp[i][b] * ep[j][a] for b in (0, 1)], -1)
-                       for a in (0, 1)], -2) for i, j in self.blocks],
-            1)[..., None]
+            inner[:, :2, 2 * r:2 * r + 2] = ep[r][:, :, None, None] \
+                * dg[:, [3, 1]]
+            inner[:, 2 * r:2 * r + 2, :2] = dp[r][:, None, :, None] \
+                * dg[:, [0, 2]].transpose(0, 2, 1, 3)
+        # the twist entries, inner[..., 2:, 2:], blend two estimates: in
+        # block (i, j), entry (a, b) takes A, the order-i data of side
+        # (3, 1)[a] at end b, against B, the order-j data of side (0, 2)[b]
+        # at end a, both scaled by ep[j][a] dp[i][b]; inner keeps B, twist
+        # A - B
+        twist = np.empty((count, 2 * k, 2 * k, 3))
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                scale = (ep[j][:, :, None] * dp[i][:, None, :])[..., None]
+                inner[:, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = \
+                    scale * ends[j, i][:, [0, 2]].transpose(0, 2, 1, 3)
+                twist[:, 2 * i - 2:2 * i, 2 * j - 2:2 * j] = \
+                    scale * ends[i, j][:, [3, 1]]
+        twist -= inner[:, 2:, 2:]
+        self.inner, self.twist = (np.moveaxis(t, 3, 1).copy()
+                                  for t in (inner, twist))
 
     # -- evaluation -----------------------------------------------------------
-    def _twist(self, M, wu, wv, i, j, A, B, scale):
-        """Gregory blends of one twist block, weights wu[a]/wv[b] at its
-        corner (a, b); the weights are scalars or arrays over the points."""
-        wa = np.moveaxis(np.asarray(wu, float), 0, -1)[..., :, None, None]
-        wb = np.moveaxis(np.asarray(wv, float), 0, -1)[..., None, :, None]
-        M[:, 1 + 2 * i:3 + 2 * i, 1 + 2 * j:3 + 2 * j] = \
-            scale * _greg(wa, A, wb, B)
-
-    def _matrix(self, slots, u, v):
-        """M at the points (slots[i], u[i], v[i]): (N, 2k+3, 2k+3, 3)."""
-        k, count = self.k, len(slots)
-        lengths = self.lengths[slots]
-        # sides 0 and 2 run along u, sides 1 and 3 along v
-        x = (np.stack([u, v, u, v], 1) * lengths).ravel()
-        f = self._fields(np.repeat(slots, 4), np.tile(np.arange(4), count),
-                         x).reshape(k + 1, count, 4, 3)
-        M = self.M0[slots]
-        M[:, 0, 1], M[:, 0, 2] = f[0][:, 0], f[0][:, 2]
-        M[:, 1, 0], M[:, 2, 0] = f[0][:, 3], f[0][:, 1]
-        d0, e1, d1, e0 = lengths.T
-        eps = (e0 + (e1 - e0) * _blend(self.k, u))[:, None]
-        dlt = (d0 + (d1 - d0) * _blend(self.k, v))[:, None]
-        # cross fields scale by the blend functions' powers
-        for q, su, sv in ((1, eps, dlt), (2, eps * eps, dlt * dlt))[:k]:
-            c = 1 + 2 * q
-            M[:, 0, c], M[:, 0, c + 1] = su * f[q][:, 0], su * f[q][:, 2]
-            M[:, c, 0], M[:, c + 1, 0] = sv * f[q][:, 3], sv * f[q][:, 1]
-        del f   # in M now; freed before the twist blends, the peak of a chunk
-        if k == 2:
-            wu, wv = (u * u, (1.0 - u) ** 2), (v * v, (1.0 - v) ** 2)
-        else:
-            wu, wv = (u, 1.0 - u), (v, 1.0 - v)
-        for b, (i, j) in enumerate(self.blocks):
-            self._twist(M, wu, wv, i, j, self.A[slots, b], self.B[slots, b],
-                        self.scale[slots, b])
-        return M
+    def _ratio(self, u, v):
+        """wa / (wa + wb) at every twist entry of the points, shape (n, 2k,
+        2k): entry (2i + a, 2j + b) sits at corner (a, b), with the weights
+        wa = (u, 1 - u)[a]^k and wb = (v, 1 - v)[b]^k, linear for G1 and
+        quadratic for G2; 0.5 where both weights vanish."""
+        k = self.k
+        w = np.stack([u, 1.0 - u] * k + [v, 1.0 - v] * k, 1) ** k
+        wa, wb = w[:, :2 * k, None], w[:, None, 2 * k:]
+        den = wa + wb
+        return np.divide(wa, den, out=np.full(den.shape, 0.5),
+                         where=den >= CORNER_EPS)
 
     def eval(self, slots, u, v):
         """S(u[i], v[i]) of patch slots[i] for 1-D arrays; shape (n, 3)."""
@@ -323,10 +309,42 @@ class GregoryPatchSet:
                        np.asarray(v, float))
 
     def _eval(self, slots, u, v):
-        hu = hermite_basis(2 * self.k + 1, u)
-        hv = hermite_basis(2 * self.k + 1, v)
-        return -np.einsum("jn,njk->nk", hv, np.einsum(
-            "in,nijk->njk", hu, self._matrix(slots, u, v)))
+        k = self.k
+        # sides 0 and 2 run along u, sides 1 and 3 along v: their fields are
+        # evaluated once per distinct (slot, u) and (slot, v), keyed by
+        # 4 slot + side for sides 0 and 1
+        keys = np.concatenate([4 * slots, 4 * slots + 1])
+        t = np.concatenate([u, v])
+        first, inverse = _distinct(keys, t)
+        fslots, fsides = np.divmod(
+            np.concatenate([keys[first], keys[first] + 2]), 4)
+        f = self._fields(fslots, fsides, np.concatenate([t[first]] * 2)
+                         * self.lengths[fslots, fsides])
+        inverse = inverse.reshape(2, -1)
+        f = f.transpose(1, 0, 2)[
+            np.concatenate([inverse, inverse + len(first)]).T]
+        # point-major weights: every contraction below then sums each point's
+        # terms in one order, whatever the batch
+        uv = np.stack([u, v])
+        hu, hv = np.ascontiguousarray(
+            hermite_basis(2 * k + 1, uv).transpose(1, 2, 0))
+        # cross fields scale by powers of the blend functions, eps along
+        # sides 0 and 2 from e0 to e1, dlt along sides 3 and 1 from d0 to d1
+        lo, hi = self.lengths[slots][:, [[3, 0], [1, 2]]].transpose(1, 2, 0)
+        eps, dlt = (lo + (hi - lo) * _blend(k, uv))[..., None] \
+            ** np.arange(k + 1)
+        # with H_0 = -1 and M_00 = 0, row 0 (sides 0 and 2) contracts
+        # against H(v) and column 0 (sides 3 and 1) against H(u)
+        w = np.stack([eps * hv[:, 1::2], dlt * hu[:, 2::2],
+                      eps * hv[:, 2::2], dlt * hu[:, 1::2]], 1)
+        out = np.einsum("nsq,nsqk->nk", w, f)
+        # the rest of M: its constant entries, and the twist entries blended
+        # by one ratio per corner
+        inner = hu[:, 1:, None] * hv[:, None, 1:]
+        out -= np.einsum("nab,nkab->nk", inner, self.inner[slots])
+        out -= np.einsum("nab,nkab->nk", inner[:, 2:, 2:]
+                         * self._ratio(u, v), self.twist[slots])
+        return out
 
 
 class GregoryPatch(PatchView):

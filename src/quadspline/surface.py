@@ -684,8 +684,10 @@ def _measure_seams(surface, hes, audit, ts, k):
         # orient both derivatives the same way: odd orders flip
         d2v = cross[r][:, 1] if r % 2 == 0 else -cross[r][:, 1]
         num = np.linalg.norm(d1v - (ratio ** r)[..., None] * d2v, axis=-1)
-        den = np.maximum(np.linalg.norm(d1v, axis=-1), 1e-12)
-        residual[r] = _fmax(num / den, 1)
+        # relative to the seam's largest derivative, so that round-off
+        # where the derivative nearly vanishes stays round-off
+        den = np.maximum(_fmax(np.linalg.norm(d1v, axis=-1), 1), 1e-12)
+        residual[r] = _fmax(num, 1) / den
     return gap, angle, residual
 
 

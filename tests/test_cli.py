@@ -202,6 +202,19 @@ def test_samples_below_one_is_a_usage_error(tmp_path, capsys, argv):
     assert len(errors) == 1 and "samples" in errors[0]
 
 
+@pytest.mark.parametrize("samples", ["1", "2"])
+def test_curve_samples_below_three_is_a_usage_error(tmp_path, capsys,
+                                                    samples):
+    # the input does not exist: exit 2 rather than 1 shows that the value
+    # was refused before the points file was read
+    code = main(["curve", str(tmp_path / "missing.txt"), "--samples",
+                 samples])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert code == 2
+    assert len(errors) == 1 and "samples" in errors[0]
+
+
 @pytest.mark.parametrize("content", ["5", "[1, 2]", "null"])
 def test_build_non_object_config_exit_2(tmp_path, capsys, torus_obj,
                                         content):

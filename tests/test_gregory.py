@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import grid_with_rotated_edge, sphere_mesh
 from quadspline.errors import ConstructionError
 from quadspline.gregory import (BoundaryData, GregoryPatch, GregoryPatchSet,
                                 Side, hermite_basis)
 from quadspline.network import (VecPoly, hermite_curve3, hermite_curve5)
-from quadspline.patch import _blend
+from quadspline.patch import EVAL_CHUNK, _blend
+from quadspline.surface import BuildOptions, build_surface
 
 
 def poly_side(d, *polys):
@@ -215,14 +217,20 @@ def test_compatible_twists_make_blend_irrelevant():
     rng = np.random.default_rng(45)
     data = random_boundary_data(rng, 1)
 
-    # the twist weights of the corner (u, v) = (1, 0) resp. (0, 1)
+    # the twist ratios of the corner (u, v) = (1, 0) resp. (0, 1)
     class LeftOnly(GregoryPatchSet):
-        def _twist(self, M, wu, wv, *block):
-            super()._twist(M, (1.0, 0.0), (0.0, 1.0), *block)
+        def _ratio(self, u, v):
+            return super()._ratio(np.ones_like(u), np.zeros_like(v))
 
     class RightOnly(GregoryPatchSet):
-        def _twist(self, M, wu, wv, *block):
-            super()._twist(M, (0.0, 1.0), (1.0, 0.0), *block)
+        def _ratio(self, u, v):
+            return super()._ratio(np.zeros_like(u), np.ones_like(v))
+
+    # the hook is live: on incompatible twist data the two ratios disagree
+    uv = rng.uniform(0.05, 0.95, (10, 2))
+    left = GregoryPatch.view(LeftOnly([data]), 0)
+    right = GregoryPatch.view(RightOnly([data]), 0)
+    assert np.abs(left.eval(*uv.T) - right.eval(*uv.T)).max() > 1e-3
 
     # force compatible twist data: all chi derivatives at a corner equal
     twist = rng.normal(size=3)
@@ -235,7 +243,7 @@ def test_compatible_twists_make_blend_irrelevant():
     blended = GregoryPatch(data)
     left = GregoryPatch.view(LeftOnly([data]), 0)
     right = GregoryPatch.view(RightOnly([data]), 0)
-    for u, v in rng.uniform(0.05, 0.95, (10, 2)):
+    for u, v in uv:
         a = blended.eval(u, v)
         assert np.linalg.norm(left.eval(u, v) - a) < 1e-11
         assert np.linalg.norm(right.eval(u, v) - a) < 1e-11
@@ -321,3 +329,82 @@ def test_corner_mismatch_rejected():
     data.sides[0].fields[0] = VecPoly(bad)
     with pytest.raises(ConstructionError):
         BoundaryData(data.corners, data.sides, k=1)
+
+
+def oracle_eval(data, u, v):
+    """-H(u)^T M H(v) point by point, with M assembled entry by entry from
+    the boundary data through Side.field as the gregory module defines it."""
+    k, g, p = data.k, data.sides, data.corners
+    d, e = (data.d0, data.d1), (data.e0, data.e1)
+    rows, cols = (g[3], g[1]), (g[0], g[2])   # sides along u = 0, 1 / v = 0, 1
+    out = []
+    for s, t in zip(u, v):
+        M = np.zeros((2 * k + 3, 2 * k + 3, 3))
+        eps = e[0] + (e[1] - e[0]) * _blend(k, s)
+        dlt = d[0] + (d[1] - d[0]) * _blend(k, t)
+        M[1:3, 1:3] = [[p[0], p[3]], [p[1], p[2]]]
+        for i in (0, 1):
+            for q in range(k + 1):
+                M[0, 1 + 2 * q + i] = eps ** q * cols[i].field(q, s * d[i])
+                M[1 + 2 * q + i, 0] = dlt ** q * rows[i].field(q, t * e[i])
+        for r in range(1, k + 1):
+            for i in (0, 1):
+                for end in (0, 1):
+                    M[1 + i, 1 + 2 * r + end] = \
+                        e[i] ** r * rows[i].field(0, end * e[i], r)
+                    M[1 + 2 * r + end, 1 + i] = \
+                        d[i] ** r * cols[i].field(0, end * d[i], r)
+        wu, wv = (s ** k, (1 - s) ** k), (t ** k, (1 - t) ** k)
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                for a in (0, 1):
+                    for b in (0, 1):
+                        scale = d[b] ** i * e[a] ** j
+                        A = scale * rows[a].field(i, b * e[a], j)
+                        B = scale * cols[b].field(j, a * d[b], i)
+                        den = wu[a] + wv[b]
+                        M[1 + 2 * i + a, 1 + 2 * j + b] = (
+                            0.5 * (A + B) if den < 1e-12
+                            else (wu[a] * A + wv[b] * B) / den)
+        hu = hermite_basis(2 * k + 1, s)
+        hv = hermite_basis(2 * k + 1, t)
+        out.append(-np.einsum("i,ijk,j->k", hu, M, hv))
+    return np.array(out)
+
+
+def oracle_points(rng, count):
+    """Slots and (u, v) over `count` patches: random points, the four domain
+    edges, the corners, and repeated u and v values; longer than one
+    evaluation chunk."""
+    n = EVAL_CHUNK + 100
+    u, v = rng.uniform(0, 1, (2, n))
+    u[:40], v[40:80] = 0.0, 1.0                       # the four edges
+    u[80:120], v[120:160] = 1.0, 0.0
+    u[160:200], v[160:200] = np.repeat([[0, 1, 1, 0], [0, 0, 1, 1]], 10, 1)
+    u[200:400] = rng.choice(rng.uniform(0, 1, 5), 200)   # repeated u
+    v[300:500] = rng.choice(rng.uniform(0, 1, 5), 200)   # repeated v
+    return rng.integers(0, count, n), u, v
+
+
+ORACLE_CASES = {
+    f"random_k{k}": (lambda k=k: [
+        random_boundary_data(np.random.default_rng(52 + k), k)
+        for _ in range(3)]) for k in (1, 2)}
+ORACLE_CASES.update({
+    name: (lambda make=make, options=options: build_surface(
+        make().build_connectivity(), options).gregory_patches.datas)
+    for name, make, options in (
+        ("sphere_g2", lambda: sphere_mesh(2), BuildOptions()),
+        ("rotated_edge_g1", lambda: grid_with_rotated_edge(7, 7),
+         BuildOptions(family="d3c1p2s4", mode="g1")))})
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_patch_set_matches_the_assembled_matrix(case):
+    datas = ORACLE_CASES[case]()
+    slots, u, v = oracle_points(np.random.default_rng(53), len(datas))
+    got = GregoryPatchSet(datas).eval(slots, u, v)
+    want = np.concatenate([
+        oracle_eval(datas[s], u[i:i + 1], v[i:i + 1])
+        for i, s in enumerate(slots)])
+    assert np.abs(got - want).max() <= 1e-12

@@ -133,10 +133,11 @@ def test_classification_hands_back_the_window_grids(monkeypatch):
 
 
 # tracemalloc peaks of analysis_fields and continuity_report on
-# sphere_mesh(2) at n = 4, numpy 2.4: 1.27 and 1.74 MB in chunks of
-# EVAL_CHUNK = 512 points (the transients of one Gregory chunk dominate);
-# 12.7 and 31.7 MB with each whole-surface table evaluated in one piece.
-PEAK_BOUND_MB = 2.5
+# sphere_mesh(2) at n = 4, numpy 2.4: 1.13 and 1.36 MB (1.40 MB for both in
+# one trace) in chunks of EVAL_CHUNK = 512 points, where the side fields of
+# one Gregory chunk dominate; 10.1 and 18.8 MB with each whole-surface
+# table evaluated in one piece.
+PEAK_BOUND_MB = 2.0
 
 
 def test_whole_surface_audits_stay_in_bounded_memory():

@@ -61,14 +61,16 @@ def test_watertight_seams_torus_with_evs():
 
 
 def test_regular_seam_residuals_on_a_height_field():
-    # second-order finite differences read up to 2.2e-5 on these seams
+    # second-order finite differences read up to 2.2e-5 on these seams; the
+    # exact derivatives leave round-off, 1.7e-10 of the seam's largest |d1|
+    # where that stays near 1.7e-3 (4.7e-10 of the local |d1|)
     mesh = grid_with_rotated_edge(
         8, 8, height=lambda x, y: 0.1 * np.sin(0.7 * x) * np.cos(0.5 * y))
     surf = build_surface(mesh.build_connectivity(), BuildOptions())
     residuals = [e["delta_residual"] for e in continuity_report(surf)["edges"]
                  if e["delta_residual"]]
     assert residuals
-    assert max(d["2"] for d in residuals) <= 1e-8
+    assert max(d["2"] for d in residuals) <= 3e-10
 
 
 def test_watertight_seams_g1_mode():
