@@ -626,25 +626,31 @@ def _fmax(values, axis):
     return np.fmax.reduce(values, axis=axis, initial=0.0)
 
 
-def _seam_table(surface, hes, audit, ts, k):
-    """Evaluate, in one surface.eval call, the samples of both sides of the
-    seams hes (E, 2): side 0 at the fractions ts along hes[:, 0], side 1 at
-    1 - ts along hes[:, 1].  Returns the positions (E, 2, S, 3), the unit
-    normals and their degenerate mask, and for the audited seams the exact
-    inward cross derivatives {r: (A, 2, S - 2, 3)} from the side fields and
-    the blend values (A, 2, S - 2) at the interior samples."""
-    faces = surface.mesh.he_face(hes)[..., None]
-    u, v = surface._edge_uv(faces, hes[..., None], np.stack([ts, 1.0 - ts]))
-    f = np.broadcast_to(faces, u.shape)
-    (ou, wu), _ = _stencils(u, FD_STEP)
-    (ov, wv), _ = _stencils(v, FD_STEP)
+def _seam_table(surface, hes, ts, k):
+    """Evaluate the samples of both sides of the seams hes (E, 2): side 0 at
+    the fractions ts along hes[:, 0], side 1 at 1 - ts along hes[:, 1].
+    Positions come from one surface.eval call.  Tangent frames come from the
+    exact side fields on grid sides (the boundary curve's x-derivative and
+    the order-1 cross field) and from FD stencils, evaluated in that call,
+    on Gregory sides.  Returns the positions (E, 2, S, 3), the unit normals
+    and their degenerate mask, and for the A seams between two grid patches
+    (the audited ones) the inward cross derivatives {r: (A, 2, S - 2, 3)}
+    and the blend values (A, 2, S - 2) at the interior samples."""
+    faces = surface.mesh.he_face(hes)
+    grid = surface._slot[0, faces] >= 0
+    u, v = surface._edge_uv(faces[..., None], hes[..., None],
+                            np.stack([ts, 1.0 - ts]))
+    f = np.broadcast_to(faces[..., None], u.shape)
+    fg, ug, vg = (a[~grid] for a in (f, u, v))
+    (ou, wu), _ = _stencils(ug, FD_STEP)
+    (ov, wv), _ = _stencils(vg, FD_STEP)
     # every stencil holds the sample itself once (offset 0): only the points
     # off the sample are evaluated beside it
     stencils = [
-        (u[..., None] + ou * FD_STEP, v[..., None], ou != 0),
-        (u[..., None], v[..., None] + ov * FD_STEP, ov != 0)]
+        (ug[..., None] + ou * FD_STEP, vg[..., None], ou != 0),
+        (ug[..., None], vg[..., None] + ov * FD_STEP, ov != 0)]
     parts = [(f, u, v)] + [[np.broadcast_to(a, off.shape)[off]
-                            for a in (f[..., None], us, vs)]
+                            for a in (fg[..., None], us, vs)]
                            for us, vs, off in stencils]
     vals = surface.eval(*(np.concatenate([part[i].ravel() for part in parts])
                           for i in range(3)))
@@ -652,31 +658,41 @@ def _seam_table(surface, hes, audit, ts, k):
     pos, *off_vals = np.split(vals, ends)
     pos = pos.reshape(u.shape + (3,))
     at_u, at_v = (np.empty(off.shape + (3,)) for *_, off in stencils)
-    at_u[...], at_v[...] = pos[..., None, :], pos[..., None, :]
+    at_u[...], at_v[...] = pos[~grid][..., None, :], pos[~grid][..., None, :]
     for table, values, (*_, off) in zip((at_u, at_v), off_vals, stencils):
         table[off] = values
-    normal, degenerate = _unit_normals(_contract(wu, at_u) / FD_STEP,
-                                       _contract(wv, at_v) / FD_STEP)
-    fa, ua, va = (a[audit][..., 1:-1] for a in (f, u, v))
+    normal, degenerate = np.empty(u.shape + (3,)), np.empty(u.shape, bool)
+    normal[~grid], degenerate[~grid] = _unit_normals(
+        _contract(wu, at_u) / FD_STEP, _contract(wv, at_v) / FD_STEP)
     slots, sides, x, inward, blend = _cross_frame(
-        surface, fa, hes[audit][..., None], ua, va)
-    fields = surface.grid_patches.side_fields(
-        slots.ravel(), sides.ravel(), range(1, k + 1), x.ravel())
-    cross = {r: ((inward * blend) ** r)[..., None]
-             * fields[r - 1].reshape(x.shape + (3,))
+        surface, f[grid], hes[grid][:, None], u[grid], v[grid])
+    slots, sides, x = (a.ravel() for a in (slots, sides, x))
+    patches = surface.grid_patches
+    fields = patches.side_fields(slots, sides, range(1, k + 1), x) \
+        .reshape((k,) + blend.shape + (3,))
+    along = patches.side_fields(slots, sides, (0,), x, 1)[0]
+    normal[grid], degenerate[grid] = _unit_normals(
+        along.reshape(blend.shape + (3,)), fields[0])
+    # the audited seams' sides among the grid sides, at the interior samples
+    inner = (np.cumsum(grid).reshape(grid.shape)[grid.all(axis=1)] - 1,
+             slice(1, -1))
+    cross = {r: ((inward * blend)[inner] ** r)[..., None] * fields[r - 1][inner]
              for r in range(1, k + 1)}
-    return pos, normal, degenerate, cross, blend
+    return pos, normal, degenerate, cross, blend[inner]
 
 
-def _measure_seams(surface, hes, audit, ts, k):
-    """(position gaps, normal angles, {r: delta residuals}) of the seams
-    hes; the residuals are those of the audited seams only."""
-    pos, normal, degenerate, cross, blend = _seam_table(surface, hes, audit,
-                                                        ts, k)
+def _measure_seams(surface, hes, ts, k):
+    """(position gaps, normal angles, {r: (largest delta residual
+    numerator, largest |d_r|)}) of the seams hes; the last for the seams
+    between two grid patches only."""
+    pos, normal, degenerate, cross, blend = _seam_table(surface, hes, ts, k)
     gap = _fmax(np.linalg.norm(pos[:, 0] - pos[:, 1], axis=-1), 1)
     both = ~(degenerate[:, 0] | degenerate[:, 1])
-    cosang = np.clip(np.abs(_dot(normal[:, 0], normal[:, 1])), -1.0, 1.0)
-    angle = _fmax(np.where(both, np.degrees(np.arccos(cosang)), 0.0), 1)
+    n1, n2 = normal[:, 0], normal[:, 1]
+    # arctan2 resolves small angles, where arccos |n1.n2| floors at 1.5e-6 deg
+    angle = np.arctan2(np.linalg.norm(np.cross(n1, n2), axis=-1),
+                       np.abs(_dot(n1, n2)))
+    angle = _fmax(np.where(both, np.degrees(angle), 0.0), 1)
     ratio = blend[:, 0] / blend[:, 1]
     residual = {}
     for r in range(1, k + 1):
@@ -684,10 +700,7 @@ def _measure_seams(surface, hes, audit, ts, k):
         # orient both derivatives the same way: odd orders flip
         d2v = cross[r][:, 1] if r % 2 == 0 else -cross[r][:, 1]
         num = np.linalg.norm(d1v - (ratio ** r)[..., None] * d2v, axis=-1)
-        # relative to the seam's largest derivative, so that round-off
-        # where the derivative nearly vanishes stays round-off
-        den = np.maximum(_fmax(np.linalg.norm(d1v, axis=-1), 1), 1e-12)
-        residual[r] = _fmax(num, 1) / den
+        residual[r] = (_fmax(num, 1), _fmax(np.linalg.norm(d1v, axis=-1), 1))
     return gap, angle, residual
 
 
@@ -697,9 +710,11 @@ def continuity_report(surface, samples=16):
     Reports position gaps and tangent-plane angles for all edges; for pairs
     of grid patches it additionally checks that one-sided cross derivatives
     match after scaling by the blend-function ratio, through the family
-    continuity order.  The samples of both sides of EVAL_CHUNK // (2
-    samples) seams at a time form one table, evaluated in one surface.eval
-    call and reduced per seam.
+    continuity order, relative to the surface's largest derivative of that
+    order.  Normals are exact on grid sides, read from the side fields, and
+    come from finite differences on Gregory sides.  The samples of both
+    sides of EVAL_CHUNK // (2 samples) seams at a time form one table,
+    evaluated in one surface.eval call and reduced per seam.
     """
     mesh = surface.mesh
     k = surface.options.family.continuity
@@ -710,14 +725,18 @@ def continuity_report(surface, samples=16):
     audit = regular.all(axis=1)
     gap, angle = np.zeros(len(hes)), np.zeros(len(hes))
     residual = {r: np.zeros(audit.sum()) for r in range(1, k + 1)}
+    top = dict.fromkeys(residual, 1e-12)
     audited = np.cumsum(audit) - audit   # row of each seam among the audited
     step = max(1, EVAL_CHUNK // (2 * samples))
     for lo in range(0, len(hes), step):
         at = slice(lo, lo + step)
-        gap[at], angle[at], res = _measure_seams(surface, hes[at], audit[at],
-                                                 ts, k)
-        for r, values in res.items():
-            residual[r][audited[at][audit[at]]] = values
+        gap[at], angle[at], res = _measure_seams(surface, hes[at], ts, k)
+        for r, (num, d_max) in res.items():
+            residual[r][audited[at][audit[at]]] = num
+            top[r] = max(top[r], _fmax(d_max, 0))
+    # relative to the largest derivative of the whole surface, so that
+    # round-off on a seam whose derivative nearly vanishes stays round-off
+    residual = {r: values / top[r] for r, values in residual.items()}
     edges = [{"faces": [int(f1), int(f2)],
               "kinds": ["regular" if r else "gregory" for r in reg],
               "position_gap": float(g), "normal_angle_deg": float(a),
@@ -730,9 +749,9 @@ def continuity_report(surface, samples=16):
     def stats(arr):
         if not len(arr):
             return {"max": 0.0, "p50": 0.0, "p90": 0.0}
-        return {"max": float(arr.max()),
-                "p50": float(np.percentile(arr, 50)),
-                "p90": float(np.percentile(arr, 90))}
+        p50, p90 = np.percentile(arr, [50, 90])
+        return {"max": float(arr.max()), "p50": float(p50),
+                "p90": float(p90)}
 
     return {"edges": edges,
             "summary": {"position_gap": stats(gap),

@@ -133,9 +133,9 @@ def test_classification_hands_back_the_window_grids(monkeypatch):
 
 
 # tracemalloc peaks of analysis_fields and continuity_report on
-# sphere_mesh(2) at n = 4, numpy 2.4: 1.13 and 1.36 MB (1.40 MB for both in
+# sphere_mesh(2) at n = 4, numpy 2.4: 1.12 and 1.29 MB (1.32 MB for both in
 # one trace) in chunks of EVAL_CHUNK = 512 points, where the side fields of
-# one Gregory chunk dominate; 10.1 and 18.8 MB with each whole-surface
+# one Gregory chunk dominate; 10.1 and 15.9 MB with each whole-surface
 # table evaluated in one piece.
 PEAK_BOUND_MB = 2.0
 

@@ -5,7 +5,8 @@ from conftest import (grid_with_rotated_edge, jittered_torus, open_grid,
                       sphere_mesh, torus_grid, torus_with_rotated_edge)
 from quadspline.mesh import classify_faces, edge_key, extract_local_grid
 from quadspline.patch import GridPatchSet, RegularPatch
-from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
+from quadspline.surface import (BuildOptions, _interior_shared_edges,
+                                _seam_table, analysis_fields, build_surface,
                                 continuity_report, export_obj, export_ply,
                                 tessellate, write_report)
 
@@ -62,15 +63,73 @@ def test_watertight_seams_torus_with_evs():
 
 def test_regular_seam_residuals_on_a_height_field():
     # second-order finite differences read up to 2.2e-5 on these seams; the
-    # exact derivatives leave round-off, 1.7e-10 of the seam's largest |d1|
-    # where that stays near 1.7e-3 (4.7e-10 of the local |d1|)
+    # exact derivatives leave round-off, 7.0e-12 of the surface's largest
+    # |d2| (1.7e-10 of a seam's own largest |d2|, which on four seams stays
+    # near 1.7e-3)
     mesh = grid_with_rotated_edge(
         8, 8, height=lambda x, y: 0.1 * np.sin(0.7 * x) * np.cos(0.5 * y))
     surf = build_surface(mesh.build_connectivity(), BuildOptions())
     residuals = [e["delta_residual"] for e in continuity_report(surf)["edges"]
                  if e["delta_residual"]]
     assert residuals
-    assert max(d["2"] for d in residuals) <= 3e-10
+    assert max(d["2"] for d in residuals) <= 1e-11
+
+
+@pytest.mark.parametrize("make, options", [
+    (lambda: sphere_mesh(2), BuildOptions()),
+    (lambda: grid_with_rotated_edge(7, 7, height=lambda x, y: 0.1 * np.sin(
+        0.7 * x) * np.cos(0.5 * y)),
+     BuildOptions(family="d3c1p2s4", mode="g1")),
+    (lambda: torus_with_rotated_edge(10, 10),
+     BuildOptions(family="d3c1p2s4", mode="g1")),
+], ids=["sphere_g2", "rotated_grid_g1", "ev_torus_g1"])
+def test_grid_seam_normals_are_exact(make, options):
+    # frames from the side fields and arctan2: round-off only; FD stencils
+    # and arccos read 1.5e-6 to 2.1e-6 degrees here
+    surf = build_surface(make().build_connectivity(), options)
+    angles = [e["normal_angle_deg"]
+              for e in continuity_report(surf, samples=8)["edges"]
+              if e["kinds"] == ["regular", "regular"]]
+    assert angles
+    assert max(angles) <= 1e-9
+
+
+def _fd4(fn, t, h):
+    """First derivative of fn at t in [0, 1] to 4th order: central where
+    t +- 2h stays inside, one sided otherwise."""
+    if 2 * h <= t <= 1 - 2 * h:
+        return (fn(t - 2 * h) - 8 * fn(t - h) + 8 * fn(t + h)
+                - fn(t + 2 * h)) / (12 * h)
+    s = 1.0 if t < 0.5 else -1.0
+    return s * (-25 * fn(t) + 48 * fn(t + s * h) - 36 * fn(t + 2 * s * h)
+                + 16 * fn(t + 3 * s * h) - 3 * fn(t + 4 * s * h)) / (12 * h)
+
+
+def test_grid_side_audit_normals_match_finite_differences():
+    surf = build_surface(torus_with_rotated_edge(10, 10).build_connectivity(),
+                         BuildOptions())
+    mesh, samples, h = surf.mesh, 5, 1e-3
+    ts = np.linspace(0.0, 1.0, samples)
+    hes = np.array(_interior_shared_edges(surf)).reshape(-1, 2)
+    normal = _seam_table(surf, hes, ts, surf.options.k)[1]
+    checked = 0
+    for (he, tw), pair in zip(hes, normal):
+        for side, (e, t) in enumerate(((he, ts), (tw, 1.0 - ts))):
+            f = mesh.he_face(e)
+            if f not in surf.regular:
+                continue
+            fn = surf.patch(f).eval
+            for ti, n in zip(t, pair[side]):
+                u, v = (float(c) for c in surf._edge_uv(f, e, ti))
+                su = _fd4(lambda x: fn(x, v), u, h)
+                sv = _fd4(lambda y: fn(u, y), v, h)
+                want = np.cross(su, sv)
+                want /= np.linalg.norm(want)
+                angle = np.arctan2(np.linalg.norm(np.cross(n, want)),
+                                   abs(n @ want))
+                assert angle <= 1e-8
+                checked += 1
+    assert checked > samples * len(hes)
 
 
 def test_watertight_seams_g1_mode():
