@@ -1,9 +1,12 @@
 """Quad-mesh connectivity, per-edge parameter intervals and local grids.
 
-Half edges are indexed 4*f + c for face f and corner c, so next/prev are
-index arithmetic.  All faces are quads with consistent CCW orientation; an
-interior edge has exactly two half edges (twins), a boundary edge one (its
-twin slot holds -1).
+Half edges are indexed 4*f + c for face f and corner c.  All faces are quads
+with consistent CCW orientation; an interior edge has exactly two half edges
+(twins), a boundary edge one.
+
+build_connectivity fills the half-edge tables next_of, prev_of, twin_of,
+origin_of and cont_of.  Each ends in one extra entry -1, so index -1 maps to
+-1 in every table and a missing neighbour stays -1 through any composition.
 
 Local uv frames of a face are fixed by an anchor half edge a: the corners are
 p0 = origin(a), p1 = origin(next(a)), p2 = origin(next2(a)), p3 =
@@ -24,6 +27,31 @@ def edge_key(i, j):
     return (i, j) if i < j else (j, i)
 
 
+def _undirected_edges(faces):
+    """Sorted undirected edges (E, 2) of the quads, i < j in each row, and
+    the edge of each half edge."""
+    ends = np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1)
+    lo, hi = np.sort(ends.reshape(-1, 2), axis=1).T
+    n = int(hi.max(initial=0)) + 1
+    keys, edge = np.unique(lo * n + hi, return_inverse=True)
+    return np.stack(np.divmod(keys, n), axis=1), edge.ravel()
+
+
+def _components(n, a, b):
+    """Component label of each of n nodes under the links a[k] - b[k]: the
+    smallest node of its component."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 class QuadMesh:
     def __init__(self, vertices, faces):
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
@@ -36,8 +64,9 @@ class QuadMesh:
             raise MeshStructureError(
                 f"vertex {bad[0]} has a non-finite coordinate")
         # set by build_connectivity
-        self.he_twin = None
-        self.he_origin = None
+        self.next_of = self.prev_of = self.twin_of = None
+        self.origin_of = self.cont_of = None
+        self._he_dir = None
         self._valence = None
         self._vertex_boundary = None
         self._vertex_out = None
@@ -61,20 +90,11 @@ class QuadMesh:
 
     @property
     def has_connectivity(self):
-        return self.he_twin is not None
+        return self.twin_of is not None
 
     def edges(self):
         """Sorted list of undirected edges (i, j) with i < j."""
-        seen = set()
-        out = []
-        for f in self.faces:
-            for c in range(4):
-                k = edge_key(int(f[c]), int(f[(c + 1) % 4]))
-                if k not in seen:
-                    seen.add(k)
-                    out.append(k)
-        out.sort()
-        return out
+        return list(map(tuple, _undirected_edges(self.faces)[0].tolist()))
 
     # -- half-edge accessors -----------------------------------------------
     def he_face(self, h):
@@ -87,13 +107,13 @@ class QuadMesh:
         return (h & ~3) | ((h + 3) & 3)
 
     def origin(self, h):
-        return int(self.he_origin[h])
+        return int(self.origin_of[h])
 
     def target(self, h):
-        return int(self.he_origin[self.he_next(h)])
+        return int(self.origin_of[self.he_next(h)])
 
     def twin(self, h):
-        t = int(self.he_twin[h])
+        t = int(self.twin_of[h])
         return t if t >= 0 else None
 
     def halfedges_of_face(self, f):
@@ -110,7 +130,7 @@ class QuadMesh:
         return bool(self._vertex_boundary[v])
 
     def has_boundary(self):
-        return bool(np.any(self.he_twin < 0))
+        return bool(np.any(self.twin_of[:-1] < 0))
 
     # -- rotations around a vertex -----------------------------------------
     def rot_ccw(self, h):
@@ -137,137 +157,132 @@ class QuadMesh:
             h = self.rot_ccw(h)
         return out
 
+    def fan(self, v):
+        """Neighbours of v in CCW order around it; at a boundary vertex they
+        run from one boundary edge to the other."""
+        star = self.vertex_star(v)
+        nbrs = [self.target(h) for h in star]
+        if self._vertex_boundary[v]:
+            nbrs.append(self.origin(self.he_prev(star[-1])))
+        return nbrs
+
     def continuation(self, h):
         """Half edge continuing a grid row through target(h).
 
         Defined only through interior valence-4 vertices (take the opposite
         edge); returns None at boundary or extraordinary vertices.
         """
-        w = self.target(h)
-        if self._vertex_boundary[w] or self._valence[w] != 4:
-            return None
-        t = self.twin(h)
-        if t is None:
-            return None
-        r = self.rot_ccw(t)
-        if r is None:
-            return None
-        return self.rot_ccw(r)
-
-    def edge_faces(self, i, j):
-        faces = []
-        for key in ((i, j), (j, i)):
-            h = self._he_dir.get(key)
-            if h is not None:
-                faces.append(self.he_face(h))
-        return faces
+        g = int(self.cont_of[h])
+        return g if g >= 0 else None
 
     def polyline_continuation(self, a, b):
         """Vertex c continuing the section polyline a -> b past b, or None.
 
-        The continuation edge is the unique edge at b adjacent to (a, b):
-        sharing only the vertex b, no face.  Interior valence-4 vertices give
-        the opposite edge; boundary runs continue along the boundary; the
-        walk stops where no unique such edge exists (extraordinary vertices,
-        corners, T-configurations).
+        Through an interior vertex of valence 4 the polyline takes the
+        opposite edge (the continuation table).  At a boundary vertex of
+        valence 3 or 4, with its fan neighbours n_0, n_1, ... in order around
+        it, n_i and n_(i+2) continue each other: a boundary run, or the two
+        grid lines through a concave corner.  Every other vertex ends the
+        polyline.  The rule is symmetric, so the polylines do not depend on
+        the vertex labels.
         """
-        faces_ab = set(self.edge_faces(a, b))
-        candidates = []
-        for c in self._vertex_neighbors[b]:
-            if c == a:
-                continue
-            if faces_ab.isdisjoint(self.edge_faces(b, c)):
-                candidates.append(c)
-        return candidates[0] if len(candidates) == 1 else None
+        if not self.is_boundary_vertex(b):
+            g = self.continuation(self.halfedge_between(a, b))
+            return None if g is None else self.target(g)
+        k = self.valence(b)
+        if k not in (3, 4):
+            return None
+        nbrs = self.fan(b)
+        i = nbrs.index(a)
+        j = i + 2 if i + 2 < k else i - 2
+        return nbrs[j] if j >= 0 else None
 
     # -- construction --------------------------------------------------------
     def build_connectivity(self):
-        """Fill twin/origin tables, valences and boundary flags."""
-        nf = len(self.faces)
+        """Fill the half-edge tables, valences and boundary flags."""
+        nf, nv = len(self.faces), len(self.vertices)
         if nf == 0:
             raise MeshStructureError("mesh has no faces")
-        self.he_origin = np.empty(4 * nf, dtype=int)
-        for f in range(nf):
-            quad = self.faces[f]
-            if len(set(int(v) for v in quad)) != 4:
-                raise MeshStructureError(f"face {f} repeats a vertex")
-            for c in range(4):
-                self.he_origin[4 * f + c] = quad[c]
+        quads = np.sort(self.faces, axis=1)
+        repeats = np.flatnonzero((quads[:, 1:] == quads[:, :-1]).any(axis=1))
+        if len(repeats):
+            raise MeshStructureError(f"face {repeats[0]} repeats a vertex")
 
-        pairs = {}
-        for h in range(4 * nf):
-            a, b = self.origin(h), self.target(h)
-            pairs.setdefault(edge_key(a, b), []).append(h)
-
-        self.he_twin = np.full(4 * nf, -1, dtype=int)
-        self._he_dir = {}
-        for key, hs in pairs.items():
-            if len(hs) > 2:
+        h = np.arange(4 * nf)
+        origin = self.faces.ravel()
+        target = origin[self.he_next(h)]
+        edges, edge = _undirected_edges(self.faces)
+        count = np.bincount(edge)
+        # the first and last half edge of each edge; an error names the edge
+        # whose first half edge comes first
+        order = np.argsort(edge, kind="stable")
+        start = np.cumsum(count) - count
+        first, last = order[start], order[start + count - 1]
+        bad = (count > 2) | ((count == 2) & (origin[first] == origin[last]))
+        if bad.any():
+            e = np.flatnonzero(bad)[np.argmin(first[bad])]
+            key = tuple(edges[e].tolist())
+            if count[e] > 2:
                 raise MeshStructureError(
-                    f"non-manifold edge {key}: {len(hs)} incident faces")
-            if len(hs) == 2:
-                a, b = hs
-                if self.origin(a) == self.origin(b):
-                    raise MeshStructureError(
-                        f"inconsistent orientation across edge {key}")
-                self.he_twin[a] = b
-                self.he_twin[b] = a
-        for h in range(4 * nf):
-            self._he_dir[(self.origin(h), self.target(h))] = h
+                    f"non-manifold edge {key}: {count[e]} incident faces")
+            raise MeshStructureError(
+                f"inconsistent orientation across edge {key}")
 
-        nv = len(self.vertices)
-        self._valence = np.zeros(nv, dtype=int)
-        self._vertex_boundary = np.zeros(nv, dtype=bool)
-        self._vertex_neighbors = [[] for _ in range(nv)]
-        for (a, b), hs in pairs.items():
-            self._valence[a] += 1
-            self._valence[b] += 1
-            self._vertex_neighbors[a].append(b)
-            self._vertex_neighbors[b].append(a)
-            if len(hs) == 1:
-                self._vertex_boundary[a] = True
-                self._vertex_boundary[b] = True
-        for nbrs in self._vertex_neighbors:
-            nbrs.sort()
+        pair = count == 2
+        twin = np.full(4 * nf + 1, -1)
+        twin[first[pair]], twin[last[pair]] = last[pair], first[pair]
+        self.twin_of = twin
+        self.next_of = np.append(self.he_next(h), -1)
+        self.prev_of = np.append(self.he_prev(h), -1)
+        self.origin_of = np.append(origin, -1)
+        self._he_dir = dict(zip(zip(origin.tolist(), target.tolist()),
+                                h.tolist()))
+        self._valence = np.bincount(edges.ravel(), minlength=nv)
+        self._vertex_boundary = np.bincount(edges[count == 1].ravel(),
+                                            minlength=nv) > 0
 
-        # pick one outgoing half edge per vertex; boundary vertices get the
-        # outgoing boundary one so vertex_star sweeps the whole fan
-        self._vertex_out = np.full(nv, -1, dtype=int)
-        for h in range(4 * nf):
-            v = self.origin(h)
-            if self._vertex_out[v] < 0:
-                self._vertex_out[v] = h
-        for h in range(4 * nf):
-            if self.he_twin[h] < 0:
-                self._vertex_out[self.origin(h)] = h
-        # the faces at a vertex must form one fan; two fans that share only
-        # the vertex (a bowtie) leave some of its half edges off the star
-        fan_sizes = np.bincount(self.he_origin, minlength=nv)
-        for v in range(nv):
-            if len(self.vertex_star(v)) != fan_sizes[v]:
-                raise MeshStructureError(
-                    f"non-manifold vertex {v}: its faces form more than "
-                    "one fan")
+        # the faces at a vertex must form one fan, one orbit of rot_ccw; two
+        # fans that share only the vertex (a bowtie) are two orbits
+        rot = twin[self.prev_of]
+        linked = h[rot[:-1] >= 0]
+        fan = _components(4 * nf, linked, rot[linked])
+        split = np.flatnonzero(
+            np.bincount(origin[np.unique(fan)], minlength=nv) > 1)
+        if len(split):
+            raise MeshStructureError(
+                f"non-manifold vertex {split[0]}: its faces form more than "
+                "one fan")
+        # one outgoing half edge per vertex for vertex_star: the outgoing
+        # boundary one at a boundary vertex, else the first
+        self._vertex_out = np.full(nv, -1)
+        self._vertex_out[origin] = fan
+        boundary = h[twin[:-1] < 0]
+        self._vertex_out[origin[boundary]] = boundary
 
-        self._reject_degenerate_edges(pairs.keys())
+        # through an interior valence-4 vertex a grid line leaves target(h)
+        # by the edge opposite h
+        regular = (self._valence == 4) & ~self._vertex_boundary
+        self.cont_of = np.where(np.append(regular[target], False),
+                                rot[rot[twin]], -1)
+
+        self._reject_degenerate_edges(edges, first)
         return self
 
-    def _reject_degenerate_edges(self, keys):
-        if not len(self.vertices):
-            return
+    def _reject_degenerate_edges(self, edges, first):
         bbox = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         diag = float(np.linalg.norm(bbox))
         if diag == 0.0:
             raise DegenerateEdgeError("mesh has zero extent")
-        tol = DEGENERATE_REL_TOL * diag
-        for a, b in keys:
-            if np.linalg.norm(self.vertices[a] - self.vertices[b]) < tol:
-                raise DegenerateEdgeError(f"edge ({a}, {b}) is degenerate")
+        short = np.linalg.norm(self.vertices[edges[:, 0]]
+                               - self.vertices[edges[:, 1]], axis=1) \
+            < DEGENERATE_REL_TOL * diag
+        if short.any():
+            a, b = edges[np.flatnonzero(short)[np.argmin(first[short])]]
+            raise DegenerateEdgeError(f"edge ({a}, {b}) is degenerate")
 
     def canonical_halfedge(self, f):
         """Face half edge whose origin has the smallest vertex index."""
-        hs = self.halfedges_of_face(f)
-        return min(hs, key=lambda h: self.origin(h))
+        return 4 * f + int(np.argmin(self.faces[f]))
 
 
 # -- OBJ I/O ----------------------------------------------------------------
@@ -358,46 +373,6 @@ class EdgeParams:
         return params
 
 
-def _edge_ribbons(mesh):
-    """Partition edges into ribbons (chains of pairwise opposite edges)."""
-    seen = set()
-    ribbons = []
-    for a, b in mesh.edges():
-        if (a, b) in seen:
-            continue
-        h0 = mesh.halfedge_between(a, b)
-        if h0 is None:
-            h0 = mesh.halfedge_between(b, a)
-        chain = [edge_key(a, b)]
-        seen.add(chain[0])
-        closed = False
-        # walk through faces on both sides, stepping to the opposite edge
-        for start in (h0, mesh.twin(h0)):
-            if start is None:
-                continue
-            h = start
-            while True:
-                opp = mesh.he_next(mesh.he_next(h))  # opposite edge in face
-                k = edge_key(mesh.origin(opp), mesh.target(opp))
-                if k == chain[0]:
-                    closed = True
-                    break
-                if k in seen:
-                    break
-                seen.add(k)
-                if start is h0:
-                    chain.append(k)
-                else:
-                    chain.insert(0, k)
-                h = mesh.twin(opp)
-                if h is None:
-                    break
-            if closed:
-                break
-        ribbons.append((chain, closed))
-    return ribbons
-
-
 def assign_edge_params(mesh, method="centripetal", alpha=None):
     """Compute one interval per edge.
 
@@ -416,27 +391,34 @@ def assign_edge_params(mesh, method="centripetal", alpha=None):
     if not 0.0 <= a <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
 
-    base = EdgeParams()
-    for i, j in mesh.edges():
+    edges, edge = _undirected_edges(mesh.faces)
+    edges = edges.tolist()
+    values = []
+    for i, j in edges:
         length = float(np.linalg.norm(mesh.vertices[i] - mesh.vertices[j]))
         if length == 0.0:
             raise DegenerateEdgeError(f"edge ({i}, {j}) has zero length")
-        base.set(i, j, length ** a)
+        values.append(length ** a)
 
-    if method != "mean":
-        return base
-
-    for v in range(mesh.num_vertices):
-        if not mesh.is_boundary_vertex(v) and mesh.valence(v) != 4:
+    if method == "mean":
+        irregular = np.flatnonzero(~mesh._vertex_boundary
+                                   & (mesh._valence != 4))
+        if len(irregular):
+            v = irregular[0]
             raise UnsupportedMeshError(
                 "mean parametrization requires a regular mesh "
                 f"(vertex {v} has valence {mesh.valence(v)})")
-    out = EdgeParams()
-    for chain, _closed in _edge_ribbons(mesh):
-        avg = sum(base.get(*k) for k in chain) / len(chain)
-        for i, j in chain:
-            out.set(i, j, avg)
-    return out
+        # a ribbon is a chain of edges pairwise opposite in a face
+        quads = edge.reshape(-1, 4)
+        _, ribbon = np.unique(_components(len(edges), quads[:, :2].ravel(),
+                                          quads[:, 2:].ravel()),
+                              return_inverse=True)
+        values = (np.bincount(ribbon, values) / np.bincount(ribbon))[ribbon]
+
+    params = EdgeParams()
+    for (i, j), value in zip(edges, values):
+        params.set(i, j, value)
+    return params
 
 
 # -- section polylines ---------------------------------------------------------
@@ -454,9 +436,9 @@ class SectionPolyline:
 def trace_section_polylines(mesh):
     """All section polylines; every edge belongs to exactly one.
 
-    Consecutive polyline edges share one vertex and no face; a polyline
-    closes when it returns to its starting edge and otherwise ends where no
-    unique continuation exists.
+    Consecutive polyline edges continue each other by
+    QuadMesh.polyline_continuation; a polyline closes when it returns to its
+    starting edge and otherwise ends where it has no continuation.
     """
     visited = set()
     polylines = []
@@ -525,116 +507,93 @@ class LocalGrid:
     e1: np.ndarray = field(default=None)
 
 
-class _GridFail(Exception):
-    pass
+def _check_width(w):
+    if w < 4 or w % 2:
+        raise ValueError(f"window width must be even and at least 4, not {w}")
 
 
-def _chain(mesh, h, half):
-    """Half edges at offsets -half+1..half-1 along the grid line through h
-    (offset 0), walked both ways with continuation."""
-    if h is None:
-        raise _GridFail
-    chain = [h]
-    ahead = behind = h
-    for _ in range(half - 1):
-        ahead = mesh.continuation(ahead)
-        back = mesh.twin(behind)
-        back = None if back is None else mesh.continuation(back)
-        behind = None if back is None else mesh.twin(back)
-        if ahead is None or behind is None:
-            raise _GridFail
-        chain = [behind] + chain + [ahead]
-    return chain
+def _grids(mesh, anchors, w, params):
+    """{face: LocalGrid} for the anchor half edges whose w x w window exists.
 
-
-def _try_extract(mesh, face, w, anchor, params=None):
+    Every window cell is a fixed composition of the half-edge tables from
+    its anchor.  A window exists where every composition is defined and all
+    writes to each cell agree.
+    """
+    N, P, T, O, C = (mesh.next_of, mesh.prev_of, mesh.twin_of,
+                     mesh.origin_of, mesh.cont_of)
     half = w // 2
-    a = anchor
-    # columns 0 and 1 as vertical half edges (i,j)->(i,j+1) and the inner
-    # rows j in [-half+2, half-1] as horizontal ones (i,j)->(i+1,j), each
-    # indexed by its offset + half - 1
-    col0 = _chain(mesh, mesh.rot_ccw(a), half)
-    col1 = _chain(mesh, mesh.he_next(a), half)
-    rows = {j: _chain(mesh, a if j == 0 else mesh.rot_cw(col0[j + half - 1]),
-                      half)
-            for j in range(-half + 2, half)}
 
-    vid = {}
+    def line(h):
+        """(n, w - 1) half edges at offsets -half+1..half-1 along the grid
+        line through h (offset 0), indexed by offset + half - 1."""
+        ahead, behind = [h], [h]
+        for _ in range(half - 1):
+            ahead.append(C[ahead[-1]])
+            behind.append(T[C[T[behind[-1]]]])
+        return np.stack(behind[:0:-1] + ahead, axis=1)
 
-    def put(i, j, v):
-        if (i, j) in vid and vid[(i, j)] != v:
-            raise _GridFail
-        vid[(i, j)] = v
-
-    for j, row in rows.items():
-        for k, h in enumerate(row):
-            i = -half + 1 + k
-            put(i, j, mesh.origin(h))
-            put(i + 1, j, mesh.target(h))
-
-    # outermost rows from the faces across the extreme inner rows
-    jb = -half + 2
-    for k, h in enumerate(rows[jb]):
-        i = -half + 1 + k
-        t = mesh.twin(h)
-        if t is None:
-            raise _GridFail
-        put(i, jb - 1, mesh.target(mesh.he_next(t)))
-        put(i + 1, jb - 1, mesh.target(mesh.he_next(mesh.he_next(t))))
-    jt = half - 1
-    for k, h in enumerate(rows[jt]):
-        i = -half + 1 + k
-        put(i + 1, jt + 1, mesh.target(mesh.he_next(h)))
-        put(i, jt + 1, mesh.target(mesh.he_next(mesh.he_next(h))))
-
-    pts = np.empty((w, w, 3))
-    ids = np.empty((w, w), dtype=int)
-    for i in range(-half + 1, half + 1):
-        for j in range(-half + 1, half + 1):
-            v = vid[(i, j)]
-            ids[i + half - 1, j + half - 1] = v
-            pts[i + half - 1, j + half - 1] = mesh.vertices[v]
-
-    grid = LocalGrid(face=face, anchor=anchor, w=w, points=pts, vertex_ids=ids)
+    # columns 0 and 1 as vertical half edges (0,j)->(0,j+1), (1,j)->(1,j+1)
+    # and the window rows y = 1..w-2 as horizontal ones (i,j)->(i+1,j), with
+    # y = j + half - 1
+    col0, col1 = line(T[P[anchors]]), line(N[anchors])
+    rows = np.stack([line(N[T[col0[:, y]]]) for y in range(1, w - 1)], axis=1)
+    # [n, y, k]: the vertex each row half edge k writes at x = k (lo) and at
+    # x = k + 1 (hi); rows 0 and w - 1 come from the faces across rows 1 and
+    # w - 2
+    below, above = T[rows[:, 0]], rows[:, -1]
+    lo = np.concatenate([O[N[N[below]]][:, None], O[rows],
+                         O[P[above]][:, None]], axis=1)
+    hi = np.concatenate([O[P[below]][:, None], O[N[rows]],
+                         O[N[N[above]]][:, None]], axis=1)
+    exists = ((np.minimum(col0, col1).min(axis=1) >= 0)
+              & (np.minimum(lo, hi).min(axis=(1, 2)) >= 0)
+              & (lo[:, :, 1:] == hi[:, :, :-1]).all(axis=(1, 2)))
+    found = np.flatnonzero(exists)
+    ids = np.concatenate([lo[found, :, :1], hi[found]],
+                         axis=2).transpose(0, 2, 1)
     if params is not None:
-        def interval(h):
-            return params.get(mesh.origin(h), mesh.target(h))
-
-        grid.d0 = np.array([interval(h) for h in rows[0]])
-        grid.d1 = np.array([interval(h) for h in rows[1]])
-        grid.e0 = np.array([interval(h) for h in col0])
-        grid.e1 = np.array([interval(h) for h in col1])
-    return grid
+        # rows j = 0, 1 and columns 0, 1: d0, d1, e0, e1 of each window
+        sides = np.stack([rows[found, half - 2], rows[found, half - 1],
+                          col0[found], col1[found]], axis=1)
+        hs = np.unique(sides)
+        interval = np.zeros(len(O))
+        interval[hs] = [params.get(i, j) for i, j in
+                        zip(O[hs].tolist(), O[N[hs]].tolist())]
+    grids = {}
+    for k, a in enumerate(anchors[found].tolist()):
+        grid = LocalGrid(face=a >> 2, anchor=a, w=w,
+                         points=mesh.vertices[ids[k]], vertex_ids=ids[k])
+        if params is not None:
+            grid.d0, grid.d1, grid.e0, grid.e1 = interval[sides[k]]
+        grids[a >> 2] = grid
+    return grids
 
 
 def extract_local_grid(mesh, params, face, w=4, anchor=None):
     """Local grid of a regular face; raises UnsupportedMeshError otherwise."""
+    _check_width(w)
     if anchor is None:
         anchor = mesh.canonical_halfedge(face)
     elif mesh.he_face(anchor) != face:
         raise ValueError("anchor half edge does not belong to the face")
-    try:
-        return _try_extract(mesh, face, w, anchor, params)
-    except _GridFail:
-        raise UnsupportedMeshError(
-            f"face {face} has no {w}x{w} vertex grid") from None
+    grid = _grids(mesh, np.array([anchor]), w, params).get(face)
+    if grid is None:
+        raise UnsupportedMeshError(f"face {face} has no {w}x{w} vertex grid")
+    return grid
 
 
 def classify_faces(mesh, w=4, params=None):
     """Split real faces into (regular, extraordinary) for support width w.
 
-    regular maps each regular face, in order, to the LocalGrid its window
-    walk built (at the canonical anchor, with intervals when params are
-    given); extraordinary lists the other faces.
+    regular maps each regular face, in order, to its LocalGrid (at the
+    canonical anchor, with intervals when params are given); extraordinary
+    lists the other faces.
     """
-    regular, extraordinary = {}, []
-    for f in range(mesh.real_face_count):
-        try:
-            regular[f] = _try_extract(mesh, f, w, mesh.canonical_halfedge(f),
-                                      params)
-        except _GridFail:
-            extraordinary.append(f)
-    return regular, extraordinary
+    _check_width(w)
+    faces = np.arange(mesh.real_face_count)
+    regular = _grids(mesh, 4 * faces + np.argmin(mesh.faces[faces], axis=1),
+                     w, params)
+    return regular, [f for f in faces.tolist() if f not in regular]
 
 
 # -- boundary extrapolation ----------------------------------------------------
@@ -666,10 +625,7 @@ def extrapolate_boundary_layer(mesh, params):
             phantom[key] = len(verts) - 1
         return phantom[key]
 
-    boundary_hes = [h for h in range(mesh.num_halfedges)
-                    if mesh.twin(h) is None]
-
-    for h in boundary_hes:
+    for h in np.flatnonzero(mesh.twin_of[:-1] < 0).tolist():
         a, b = mesh.origin(h), mesh.target(h)
         ua = mesh.origin(mesh.he_prev(h))     # inward from a along this run
         ub = mesh.target(mesh.he_next(h))     # inward from b

@@ -220,22 +220,12 @@ class _GregoryBuilder:
         poly = self._segment_poly(win)
         return -poly.eval(0.0, 1), poly.eval(0.0, 2)
 
-    def _star_neighbors(self, v):
-        mesh = self.mesh
-        star = mesh.vertex_star(v)
-        nbrs = [mesh.target(h) for h in star]
-        if mesh.is_boundary_vertex(v) and star:
-            trailing = mesh.origin(mesh.he_prev(star[-1]))
-            if trailing not in nbrs:
-                nbrs.append(trailing)
-        return nbrs
-
     def _tangent_toward(self, c, v):
         """Estimate of the derivative at c pointing toward v."""
         spl = self._spline_derivs(c, v)
         if spl is not None:
             return spl[0]
-        nbrs = self._star_neighbors(c)
+        nbrs = self.mesh.fan(c)
         if len(nbrs) < 3:
             # low-valence vertex (phantom corners): plain chord estimate
             return (self.mesh.vertices[v] - self.mesh.vertices[c]) \
@@ -250,7 +240,7 @@ class _GregoryBuilder:
             return self.vertex_data[v]
         mesh = self.mesh
         p0 = mesh.vertices[v]
-        nbrs = self._star_neighbors(v)
+        nbrs = mesh.fan(v)
         if len(nbrs) < 3:
             raise ConstructionError(f"vertex {v} has valence < 3")
         ds = [self.params.get(v, c) for c in nbrs]
@@ -615,7 +605,7 @@ def _interior_shared_edges(surface):
     half-edge order."""
     mesh = surface.mesh
     h = np.arange(mesh.num_halfedges)
-    t = mesh.he_twin   # -1 on the boundary
+    t = mesh.twin_of[h]   # -1 on the boundary
     real = mesh.real_face_count
     keep = (t > h) & (mesh.he_face(h) < real) & (mesh.he_face(t) < real)
     return list(zip(h[keep].tolist(), t[keep].tolist()))

@@ -48,6 +48,18 @@ def open_grid(nx=5, ny=5, spacing=1.0, height=None):
     return QuadMesh(verts, faces)
 
 
+def l_grid(n=6, cut=3):
+    """Open n x n grid without its top-right cut x cut block of faces: the
+    vertex at the inner corner of the L is a boundary vertex of valence 4."""
+    grid = open_grid(n, n)
+    f = np.arange(len(grid.faces))
+    faces = grid.faces[(f % n < n - cut) | (f // n < n - cut)]
+    used = np.unique(faces)
+    remap = np.full(len(grid.vertices), -1)
+    remap[used] = np.arange(len(used))
+    return QuadMesh(grid.vertices[used], remap[faces])
+
+
 def bowtie_grids(n=2):
     """Two open n x n grids that share only one corner vertex: the top-right
     corner of the first is the bottom-left corner of the second."""

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import (bowtie_grids, grid_with_rotated_edge, jittered_torus,
-                      open_grid, sphere_mesh, torus_grid,
+                      l_grid, open_grid, sphere_mesh, torus_grid,
                       torus_with_rotated_edge)
 from quadspline.errors import (DegenerateEdgeError, MeshStructureError,
                                UnsupportedFaceError, UnsupportedMeshError)
 from quadspline.mesh import (EdgeParams, QuadMesh, assign_edge_params,
-                             classify_faces, extract_local_grid,
+                             classify_faces, edge_key, extract_local_grid,
                              extrapolate_boundary_layer, load_obj, save_obj,
                              trace_section_polylines)
 
@@ -232,24 +232,76 @@ def test_classify_monotone_in_w():
     assert len(classify_faces(torus, 6)[0]) == torus.num_faces
 
 
-def test_extract_local_grid_torus_window():
+def _torus_window_case():
     n = m = 8
     mesh = torus_grid(n, m).build_connectivity()
-    params = assign_edge_params(mesh, "centripetal")
-    f = 3 * m + 4  # face (i, j) = (3, 4)
-    grid = extract_local_grid(mesh, params, f, 4)
-    assert grid.points.shape == (4, 4, 3)
+    return (mesh, assign_edge_params(mesh, "centripetal"),
+            lambda f: np.array(divmod(f, m)), lambda i, j: (i % n) * m + j % m)
 
-    def vid(i, j):
-        return ((3 + i) % n) * m + ((4 + j) % m)
 
-    for i in range(-1, 3):
-        for j in range(-1, 3):
-            assert grid.vertex_ids[i + 1, j + 1] == vid(i, j)
-    # deterministic: same call gives the same grid
-    grid2 = extract_local_grid(mesh, params, f, 4)
-    assert np.array_equal(grid.vertex_ids, grid2.vertex_ids)
-    assert grid.anchor == grid2.anchor
+def _open_window_case():
+    nx = 4
+    mesh = open_grid(nx, 3).build_connectivity()
+    mesh, params = extrapolate_boundary_layer(
+        mesh, assign_edge_params(mesh, "centripetal"))
+    # the phantom layer continues the unit grid: (x, y) is the grid index
+    at = {tuple(p): v for v, p in
+          enumerate(np.rint(mesh.vertices[:, :2]).astype(int).tolist())}
+    return (mesh, params, lambda f: np.array([f % nx, f // nx]),
+            lambda i, j: at.get((i, j)))
+
+
+# (mesh, params, grid index (i, j) of a real face, vertex at grid index)
+WINDOW_CASES = {"torus": _torus_window_case, "open": _open_window_case}
+# corner c of the face at (i, j) sits at (i, j) + CORNERS[c]
+CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("w", [4, 6])
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_extract_local_grid_torus_window(case, w):
+    """At every anchor of every face the window is the one the index formula
+    gives for the anchor's rotation: cell (x, y) holds the vertex at
+    p0 + s u + t v, with (s, t) = (x, y) - (w/2 - 1), p0 the anchor's origin
+    and u, v its edge and the edge before it.  The window exists exactly
+    where every such vertex does; phantom faces touch the outer boundary and
+    have none."""
+    mesh, params, face_at, vertex_at = WINDOW_CASES[case]()
+    offsets = np.arange(w) - (w // 2 - 1)
+    checked = 0
+    for f in range(mesh.num_faces):
+        for c, anchor in enumerate(mesh.halfedges_of_face(f)):
+            want = None
+            if f < mesh.real_face_count:
+                p0 = face_at(f) + CORNERS[c]
+                u = CORNERS[(c + 1) % 4] - CORNERS[c]
+                v = CORNERS[(c - 1) % 4] - CORNERS[c]
+                want = [[vertex_at(*(p0 + s * u + t * v)) for t in offsets]
+                        for s in offsets]
+            if want is None or None in sum(want, []):
+                with pytest.raises(UnsupportedMeshError):
+                    extract_local_grid(mesh, params, f, w, anchor=anchor)
+                continue
+            grid = extract_local_grid(mesh, params, f, w, anchor=anchor)
+            assert grid.points.shape == (w, w, 3)
+            assert grid.vertex_ids.tolist() == want
+            assert np.array_equal(grid.points, mesh.vertices[want])
+            if anchor == mesh.canonical_halfedge(f):
+                # deterministic: the default anchor gives the same grid
+                again = extract_local_grid(mesh, params, f, w)
+                assert again.anchor == grid.anchor
+                assert np.array_equal(again.vertex_ids, grid.vertex_ids)
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("w", [2, 3, 5])
+def test_window_width_must_be_even_and_at_least_4(torus, w):
+    params = assign_edge_params(torus, "centripetal")
+    with pytest.raises(ValueError, match="window width"):
+        classify_faces(torus, w)
+    with pytest.raises(ValueError, match="window width"):
+        extract_local_grid(torus, params, 12, w=w)
 
 
 def test_adjacent_grids_overlap():
@@ -355,6 +407,28 @@ def test_section_polylines_stop_at_extraordinary():
             assert mesh.valence(p.vertices[-1]) != 4
             for v in p.vertices[1:-1]:
                 assert mesh.valence(v) == 4
+
+
+def test_section_polylines_do_not_depend_on_labels():
+    # the inner corner of the L is a boundary vertex of valence 4: both grid
+    # lines run straight through it, whatever the vertex labels
+    mesh = l_grid().build_connectivity()
+    back = np.arange(mesh.num_vertices)[::-1]   # new label -> old label
+    relabelled = QuadMesh(mesh.vertices[back],
+                          back.argsort()[mesh.faces]).build_connectivity()
+    partitions = []
+    for m, old in ((mesh, np.arange(mesh.num_vertices)), (relabelled, back)):
+        polys = trace_section_polylines(m)
+        covered = [k for p in polys for k in p.edge_keys()]
+        assert len(set(covered)) == len(covered) == len(m.edges()) == 66
+        assert len(polys) == 7 + 7
+        for p in polys:
+            xy = m.vertices[p.vertices, :2]
+            assert (xy[:, 0] == xy[0, 0]).all() or (xy[:, 1] == xy[0, 1]).all()
+        partitions.append({frozenset(edge_key(int(old[a]), int(old[b]))
+                                     for a, b in p.edge_keys())
+                           for p in polys})
+    assert partitions[0] == partitions[1]
 
 
 def test_extrapolate_closed_mesh_unchanged(torus):

@@ -398,7 +398,7 @@ def test_guide_derivatives_keep_tangent_scale():
     # valence-3 vertices sit at the cube corners (first 8 vertices)
     for v in range(8):
         assert mesh.valence(v) == 3
-        nbrs = builder._star_neighbors(v)
+        nbrs = mesh.fan(v)
         ds = [surf.params.get(v, c) for c in nbrs]
         pts = mesh.vertices[nbrs]
         tans = [net.tangent_with_fallback(mesh.vertices[v], pts, ds, i)
