@@ -96,6 +96,10 @@ class Side:
         return sign * self.fields[q].eval(x, r)
 
 
+# side s runs over [0, d] from corner _SIDE_CORNERS[s, 0] to [s, 1]
+_SIDE_CORNERS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
+
+
 class BoundaryData:
     """Four corners and sides gamma0..gamma3; the corner intervals are the
     sides' intervals.
@@ -108,6 +112,26 @@ class BoundaryData:
     """
 
     def __init__(self, corners, sides, k, face=None):
+        self._bind(corners, sides, k, face)
+        ends = [side.field(0, np.array([0.0, side.d])) for side in self.sides]
+        _check_corners(self.corners[None], np.array([self.lengths()]),
+                      np.array(ends)[None], [face])
+
+    @classmethod
+    def many(cls, corners, sides, k, faces, ends):
+        """The BoundaryData of many faces, with one corner check for all:
+        corners (n, 4, 3), sides n lists of four, and ends (n, 4, 2, 3) the
+        curve of each side at its start and its end, as the side reads it."""
+        datas = []
+        for corner, side, face in zip(corners, sides, faces):
+            datas.append(cls.__new__(cls))
+            datas[-1]._bind(corner, side, k, face)
+        _check_corners(np.asarray(corners, float).reshape(-1, 4, 3),
+                      np.array([data.lengths() for data in datas]
+                               ).reshape(-1, 4), ends, faces)
+        return datas
+
+    def _bind(self, corners, sides, k, face):
         self.corners = np.asarray(corners, dtype=float).reshape(4, 3)
         if len(sides) != 4:
             raise ValueError("need exactly four sides")
@@ -122,19 +146,25 @@ class BoundaryData:
                              f"the fields of orders 0..{k}")
         self.k = k
         self.face = face
-        self._check_corners()
 
-    def _check_corners(self):
-        scale = max(1.0, float(np.abs(self.corners).max()))
-        # side s runs over [0, d] from corner start to corner end
-        for s, (start, end) in enumerate(((0, 1), (1, 2), (3, 2), (0, 3))):
-            d = self.sides[s].d
-            ends = self.sides[s].field(0, np.array([0.0, d]))
-            for got, x, c in zip(ends, (0.0, d), (start, end)):
-                if np.linalg.norm(got - self.corners[c]) > 1e-7 * scale:
-                    raise ConstructionError(
-                        f"boundary data of face {self.face}: gamma{s}({x:g}) "
-                        "does not meet its corner")
+    def lengths(self):
+        """The side intervals (d0, e1, d1, e0), in side order."""
+        return self.d0, self.e1, self.d1, self.e0
+
+
+def _check_corners(corners, lengths, ends, faces):
+    """Raise ConstructionError, naming the first face and side, where a
+    side's curve misses one of its corners by more than 1e-7 x the face's
+    coordinate scale (at least 1).  corners (n, 4, 3), lengths (n, 4) the
+    side intervals, ends (n, 4, 2, 3) each side's curve at x = 0 and d."""
+    scale = np.maximum(1.0, np.abs(corners).max(axis=(1, 2)))
+    gap = np.linalg.norm(ends - corners[:, _SIDE_CORNERS], axis=-1)
+    miss = np.argwhere(gap > 1e-7 * scale[:, None, None])
+    if len(miss):
+        i, s, e = miss[0]
+        x = lengths[i, s] if e else 0.0
+        raise ConstructionError(f"boundary data of face {faces[i]}: "
+                                f"gamma{s}({x:g}) does not meet its corner")
 
 
 def _distinct(keys, t):
@@ -169,8 +199,8 @@ class GregoryPatchSet:
                              "smoothness order")
         # the highest cross order; an empty set evaluates nothing
         self.k = ks.pop() if ks else 1
-        self.lengths = np.array([(d.d0, d.e1, d.d1, d.e0)
-                                 for d in self.datas]).reshape(-1, 4)
+        self.lengths = np.array([d.lengths() for d in self.datas]
+                                ).reshape(-1, 4)
         self._stack_fields()
         self._stack_constants()
 

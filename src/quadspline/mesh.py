@@ -133,38 +133,43 @@ class QuadMesh:
         return bool(np.any(self.twin_of[:-1] < 0))
 
     # -- rotations around a vertex -----------------------------------------
-    def rot_ccw(self, h):
-        """Next outgoing half edge CCW around origin(h), or None at boundary."""
-        return self.twin(self.he_prev(h))
+    def fans(self, vertices):
+        """Stars and fans of an array of vertices, as rows padded with -1.
 
-    def rot_cw(self, h):
-        t = self.twin(h)
-        return None if t is None else self.he_next(t)
+        Row i of the stars lists the outgoing half edges around vertices[i]
+        in CCW order: the full cycle at an interior vertex, swept from the
+        outgoing boundary half edge at a boundary vertex.  Row i of the fans
+        lists the neighbours in the same order; at a boundary vertex they
+        run from one boundary edge to the other, one more than the star.
+        """
+        vertices = np.asarray(vertices, int)
+        # the next outgoing half edge CCW, -1 at the boundary
+        rot = self.twin_of[self.prev_of]
+        first = self._vertex_out[vertices]
+        # at least one column, so that row reductions take no vertices
+        width = int(self._valence[vertices].max(initial=1))
+        star = np.full((len(vertices), width), -1)
+        h = first
+        for k in range(width):
+            star[:, k] = h
+            h = rot[h]
+            h[h == first] = -1
+        fan = self.origin_of[self.next_of[star]]
+        count = (star >= 0).sum(axis=1)
+        rows = np.flatnonzero(self._vertex_boundary[vertices] & (count > 0))
+        fan[rows, count[rows]] = self.origin_of[
+            self.prev_of[star[rows, count[rows] - 1]]]
+        return star, fan
 
     def vertex_star(self, v):
-        """Outgoing half edges around v in CCW order.
-
-        For interior vertices this is the full cycle; for boundary vertices
-        the fan is swept from the outgoing boundary half edge.
-        """
-        h0 = int(self._vertex_out[v])
-        if h0 < 0:
-            return []
-        out = [h0]
-        h = self.rot_ccw(h0)
-        while h is not None and h != h0:
-            out.append(h)
-            h = self.rot_ccw(h)
-        return out
+        """Outgoing half edges around v in CCW order (a row of fans)."""
+        star = self.fans([v])[0][0]
+        return star[star >= 0].tolist()
 
     def fan(self, v):
-        """Neighbours of v in CCW order around it; at a boundary vertex they
-        run from one boundary edge to the other."""
-        star = self.vertex_star(v)
-        nbrs = [self.target(h) for h in star]
-        if self._vertex_boundary[v]:
-            nbrs.append(self.origin(self.he_prev(star[-1])))
-        return nbrs
+        """Neighbours of v in CCW order around it (a row of fans)."""
+        fan = self.fans([v])[1][0]
+        return fan[fan >= 0].tolist()
 
     def continuation(self, h):
         """Half edge continuing a grid row through target(h).
@@ -241,7 +246,7 @@ class QuadMesh:
         self._vertex_boundary = np.bincount(edges[count == 1].ravel(),
                                             minlength=nv) > 0
 
-        # the faces at a vertex must form one fan, one orbit of rot_ccw; two
+        # the faces at a vertex must form one fan, one orbit of rot; two
         # fans that share only the vertex (a bowtie) are two orbits
         rot = twin[self.prev_of]
         linked = h[rot[:-1] >= 0]

@@ -243,66 +243,3 @@ class RegularPatch(PatchView):
     def side_interval(self, side):
         """Length of the local variable range along a side."""
         return float(self.patches.intervals[self.slot, SIDES.index(side), 1])
-
-    def corner_mixed(self, ui, vi, q, r):
-        """Exact mixed local derivative d^q/dx^q d^r/dy^r at a patch corner.
-
-        ui, vi pick the corner (0 or 1 per axis).  Offered for q, r <= k,
-        where the blend derivatives vanish.
-        """
-        k = self.patches.k
-        if max(q, r) > k:
-            raise ValueError(f"order {max(q, r)} exceeds continuity {k}")
-        # corner (ui, vi) is end ui of side v0 or v1 (SIDES index vi), where
-        # x runs along the side and y across it
-        return self.patches.side_ends[self.slot, vi, ui, r, q].copy()
-
-    def corner_normal(self, ui, vi):
-        su = self.corner_mixed(ui, vi, 1, 0)
-        sv = self.corner_mixed(ui, vi, 0, 1)
-        n = np.cross(su, sv)
-        norm = np.linalg.norm(n)
-        if norm == 0.0:
-            raise ValueError("degenerate corner frame")
-        return n / norm
-
-    def corner_curvature(self, ui, vi):
-        """Principal curvatures and directions from the fundamental forms."""
-        su = self.corner_mixed(ui, vi, 1, 0)
-        sv = self.corner_mixed(ui, vi, 0, 1)
-        suu = self.corner_mixed(ui, vi, 2, 0)
-        suv = self.corner_mixed(ui, vi, 1, 1)
-        svv = self.corner_mixed(ui, vi, 0, 2)
-        return principal_curvatures(su, sv, suu, suv, svv)
-
-
-def principal_curvatures(su, sv, suu, suv, svv):
-    """(k1, k2, dir1, dir2, normal) from first/second derivative vectors."""
-    n = np.cross(su, sv)
-    norm = np.linalg.norm(n)
-    if norm < 1e-14:
-        raise ValueError("degenerate tangent frame")
-    n = n / norm
-    E, F, G = su @ su, su @ sv, sv @ sv
-    L, M, N = suu @ n, suv @ n, svv @ n
-    first = np.array([[E, F], [F, G]])
-    second = np.array([[L, M], [M, N]])
-    shape = np.linalg.solve(first, second)
-    evals, evecs = np.linalg.eig(shape)
-    evals = evals.real
-    evecs = evecs.real
-    order = np.argsort(evals)[::-1]
-    k1, k2 = float(evals[order[0]]), float(evals[order[1]])
-    d1 = evecs[:, order[0]]
-    d2 = evecs[:, order[1]]
-    dir1 = d1[0] * su + d1[1] * sv
-    dir2 = d2[0] * su + d2[1] * sv
-    dir1 = dir1 / np.linalg.norm(dir1)
-    # orthonormalize within the tangent plane
-    dir2 = dir2 - (dir2 @ dir1) * dir1
-    nrm2 = np.linalg.norm(dir2)
-    if nrm2 < 1e-12:
-        dir2 = np.cross(n, dir1)
-    else:
-        dir2 = dir2 / nrm2
-    return k1, k2, dir1, dir2, n

@@ -315,16 +315,24 @@ class PolylineCurve:
 
 
 def segment_coefficients(points4, d, fam):
-    """Monomial coefficients of one curve segment as an (degree+1, dim) array.
+    """Monomial coefficients of curve segments, shape (..., degree+1, dim).
 
-    points4 are the four window points for the segment, d the local interval
-    triple; the segment runs over x in [0, d[1]].
+    points4 (..., 4, dim) are the four window points of each segment, d the
+    local interval triple, each entry a scalar or an array over the leading
+    axes; a segment runs over x in [0, d[1]].  All segments take one
+    coefficient-table call.
     """
     pts = np.asarray(points4, dtype=float)
-    coeffs = np.zeros((fam.degree + 1, pts.shape[1]))
-    for k, off in enumerate(SUPPORT_OFFSETS):
-        c = fundamental_coefficients(fam, off, d)
-        coeffs += np.outer(c, pts[k])
+    if len(d) != fam.support - 1:
+        raise ValueError(f"local parameter vector must have {fam.support - 1} "
+                         f"entries, got {len(d)}")
+    d = [np.asarray(x, float) for x in d]
+    if any(np.any(x <= 0.0) for x in d):
+        raise DegenerateEdgeError("parameter intervals must be positive")
+    coeffs = 0.0
+    for k, c in enumerate(_COEFF_ALL[fam.name](*d)):
+        c = np.stack(np.broadcast_arrays(*c), axis=-1)
+        coeffs = coeffs + c[..., :, None] * pts[..., k, None, :]
     return coeffs
 
 

@@ -21,8 +21,9 @@ import numpy as np
 from . import mesh as qm
 from . import network as net
 from .errors import ConstructionError
-from .gregory import BoundaryData, GregoryPatch, GregoryPatchSet, Side
-from .patch import EVAL_CHUNK, SIDES, GridPatchSet, RegularPatch
+from .gregory import (_SIDE_CORNERS, BoundaryData, GregoryPatch,
+                      GregoryPatchSet, Side)
+from .patch import EVAL_CHUNK, SIDES, GridField, GridPatchSet, RegularPatch
 from .splines import D5C2P2S4, family as family_by_name, segment_coefficients
 
 LIGHT_DIRECTION = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
@@ -31,6 +32,8 @@ WELD_REL_TOL = 1e-9
 # side of a regular patch along its half edge anchor + c, for c = 0..3
 SIDE_OF_CORNER = ("v0", "u1", "v1", "u0")
 _SIDE_INDEX_OF_CORNER = np.array([SIDES.index(s) for s in SIDE_OF_CORNER])
+# (u, v) of corner c of a face, the origin of its half edge anchor + c
+_CORNER_UV = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
 @dataclass
@@ -59,19 +62,24 @@ class BuildOptions:
 
 
 @dataclass
-class _VertexData:
-    tangents: dict
-    seconds: dict
-    normal: np.ndarray
-    curvature: tuple = None
-
-
-@dataclass
 class _EdgeRecord:
     a: int
     b: int
     d: float
     gamma: net.VecPoly
+
+
+@dataclass
+class _Fits:
+    """Vertex fits, one row per vertex: the fan (V, m) padded with -1, the
+    first and second derivatives toward each neighbour (V, m, 3), the unit
+    normal (V, 3) and, in G2, the guide's (Px, Py, Pxx, Pxy, Pyy) at the
+    vertex (5, V, 3)."""
+    fan: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    normal: np.ndarray
+    guide: np.ndarray = None
 
 
 class CompositeSurface:
@@ -158,8 +166,8 @@ def build_surface(mesh, options=None, params=None):
         surf.regular[f] = RegularPatch.view(surf.grid_patches, slot)
         surf.anchors[f] = grid.anchor
 
-    builder = _GregoryBuilder(surf)
-    datas = [builder.build_face(f) for f in extraordinary]
+    datas = _GregoryBuilder(surf).build(extraordinary) if extraordinary \
+        else []
     surf.gregory_patches = GregoryPatchSet(datas)
     for slot, f in enumerate(extraordinary):
         surf.gregory[f] = GregoryPatch.view(surf.gregory_patches, slot)
@@ -168,264 +176,397 @@ def build_surface(mesh, options=None, params=None):
 
 
 class _GregoryBuilder:
-    """Assembles BoundaryData for extraordinary faces."""
+    """Assembles the BoundaryData of all extraordinary faces in array passes,
+    each over every face at once:
+
+    1. Sides and curves.  Side c of a face lies along half edge anchor + c.
+       It is sampled from the grid patch across its edge where there is
+       one, and generated from the curve network otherwise.  Each network
+       edge gets one boundary curve: the section-curve segment where its
+       4-point window exists, else a Hermite curve through endpoint
+       derivatives read from neighbouring segments or from the vertex fit.
+    2. Corner frames.  The unit normal (and in G2 the principal curvatures)
+       at each network side's ends, read at a grid patch corner of the
+       vertex where there is one, else from the vertex's guide fit (G2) or
+       plane fit (G1).  The guide fit, one least-squares system per
+       vertex, is the only step taken one vertex at a time.
+    3. Network sides.  The ruled directions and cross fields of every
+       network side, matched to corner targets read from the neighbouring
+       sides.
+    4. Corner check, by BoundaryData.many over all faces.
+    """
 
     def __init__(self, surf):
         self.surf = surf
         self.mesh = surf.mesh
         self.params = surf.params
         self.options = surf.options
-        self.family = surf.options.family
-        self.vertex_data = {}
-        # corner frames per vertex, shared by the faces around it
-        self.frames = {}
+        self.k = surf.options.k
+        # grid slot and anchor of each face, -1 (also at index -1) for none
+        self.grid_slot = np.full(self.mesh.num_faces + 1, -1)
+        self.grid_anchor = self.grid_slot.copy()
+        faces = list(surf.regular)
+        self.grid_slot[faces] = [surf.regular[f].slot for f in faces]
+        self.grid_anchor[faces] = [surf.anchors[f] for f in faces]
 
-    # -- derivative sampling along section curves ---------------------------
-    def _opposite_vertex(self, a, c):
-        """Vertex continuing the grid line c -> a past a, or None."""
-        h = self.mesh.halfedge_between(c, a)
-        g = None if h is None else self.mesh.continuation(h)
-        return None if g is None else self.mesh.target(g)
+    # -- mesh lookups ---------------------------------------------------------
+    def _target(self, h):
+        return self.mesh.origin_of[self.mesh.next_of[h]]
 
-    def _segment_window(self, a, c):
-        z = self._opposite_vertex(a, c)
-        w = self._opposite_vertex(c, a)
-        if z is None or w is None:
-            return None
-        return z, a, c, w
+    def _interval(self, a, b):
+        """Parameter intervals of the edges (a[i], b[i])."""
+        return np.array([self.params.get(i, j)
+                         for i, j in zip(a.tolist(), b.tolist())], float)
 
-    def _segment_poly(self, window):
-        z, a, c, w = window
-        pts = self.mesh.vertices[[z, a, c, w]]
-        d = (self.params.get(z, a), self.params.get(a, c),
-             self.params.get(c, w))
-        return net.VecPoly(segment_coefficients(pts, d, self.family))
+    def _fans(self, vertices):
+        """Fans of the vertices as rows padded with -1 (QuadMesh.fans), the
+        half edges from each vertex to its neighbours and from them to it
+        (-1 where none), and the intervals (1 at padding)."""
+        star, fan = self.mesh.fans(vertices)
+        into = self.mesh.twin_of[star]
+        # the last neighbour of a boundary vertex lies past its star
+        rows, cols = np.nonzero((fan >= 0) & (star < 0))
+        into[rows, cols] = self.mesh.prev_of[star[rows, cols - 1]]
+        ds = np.ones(fan.shape)
+        at = fan >= 0
+        ds[at] = self._interval(np.broadcast_to(vertices[:, None],
+                                                fan.shape)[at], fan[at])
+        return fan, star, into, ds
 
-    def _spline_derivs(self, a, c):
-        """(first, second) at a of the section curve oriented a -> c, or None.
+    def _segments(self, windows):
+        """Section-curve segments over 4-vertex windows (n, 4)."""
+        d = [self._interval(windows[:, i], windows[:, i + 1])
+             for i in range(3)]
+        return net.VecPoly(segment_coefficients(
+            self.mesh.vertices[windows], d, self.options.family))
 
-        Prefers the segment [a, c] itself, then the opposite segment through
-        a; both give the same values at the knot up to the family continuity.
-        """
-        win = self._segment_window(a, c)
-        if win is not None:
-            poly = self._segment_poly(win)
-            return poly.eval(0.0, 1), poly.eval(0.0, 2)
-        z = self._opposite_vertex(a, c)
-        if z is None:
-            return None
-        win = self._segment_window(a, z)
-        if win is None:
-            return None
-        poly = self._segment_poly(win)
-        return -poly.eval(0.0, 1), poly.eval(0.0, 2)
+    # -- derivatives at vertices ----------------------------------------------
+    def _windows(self, a, c, fwd, bwd):
+        """The 4-vertex windows (z, a, c, w) of the section-curve segments
+        a -> c, whose half edges are fwd (a -> c) and bwd (c -> a; either -1
+        where none), and the mask where they exist."""
+        C, T = self.mesh.cont_of, self._target
+        z, w = T(C[bwd]), T(C[fwd])
+        return np.stack([z, a, c, w], axis=1), (z >= 0) & (w >= 0)
 
-    def _tangent_toward(self, c, v):
-        """Estimate of the derivative at c pointing toward v."""
-        spl = self._spline_derivs(c, v)
-        if spl is not None:
-            return spl[0]
-        nbrs = self.mesh.fan(c)
-        if len(nbrs) < 3:
-            # low-valence vertex (phantom corners): plain chord estimate
-            return (self.mesh.vertices[v] - self.mesh.vertices[c]) \
-                / self.params.get(c, v)
-        ds = [self.params.get(c, o) for o in nbrs]
-        i = nbrs.index(v)
-        return net.tangent_with_fallback(self.mesh.vertices[c],
-                                         self.mesh.vertices[nbrs], ds, i)
+    def _spline_derivs(self, a, c, fwd, bwd):
+        """(first, second, found) at a[i] of the section curve a -> c (fwd,
+        bwd as for _windows).  The curve is the segment [a, c] where its
+        window exists, else the opposite segment through a; both give the
+        same values at a up to the family continuity.  Zero where neither
+        exists."""
+        windows, direct = self._windows(a, c, fwd, bwd)
+        away = self.mesh.cont_of[bwd]   # a -> z, continuing c -> a past a
+        opposite, beyond = self._windows(a, windows[:, 0], away,
+                                         self.mesh.twin_of[away])
+        found = direct | beyond
+        first, second = np.zeros((2, len(a), 3))
+        if found.any():
+            poly = self._segments(np.where(direct[:, None], windows,
+                                           opposite)[found])
+            first[found] = poly.eval(0.0, 1) \
+                * np.where(direct[found], 1.0, -1.0)[:, None]
+            second[found] = poly.eval(0.0, 2)
+        return first, second, found
 
-    def _vertex_data(self, v):
-        if v in self.vertex_data:
-            return self.vertex_data[v]
-        mesh = self.mesh
-        p0 = mesh.vertices[v]
-        nbrs = mesh.fan(v)
-        if len(nbrs) < 3:
-            raise ConstructionError(f"vertex {v} has valence < 3")
-        ds = [self.params.get(v, c) for c in nbrs]
-        pts = mesh.vertices[nbrs]
-        tans = [net.tangent_with_fallback(p0, pts, ds, i)
-                for i in range(len(nbrs))]
+    def _tangents(self, vertices, fan, ds):
+        """Bessel estimates (chords where degenerate) along every edge of
+        the fans, one call per valence."""
+        P = self.mesh.vertices
+        valence = (fan >= 0).sum(axis=1)
+        out = np.zeros(fan.shape + (3,))
+        for n in np.unique(valence).tolist():
+            rows = np.flatnonzero(valence == n)
+            out[rows, :n] = net.tangent_with_fallback(
+                P[vertices[rows], None], P[fan[rows, None, :n]],
+                ds[rows, None, :n], np.arange(n))
+        return out
 
+    def _tangents_toward(self, c, v):
+        """Estimates at c[i] of the derivative toward v[i]: the Bessel
+        estimate, or the chord where c has valence < 3 (phantom corners)."""
+        P = self.mesh.vertices
+        cs, row = np.unique(c, return_inverse=True)
+        fan, _, _, ds = self._fans(cs)
+        col = np.argmax(fan[row] == v[:, None], axis=1)
+        chord = (P[v] - P[c]) / ds[row, col, None]
+        return np.where(((fan >= 0).sum(axis=1) >= 3)[row, None],
+                        self._tangents(cs, fan, ds)[row, col], chord)
+
+    def _vertex_fits(self, vertices):
+        """_Fits of the guide (G2) or plane (G1) fit at each vertex."""
+        P = self.mesh.vertices
+        fan, star, into, ds = self._fans(vertices)
+        valence = (fan >= 0).sum(axis=1)
+        if (valence < 3).any():
+            raise ConstructionError(
+                f"vertex {vertices[np.argmax(valence < 3)]} has valence < 3")
+        tans = self._tangents(vertices, fan, ds)
+        groups = [(n, np.flatnonzero(valence == n))
+                  for n in np.unique(valence).tolist()]
         if self.options.mode == "g1":
-            normal = net.fit_common_plane(tans)
-            projected = [net.project_to_plane(t, normal) for t in tans]
-            data = _VertexData(
-                tangents=dict(zip(nbrs, projected)),
-                seconds={c: np.zeros(3) for c in nbrs},
-                normal=normal)
-        else:
-            qs = []
-            for i, c in enumerate(nbrs):
-                ti0 = self._tangent_toward(c, v)
-                q1, q2 = net.guide_points(p0, pts[i], ds[i], tans[i], ti0)
-                qs.append((q1, q2))
-            etas = net.planar_angles(tans)
-            samples = []
-            xys = []
-            for i in range(len(nbrs)):
-                for q, r in zip(qs[i], (ds[i] / 4.0, ds[i] / 2.0)):
-                    samples.append(q)
-                    xys.append((r * np.cos(etas[i]), r * np.sin(etas[i])))
-            poly = net.fit_guide_polynomial(p0, samples, xys)
-            tangents, seconds = {}, {}
-            for i, c in enumerate(nbrs):
-                t1, t2 = net.directional_derivs(poly, etas[i])
-                tangents[c] = t1
-                seconds[c] = t2
-            data = _VertexData(tangents=tangents, seconds=seconds,
-                               normal=poly.normal(),
-                               curvature=poly.curvature())
-        self.vertex_data[v] = data
-        return data
+            normal = np.empty((len(vertices), 3))
+            for n, rows in groups:
+                normal[rows] = net.fit_common_plane(tans[rows, :n])
+            return _Fits(fan, net.project_to_plane(tans, normal[:, None]),
+                         np.zeros_like(tans), normal)
 
-    def _endpoint_derivs(self, v, other):
-        """(first, second) at v toward other, spline-sampled when possible."""
-        spl = self._spline_derivs(v, other)
-        if spl is not None:
-            return spl
-        data = self._vertex_data(v)
-        return data.tangents[other], data.seconds[other]
+        # derivatives at each neighbour toward the vertex
+        at = fan >= 0
+        toward = np.broadcast_to(vertices[:, None], fan.shape)[at]
+        ti0, _, found = self._spline_derivs(fan[at], toward, into[at],
+                                            star[at])
+        if not found.all():
+            ti0[~found] = self._tangents_toward(fan[at][~found],
+                                                toward[~found])
+        back = np.zeros(fan.shape + (3,))
+        back[at] = ti0
+        p0 = P[vertices]
+        samples = np.stack(net.guide_points(p0[:, None], P[fan], ds, tans,
+                                            back), axis=2)
+        etas = np.zeros(fan.shape)
+        for n, rows in groups:
+            etas[rows, :n] = net.planar_angles(tans[rows, :n])
+        r = ds[..., None] * np.array([0.25, 0.5])
+        xys = np.stack([r * np.cos(etas)[..., None],
+                        r * np.sin(etas)[..., None]], axis=-1)
+        # the first five terms: all that the derivatives at the vertex read
+        coeffs = np.empty((len(vertices), 5, 3))
+        for row, n in enumerate(valence.tolist()):
+            coeffs[row] = net.fit_guide_polynomial(
+                p0[row], samples[row, :n].reshape(-1, 3),
+                xys[row, :n].reshape(-1, 2)).coeffs[:5]
+        t1, t2 = net.directional_derivs(
+            net.GuidePolynomial(p0[:, None], coeffs[:, None], 2), etas)
+        guide = net.GuidePolynomial(p0, coeffs, 2)
+        return _Fits(fan, t1, t2, guide.normal(),
+                     np.array(guide.gradient() + guide.hessian()))
 
-    # -- per-vertex frame data ----------------------------------------------
-    def _corner_frame(self, v):
-        """(unit normal, principal curvature data or None in G1) at vertex v,
-        read at v from a regular patch having v as a corner, else from the
-        vertex fit."""
-        if v not in self.frames:
-            g2 = self.options.mode == "g2"
-            for h in self.mesh.vertex_star(v):
-                f = self.mesh.he_face(h)
-                patch = self.surf.regular.get(f)
-                if patch is not None:
-                    # v is the origin of h, corner c of f as in SIDE_OF_CORNER
-                    uv = ((0, 0), (1, 0), (1, 1), (0, 1))[
-                        (h - self.surf.anchors[f]) % 4]
-                    self.frames[v] = (patch.corner_normal(*uv),
-                                      patch.corner_curvature(*uv) if g2
-                                      else None)
-                    break
-            else:
-                data = self._vertex_data(v)
-                self.frames[v] = data.normal, data.curvature
-        return self.frames[v]
+    # -- phases ---------------------------------------------------------------
+    def _grid_corners(self, vertices):
+        """For each vertex, its first outgoing half edge (in star order)
+        whose face has a grid patch, or -1."""
+        star, _ = self.mesh.fans(vertices)
+        grid = self.grid_slot[star >> 2] >= 0
+        return np.where(grid.any(axis=1),
+                        star[np.arange(len(vertices)), grid.argmax(axis=1)],
+                        -1)
 
-    def _face_normal(self, f):
-        quad = self.mesh.faces[f]
-        p = self.mesh.vertices[quad]
-        n = np.cross(p[2] - p[0], p[3] - p[1])
-        norm = np.linalg.norm(n)
-        return n / norm if norm > 0 else n
+    def _corner_frames(self, corner, fits, fit_rows):
+        """(unit normals, principal curvature tuple or None in G1) at
+        vertices whose grid corner is corner[i] (a half edge, -1 for none),
+        else from row fit_rows[i] of the vertex fits."""
+        grid = corner >= 0
+        f = corner[grid] >> 2
+        ui, vi = _CORNER_UV[(corner[grid] - self.grid_anchor[f]) % 4].T
+        # [.., q, r]: the r-th u-derivative of the q-th v-derivative
+        table = self.surf.grid_patches.side_ends[self.grid_slot[f], vi, ui]
+        rows = fit_rows[~grid]
+        if self.options.mode == "g1":
+            normal = np.empty((len(corner), 3))
+            n = np.cross(table[:, 0, 1], table[:, 1, 0])
+            norm = net._norm(n)
+            if (norm == 0.0).any():
+                raise ConstructionError("degenerate grid corner frame")
+            normal[grid] = n / norm[:, None]
+            if len(rows):
+                normal[~grid] = fits.normal[rows]
+            return normal, None
+        # su, sv, suu, suv, svv
+        frames = np.empty((5, len(corner), 3))
+        frames[:, grid] = table[:, [0, 1, 0, 1, 2], [1, 0, 2, 1, 0]] \
+            .transpose(1, 0, 2)
+        if len(rows):
+            frames[:, ~grid] = fits.guide[:, rows]
+        curvature = net.principal_curvatures(*frames)
+        return curvature[4], curvature
 
-    # -- boundary curve records ------------------------------------------------
-    def _edge_record(self, a, b):
-        key = qm.edge_key(a, b)
-        rec = self.surf.edge_records.get(key)
-        if rec is not None:
-            return rec
-        a, b = key
-        d = self.params.get(a, b)
-        win = self._segment_window(a, b)
-        if win is not None:
-            gamma = self._segment_poly(win)
-        else:
-            m0, s0 = self._endpoint_derivs(a, b)
-            mb, sb = self._endpoint_derivs(b, a)
-            # a quintic through the second derivatives in G2, else a cubic
-            seconds = (s0, sb) if self.options.mode == "g2" else ()
-            gamma = net.build_missing_boundary_curve(
-                self.mesh.vertices[a], self.mesh.vertices[b], d, m0, -mb,
-                *seconds)
-        rec = _EdgeRecord(a=a, b=b, d=d, gamma=gamma)
-        self.surf.edge_records[key] = rec
-        return rec
+    @staticmethod
+    def _fit_derivs(fits, fitted, v, c):
+        """First and second derivatives of the vertex fits at v[i] toward
+        their fan neighbour c[i]."""
+        row = np.searchsorted(fitted, v)
+        col = np.argmax(fits.fan[row] == c[:, None], axis=1)
+        return fits.first[row, col], fits.second[row, col]
 
-    # -- face assembly -----------------------------------------------------------
-    def _sampled_side(self, c, he):
-        """Side c along half edge he read from the regular patch across it,
-        or None where no regular patch lies across he."""
-        twin = self.mesh.twin(he)
-        g = None if twin is None else self.mesh.he_face(twin)
-        patch = self.surf.regular.get(g)
-        if patch is None:
-            return None
-        n = (twin - self.surf.anchors[g]) % 4
-        side = SIDE_OF_CORNER[n]
-        # side c runs along he for c = 0, 1 and the neighbour's along the
-        # twin for n = 0, 1; chi points into this face for c = 0, 3 and the
-        # neighbour's cross derivative into the neighbour for n = 0, 3
-        return Side(patch.side_interval(side),
-                    [patch.field(side, q)
-                     for q in range(patch.patches.k + 1)],
-                    reverse=(0, 1, 2) if (c < 2) == (n < 2) else (),
-                    negate_cross=(c in (0, 3)) == (n in (0, 3)))
+    def _face_normals(self, faces):
+        p = self.mesh.vertices[self.mesh.faces[faces]]
+        n = np.cross(p[:, 2] - p[:, 0], p[:, 3] - p[:, 1])
+        norm = net._norm(n)[:, None]
+        return n / np.where(norm > 0.0, norm, 1.0)
 
-    def _network_side(self, f, he, va, vb, nbrs=None, at_end=False):
-        """Side of face f from va to vb along half edge he, generated from the
-        curve network: the edge record's curve and, given the neighbouring
-        sides nbrs, the cross fields built in this face's orientation with
-        corner targets read at the ends (at_end) or starts of nbrs."""
-        mesh, opts = self.mesh, self.options
-        rec = self._edge_record(va, vb)
-        d = rec.d
-        reverse = (0,) if rec.a != va else ()
-        fields = [rec.gamma]
-        if nbrs is None:   # the curve alone, a corner target of its neighbours
-            return Side(d, fields, reverse=reverse)
-        gamma = rec.gamma.reversed(d) if reverse else rec.gamma
-        nm = None
-        if opts.r_degree == 2:
-            twin = mesh.twin(he)
-            normals = [self._face_normal(f)]
-            if twin is not None:
-                normals.append(self._face_normal(mesh.he_face(twin)))
-            nm = np.mean(normals, axis=0)
-            norm = np.linalg.norm(nm)
-            nm = nm / norm if norm > 1e-12 else None
-        (n_a, k_a), (n_b, k_b) = map(self._corner_frame, (va, vb))
-        ruled = net.make_ruled_direction(gamma, d, n_a, n_b, opts.r_degree,
-                                         nm, curv0=k_a, curv1=k_b)
+    def _mid_normals(self, hes):
+        """Mean unit normal of the faces on both sides of each half edge (of
+        its own face where it has no twin), and where it is long enough to
+        use."""
+        twin = self.mesh.twin_of[hes]
+        nm = self._face_normals(hes >> 2)
+        two = twin >= 0
+        nm[two] = (nm[two] + self._face_normals(twin[two] >> 2)) / 2.0
+        norm = net._norm(nm)
+        ok = norm > 1e-12
+        nm[ok] /= norm[ok, None]
+        return nm, ok
 
-        def targets(order):
-            return [s.field(0, s.d if at_end else 0.0, order) for s in nbrs]
-
-        chi, a_lin, b_lin = net.build_cross_field_chi(gamma, d, ruled,
-                                                      *targets(1))
-        fields.append(chi)
-        if opts.mode == "g2":
+    def _cross_fields(self, gamma, d, frames, nm, targets):
+        """Coefficients of chi (and of xi in G2) over the curves gamma of
+        network sides, in face orientation; frames are the (normal,
+        curvature) at both ends, nm None for linear ruled directions."""
+        (n_a, k_a), (n_b, k_b) = frames
+        ruled = net.make_ruled_direction(gamma, d, n_a, n_b,
+                                         self.options.r_degree, nm,
+                                         curv0=k_a, curv1=k_b)
+        chi, a, b = net.build_cross_field_chi(gamma, d, ruled, *targets[1])
+        fields = [chi.coeffs]
+        if self.k == 2:
             w0 = net.normal_curvature_vector(ruled.eval(0.0), *k_a)
             w1 = net.normal_curvature_vector(ruled.eval(d), *k_b)
-            w_field = net.VecPoly(np.stack([w0, (w1 - w0) / d]))
+            w = net.VecPoly(np.stack([w0, (w1 - w0) / d[:, None]], axis=1))
             fields.append(net.build_cross_field_xi(
-                gamma, d, a_lin, b_lin, ruled, w_field, *targets(2)))
-        return Side(d, fields, reverse=reverse)
+                gamma, d, a, b, ruled, w, *targets[2]).coeffs)
+        return fields
 
-    def build_face(self, f):
-        """BoundaryData of extraordinary face f.
+    def build(self, faces):
+        """BoundaryData of the extraordinary faces, in order.
 
         Side c lies along half edge anchor + c and runs with it for c = 0, 1,
-        against it for c = 2, 3.  It is sampled from the regular patch across
-        its edge where there is one, and generated from the curve network
-        otherwise; a network side's corner targets are the sides (3, 1) for
-        even c and (0, 2) for odd c, read at their ends for c = 1, 2 and at
-        their starts for c = 0, 3.
+        against it for c = 2, 3.  A network side's corner targets are the
+        sides (3, 1) for even c and (0, 2) for odd c, read at their ends for
+        c = 1, 2 and at their starts for c = 0, 3.
         """
-        mesh = self.mesh
-        anchor = self.surf.anchors[f] = mesh.canonical_halfedge(f)
-        hes = [anchor & ~3 | (anchor + c) & 3 for c in range(4)]
-        p = [mesh.origin(h) for h in hes]
-        ends = [(p[0], p[1]), (p[1], p[2]), (p[3], p[2]), (p[0], p[3])]
-        sampled = [self._sampled_side(c, h) for c, h in enumerate(hes)]
-        curves = [side or self._network_side(f, h, *ends[c])
-                  for c, (h, side) in enumerate(zip(hes, sampled))]
-        sides = []
-        for c, (h, side) in enumerate(zip(hes, sampled)):
-            if side is None:
-                nbrs = [curves[n] for n in ((3, 1), (0, 2))[c % 2]]
-                side = self._network_side(f, h, *ends[c], nbrs, c in (1, 2))
-            sides.append(side)
-        return BoundaryData(mesh.vertices[p], sides, k=self.options.k, face=f)
+        mesh, surf, k = self.mesh, self.surf, self.k
+        P, fam, patches = mesh.vertices, self.options.family, surf.grid_patches
+        faces = np.asarray(faces)
+        anchor = 4 * faces + np.argmin(mesh.faces[faces], axis=1)
+        surf.anchors.update(zip(faces.tolist(), anchor.tolist()))
+        hes = anchor[:, None] & ~3 | (anchor[:, None] + np.arange(4)) & 3
+        corners = mesh.origin_of[hes]
+        start, end = (corners[:, _SIDE_CORNERS[:, e]] for e in (0, 1))
+
+        # 1. sides and curves.  A side is sampled from the grid patch
+        # across its half edge, as that patch's side n, where there is one
+        twin = mesh.twin_of[hes]
+        slot = self.grid_slot[twin >> 2]
+        sampled, network = slot >= 0, slot < 0
+        n = (twin - self.grid_anchor[twin >> 2]) % 4
+        # side c runs along its half edge for c = 0, 1 and the neighbour's
+        # along the twin for n = 0, 1; chi points into this face for c = 0,
+        # 3 and the neighbour's cross derivative into the neighbour for
+        # n = 0, 3
+        same_way = (np.arange(4) < 2) == (n < 2)
+        same_cross = np.isin(np.arange(4), (0, 3)) == np.isin(n, (0, 3))
+        # one record per network edge lo -> hi
+        side_lo = np.minimum(start, end)[network]
+        side_hi = np.maximum(start, end)[network]
+        _, first, rec = np.unique(side_lo * mesh.num_vertices + side_hi,
+                                  return_index=True, return_inverse=True)
+        lo, hi, h = side_lo[first], side_hi[first], hes[network][first]
+        own = mesh.origin_of[h] == lo
+        fwd = np.where(own, h, mesh.twin_of[h])
+        bwd = np.where(own, mesh.twin_of[h], h)
+        d = self._interval(lo, hi)
+        windows, window = self._windows(lo, hi, fwd, bwd)
+        # the ends of the Hermite curves, toward each other
+        her = ~window
+        a = np.concatenate([lo[her], hi[her]])
+        b = np.concatenate([hi[her], lo[her]])
+        m, s, found = self._spline_derivs(
+            a, b, np.concatenate([fwd[her], bwd[her]]),
+            np.concatenate([bwd[her], fwd[her]]))
+
+        # 2. corner frames at the network sides' ends; the vertex fits
+        # serve where there is no grid corner, and the Hermite curves where
+        # there is no section curve
+        ends = np.unique(np.concatenate([start[network], end[network]]))
+        corner = self._grid_corners(ends)
+        fitted = np.union1d(ends[corner < 0], a[~found])
+        fits = self._vertex_fits(fitted) if len(fitted) else None
+        if not found.all():
+            m[~found], s[~found] = self._fit_derivs(fits, fitted, a[~found],
+                                                    b[~found])
+        gamma = np.zeros((len(lo), max(fam.degree, 2 * k + 1) + 1, 3))
+        if window.any():
+            gamma[window, :fam.degree + 1] = self._segments(
+                windows[window]).coeffs
+        if her.any():
+            (m0, m1), (s0, s1) = np.split(m, 2), np.split(s, 2)
+            curve = net.build_missing_boundary_curve(
+                P[lo[her]], P[hi[her]], d[her], m0, -m1,
+                *((s0, s1) if k == 2 else ()))
+            gamma[her, :curve.degree + 1] = curve.coeffs
+        records = [_EdgeRecord(a=i, b=j, d=dd, gamma=net.VecPoly(g))
+                   for i, j, dd, g in zip(lo.tolist(), hi.tolist(),
+                                          d.tolist(), gamma)]
+        surf.edge_records.update(((r.a, r.b), r) for r in records)
+        normal, curvature = self._corner_frames(
+            corner, fits, np.searchsorted(fitted, ends))
+
+        # every side's curve at its start and end, orders 0..k, as the side
+        # reads it: a reversed side swaps the ends and flips odd orders
+        sign = (-1.0) ** np.arange(k + 1)[:, None]
+        side_ends = np.empty(hes.shape + (2, k + 1, 3))
+        grid_side = _SIDE_INDEX_OF_CORNER[n[sampled]]
+        if sampled.any():
+            table = patches.side_ends[slot[sampled], grid_side, :, 0, :k + 1]
+            side_ends[sampled] = np.where(
+                same_way[sampled][:, None, None, None],
+                sign * table[:, ::-1], table)
+        curves = net.VecPoly(gamma[:, None])
+        x = np.stack([np.zeros_like(d), d], axis=1)
+        table = np.stack([curves.eval(x, r) for r in range(k + 1)],
+                         axis=2)[rec]
+        reverse = lo[rec] != start[network]
+        side_ends[network] = np.where(reverse[:, None, None, None],
+                                      sign * table[:, ::-1], table)
+
+        # 3. network sides, over their curves in face orientation
+        f, c = np.nonzero(network)
+        d_side = d[rec]
+        forward = net.VecPoly(gamma[rec])
+        gamma = np.where(reverse[:, None, None],
+                         forward.reversed(d_side).coeffs, forward.coeffs)
+        at = [np.searchsorted(ends, v[network]) for v in (start, end)]
+        # the corner targets: the first (r = 1) and second x-derivatives of
+        # the neighbouring sides at their starts or ends
+        e = np.isin(c, (1, 2)).astype(int)
+        nbrs = (np.where(c % 2, 0, 3), np.where(c % 2, 2, 1))
+        targets = {r: [side_ends[f, nb, e, r] for nb in nbrs]
+                   for r in range(1, k + 1)}
+        if self.options.r_degree == 2:
+            nm, quadratic = self._mid_normals(hes[network])
+        else:
+            nm, quadratic = None, np.zeros(len(f), bool)
+        fields = np.empty((k, len(f)), object)
+        for sel, mid in ((quadratic, nm), (~quadratic, None)):
+            if not sel.any():
+                continue
+            frames = [(normal[i][sel], None if curvature is None
+                       else tuple(x[i][sel] for x in curvature))
+                      for i in at]
+            part = self._cross_fields(
+                net.VecPoly(gamma[sel]), d_side[sel], frames,
+                None if mid is None else mid[sel],
+                {r: [t[sel] for t in ts] for r, ts in targets.items()})
+            for q, coeffs in enumerate(part):
+                fields[q, sel] = [net.VecPoly(row) for row in coeffs]
+
+        # 4. Side objects, and the data of every face with one corner check
+        sides = [[None] * 4 for _ in range(len(faces))]
+        orders = range(patches.k + 1)
+        for (i, j), sl, gs, length, way, cross in zip(
+                np.argwhere(sampled).tolist(), slot[sampled].tolist(),
+                grid_side.tolist(),
+                patches.intervals[slot[sampled], grid_side, 1].tolist(),
+                same_way[sampled].tolist(), same_cross[sampled].tolist()):
+            sides[i][j] = Side(
+                length, [GridField(patches, sl, gs, q) for q in orders],
+                reverse=(0, 1, 2) if way else (), negate_cross=cross)
+        for i, j, r, rev, more in zip(f.tolist(), c.tolist(), rec.tolist(),
+                                      reverse.tolist(), fields.T):
+            sides[i][j] = Side(records[r].d, [records[r].gamma, *more],
+                               reverse=(0,) if rev else ())
+        return BoundaryData.many(P[corners], sides, k, faces.tolist(),
+                                 side_ends[..., 0, :])
 
 
 # -- tessellation -----------------------------------------------------------------
@@ -444,7 +585,9 @@ def tessellate(surface, n=16):
 
     Welding merges samples whose positions round to the same multiple of a
     tolerance relative to the mesh size; a merged vertex keeps its first
-    sample (faces in ascending order, u running fastest).
+    sample (faces in ascending order, u running fastest).  A sample whose
+    weld key cannot be formed (a non-finite coordinate, or one of 2^62
+    tolerances or more) raises ConstructionError naming its face.
     """
     if n < 1:
         raise ValueError("need at least one sample per edge")
@@ -460,7 +603,14 @@ def tessellate(surface, n=16):
     faces = sorted(list(surface.regular) + list(surface.gregory))
     positions = surface.eval(np.repeat(faces, len(u)),
                              np.tile(u, len(faces)), np.tile(v, len(faces)))
-    keys = np.round(positions / tol).astype(np.int64)
+    scaled = positions / tol
+    bad = ~(np.abs(scaled) < 2.0 ** 62).all(axis=1)
+    if bad.any():
+        raise ConstructionError(
+            f"face {faces[np.argmax(bad) // len(u)]} evaluates to "
+            f"{positions[np.argmax(bad)].tolist()}, which cannot be welded "
+            f"at tolerance {tol:.3g}")
+    keys = np.round(scaled).astype(np.int64)
     _, first, inverse = np.unique(keys, axis=0, return_index=True,
                                   return_inverse=True)
     order = np.argsort(first)   # welded vertices in first-seen order

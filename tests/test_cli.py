@@ -1,12 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from conftest import (FIG1_POLYLINE, bowtie_grids, cube_mesh, jittered_torus,
-                      open_grid, torus_grid)
+from conftest import (FIG1_POLYLINE, bowtie_grids, cube_mesh,
+                      grid_with_rotated_edge, jittered_torus, open_grid,
+                      torus_grid)
 from quadspline.cli import count_sign_changes, main
-from quadspline.mesh import save_obj
+from quadspline.mesh import QuadMesh, save_obj
 
 
 def write_points(path, pts):
@@ -87,6 +89,31 @@ def test_build_mesh_without_faces_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: mesh has no faces\n"
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--mode", "g2"], 1),
+    (["--mode", "g1", "--family", "d3c1p2s4"], 0)], ids=["g2", "g1_d3"])
+def test_build_thin_fan_fails_instead_of_welding_garbage(tmp_path, capsys,
+                                                         flags, code):
+    # 8 x 8e-9: the G2 network overshoots on this anisotropic fan until
+    # some samples lie beyond 2^62 weld tolerances (near 1.4e16 at most);
+    # g1 stays on the plane
+    mesh = grid_with_rotated_edge()
+    vertices = mesh.vertices * [1.0, 1e-9, 1.0]
+    path = tmp_path / "thin.obj"
+    save_obj(QuadMesh(vertices, mesh.faces), path)
+    out = tmp_path / "thin.ply"
+    assert main(["build", str(path), *flags, "--samples", "4",
+                 "--out", str(out), "--report",
+                 str(tmp_path / "thin.json")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert re.fullmatch(r"error: face \d+ evaluates to \[.*\], which "
+                            r"cannot be welded at tolerance 1e-08\n", err)
+        assert not out.exists()
+    else:
+        assert out.exists()
 
 
 # one quad on a line: every sample has a degenerate normal

@@ -9,7 +9,8 @@ from quadspline.network import (VecPoly, build_cross_field_chi,
                                 fit_common_plane, fit_guide_polynomial,
                                 guide_points, hermite_curve3, hermite_curve5,
                                 make_ruled_direction, normal_curvature_vector,
-                                planar_angles, project_to_plane)
+                                planar_angles, principal_curvatures,
+                                project_to_plane, tangent_with_fallback)
 
 
 def bessel_oracle(p_prev, p0, p_next, d_prev, d_next):
@@ -405,3 +406,53 @@ def test_normal_curvature_vector():
     r0 = np.array([0.6, 0.8, 0.0])
     w = normal_curvature_vector(r0, 2.0, -1.0, d1, d2, n)
     assert np.allclose(w, (0.36 * 2.0 + 0.64 * -1.0) * n, atol=1e-14)
+
+
+def test_batches_are_stacks_of_their_entries():
+    # every function takes leading batch axes: a batch of fields is the
+    # stack of its entries' fields, bit for bit
+    rng = np.random.default_rng(37)
+    count = 6
+    d = rng.uniform(0.5, 2.0, count)
+    gamma = hermite_curve5(*rng.normal(size=(6, count, 3)), d)
+    normals = rng.normal(size=(3, count, 3))
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    curvature = principal_curvatures(*rng.normal(size=(5, count, 3)))
+    targets = rng.normal(size=(4, count, 3))
+
+    # the curvature at the far ends: the same frames in another order
+    far = tuple(x[::-1] for x in curvature)
+
+    def fields(at):
+        g = VecPoly(gamma.coeffs[at])
+        k0, k1 = (tuple(x[at] for x in k) for k in (curvature, far))
+        ruled = make_ruled_direction(g, d[at], normals[0][at],
+                                     normals[1][at], 2, normals[2][at],
+                                     curv0=k0, curv1=k1)
+        chi, a, b = build_cross_field_chi(g, d[at], ruled, targets[0][at],
+                                          targets[1][at])
+        w = VecPoly(np.stack([normal_curvature_vector(ruled.eval(0.0), *k0),
+                              normal_curvature_vector(ruled.eval(d[at]),
+                                                      *k1)], axis=-2))
+        xi = build_cross_field_xi(g, d[at], a, b, ruled, w, targets[2][at],
+                                  targets[3][at])
+        return [ruled.coeffs, chi.coeffs, xi.coeffs,
+                g.reversed(d[at]).coeffs]
+
+    batch = fields(slice(None))
+    for i in range(count):
+        for stacked, single in zip(batch, fields(i)):
+            assert np.array_equal(stacked[i], single)
+    fans = rng.normal(size=(count, 5, 3))
+    ds = rng.uniform(0.5, 2.0, (count, 5))
+    p0 = rng.normal(size=(count, 3))
+    tangents = tangent_with_fallback(p0[:, None], fans[:, None], ds[:, None],
+                                     np.arange(5))
+    etas = planar_angles(tangents)
+    planes = fit_common_plane(tangents)
+    for i in range(count):
+        one = [tangent_with_fallback(p0[i], fans[i], ds[i], j)
+               for j in range(5)]
+        assert np.array_equal(tangents[i], one)
+        assert np.array_equal(etas[i], planar_angles(one))
+        assert np.array_equal(planes[i], fit_common_plane(one))
