@@ -139,28 +139,36 @@ class GridPatchSet:
         x-derivatives of cross fields are exact, and offered, only at the
         side's endpoints, where they are mixed corner derivatives.
         """
-        if max(orders) > self.k:
-            raise ValueError(f"cross order {max(orders)} exceeds continuity "
-                             f"{self.k}")
-        return chunked(lambda s, c, t: self._side_fields(s, c, orders, t, r),
+        return self.side_jets(slots, sides, [(q, r) for q in orders], x)
+
+    def side_jets(self, slots, sides, jets, x):
+        """side_fields for every (q, r) pair of jets in one pass, with one
+        along-weight table for all r and one cross-weight table for all
+        q > 0; shape (len(jets), n, 3)."""
+        top = max(q for q, _ in jets)
+        if top > self.k:
+            raise ValueError(f"cross order {top} exceeds continuity {self.k}")
+        return chunked(lambda s, c, t: self._side_jets(s, c, jets, t),
                        slots, sides, np.asarray(x, float))
 
-    def _side_fields(self, slots, sides, orders, x, r):
+    def _side_jets(self, slots, sides, jets, x):
         along = self.intervals[slots, sides].T
-        cross_orders = tuple(q for q in orders if q)
-        if cross_orders and r:
+        if any(q and r for q, r in jets):
             at_end = np.abs(x - along[1]) <= 1e-9 * along[1]
             if not np.all(at_end | (np.abs(x) <= 1e-9 * along[1])):
                 raise ValueError("cross-field derivatives are exact at "
                                  "endpoints only")
             x = np.where(at_end, along[1], 0.0)
-        w_along = fundamental_weights(self.family, x, along, r)
+        rs = sorted({r for _, r in jets})
+        w_along = dict(zip(rs, fundamental_weights(self.family, x, along,
+                                                   rs)))
         vertical = sides < 2   # v0/v1 run along u and are crossed in v
         w_cross = {}
-        if 0 in orders:
+        if any(q == 0 for q, _ in jets):
             # the boundary curve is the grid line of the side itself
-            w_cross[0] = np.zeros_like(w_along)
+            w_cross[0] = np.zeros((4, len(x)))
             w_cross[0][1 + sides % 2, np.arange(len(x))] = 1.0
+        cross_orders = sorted({q for q, _ in jets if q})
         if cross_orders:
             cross = self._blended(slots, np.where(vertical, 2, 0),
                                   x / along[1])
@@ -169,9 +177,9 @@ class GridPatchSet:
                 cross_orders)))
         points = self.points[slots]
         return np.stack([
-            self._combine(points, np.where(vertical, w_along, w_cross[q]),
-                          np.where(vertical, w_cross[q], w_along))
-            for q in orders])
+            self._combine(points, np.where(vertical, w_along[r], w_cross[q]),
+                          np.where(vertical, w_cross[q], w_along[r]))
+            for q, r in jets])
 
 
 @dataclass(frozen=True)

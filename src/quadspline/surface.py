@@ -8,9 +8,10 @@ watertight by construction.
 
 The patches of each kind live in one set (patch.GridPatchSet,
 gregory.GregoryPatchSet).  CompositeSurface.eval takes arrays of (face, u, v)
-and makes one call per set; tessellation, the analysis channels and the
-continuity audit each build one table of (face, u, v) for the whole surface
-and evaluate it through that call, in bounded chunks.
+and makes one call per set; tessellation builds one table of (face, u, v)
+for the whole surface, the analysis channels and the continuity audit one
+per batch of vertices or seams, and each table is evaluated through that
+call, in bounded chunks.
 """
 
 import json
@@ -663,30 +664,40 @@ def _fd_partials(surface, faces, u, v, h, h_select=None):
 
     h_select fixes which stencil variants are used (so two step sizes can be
     combined by Richardson extrapolation without switching stencils).
-    Stencil points shared between the five derivatives are evaluated once.
+    Stencil points shared between the five derivatives are evaluated once:
+    each point's first-derivative offsets are three distinct values, 0
+    among them, so all five stencils lie in the 3 x 3 block of their
+    products, but for the second-derivative offsets outside it (the far
+    points of a one-sided stencil), evaluated beside the block.
     """
     hs = h if h_select is None else h_select
     (ou1, wu1), (ou2, wu2) = _stencils(u, hs)
     (ov1, wv1), (ov2, wv2) = _stencils(v, hs)
     n = len(u)
-    # every derivative as (u offsets, v offsets, weights, divisor)
-    terms = [(ou1, 0, wu1, h), (0, ov1, wv1, h), (ou2, 0, wu2, h * h),
-             (np.repeat(ou1, 3, axis=1), np.tile(ov1, 3),
-              (wu1[:, :, None] * wv1[:, None, :]).reshape(n, 9), h * h),
-             (0, ov2, wv2, h * h)]
-    du, dv = (np.concatenate([np.broadcast_to(term[i], term[2].shape)
-                              for term in terms], axis=1) for i in (0, 1))
-    # offsets lie in -3..3: one integer key per (point, du, dv)
-    keys = (np.arange(n)[:, None] * 7 + du + 3) * 7 + dv + 3
-    _, first, inverse = np.unique(keys, return_index=True,
-                                  return_inverse=True)
-    rows = first // keys.shape[1]
-    vals = surface.eval(faces[rows], u[rows] + du.flat[first] * h,
-                        v[rows] + dv.flat[first] * h)
-    vals = vals[inverse.reshape(keys.shape)]
-    sizes = np.cumsum([term[2].shape[1] for term in terms])[:-1]
-    return tuple(_contract(w, part) / div for (_, _, w, div), part
-                 in zip(terms, np.split(vals, sizes, axis=1)))
+    rows = np.arange(n)
+    # the column of each second-derivative offset among the first ones, -1
+    # for none, and the column of offset 0
+    cu, cv = (np.where(hit.any(axis=2), hit.argmax(axis=2), -1)
+              for hit in (ou2[:, :, None] == ou1[:, None, :],
+                          ov2[:, :, None] == ov1[:, None, :]))
+    zu, zv = np.argmax(ou1 == 0, axis=1), np.argmax(ov1 == 0, axis=1)
+    (iu, ju), (iv, jv) = np.nonzero(cu < 0), np.nonzero(cv < 0)
+    bu, bv = np.broadcast_arrays(u[:, None, None] + ou1[:, :, None] * h,
+                                 v[:, None, None] + ov1[:, None, :] * h)
+    vals = surface.eval(
+        np.concatenate([np.repeat(faces, 9), faces[iu], faces[iv]]),
+        np.concatenate([bu.ravel(), u[iu] + ou2[iu, ju] * h, u[iv]]),
+        np.concatenate([bv.ravel(), v[iu], v[iv] + ov2[iv, jv] * h]))
+    block = vals[:9 * n].reshape(n, 3, 3, 3)
+    at_u = block[rows[:, None], np.maximum(cu, 0), zv[:, None]]
+    at_v = block[rows[:, None], zu[:, None], np.maximum(cv, 0)]
+    at_u[iu, ju], at_v[iv, jv] = np.split(vals[9 * n:], [len(iu)])
+    return (_contract(wu1, block[rows, :, zv]) / h,
+            _contract(wv1, block[rows, zu]) / h,
+            _contract(wu2, at_u) / (h * h),
+            _contract((wu1[:, :, None] * wv1[:, None, :]).reshape(n, 9),
+                      block.reshape(n, 9, 3)) / (h * h),
+            _contract(wv2, at_v) / (h * h))
 
 
 def _partials(surface, faces, u, v, h, richardson=False):
@@ -715,10 +726,10 @@ def analysis_fields(surface, tri, richardson=False):
     """Per-vertex mean curvature and isophote value channels.
 
     Partial derivatives come from central differences (one sided at the
-    patch-domain edges), with the stencil points of EVAL_CHUNK // 4
-    vertices at a time evaluated in one surface.eval call; samples with a
-    degenerate normal are flagged NaN.  Richardson extrapolation trades
-    double the evaluations for two extra orders of accuracy.
+    patch-domain edges), with the stencil points of EVAL_CHUNK vertices at
+    a time evaluated in one surface.eval call; samples with a degenerate
+    normal are flagged NaN.  Richardson extrapolation trades double the
+    evaluations for two extra orders of accuracy.
     """
     h = 1e-3 if richardson else FD_STEP
     faces = np.asarray(tri.src_face, int)
@@ -726,9 +737,8 @@ def analysis_fields(surface, tri, richardson=False):
     mean_curv = np.full(len(tri.positions), np.nan)
     isophote = np.full(len(tri.positions), np.nan)
     degenerate = 0
-    step = max(1, EVAL_CHUNK // 4)
-    for lo in range(0, len(faces), step):
-        at = slice(lo, lo + step)
+    for lo in range(0, len(faces), EVAL_CHUNK):
+        at = slice(lo, lo + EVAL_CHUNK)
         su, sv, suu, suv, svv = _partials(surface, faces[at], u[at], v[at],
                                           h, richardson)
         nrm, bad = _unit_normals(su, sv)
@@ -806,13 +816,12 @@ def _seam_table(surface, hes, ts, k):
         _contract(wu, at_u) / FD_STEP, _contract(wv, at_v) / FD_STEP)
     slots, sides, x, inward, blend = _cross_frame(
         surface, f[grid], hes[grid][:, None], u[grid], v[grid])
-    slots, sides, x = (a.ravel() for a in (slots, sides, x))
-    patches = surface.grid_patches
-    fields = patches.side_fields(slots, sides, range(1, k + 1), x) \
-        .reshape((k,) + blend.shape + (3,))
-    along = patches.side_fields(slots, sides, (0,), x, 1)[0]
-    normal[grid], degenerate[grid] = _unit_normals(
-        along.reshape(blend.shape + (3,)), fields[0])
+    # the boundary tangent and the cross fields of orders 1..k, in one pass
+    jets = [(0, 1)] + [(q, 0) for q in range(1, k + 1)]
+    along, *fields = surface.grid_patches.side_jets(
+        slots.ravel(), sides.ravel(), jets, x.ravel()) \
+        .reshape((k + 1,) + blend.shape + (3,))
+    normal[grid], degenerate[grid] = _unit_normals(along, fields[0])
     # the audited seams' sides among the grid sides, at the interior samples
     inner = (np.cumsum(grid).reshape(grid.shape)[grid.all(axis=1)] - 1,
              slice(1, -1))
@@ -853,9 +862,13 @@ def continuity_report(surface, samples=16):
     continuity order, relative to the surface's largest derivative of that
     order.  Normals are exact on grid sides, read from the side fields, and
     come from finite differences on Gregory sides.  The samples of both
-    sides of EVAL_CHUNK // (2 samples) seams at a time form one table,
-    evaluated in one surface.eval call and reduced per seam.
+    sides of 4 EVAL_CHUNK // (2 samples) seams at a time form one table,
+    evaluated in one surface.eval call and reduced per seam.  samples below
+    3 leave no interior sample to audit and raise ValueError.
     """
+    if samples < 3:
+        raise ValueError(f"the continuity report needs at least 3 samples "
+                         f"per edge, got {samples}")
     mesh = surface.mesh
     k = surface.options.family.continuity
     ts = np.linspace(0.0, 1.0, samples)
@@ -867,7 +880,7 @@ def continuity_report(surface, samples=16):
     residual = {r: np.zeros(audit.sum()) for r in range(1, k + 1)}
     top = dict.fromkeys(residual, 1e-12)
     audited = np.cumsum(audit) - audit   # row of each seam among the audited
-    step = max(1, EVAL_CHUNK // (2 * samples))
+    step = max(1, 4 * EVAL_CHUNK // (2 * samples))
     for lo in range(0, len(hes), step):
         at = slice(lo, lo + step)
         gap[at], angle[at], res = _measure_seams(surface, hes[at], ts, k)

@@ -10,11 +10,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import (grid_with_rotated_edge, sphere_mesh,
+from conftest import (grid_with_rotated_edge, jittered_torus, sphere_mesh,
                       torus_with_rotated_edge)
 from quadspline.surface import (FD_STEP, WELD_REL_TOL, BuildOptions,
-                                _cross_frame, _interior_shared_edges,
-                                analysis_fields, build_surface,
+                                CompositeSurface, _contract, _cross_frame,
+                                _fd_partials, _interior_shared_edges,
+                                _stencils, analysis_fields, build_surface,
                                 continuity_report, tessellate)
 
 CASES = {
@@ -276,3 +277,129 @@ def test_continuity_report_matches_pointwise_oracle(case):
             assert got["delta_residual"][r] <= 1e-11
         audited += bool(residual)
     assert audited > 0
+
+
+# -- the analysis stencil block against keyed deduplication -------------------
+
+def keyed_fd_partials(surface, faces, u, v, h, h_select=None):
+    """(su, sv, suu, suv, svv) with every stencil point keyed by its offsets
+    and the distinct keys found by np.unique: the oracle of the fixed block
+    layout of _fd_partials."""
+    hs = h if h_select is None else h_select
+    (ou1, wu1), (ou2, wu2) = _stencils(u, hs)
+    (ov1, wv1), (ov2, wv2) = _stencils(v, hs)
+    n = len(u)
+    terms = [(ou1, 0, wu1, h), (0, ov1, wv1, h), (ou2, 0, wu2, h * h),
+             (np.repeat(ou1, 3, axis=1), np.tile(ov1, 3),
+              (wu1[:, :, None] * wv1[:, None, :]).reshape(n, 9), h * h),
+             (0, ov2, wv2, h * h)]
+    du, dv = (np.concatenate([np.broadcast_to(term[i], term[2].shape)
+                              for term in terms], axis=1) for i in (0, 1))
+    keys = (np.arange(n)[:, None] * 7 + du + 3) * 7 + dv + 3
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    rows = first // keys.shape[1]
+    vals = surface.eval(faces[rows], u[rows] + du.flat[first] * h,
+                        v[rows] + dv.flat[first] * h)
+    vals = vals[inverse.reshape(keys.shape)]
+    sizes = np.cumsum([term[2].shape[1] for term in terms])[:-1]
+    return tuple(_contract(w, part) / div for (_, _, w, div), part
+                 in zip(terms, np.split(vals, sizes, axis=1)))
+
+
+def first_kind(t, h):
+    """The first-derivative stencil at t: 0 central, 1 forward, 2 backward."""
+    return np.where((h <= t) & (t <= 1.0 - h), 0, np.where(t < h, 1, 2))
+
+
+FD_MESHES = {
+    "sphere": lambda: sphere_mesh(2),
+    "ev_torus": lambda: torus_with_rotated_edge(10, 10),
+    "rotated_grid": lambda: grid_with_rotated_edge(7, 7),
+}
+# (h, h_select): the plain step, and the Richardson pair at its h_select
+STEPS = ((FD_STEP, None), (1e-3, 2e-3), (2e-3, 2e-3))
+
+
+@lru_cache(maxsize=None)
+def fd_surface(name):
+    return build_surface(FD_MESHES[name]().build_connectivity(),
+                         BuildOptions())
+
+
+def assert_partials_equal_keyed(surf, faces, u, v):
+    for h, hs in STEPS:
+        got = _fd_partials(surf, faces, u, v, h, hs)
+        want = keyed_fd_partials(surf, faces, u, v, h, hs)
+        assert len(got) == 5
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("name", sorted(FD_MESHES))
+def test_fd_partials_equal_keyed_oracle_bitwise(name, n):
+    surf = fd_surface(name)
+    tri = tessellate(surf, n)
+    faces = np.asarray(tri.src_face, int)
+    u, v = tri.src_uv.T
+    assert_partials_equal_keyed(surf, faces, u, v)
+    for h, hs in STEPS:
+        reach = h if hs is None else hs
+        assert len(set(zip(first_kind(u, reach).tolist(),
+                           first_kind(v, reach).tolist()))) == 9
+
+
+def test_fd_partials_past_the_first_stencil_equal_keyed_oracle():
+    # between the reaches h and 3 h of the two stencils the first
+    # derivative is central and the second one sided: two far points a side
+    surf = fd_surface("rotated_grid")
+    hs = 2e-3
+    t = np.array([0.0, 0.5, 1.0, 2.0, 250.0, 498.0, 499.0, 499.5, 500.0]) \
+        * hs
+    faces, u, v = (a.ravel() for a in np.meshgrid(
+        np.asarray(surf.real_faces), t, t, indexing="ij"))
+    assert_partials_equal_keyed(surf, faces, u, v)
+
+
+def distinct_stencil_points(u, v, h):
+    """Number of distinct points of the five stencils at (u, v), from the
+    point-by-point stencils; the first-derivative block holds offset 0."""
+    (ou1, _), (ou2, _) = stencils(u, h)
+    (ov1, _), (ov2, _) = stencils(v, h)
+    block = {(a, b) for a in {0, *ou1} for b in {0, *ov1}}
+    return len(block | {(a, 0) for a in ou2} | {(0, b) for b in ov2})
+
+
+@pytest.fixture
+def evaluated_points(monkeypatch):
+    """The number of points of every CompositeSurface.eval call."""
+    counts = []
+    real = CompositeSurface.eval
+
+    def counting(self, faces, u, v):
+        counts.append(np.broadcast(faces, u, v).size)
+        return real(self, faces, u, v)
+
+    monkeypatch.setattr(CompositeSurface, "eval", counting)
+    return counts
+
+
+def test_analysis_and_audit_evaluate_each_point_once(evaluated_points):
+    surf = build_surface(jittered_torus().build_connectivity(),
+                         BuildOptions())
+    assert not surf.gregory
+    tri = tessellate(surf, 4)
+    evaluated_points.clear()
+    analysis_fields(surf, tri)
+    want = sum(distinct_stencil_points(u, v, FD_STEP) for u, v in tri.src_uv)
+    assert sum(evaluated_points) == want
+    assert want == 9.5 * len(tri.positions)
+    evaluated_points.clear()
+    analysis_fields(surf, tri, richardson=True)
+    assert sum(evaluated_points) == 2 * sum(
+        distinct_stencil_points(u, v, 2e-3) for u, v in tri.src_uv)
+    # grid seam sides read exact side fields: no stencil points at all
+    evaluated_points.clear()
+    report = continuity_report(surf)
+    assert sum(evaluated_points) == 32 * len(report["edges"])

@@ -87,6 +87,28 @@ def test_grid_side_fields_of_several_orders_in_one_call(case):
             assert np.abs(got[q, i] - want).max() <= 1e-14
 
 
+@pytest.mark.parametrize("case", ["sphere_g2", "open_ev_grid_g1"])
+def test_seam_frame_in_one_pass_equals_side_fields(case):
+    # the seam audit reads a grid side's tangent and its cross fields of
+    # orders 1..k from one side_jets pass
+    patches = surface_of(case).grid_patches
+    k = patches.k
+    rng = np.random.default_rng(5)
+    count = EVAL_CHUNK + 300
+    slots = rng.integers(0, len(patches.grids), count)
+    sides = rng.integers(0, 4, count)
+    x = rng.uniform(0.0, 1.0, count)
+    x[::5], x[1::5] = 0.0, 1.0
+    x *= patches.intervals[slots, sides, 1]
+    got = patches.side_jets(slots, sides,
+                            [(0, 1)] + [(q, 0) for q in range(1, k + 1)], x)
+    assert got.shape == (k + 1, count, 3)
+    assert np.array_equal(got[0], patches.side_fields(slots, sides, (0,), x,
+                                                      1)[0])
+    assert np.array_equal(got[1:], patches.side_fields(
+        slots, sides, range(1, k + 1), x))
+
+
 def test_unknown_face_raises():
     surf = surface_of("open_ev_grid_g1")
     phantom = surf.mesh.real_face_count   # extrapolated faces get no patch
@@ -133,10 +155,12 @@ def test_classification_hands_back_the_window_grids(monkeypatch):
 
 
 # tracemalloc peaks of analysis_fields and continuity_report on
-# sphere_mesh(2) at n = 4, numpy 2.4: 1.12 and 1.29 MB (1.32 MB for both in
-# one trace) in chunks of EVAL_CHUNK = 512 points, where the side fields of
-# one Gregory chunk dominate; 10.1 and 15.9 MB with each whole-surface
-# table evaluated in one piece.
+# sphere_mesh(2) at n = 4, numpy 2.4: 1.68 and 1.64 MB (1.68 MB for both in
+# one trace), with the analysis taking EVAL_CHUNK = 512 vertices and the
+# report 4 EVAL_CHUNK // 32 = 64 seams per batch, each batch evaluated in
+# chunks of EVAL_CHUNK points; 1.12 and 1.17 MB with 128 vertices and 16
+# seams per batch; 10.1 and 15.9 MB with each whole-surface table
+# evaluated in one piece.
 PEAK_BOUND_MB = 2.0
 
 

@@ -50,6 +50,19 @@ def test_gregory_count_matches_classification():
     assert sorted(surf.regular) == sorted(regular)
 
 
+def test_continuity_report_needs_an_interior_sample():
+    surf = build_surface(jittered_torus().build_connectivity(),
+                         BuildOptions())
+    # 0 samples divided by zero; 1 and 2 left only the ends, where every
+    # delta residual read 0
+    for samples in (0, 1, 2):
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            continuity_report(surf, samples=samples)
+    residual = max(max(e["delta_residual"].values())
+                   for e in continuity_report(surf, samples=3)["edges"])
+    assert 0.0 < residual <= 1e-11
+
+
 def test_watertight_seams_torus_with_evs():
     mesh = torus_with_rotated_edge(10, 10).build_connectivity()
     surf = build_surface(mesh, BuildOptions())
