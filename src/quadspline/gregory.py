@@ -29,7 +29,7 @@ one slot.
 import numpy as np
 
 from .errors import ConstructionError
-from .patch import GridField, PatchView, _blend, chunked
+from .patch import GridField, PatchView, _blend, chunked, floats
 from .splines import _horner
 
 CORNER_EPS = 1e-12
@@ -38,7 +38,7 @@ CORNER_EPS = 1e-12
 def hermite_basis(degree, u):
     """Blending vector: leading -1 then the Hermite basis polynomials, shape
     (degree + 2,) + u.shape."""
-    u = np.asarray(u, float)
+    u = floats(u)
     if degree == 3:
         u2 = u * u
         u3 = u2 * u
@@ -257,7 +257,7 @@ class GregoryPatchSet:
         sign = self._sign[slots, sides]
         if r % 2:
             sign = np.where(flip, -sign, sign)
-        out = np.empty(flip.shape + (3,))
+        out = np.empty(flip.shape + (3,), xs.dtype)
         poly = self._poly[slots, sides]
         net = poly >= 0
         if net.any():
@@ -325,18 +325,25 @@ class GregoryPatchSet:
         """wa / (wa + wb) at every twist entry of the points, shape (n, 2k,
         2k): entry (2i + a, 2j + b) sits at corner (a, b), with the weights
         wa = (u, 1 - u)[a]^k and wb = (v, 1 - v)[b]^k, linear for G1 and
-        quadratic for G2; 0.5 where both weights vanish."""
+        quadratic for G2; 0.5 where both weights vanish at the real point
+        (u, v may be complex)."""
+        wa, wb = self._weights(u, v)
+        den = real = wa + wb
+        if np.iscomplexobj(den):
+            real = np.add(*self._weights(np.real(u), np.real(v)))
+        return np.divide(wa, den, out=np.full(den.shape, 0.5, den.dtype),
+                         where=real >= CORNER_EPS)
+
+    def _weights(self, u, v):
+        """The weights (wa, wb) of _ratio, shapes (n, 2k, 1) and (n, 1,
+        2k)."""
         k = self.k
         w = np.stack([u, 1.0 - u] * k + [v, 1.0 - v] * k, 1) ** k
-        wa, wb = w[:, :2 * k, None], w[:, None, 2 * k:]
-        den = wa + wb
-        return np.divide(wa, den, out=np.full(den.shape, 0.5),
-                         where=den >= CORNER_EPS)
+        return w[:, :2 * k, None], w[:, None, 2 * k:]
 
     def eval(self, slots, u, v):
         """S(u[i], v[i]) of patch slots[i] for 1-D arrays; shape (n, 3)."""
-        return chunked(self._eval, slots, np.asarray(u, float),
-                       np.asarray(v, float))
+        return chunked(self._eval, slots, floats(u), floats(v))
 
     def _eval(self, slots, u, v):
         k = self.k

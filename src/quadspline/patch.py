@@ -38,6 +38,12 @@ def _blend(k, t):
     return t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
 
 
+def floats(a):
+    """a as a float array, or as a complex one where it is complex: complex
+    points pass through every evaluation, for complex-step derivatives."""
+    return np.asarray(a, complex if np.iscomplexobj(a) else float)
+
+
 def chunked(fn, *arrays):
     """fn over EVAL_CHUNK-long slices of equal-length 1-D arrays, its
     (..., m, 3) results joined into one (..., n, 3) array."""
@@ -47,7 +53,7 @@ def chunked(fn, *arrays):
     for lo in range(0, max(n, 1), EVAL_CHUNK):
         part = fn(*(a[lo:lo + EVAL_CHUNK] for a in arrays))
         if out is None:
-            out = np.empty(part.shape[:-2] + (n, 3))
+            out = np.empty(part.shape[:-2] + (n, 3), part.dtype)
         out[..., lo:lo + EVAL_CHUNK, :] = part
     return out
 
@@ -95,8 +101,7 @@ class GridPatchSet:
 
     def eval(self, slots, u, v):
         """S(u[i], v[i]) of patch slots[i] for 1-D arrays; shape (n, 3)."""
-        return chunked(self._eval, slots, np.asarray(u, float),
-                       np.asarray(v, float))
+        return chunked(self._eval, slots, floats(u), floats(v))
 
     def _eval(self, slots, u, v):
         # rows blend at v, columns at u: one weights call for both
@@ -123,10 +128,9 @@ class GridPatchSet:
         slots = np.repeat(np.arange(count), 8)
         sides = np.tile(np.repeat(np.arange(4), 2), count)
         x = np.tile([0.0, 1.0], 4 * count) * self.intervals[slots, sides, 1]
-        table = np.stack([self.side_fields(slots, sides, range(k + 1), x, r)
-                          for r in range(k + 1)])
-        return table.reshape(k + 1, k + 1, count, 4, 2, 3) \
-            .transpose(2, 3, 4, 1, 0, 5)
+        jets = [(q, r) for q in range(k + 1) for r in range(k + 1)]
+        return self.side_jets(slots, sides, jets, x) \
+            .reshape(k + 1, k + 1, count, 4, 2, 3).transpose(2, 3, 4, 0, 1, 5)
 
     def side_fields(self, slots, sides, orders, x, r=0):
         """r-th x-derivative of the order-q cross field (q = 0: the boundary
@@ -149,16 +153,20 @@ class GridPatchSet:
         if top > self.k:
             raise ValueError(f"cross order {top} exceeds continuity {self.k}")
         return chunked(lambda s, c, t: self._side_jets(s, c, jets, t),
-                       slots, sides, np.asarray(x, float))
+                       slots, sides, floats(x))
 
     def _side_jets(self, slots, sides, jets, x):
         along = self.intervals[slots, sides].T
         if any(q and r for q, r in jets):
-            at_end = np.abs(x - along[1]) <= 1e-9 * along[1]
-            if not np.all(at_end | (np.abs(x) <= 1e-9 * along[1])):
+            # a complex x is at an end where its real part is, give or take
+            # its imaginary part, which the snap to the end keeps
+            re = np.real(x)
+            tol = 1e-9 * along[1] + np.abs(np.imag(x))
+            at_end = np.abs(re - along[1]) <= tol
+            if not np.all(at_end | (np.abs(re) <= tol)):
                 raise ValueError("cross-field derivatives are exact at "
                                  "endpoints only")
-            x = np.where(at_end, along[1], 0.0)
+            x = np.where(at_end, along[1], 0.0) + (x - re)
         rs = sorted({r for _, r in jets})
         w_along = dict(zip(rs, fundamental_weights(self.family, x, along,
                                                    rs)))
@@ -226,8 +234,7 @@ class PatchView:
 
     def eval(self, u, v):
         """S(u, v) for scalars or equal-shaped arrays; shape (..., 3)."""
-        u, v, slots = np.broadcast_arrays(np.asarray(u, float),
-                                          np.asarray(v, float), self.slot)
+        u, v, slots = np.broadcast_arrays(floats(u), floats(v), self.slot)
         return self.patches.eval(slots.ravel(), u.ravel(),
                                  v.ravel()).reshape(u.shape + (3,))
 

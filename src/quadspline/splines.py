@@ -125,7 +125,12 @@ def fundamental_coefficients(fam, offset, d):
 
 
 def _check_x(x, d0):
-    outside = (x < -_X_TOL * d0) | (x > d0 * (1.0 + _X_TOL))
+    lo, hi = -_X_TOL * d0, d0 * (1.0 + _X_TOL)
+    if isinstance(x, np.ndarray) and x.dtype.kind == "c":
+        # a complex step leaves the real segment by at most its own size
+        slack = np.abs(x.imag)
+        x, lo, hi = x.real, np.real(lo) - slack, np.real(hi) + slack
+    outside = (x < lo) | (x > hi)
     if np.count_nonzero(outside):
         i = np.argmax(outside)
         x, d0 = np.broadcast_arrays(x, d0)
@@ -165,9 +170,11 @@ def fundamental_weights(fam, x, d, r=0):
     _check_x(x, d[1])
     several = not isinstance(r, (int, np.integer))
     orders = tuple(r) if several else (r,)
-    # the broadcast shape, by arithmetic: np.broadcast is slow on scalars
-    shape = np.asarray(x + d[0] + d[1] + d[2]).shape
-    out = np.zeros((len(orders), 4) + shape)
+    # the broadcast shape and type, by arithmetic: np.broadcast is slow on
+    # scalars
+    probe = np.asarray(x + d[0] + d[1] + d[2])
+    out = np.zeros((len(orders), 4) + probe.shape,
+                   complex if probe.dtype.kind == "c" else float)
     if min(orders) <= fam.degree:
         coeffs = _COEFF_ALL[fam.name](*d)
         for i, order in enumerate(orders):

@@ -12,6 +12,13 @@ and makes one call per set; tessellation builds one table of (face, u, v)
 for the whole surface, the analysis channels and the continuity audit one
 per batch of vertices or seams, and each table is evaluated through that
 call, in bounded chunks.
+
+Complex (u, v) pass through that call unchanged, since every patch formula
+is a polynomial or a rational in (u, v).  The analysis and the audit take
+their derivatives from it by complex steps (Squire and Trapp, SIAM Review
+40(1), 1998): Im S(u + ih, v) / h is the u-partial with no subtractive
+cancellation, and the real part gives the second partial against the real
+position.
 """
 
 import json
@@ -24,11 +31,16 @@ from . import network as net
 from .errors import ConstructionError
 from .gregory import (_SIDE_CORNERS, BoundaryData, GregoryPatch,
                       GregoryPatchSet, Side)
-from .patch import EVAL_CHUNK, SIDES, GridField, GridPatchSet, RegularPatch
+from .patch import (EVAL_CHUNK, SIDES, GridField, GridPatchSet, RegularPatch,
+                    floats)
 from .splines import D5C2P2S4, family as family_by_name, segment_coefficients
 
 LIGHT_DIRECTION = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+# the analysis' complex step, whose real parts give second partials to O(h^2)
 FD_STEP = 1e-4
+# the complex step of the seam audit's Gregory-side normals: its square
+# vanishes beside any real part, so the imaginary part is the exact partial
+AUDIT_STEP = 1e-30
 WELD_REL_TOL = 1e-9
 # side of a regular patch along its half edge anchor + c, for c = 0..3
 SIDE_OF_CORNER = ("v0", "u1", "v1", "u0")
@@ -120,17 +132,18 @@ class CompositeSurface:
 
     def eval(self, faces, u, v):
         """Positions at the points (faces, u, v) of equal-shaped arrays, with
-        one evaluation call per patch kind; shape (..., 3)."""
-        faces, u, v = np.broadcast_arrays(np.asarray(faces, int),
-                                          np.asarray(u, float),
-                                          np.asarray(v, float))
+        one evaluation call per patch kind; shape (..., 3).  Complex u or v
+        give complex positions: every patch formula is a polynomial or a
+        rational in (u, v)."""
+        faces, u, v = np.broadcast_arrays(np.asarray(faces, int), floats(u),
+                                          floats(v))
         shape = faces.shape
         faces, u, v = faces.ravel(), u.ravel(), v.ravel()
         slots = self._slot[:, faces]
         if (slots < 0).all(axis=0).any():
             f = faces[np.argmax((slots < 0).all(axis=0))]
             raise KeyError(f"face {f} has no patch")
-        out = np.empty((len(faces), 3))
+        out = np.empty((len(faces), 3), np.result_type(u, v))
         for view, patches, kind_slots in zip(
                 (RegularPatch.view, GregoryPatch.view),
                 (self.grid_patches, self.gregory_patches), slots):
@@ -626,87 +639,25 @@ def tessellate(surface, n=16):
                         src_face=src_face, src_uv=src_uv)
 
 
-# first/second derivative stencils, central then forward then backward; the
-# central ones are padded with a zero weight at offset 0.  Weights are for
-# step 1 and get divided by h (resp. h^2) by the caller.
-_FIRST = (np.array([[-1, 1, 0], [0, 1, 2], [0, -1, -2]]),
-          np.array([[-0.5, 0.5, 0.0], [-1.5, 2.0, -0.5], [1.5, -2.0, 0.5]]))
-_SECOND = (np.array([[-1, 0, 1, 0], [0, 1, 2, 3], [0, -1, -2, -3]]),
-           np.array([[1.0, -2.0, 1.0, 0.0], [2.0, -5.0, 4.0, -1.0],
-                     [2.0, -5.0, 4.0, -1.0]]))
+# the complex steps (du, dv) / h of the analysis: along u, along v, along both
+_STEPS = np.array([(1j, 0), (0, 1j), (1j, 1j)])
 
 
-def _stencils(t, h):
-    """First/second derivative stencils at every t of an array in [0, 1].
+def _step_partials(surface, faces, u, v, p, hs):
+    """(su, sv, suu, suv, svv), each (len(hs), N, 3), at the points (faces,
+    u, v) of 1-D arrays with positions p, by complex steps of each size h
+    in hs, all evaluated in one surface.eval call.
 
-    Returns ((offsets1, weights1), (offsets2, weights2)) of shapes
-    t.shape + (3,) and t.shape + (4,).  One sided at the domain edges: where
-    the central stencil would leave [0, 1] (reach h for the first and 3 h
-    for the second derivative), forward below and backward above.
+    With E(a, b) = S(u + iah, v + ibh): su = Im E(1, 0) / h and suu = 2 (p -
+    Re E(1, 0)) / h^2, likewise for v, and 2 (p - Re E(1, 1)) / h^2 = suu +
+    2 suv + svv, each with an error of order h^2.
     """
-    t = np.asarray(t, float)
-    out = []
-    for (offsets, weights), reach in ((_FIRST, h), (_SECOND, 3 * h)):
-        kind = np.where((reach <= t) & (t <= 1.0 - reach), 0,
-                        np.where(t < reach, 1, 2))
-        out.append((offsets[kind], weights[kind]))
-    return out
-
-
-def _contract(weights, values):
-    """sum_k weights[..., k] values[..., k, :] at every point."""
-    return np.einsum("...k,...kd->...d", weights, values)
-
-
-def _fd_partials(surface, faces, u, v, h, h_select=None):
-    """(su, sv, suu, suv, svv), each (N, 3), by finite differences at the
-    points (faces, u, v) of 1-D arrays, all evaluated in one surface.eval.
-
-    h_select fixes which stencil variants are used (so two step sizes can be
-    combined by Richardson extrapolation without switching stencils).
-    Stencil points shared between the five derivatives are evaluated once:
-    each point's first-derivative offsets are three distinct values, 0
-    among them, so all five stencils lie in the 3 x 3 block of their
-    products, but for the second-derivative offsets outside it (the far
-    points of a one-sided stencil), evaluated beside the block.
-    """
-    hs = h if h_select is None else h_select
-    (ou1, wu1), (ou2, wu2) = _stencils(u, hs)
-    (ov1, wv1), (ov2, wv2) = _stencils(v, hs)
-    n = len(u)
-    rows = np.arange(n)
-    # the column of each second-derivative offset among the first ones, -1
-    # for none, and the column of offset 0
-    cu, cv = (np.where(hit.any(axis=2), hit.argmax(axis=2), -1)
-              for hit in (ou2[:, :, None] == ou1[:, None, :],
-                          ov2[:, :, None] == ov1[:, None, :]))
-    zu, zv = np.argmax(ou1 == 0, axis=1), np.argmax(ov1 == 0, axis=1)
-    (iu, ju), (iv, jv) = np.nonzero(cu < 0), np.nonzero(cv < 0)
-    bu, bv = np.broadcast_arrays(u[:, None, None] + ou1[:, :, None] * h,
-                                 v[:, None, None] + ov1[:, None, :] * h)
-    vals = surface.eval(
-        np.concatenate([np.repeat(faces, 9), faces[iu], faces[iv]]),
-        np.concatenate([bu.ravel(), u[iu] + ou2[iu, ju] * h, u[iv]]),
-        np.concatenate([bv.ravel(), v[iu], v[iv] + ov2[iv, jv] * h]))
-    block = vals[:9 * n].reshape(n, 3, 3, 3)
-    at_u = block[rows[:, None], np.maximum(cu, 0), zv[:, None]]
-    at_v = block[rows[:, None], zu[:, None], np.maximum(cv, 0)]
-    at_u[iu, ju], at_v[iv, jv] = np.split(vals[9 * n:], [len(iu)])
-    return (_contract(wu1, block[rows, :, zv]) / h,
-            _contract(wv1, block[rows, zu]) / h,
-            _contract(wu2, at_u) / (h * h),
-            _contract((wu1[:, :, None] * wv1[:, None, :]).reshape(n, 9),
-                      block.reshape(n, 9, 3)) / (h * h),
-            _contract(wv2, at_v) / (h * h))
-
-
-def _partials(surface, faces, u, v, h, richardson=False):
-    if not richardson:
-        return _fd_partials(surface, faces, u, v, h)
-    big = 2.0 * h
-    coarse = _fd_partials(surface, faces, u, v, big, h_select=big)
-    fine = _fd_partials(surface, faces, u, v, h, h_select=big)
-    return tuple((4.0 * a - b) / 3.0 for a, b in zip(fine, coarse))
+    h = np.asarray(hs, float)[:, None, None]
+    du, dv = _STEPS.T[:, None, :, None] * h
+    e = np.moveaxis(surface.eval(faces, u + du, v + dv), 1, 0)
+    suu, svv, both = 2.0 * (p - e.real) / (h * h)
+    return (e[0].imag / h, e[1].imag / h, suu, (both - suu - svv) / 2.0,
+            svv)
 
 
 def _unit_normals(su, sv):
@@ -725,13 +676,15 @@ def _dot(a, b):
 def analysis_fields(surface, tri, richardson=False):
     """Per-vertex mean curvature and isophote value channels.
 
-    Partial derivatives come from central differences (one sided at the
-    patch-domain edges), with the stencil points of EVAL_CHUNK vertices at
-    a time evaluated in one surface.eval call; samples with a degenerate
-    normal are flagged NaN.  Richardson extrapolation trades double the
-    evaluations for two extra orders of accuracy.
+    Partial derivatives come from complex steps of size FD_STEP (see
+    _step_partials): three complex points per vertex, in the patch domain
+    or not, with the tessellated position as the real centre and the points
+    of EVAL_CHUNK vertices at a time evaluated in one surface.eval call.
+    Samples with a degenerate normal are flagged NaN.  Richardson
+    extrapolation combines steps 1e-3 and 2e-3, for double the evaluations
+    and two extra orders of accuracy.
     """
-    h = 1e-3 if richardson else FD_STEP
+    hs = (1e-3, 2e-3) if richardson else (FD_STEP,)
     faces = np.asarray(tri.src_face, int)
     u, v = np.asarray(tri.src_uv, float).reshape(-1, 2).T
     mean_curv = np.full(len(tri.positions), np.nan)
@@ -739,8 +692,10 @@ def analysis_fields(surface, tri, richardson=False):
     degenerate = 0
     for lo in range(0, len(faces), EVAL_CHUNK):
         at = slice(lo, lo + EVAL_CHUNK)
-        su, sv, suu, suv, svv = _partials(surface, faces[at], u[at], v[at],
-                                          h, richardson)
+        parts = _step_partials(surface, faces[at], u[at], v[at],
+                               tri.positions[at], hs)
+        su, sv, suu, suv, svv = ((4.0 * d[0] - d[1]) / 3.0 if richardson
+                                 else d[0] for d in parts)
         nrm, bad = _unit_normals(su, sv)
         E, F, G = _dot(su, su), _dot(su, sv), _dot(sv, sv)
         L, M, N = _dot(suu, nrm), _dot(suv, nrm), _dot(svv, nrm)
@@ -779,41 +734,30 @@ def _fmax(values, axis):
 def _seam_table(surface, hes, ts, k):
     """Evaluate the samples of both sides of the seams hes (E, 2): side 0 at
     the fractions ts along hes[:, 0], side 1 at 1 - ts along hes[:, 1].
-    Positions come from one surface.eval call.  Tangent frames come from the
-    exact side fields on grid sides (the boundary curve's x-derivative and
-    the order-1 cross field) and from FD stencils, evaluated in that call,
-    on Gregory sides.  Returns the positions (E, 2, S, 3), the unit normals
-    and their degenerate mask, and for the A seams between two grid patches
-    (the audited ones) the inward cross derivatives {r: (A, 2, S - 2, 3)}
-    and the blend values (A, 2, S - 2) at the interior samples."""
+    Grid sides take their positions from one real surface.eval call and
+    their tangent frames from the exact side fields (the boundary curve's
+    x-derivative and the order-1 cross field).  Gregory sides take both
+    from one complex surface.eval call at S(u + i eps, v) and S(u, v + i
+    eps): the real part of the first is the position and the imaginary
+    parts over eps are the partials, exact to round-off.  Returns the
+    positions (E, 2, S, 3), the unit normals and their degenerate mask, and
+    for the A seams between two grid patches (the audited ones) the inward
+    cross derivatives {r: (A, 2, S - 2, 3)} and the blend values (A, 2,
+    S - 2) at the interior samples."""
     faces = surface.mesh.he_face(hes)
     grid = surface._slot[0, faces] >= 0
     u, v = surface._edge_uv(faces[..., None], hes[..., None],
                             np.stack([ts, 1.0 - ts]))
     f = np.broadcast_to(faces[..., None], u.shape)
+    pos, normal = np.empty((2,) + u.shape + (3,))
+    degenerate = np.empty(u.shape, bool)
+    pos[grid] = surface.eval(f[grid], u[grid], v[grid])
     fg, ug, vg = (a[~grid] for a in (f, u, v))
-    (ou, wu), _ = _stencils(ug, FD_STEP)
-    (ov, wv), _ = _stencils(vg, FD_STEP)
-    # every stencil holds the sample itself once (offset 0): only the points
-    # off the sample are evaluated beside it
-    stencils = [
-        (ug[..., None] + ou * FD_STEP, vg[..., None], ou != 0),
-        (ug[..., None], vg[..., None] + ov * FD_STEP, ov != 0)]
-    parts = [(f, u, v)] + [[np.broadcast_to(a, off.shape)[off]
-                            for a in (fg[..., None], us, vs)]
-                           for us, vs, off in stencils]
-    vals = surface.eval(*(np.concatenate([part[i].ravel() for part in parts])
-                          for i in range(3)))
-    ends = np.cumsum([part[0].size for part in parts])[:-1]
-    pos, *off_vals = np.split(vals, ends)
-    pos = pos.reshape(u.shape + (3,))
-    at_u, at_v = (np.empty(off.shape + (3,)) for *_, off in stencils)
-    at_u[...], at_v[...] = pos[~grid][..., None, :], pos[~grid][..., None, :]
-    for table, values, (*_, off) in zip((at_u, at_v), off_vals, stencils):
-        table[off] = values
-    normal, degenerate = np.empty(u.shape + (3,)), np.empty(u.shape, bool)
+    step = 1j * AUDIT_STEP
+    e = surface.eval(fg, np.stack([ug + step, ug]), np.stack([vg, vg + step]))
+    pos[~grid] = e[0].real
     normal[~grid], degenerate[~grid] = _unit_normals(
-        _contract(wu, at_u) / FD_STEP, _contract(wv, at_v) / FD_STEP)
+        e[0].imag / AUDIT_STEP, e[1].imag / AUDIT_STEP)
     slots, sides, x, inward, blend = _cross_frame(
         surface, f[grid], hes[grid][:, None], u[grid], v[grid])
     # the boundary tangent and the cross fields of orders 1..k, in one pass
@@ -860,8 +804,9 @@ def continuity_report(surface, samples=16):
     of grid patches it additionally checks that one-sided cross derivatives
     match after scaling by the blend-function ratio, through the family
     continuity order, relative to the surface's largest derivative of that
-    order.  Normals are exact on grid sides, read from the side fields, and
-    come from finite differences on Gregory sides.  The samples of both
+    order.  Normals are exact to round-off: read from the side fields on
+    grid sides, and from complex steps of size AUDIT_STEP on Gregory sides
+    (see _seam_table).  The samples of both
     sides of 4 EVAL_CHUNK // (2 samples) seams at a time form one table,
     evaluated in one surface.eval call and reduced per seam.  samples below
     3 leave no interior sample to audit and raise ValueError.
@@ -961,5 +906,4 @@ def export_obj(tri, path):
 
 def write_report(report, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

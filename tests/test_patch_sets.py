@@ -155,12 +155,14 @@ def test_classification_hands_back_the_window_grids(monkeypatch):
 
 
 # tracemalloc peaks of analysis_fields and continuity_report on
-# sphere_mesh(2) at n = 4, numpy 2.4: 1.68 and 1.64 MB (1.68 MB for both in
+# sphere_mesh(2) at n = 4, numpy 2.4: 1.48 and 1.92 MB (1.94 MB for both in
 # one trace), with the analysis taking EVAL_CHUNK = 512 vertices and the
 # report 4 EVAL_CHUNK // 32 = 64 seams per batch, each batch evaluated in
-# chunks of EVAL_CHUNK points; 1.12 and 1.17 MB with 128 vertices and 16
-# seams per batch; 10.1 and 15.9 MB with each whole-surface table
-# evaluated in one piece.
+# chunks of EVAL_CHUNK points; the report's peak is a chunk of complex
+# points on Coons-Gregory sides.  With real finite-difference stencils
+# instead of complex steps: 1.68 and 1.64 MB; with 128 vertices and 16
+# seams per batch 1.12 and 1.17 MB; 10.1 and 15.9 MB with each
+# whole-surface table evaluated in one piece.
 PEAK_BOUND_MB = 2.0
 
 

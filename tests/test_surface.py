@@ -120,18 +120,19 @@ def _fd4(fn, t, h):
                 + 16 * fn(t + 3 * s * h) - 3 * fn(t + 4 * s * h)) / (12 * h)
 
 
-def test_grid_side_audit_normals_match_finite_differences():
-    surf = build_surface(torus_with_rotated_edge(10, 10).build_connectivity(),
-                         BuildOptions())
-    mesh, samples, h = surf.mesh, 5, 1e-3
+def audit_normal_angles(surf, kind, h):
+    """Angles (radians) between the audit's unit normals on the seam sides
+    of the given kind and 4th-order finite differences of step h, and the
+    number of samples per side times the number of seams."""
+    mesh, samples = surf.mesh, 5
     ts = np.linspace(0.0, 1.0, samples)
     hes = np.array(_interior_shared_edges(surf)).reshape(-1, 2)
     normal = _seam_table(surf, hes, ts, surf.options.k)[1]
-    checked = 0
+    angles = []
     for (he, tw), pair in zip(hes, normal):
         for side, (e, t) in enumerate(((he, ts), (tw, 1.0 - ts))):
             f = mesh.he_face(e)
-            if f not in surf.regular:
+            if (f in surf.regular) != (kind == "regular"):
                 continue
             fn = surf.patch(f).eval
             for ti, n in zip(t, pair[side]):
@@ -140,11 +141,82 @@ def test_grid_side_audit_normals_match_finite_differences():
                 sv = _fd4(lambda y: fn(u, y), v, h)
                 want = np.cross(su, sv)
                 want /= np.linalg.norm(want)
-                angle = np.arctan2(np.linalg.norm(np.cross(n, want)),
-                                   abs(n @ want))
-                assert angle <= 1e-8
-                checked += 1
-    assert checked > samples * len(hes)
+                angles.append(np.arctan2(np.linalg.norm(np.cross(n, want)),
+                                         abs(n @ want)))
+    return np.array(angles), samples * len(hes)
+
+
+def test_grid_side_audit_normals_match_finite_differences():
+    surf = build_surface(torus_with_rotated_edge(10, 10).build_connectivity(),
+                         BuildOptions())
+    angles, sampled = audit_normal_angles(surf, "regular", 1e-3)
+    assert len(angles) > sampled
+    assert angles.max() <= 1e-8
+
+
+def test_gregory_side_audit_normals_match_finite_differences():
+    # complex-step normals: the differences close in on them as h^4, from
+    # 5.4e-7 at h = 3e-3 through 6.7e-9 at 1e-3 to 5.1e-11 at 3e-4
+    surf = build_surface(torus_with_rotated_edge(10, 10).build_connectivity(),
+                         BuildOptions())
+    angles, sampled = audit_normal_angles(surf, "gregory", 3e-4)
+    assert len(angles) >= sampled / 5
+    assert angles.max() <= 1e-9
+
+
+@pytest.mark.parametrize("make, options", [
+    (lambda: sphere_mesh(2), BuildOptions()),
+    (lambda: sphere_mesh(2), BuildOptions(family="d3c1p2s4", mode="g1")),
+    (lambda: torus_with_rotated_edge(10, 10),
+     BuildOptions(family="d3c1p2s4", mode="g1")),
+    (lambda: torus_with_rotated_edge(10, 10), BuildOptions(mode="g1")),
+    (lambda: torus_with_rotated_edge(10, 10), BuildOptions()),
+    (lambda: grid_with_rotated_edge(7, 7, height=lambda x, y: 0.1 * np.sin(
+        0.7 * x) * np.cos(0.5 * y)), BuildOptions()),
+], ids=["sphere_g2", "sphere_g1_d3", "ev_torus_g1_d3", "ev_torus_g1_d5",
+        "ev_torus_g2", "rotated_grid_g2"])
+def test_gregory_seams_are_g1(make, options):
+    # exact normals on both sides: the joins next to Coons-Gregory patches
+    # read round-off (at most 2.2e-12 degrees here), where finite
+    # differences at step 1e-4 read up to 1.1e-3 degrees
+    surf = build_surface(make().build_connectivity(), options)
+    angles = [e["normal_angle_deg"]
+              for e in continuity_report(surf, samples=8)["edges"]
+              if "gregory" in e["kinds"]]
+    assert angles
+    assert max(angles) < 1e-9
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+def test_public_results_hold_no_complex_value(tmp_path, richardson):
+    # complex steps run through the evaluation; none of them may leak
+    surf = build_surface(sphere_mesh(2).build_connectivity(), BuildOptions())
+    tri = tessellate(surf, 3)
+    analysis_fields(surf, tri, richardson=richardson)
+    assert tri.positions.dtype == np.float64
+    assert tri.src_uv.dtype == np.float64
+    assert set(tri.channels) == {"mean_curvature", "isophote"}
+    assert all(c.dtype == np.float64 for c in tri.channels.values())
+
+    def numbers(value):
+        if isinstance(value, dict):
+            return [x for v in value.values() for x in numbers(v)]
+        if isinstance(value, list):
+            return [x for v in value for x in numbers(v)]
+        return [] if isinstance(value, str) else [value]
+
+    report = continuity_report(surf, samples=5)
+    values = numbers(report)
+    assert values
+    # face ids and the edge count are ints, every measured value a float
+    assert all(type(x) in (int, float) for x in values)
+    measured = numbers(report["summary"]["position_gap"]) + numbers(
+        report["summary"]["normal_angle_deg"]) + [
+        x for e in report["edges"]
+        for x in [e["position_gap"], e["normal_angle_deg"],
+                  *e["delta_residual"].values()]]
+    assert all(type(x) is float for x in measured)
+    write_report(report, tmp_path / "report.json")
 
 
 def test_watertight_seams_g1_mode():
