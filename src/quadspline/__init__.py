@@ -18,6 +18,6 @@ from .network import (build_cross_field_chi, build_cross_field_xi,
 from .gregory import BoundaryData, GregoryPatch, Side, hermite_basis
 from .surface import (BuildOptions, CompositeSurface, TriangleMesh,
                       analysis_fields, build_surface, continuity_report,
-                      export_obj, export_ply, tessellate)
+                      export_ply, tessellate)
 
 __version__ = "0.1.0"

@@ -16,20 +16,21 @@ curve, the first cross-derivative field chi and, for G2, the second xi).  A
 field is data: a network curve `VecPoly`, or a `GridField` naming a side of
 an adjacent grid patch; the Side alone maps a field stored in another
 orientation into the patch's.  All Coons-Gregory patches of a surface live in
-one GregoryPatchSet, which evaluates arrays of (slot, u, v) in chunks of
-EVAL_CHUNK without forming M: row 0 and column 0 of M (the side fields,
-evaluated once per distinct side point; network fields of all orders in one
-Horner pass, grid fields in one GridPatchSet call) contract against H(v) and
-H(u), and the rest against per-slot tables of the entries that depend on
-neither u nor v and of the pre-scaled twist estimates, which every twist
-entry blends with the one ratio of its corner.  A GregoryPatch is a view of
-one slot.
+one GregoryPatchSet, which evaluates arrays of (slot, u, v) in passes of
+EVAL_CHUNK points without forming M: row 0 and column 0 of M (the side
+fields, evaluated once per distinct side point before any per-point weight
+exists; network fields in one Horner pass, grid fields in one GridPatchSet
+call) contract against H(v) and H(u), and the rest, one row at a time,
+against per-slot tables of the entries that depend on neither u nor v and of
+the pre-scaled twist estimates, which every twist entry blends with the one
+ratio of its corner.  A GregoryPatch is a view of one slot.
 """
 
 import numpy as np
 
 from .errors import ConstructionError
-from .patch import GridField, PatchView, _blend, chunked, floats
+from .patch import (GridField, PatchView, _blend, chunked, floats,
+                    real_einsum)
 from .splines import _horner
 
 CORNER_EPS = 1e-12
@@ -185,9 +186,10 @@ class GregoryPatchSet:
     Slot i is the patch over datas[i].  inner[i] holds the entries of M
     that depend on neither u nor v, M without its row and column 0, with
     the second, pre-scaled estimate B of each twist entry; twist[i] the
-    first estimate minus the second, A - B; lengths[i] the side intervals
-    (d0, e1, d1, e0).  The fields of side s, order q of slot i are indexed
-    by [i, s, q]: a row of the padded network coefficient table, or a (grid
+    first estimate minus the second, A - B; both row-major, [i, a, :, b]
+    holding M[1 + a, 1 + b].  lengths[i] holds the side intervals (d0, e1,
+    d1, e0).  The fields of side s, order q of slot i are indexed by [i, s,
+    q]: a network field p, with coefficient j in coeffs[j, p], or a (grid
     set, slot, side) reference.
     """
 
@@ -207,10 +209,10 @@ class GregoryPatchSet:
     def _stack_fields(self):
         shape = (len(self.datas), 4, self.k + 1)
         self._flip = np.zeros(shape, bool)
-        self._sign = np.ones(shape)
-        self._poly = np.full(shape, -1)
+        self._sign = np.ones(shape, np.int8)
+        self._poly = np.full(shape, -1, np.int32)
         # a side sampled from a grid patch: (index into grid_sets, slot, side)
-        self._grid = np.full(shape[:2] + (3,), -1)
+        self._grid = np.full(shape[:2] + (3,), -1, np.int32)
         self.grid_sets, polys = [], []
         for i, data in enumerate(self.datas):
             for s, side in enumerate(data.sides):
@@ -223,10 +225,10 @@ class GregoryPatchSet:
                 for q, fld in enumerate(fields):
                     self._poly[i, s, q] = len(polys)
                     polys.append(fld.coeffs)
-        self.coeffs = np.zeros((len(polys), max(map(len, polys), default=1),
+        self.coeffs = np.zeros((max(map(len, polys), default=1), len(polys),
                                 3))
-        for row, c in zip(self.coeffs, polys):
-            row[:len(c)] = c
+        for p, c in enumerate(polys):
+            self.coeffs[:len(c), p] = c
 
     def _grid_side(self, side, fields):
         """(index into grid_sets, slot, side) of a side sampled from a grid
@@ -249,29 +251,30 @@ class GregoryPatchSet:
     def _fields(self, slots, sides, x, r=0):
         """r-th x-derivative at x[i] of every field (orders 0..k) of side
         sides[i] of patch slots[i], in patch orientation; shape
-        (k + 1, m, 3).  Network fields are evaluated in one Horner pass,
+        (m, k + 1, 3).  Network fields are evaluated in one Horner pass,
         grid fields in one call per grid set."""
         flip = self._flip[slots, sides]
-        xs = np.where(flip, (self.lengths[slots, sides] - x)[:, None],
-                      x[:, None])
+        back = self.lengths[slots, sides] - x
         sign = self._sign[slots, sides]
         if r % 2:
             sign = np.where(flip, -sign, sign)
-        out = np.empty(flip.shape + (3,), xs.dtype)
+        out = np.empty(flip.shape + (3,), back.dtype)
         poly = self._poly[slots, sides]
         net = poly >= 0
         if net.any():
-            out[net] = _horner(self.coeffs[poly[net]].transpose(1, 0, 2),
-                               xs[net][:, None], r)
+            i, q = np.nonzero(net)
+            out[i, q] = _horner(self.coeffs, np.where(
+                flip[i, q], back[i], x[i])[:, None], r, poly[i, q])
         grid_set, grid_slot, grid_side = self._grid[slots, sides].T
         for g, patches in enumerate(self.grid_sets):
             at = grid_set == g
             if at.any():
                 out[at] = patches.side_fields(
                     grid_slot[at], grid_side[at], range(self.k + 1),
-                    xs[at, 0], r).transpose(1, 0, 2)
+                    np.where(flip[at, 0], back[at], x[at]),
+                    r).transpose(1, 0, 2)
         out *= sign[..., None]
-        return out.transpose(1, 0, 2)
+        return out
 
     def _stack_constants(self):
         """inner and twist from the endpoint derivatives of every side
@@ -286,7 +289,7 @@ class GregoryPatchSet:
         for r in range(1, k + 1):
             fields = self._fields(slots, sides, x, r)
             for q in range(k + 1):
-                ends[q, r] = fields[q].reshape(count, 4, 2, 3)
+                ends[q, r] = fields[:, q].reshape(count, 4, 2, 3)
         d0, e1, d1, e0 = self.lengths.T
         # powers of the intervals: dp[r] = (d0^r, d1^r), ep[r] = (e0^r, e1^r)
         dp = {r: np.stack([d0 ** r, d1 ** r], -1) for r in (1, 2)}
@@ -317,29 +320,25 @@ class GregoryPatchSet:
                 twist[:, 2 * i - 2:2 * i, 2 * j - 2:2 * j] = \
                     scale * ends[i, j][:, [3, 1]]
         twist -= inner[:, 2:, 2:]
-        self.inner, self.twist = (np.moveaxis(t, 3, 1).copy()
+        self.inner, self.twist = (np.moveaxis(t, 3, 2).copy()
                                   for t in (inner, twist))
 
     # -- evaluation -----------------------------------------------------------
     def _ratio(self, u, v):
-        """wa / (wa + wb) at every twist entry of the points, shape (n, 2k,
-        2k): entry (2i + a, 2j + b) sits at corner (a, b), with the weights
-        wa = (u, 1 - u)[a]^k and wb = (v, 1 - v)[b]^k, linear for G1 and
-        quadratic for G2; 0.5 where both weights vanish at the real point
-        (u, v may be complex)."""
-        wa, wb = self._weights(u, v)
-        den = real = wa + wb
-        if np.iscomplexobj(den):
-            real = np.add(*self._weights(np.real(u), np.real(v)))
-        return np.divide(wa, den, out=np.full(den.shape, 0.5, den.dtype),
-                         where=real >= CORNER_EPS)
-
-    def _weights(self, u, v):
-        """The weights (wa, wb) of _ratio, shapes (n, 2k, 1) and (n, 1,
-        2k)."""
+        """wa / (wa + wb) at the twist entries of the points, one row i at a
+        time, each of shape (n, 2k): entry (2i + a, 2j + b) sits at corner
+        (a, b), with the weights wa = (u, 1 - u)[a]^k and wb = (v, 1 -
+        v)[b]^k, linear for G1 and quadratic for G2; 0.5 where both weights
+        vanish at the real point (u, v may be complex)."""
         k = self.k
-        w = np.stack([u, 1.0 - u] * k + [v, 1.0 - v] * k, 1) ** k
-        return w[:, :2 * k, None], w[:, None, 2 * k:]
+        w = np.stack([u, 1.0 - u] * k + [v, 1.0 - v] * k, 1)
+        w, real = w ** k, np.real(w) ** k
+        for i in range(2 * k):
+            den = w[:, i, None] + w[:, 2 * k:]
+            yield np.divide(w[:, i, None], den,
+                            out=np.full(den.shape, 0.5, den.dtype),
+                            where=real[:, i, None] + real[:, 2 * k:]
+                            >= CORNER_EPS)
 
     def eval(self, slots, u, v):
         """S(u[i], v[i]) of patch slots[i] for 1-D arrays; shape (n, 3)."""
@@ -347,40 +346,44 @@ class GregoryPatchSet:
 
     def _eval(self, slots, u, v):
         k = self.k
-        # sides 0 and 2 run along u, sides 1 and 3 along v: their fields are
-        # evaluated once per distinct (slot, u) and (slot, v), keyed by
-        # 4 slot + side for sides 0 and 1
-        keys = np.concatenate([4 * slots, 4 * slots + 1])
-        t = np.concatenate([u, v])
-        first, inverse = _distinct(keys, t)
-        fslots, fsides = np.divmod(
-            np.concatenate([keys[first], keys[first] + 2]), 4)
-        f = self._fields(fslots, fsides, np.concatenate([t[first]] * 2)
-                         * self.lengths[fslots, fsides])
-        inverse = inverse.reshape(2, -1)
-        f = f.transpose(1, 0, 2)[
-            np.concatenate([inverse, inverse + len(first)]).T]
-        # point-major weights: every contraction below then sums each point's
-        # terms in one order, whatever the batch
+        # the fields of sides 0 and 2 at each distinct (slot, u) and of sides
+        # 3 and 1 at each distinct (slot, v), in one call before any
+        # per-point weight exists
+        (fu, au), (fv, av) = _distinct(slots, u), _distinct(slots, v)
+        fslots = slots[np.concatenate([fu, fu, fv, fv])]
+        fsides = np.repeat([0, 2, 3, 1], [len(fu)] * 2 + [len(fv)] * 2)
+        t = np.concatenate([u[fu], u[fu], v[fv], v[fv]])
+        f = np.split(self._fields(fslots, fsides, t * self.lengths[
+            fslots, fsides]), [2 * len(fu)])
+        # point-major H(u) and H(v) without their leading -1: each point's
+        # terms are then summed in one order, whatever the batch
         uv = np.stack([u, v])
         hu, hv = np.ascontiguousarray(
-            hermite_basis(2 * k + 1, uv).transpose(1, 2, 0))
-        # cross fields scale by powers of the blend functions, eps along
-        # sides 0 and 2 from e0 to e1, dlt along sides 3 and 1 from d0 to d1
+            hermite_basis(2 * k + 1, uv)[1:].transpose(1, 2, 0))
+        # cross fields scale by powers of the blend functions: along sides 0
+        # and 2 of the one from e0 to e1 at u, along sides 3 and 1 of the one
+        # from d0 to d1 at v
         lo, hi = self.lengths[slots][:, [[3, 0], [1, 2]]].transpose(1, 2, 0)
-        eps, dlt = (lo + (hi - lo) * _blend(k, uv))[..., None] \
-            ** np.arange(k + 1)
+        blend = lo + (hi - lo) * _blend(k, uv)
         # with H_0 = -1 and M_00 = 0, row 0 (sides 0 and 2) contracts
         # against H(v) and column 0 (sides 3 and 1) against H(u)
-        w = np.stack([eps * hv[:, 1::2], dlt * hu[:, 2::2],
-                      eps * hv[:, 2::2], dlt * hu[:, 1::2]], 1)
-        out = np.einsum("nsq,nsqk->nk", w, f)
-        # the rest of M: its constant entries, and the twist entries blended
-        # by one ratio per corner
-        inner = hu[:, 1:, None] * hv[:, None, 1:]
-        out -= np.einsum("nab,nkab->nk", inner, self.inner[slots])
-        out -= np.einsum("nab,nkab->nk", inner[:, 2:, 2:]
-                         * self._ratio(u, v), self.twist[slots])
+        out = 0.0
+        for fields, at, h, b in ((f[0], au, hv, blend[0]),
+                                 (f[1], av, hu, blend[1])):
+            w = (b[:, None] ** np.arange(k + 1))[:, None] \
+                * np.stack([h[:, 0::2], h[:, 1::2]], 1)
+            out = out + np.einsum("nsq,snqk->nk", w,
+                                  fields.reshape(2, -1, k + 1, 3)[:, at])
+        del f, fields
+        # the rest of M, one row at a time: its constant entries, and the
+        # twist entries blended by one ratio per corner
+        for a in range(2 * k + 2):
+            out -= real_einsum("nb,nkb->nk", hu[:, a, None] * hv,
+                               self.inner[slots, a])
+        for i, ratio in enumerate(self._ratio(u, v)):
+            out -= real_einsum("nb,nkb->nk",
+                               hu[:, 2 + i, None] * hv[:, 2:] * ratio,
+                               self.twist[slots, i])
         return out
 
 

@@ -14,8 +14,9 @@ through order k collapse to the x/y partials times a power of the boundary
 blend value, which keeps boundary data exact and cheap.
 
 All grid patches of a surface live in one GridPatchSet, which evaluates
-arrays of (slot, u, v) in chunks of EVAL_CHUNK points; a RegularPatch is a
-view of one slot.
+arrays of (slot, u, v) in passes of EVAL_CHUNK points, each contracting the
+points' real windows against real or complex weights without a complex
+copy; a RegularPatch is a view of one slot.
 """
 
 from dataclasses import dataclass
@@ -26,9 +27,9 @@ import numpy as np
 from .splines import fundamental_weights
 
 SIDES = ("v0", "v1", "u0", "u1")
-# points per batch of every patch-set evaluation; bounds the memory of the
-# gathered per-point arrays
-EVAL_CHUNK = 512
+# points per pass of every patch-set evaluation: a complex point takes about
+# 1.0 KB in a grid pass and 2.4 KB in a Coons-Gregory one
+EVAL_CHUNK = 2048
 
 
 def _blend(k, t):
@@ -42,6 +43,19 @@ def floats(a):
     """a as a float array, or as a complex one where it is complex: complex
     points pass through every evaluation, for complex-step derivatives."""
     return np.asarray(a, complex if np.iscomplexobj(a) else float)
+
+
+def real_einsum(spec, w, table):
+    """np.einsum(spec, w, table) for a real table: complex weights contract
+    by parts, each straight into its half of the result."""
+    if not np.iscomplexobj(w):
+        return np.einsum(spec, w, table)
+    operands, result = spec.split("->")
+    size = dict(zip(operands.replace(",", ""), w.shape + table.shape))
+    out = np.empty([size[c] for c in result], complex)
+    np.einsum(spec, w.real, table, out=out.real)
+    np.einsum(spec, w.imag, table, out=out.imag)
+    return out
 
 
 def chunked(fn, *arrays):
@@ -61,11 +75,12 @@ def chunked(fn, *arrays):
 class GridPatchSet:
     """Every grid patch of a surface as stacked arrays.
 
-    Slot i holds grids[i]: its window points in points[i] (4, 4, 3) and its
-    row and column intervals d0, d1, e0, e1 in intervals[i] (4, 3), in SIDES
-    order (the intervals along side v0 are d0, ..., along u1 e1).  Every
-    method takes 1-D arrays of slots and points, and evaluates them in
-    chunks of EVAL_CHUNK.
+    Slot i holds grids[i]: its window points in windows[2 i] (4, 4, 3), and
+    transposed, running along v first, in windows[2 i + 1], and its row and
+    column intervals d0, d1, e0, e1 in intervals[i] (4, 3), in SIDES order
+    (the intervals along side v0 are d0, ..., along u1 e1).  Every method
+    takes 1-D arrays of slots and points, and evaluates them in chunks of
+    EVAL_CHUNK.
     """
 
     def __init__(self, grids, fam):
@@ -80,8 +95,8 @@ class GridPatchSet:
         self.grids = list(grids)
         self.family = fam
         self.k = fam.continuity
-        self.points = np.array([g.points for g in grids],
-                               float).reshape(-1, 4, 4, 3)
+        p = np.array([g.points for g in grids], float).reshape(-1, 4, 4, 3)
+        self.windows = np.stack([p, p.swapaxes(1, 2)], 1).reshape(-1, 4, 4, 3)
         self.intervals = np.array([[g.d0, g.d1, g.e0, g.e1] for g in grids],
                                   float).reshape(-1, 4, 3)
 
@@ -92,12 +107,14 @@ class GridPatchSet:
         hi = self.intervals[slots, first + 1].T
         return lo + (hi - lo) * _blend(self.k, t)
 
-    @staticmethod
-    def _combine(points, wx, wy):
-        """sum_ij wx_i wy_j p_ij for (4, n) weight arrays and the (n, 4, 4, 3)
-        points of each point's patch; shape (n, 3)."""
-        return np.einsum("jn,njd->nd", wy, np.einsum("in,nijd->njd", wx,
-                                                     points))
+    def _along(self, index, w):
+        """sum_i w_i p_ij for (4, n) weights and the points p of the windows
+        self.windows[index], gathered one row i at a time; shape (n, 4,
+        3)."""
+        out = np.zeros((len(index), 4, 3), w.dtype)
+        for i in range(4):
+            out += real_einsum("n,njd->njd", w[i], self.windows[index, i])
+        return out
 
     def eval(self, slots, u, v):
         """S(u[i], v[i]) of patch slots[i] for 1-D arrays; shape (n, 3)."""
@@ -108,9 +125,10 @@ class GridPatchSet:
         both = self._blended(np.concatenate([slots, slots]),
                              np.repeat([0, 2], len(slots)),
                              np.concatenate([v, u]))
-        w = fundamental_weights(self.family,
-                                np.concatenate([u, v]) * both[1], both)
-        return self._combine(self.points[slots], *np.split(w, 2, axis=1))
+        wx, wy = np.split(fundamental_weights(
+            self.family, np.concatenate([u, v]) * both[1], both), 2, axis=1)
+        return np.einsum("jn,njd->nd", wy, real_einsum(
+            "in,nijd->njd", wx, self.windows[2 * slots]))
 
     def side_blend(self, slots, sides, t):
         """The blend whose powers scale cross derivatives on side sides[i]
@@ -183,11 +201,11 @@ class GridPatchSet:
             w_cross.update(zip(cross_orders, fundamental_weights(
                 self.family, np.where(sides % 2, cross[1], 0.0), cross,
                 cross_orders)))
-        points = self.points[slots]
-        return np.stack([
-            self._combine(points, np.where(vertical, w_along[r], w_cross[q]),
-                          np.where(vertical, w_cross[q], w_along[r]))
-            for q, r in jets])
+        # the windows contracted along the side once per r, then across it
+        along = {r: self._along(2 * slots + sides // 2, w_along[r])
+                 for r in rs}
+        return np.stack([np.einsum("jn,njd->nd", w_cross[q], along[r])
+                         for q, r in jets])
 
 
 @dataclass(frozen=True)

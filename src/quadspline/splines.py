@@ -74,12 +74,10 @@ def _coeffs_all_d3(dm, d0, dp):
     e = 1.0 / dp
     q1 = b * c  # 1 / (dm (dm + d0))
     q2 = e * a  # 1 / (dp (d0 + dp))
-    return (
-        (0.0, -d0 * q1, 2.0 * q1, -q1 * inv0),
-        (1.0, b - inv0, -(a + 2.0 * b) * inv0, (a + b) * inv0sq),
-        (0.0, c * dm * inv0, (2.0 * c + e) * inv0, -(c + e) * inv0sq),
-        (0.0, 0.0, -q2, q2 * inv0),
-    )
+    yield 0.0, -d0 * q1, 2.0 * q1, -q1 * inv0
+    yield 1.0, b - inv0, -(a + 2.0 * b) * inv0, (a + b) * inv0sq
+    yield 0.0, c * dm * inv0, (2.0 * c + e) * inv0, -(c + e) * inv0sq
+    yield 0.0, 0.0, -q2, q2 * inv0
 
 
 def _coeffs_all_d5(dm, d0, dp):
@@ -93,15 +91,13 @@ def _coeffs_all_d5(dm, d0, dp):
     r = 1.0 / dp + 1.0 / (dm + d0)
     invq0 = 1.0 / ((dm + d0) * d0)
     t = 1.0 / (dp * p) * inv03  # 1 / (d0^3 dp (d0 + dp))
-    return (
-        (0.0, -d0 ** 4 * q, d0 ** 3 * q, 3.0 * d0 * d0 * q,
-         -5.0 * d0 * q, 2.0 * q),
-        (1.0, 1.0 / dm - inv0, -inv0 / dm,
-         -3.0 * s * inv0sq, 5.0 * s * inv03, -2.0 * s * inv04),
-        (0.0, dm * invq0, invq0,
-         3.0 * r * inv0sq, -5.0 * r * inv03, 2.0 * r * inv04),
-        (0.0, 0.0, 0.0, -3.0 * d0 * d0 * t, 5.0 * d0 * t, -2.0 * t),
-    )
+    yield (0.0, -d0 ** 4 * q, d0 ** 3 * q, 3.0 * d0 * d0 * q, -5.0 * d0 * q,
+           2.0 * q)
+    yield (1.0, 1.0 / dm - inv0, -inv0 / dm, -3.0 * s * inv0sq,
+           5.0 * s * inv03, -2.0 * s * inv04)
+    yield (0.0, dm * invq0, invq0, 3.0 * r * inv0sq, -5.0 * r * inv03,
+           2.0 * r * inv04)
+    yield 0.0, 0.0, 0.0, -3.0 * d0 * d0 * t, 5.0 * d0 * t, -2.0 * t
 
 
 _COEFF_ALL = {"d3c1p2s4": _coeffs_all_d3, "d5c2p2s4": _coeffs_all_d5}
@@ -121,7 +117,7 @@ def fundamental_coefficients(fam, offset, d):
         raise DegenerateEdgeError("parameter intervals must be positive")
     if not -1 <= offset <= 2:
         raise ValueError(f"offset {offset} outside the support window")
-    return _COEFF_ALL[fam.name](dm, d0, dp)[offset + 1]
+    return tuple(_COEFF_ALL[fam.name](dm, d0, dp))[offset + 1]
 
 
 def _check_x(x, d0):
@@ -148,14 +144,16 @@ def derivative_factors(degree):
                  for r in range(degree + 1))
 
 
-def _horner(coeffs, x, r=0):
-    """r-th derivative at x of the polynomial with ascending coefficients."""
+def _horner(coeffs, x, r=0, rows=None):
+    """r-th derivative at x of the polynomial with ascending coefficients;
+    with rows, of the polynomials coeffs[:, rows], gathered one coefficient
+    at a time."""
     if r:
         factors = derivative_factors(len(coeffs) - 1)[r]
         coeffs = [f * c for f, c in zip(factors, coeffs[r:])]
-    acc = coeffs[-1]
+    acc = coeffs[-1] if rows is None else coeffs[-1][rows]
     for c in coeffs[-2::-1]:
-        acc = acc * x + c
+        acc = acc * x + (c if rows is None else c[rows])
     return acc
 
 
@@ -176,10 +174,9 @@ def fundamental_weights(fam, x, d, r=0):
     out = np.zeros((len(orders), 4) + probe.shape,
                    complex if probe.dtype.kind == "c" else float)
     if min(orders) <= fam.degree:
-        coeffs = _COEFF_ALL[fam.name](*d)
-        for i, order in enumerate(orders):
-            if order <= fam.degree:
-                for k, c in enumerate(coeffs):
+        for k, c in enumerate(_COEFF_ALL[fam.name](*d)):
+            for i, order in enumerate(orders):
+                if order <= fam.degree:
                     out[i, k] = _horner(c, x, order)
     return out if several else out[0]
 

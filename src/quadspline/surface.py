@@ -678,8 +678,8 @@ def analysis_fields(surface, tri, richardson=False):
 
     Partial derivatives come from complex steps of size FD_STEP (see
     _step_partials): three complex points per vertex, in the patch domain
-    or not, with the tessellated position as the real centre and the points
-    of EVAL_CHUNK vertices at a time evaluated in one surface.eval call.
+    or not, with the tessellated position as the real centre; the points
+    of EVAL_CHUNK // 4 vertices at a time make one pass of each patch set.
     Samples with a degenerate normal are flagged NaN.  Richardson
     extrapolation combines steps 1e-3 and 2e-3, for double the evaluations
     and two extra orders of accuracy.
@@ -690,8 +690,8 @@ def analysis_fields(surface, tri, richardson=False):
     mean_curv = np.full(len(tri.positions), np.nan)
     isophote = np.full(len(tri.positions), np.nan)
     degenerate = 0
-    for lo in range(0, len(faces), EVAL_CHUNK):
-        at = slice(lo, lo + EVAL_CHUNK)
+    for lo in range(0, len(faces), EVAL_CHUNK // 4):
+        at = slice(lo, lo + EVAL_CHUNK // 4)
         parts = _step_partials(surface, faces[at], u[at], v[at],
                                tri.positions[at], hs)
         su, sv, suu, suv, svv = ((4.0 * d[0] - d[1]) / 3.0 if richardson
@@ -806,10 +806,10 @@ def continuity_report(surface, samples=16):
     continuity order, relative to the surface's largest derivative of that
     order.  Normals are exact to round-off: read from the side fields on
     grid sides, and from complex steps of size AUDIT_STEP on Gregory sides
-    (see _seam_table).  The samples of both
-    sides of 4 EVAL_CHUNK // (2 samples) seams at a time form one table,
-    evaluated in one surface.eval call and reduced per seam.  samples below
-    3 leave no interior sample to audit and raise ValueError.
+    (see _seam_table).  The samples of both sides of EVAL_CHUNK // (2
+    samples) seams at a time form one table, evaluated in one surface.eval
+    call (one grid pass) and reduced per seam.  samples below 3 leave no
+    interior sample to audit and raise ValueError.
     """
     if samples < 3:
         raise ValueError(f"the continuity report needs at least 3 samples "
@@ -825,7 +825,7 @@ def continuity_report(surface, samples=16):
     residual = {r: np.zeros(audit.sum()) for r in range(1, k + 1)}
     top = dict.fromkeys(residual, 1e-12)
     audited = np.cumsum(audit) - audit   # row of each seam among the audited
-    step = max(1, 4 * EVAL_CHUNK // (2 * samples))
+    step = max(1, EVAL_CHUNK // (2 * samples))
     for lo in range(0, len(hes), step):
         at = slice(lo, lo + step)
         gap[at], angle[at], res = _measure_seams(surface, hes[at], ts, k)
@@ -894,14 +894,6 @@ def export_ply(tri, path, channels=()):
         fh.write(template * len(rows) % tuple(rows.ravel().tolist()))
         fh.write("3 %d %d %d\n" * len(tri.triangles)
                  % tuple(np.ravel(tri.triangles).tolist()))
-
-
-def export_obj(tri, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in tri.positions:
-            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for t in tri.triangles:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
 
 
 def write_report(report, path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quadspline import patch
 from quadspline.mesh import QuadMesh
 
 
@@ -189,6 +190,14 @@ def sphere_mesh(rounds=2):
 FIG1_POLYLINE = np.array([
     [0, 0], [1, 0], [2, 0], [3, 0], [4, 0], [10, 3],
     [4, 6], [3, 6], [2, 6], [1, 6], [0, 6], [-6, 3]], dtype=float)
+
+
+@pytest.fixture
+def small_eval_chunk(monkeypatch):
+    """Patch sets evaluate in chunks of 64 points, so that a test's few
+    hundred points cross several chunk boundaries; the chunk size."""
+    monkeypatch.setattr(patch, "EVAL_CHUNK", 64)
+    return patch.EVAL_CHUNK
 
 
 @pytest.fixture

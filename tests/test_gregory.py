@@ -6,7 +6,7 @@ from quadspline.errors import ConstructionError
 from quadspline.gregory import (BoundaryData, GregoryPatch, GregoryPatchSet,
                                 Side, hermite_basis)
 from quadspline.network import (VecPoly, hermite_curve3, hermite_curve5)
-from quadspline.patch import EVAL_CHUNK, _blend
+from quadspline.patch import _blend
 from quadspline.surface import BuildOptions, build_surface
 
 
@@ -374,9 +374,9 @@ def oracle_eval(data, u, v):
 
 def oracle_points(rng, count):
     """Slots and (u, v) over `count` patches: random points, the four domain
-    edges, the corners, and repeated u and v values; longer than one
-    evaluation chunk."""
-    n = EVAL_CHUNK + 100
+    edges, the corners, and repeated u and v values; longer than several
+    evaluation chunks of small_eval_chunk."""
+    n = 612
     u, v = rng.uniform(0, 1, (2, n))
     u[:40], v[40:80] = 0.0, 1.0                       # the four edges
     u[80:120], v[120:160] = 1.0, 0.0
@@ -400,7 +400,7 @@ ORACLE_CASES.update({
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_patch_set_matches_the_assembled_matrix(case):
+def test_patch_set_matches_the_assembled_matrix(case, small_eval_chunk):
     datas = ORACLE_CASES[case]()
     slots, u, v = oracle_points(np.random.default_rng(53), len(datas))
     got = GregoryPatchSet(datas).eval(slots, u, v)

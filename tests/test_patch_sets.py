@@ -15,7 +15,8 @@ from conftest import (grid_with_rotated_edge, sphere_mesh,
                       torus_with_rotated_edge)
 from quadspline import mesh as qm
 from quadspline.gregory import GregoryPatchSet, Side
-from quadspline.patch import EVAL_CHUNK, GridField
+from quadspline import patch
+from quadspline.patch import GridField
 from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
                                 continuity_report, tessellate)
 
@@ -49,20 +50,21 @@ def mixed_points(surf, per_face, seed=0):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_surface_eval_equals_per_face_views(case):
+def test_surface_eval_equals_per_face_views(case, small_eval_chunk):
+    chunk = small_eval_chunk
     surf = surface_of(case)
     assert surf.gregory and surf.regular
     faces, u, v = mixed_points(surf, 40)
-    assert faces.size > 2 * EVAL_CHUNK
+    assert faces.size > 2 * chunk
     # both kinds within one chunk
-    assert {f in surf.gregory for f in faces[:EVAL_CHUNK].tolist()} \
+    assert {f in surf.gregory for f in faces[:chunk].tolist()} \
         == {True, False}
     got = surf.eval(faces, u, v)
     want = np.array([surf.patch(int(f)).eval(a, b)
                      for f, a, b in zip(faces, u, v)])
     assert np.abs(got - want).max() <= 1e-14
     # the same points split into other batches give the same bits
-    cuts = [0, 7, EVAL_CHUNK - 3, EVAL_CHUNK + 100, faces.size]
+    cuts = [0, 7, chunk - 3, chunk + 100, faces.size]
     parts = [surf.eval(faces[a:b], u[a:b], v[a:b])
              for a, b in zip(cuts, cuts[1:])]
     assert np.array_equal(np.concatenate(parts), got)
@@ -88,13 +90,13 @@ def test_grid_side_fields_of_several_orders_in_one_call(case):
 
 
 @pytest.mark.parametrize("case", ["sphere_g2", "open_ev_grid_g1"])
-def test_seam_frame_in_one_pass_equals_side_fields(case):
+def test_seam_frame_in_one_pass_equals_side_fields(case, small_eval_chunk):
     # the seam audit reads a grid side's tangent and its cross fields of
     # orders 1..k from one side_jets pass
     patches = surface_of(case).grid_patches
     k = patches.k
     rng = np.random.default_rng(5)
-    count = EVAL_CHUNK + 300
+    count = small_eval_chunk + 300
     slots = rng.integers(0, len(patches.grids), count)
     sides = rng.integers(0, 4, count)
     x = rng.uniform(0.0, 1.0, count)
@@ -155,14 +157,15 @@ def test_classification_hands_back_the_window_grids(monkeypatch):
 
 
 # tracemalloc peaks of analysis_fields and continuity_report on
-# sphere_mesh(2) at n = 4, numpy 2.4: 1.48 and 1.92 MB (1.94 MB for both in
-# one trace), with the analysis taking EVAL_CHUNK = 512 vertices and the
-# report 4 EVAL_CHUNK // 32 = 64 seams per batch, each batch evaluated in
-# chunks of EVAL_CHUNK points; the report's peak is a chunk of complex
-# points on Coons-Gregory sides.  With real finite-difference stencils
-# instead of complex steps: 1.68 and 1.64 MB; with 128 vertices and 16
-# seams per batch 1.12 and 1.17 MB; 10.1 and 15.9 MB with each
-# whole-surface table evaluated in one piece.
+# sphere_mesh(2) at n = 4, numpy 2.4: 1.52 and 1.61 MB (1.64 MB for both in
+# one trace), with the analysis taking EVAL_CHUNK // 4 = 512 vertices and
+# the report EVAL_CHUNK // 32 = 64 seams per batch, and EVAL_CHUNK = 2048
+# points per patch-set pass.  The analysis peaks in the basis weights of a
+# complex grid pass, the report in the grid side fields of a complex
+# Coons-Gregory pass.  With 512-point passes: 1.48 and 1.92 MB; with
+# 2048-point passes of kernels that gather every per-patch table and side
+# field for all points at once: 1.75 and 3.55 MB; 10.1 and 15.9 MB with
+# each whole-surface table evaluated in one piece.
 PEAK_BOUND_MB = 2.0
 
 
@@ -177,3 +180,35 @@ def test_whole_surface_audits_stay_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < PEAK_BOUND_MB * 1e6
+
+
+# tracemalloc peaks of one full EVAL_CHUNK = 2048 of complex points, in bytes
+# per point, on sphere_mesh(2), numpy 2.4: GregoryPatchSet.eval 2370 and
+# GridPatchSet.side_jets with the seam audit's jets 1045.  A Gregory kernel
+# that gathers the per-patch tables of M and the side fields of all four
+# sides for every point at once reads 2940.
+KERNEL_BYTES_PER_POINT = {"gregory": 2600, "grid_side_jets": 1200}
+
+
+def test_one_chunk_of_each_kernel_stays_in_its_bytes_per_point():
+    surf = surface_of("sphere_g2")
+    gregory, grid = surf.gregory_patches, surf.grid_patches
+    n = patch.EVAL_CHUNK
+    rng = np.random.default_rng(11)
+    u, v = rng.uniform(0.0, 1.0, (2, n)) + 1e-4j
+    slots = rng.integers(0, len(gregory.datas), n)
+    grid_slots = rng.integers(0, len(grid.grids), n)
+    sides = rng.integers(0, 4, n)
+    x = u * grid.intervals[grid_slots, sides, 1]
+    jets = [(0, 1)] + [(q, 0) for q in range(1, grid.k + 1)]
+    calls = {"gregory": lambda: gregory.eval(slots, u, v),
+             "grid_side_jets": lambda: grid.side_jets(grid_slots, sides,
+                                                      jets, x)}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < KERNEL_BYTES_PER_POINT[name] * n, (name, peak / n)

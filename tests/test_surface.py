@@ -9,8 +9,8 @@ from quadspline.patch import GridPatchSet, RegularPatch
 from quadspline.surface import (SIDE_OF_CORNER, BuildOptions,
                                 _interior_shared_edges,
                                 _seam_table, analysis_fields, build_surface,
-                                continuity_report, export_obj, export_ply,
-                                tessellate, write_report)
+                                continuity_report, export_ply, tessellate,
+                                write_report)
 
 
 def test_build_options_validation():
@@ -355,11 +355,6 @@ def test_exports_roundtrip(tmp_path, torus):
     parsed = np.array([ln.split()[:3] for ln in nv_lines], dtype=float)
     scale = np.abs(tri.positions).max()
     assert np.allclose(parsed, tri.positions, atol=1e-7 * scale)
-
-    obj = tmp_path / "out.obj"
-    export_obj(tri, obj)
-    mesh2 = [ln for ln in obj.read_text().splitlines() if ln.startswith("v ")]
-    assert len(mesh2) == nv
 
 
 def _ply_rows(tri, channels):
