@@ -7,6 +7,9 @@ with consistent CCW orientation; an interior edge has exactly two half edges
 build_connectivity fills the half-edge tables next_of, prev_of, twin_of,
 origin_of and cont_of.  Each ends in one extra entry -1, so index -1 maps to
 -1 in every table and a missing neighbour stays -1 through any composition.
+The edge intervals (assign_edge_params) are a float array in the same
+layout: params[h] is the interval of h's edge, equal on twins, and the
+extra entry is 1.0.
 
 Local uv frames of a face are fixed by an anchor half edge a: the corners are
 p0 = origin(a), p1 = origin(next(a)), p2 = origin(next2(a)), p3 =
@@ -335,51 +338,9 @@ def save_obj(mesh, path):
 
 # -- edge parameter intervals -------------------------------------------------
 
-class EdgeParams:
-    """Positive parameter interval per undirected mesh edge."""
-
-    def __init__(self, values=None):
-        self._d = dict(values) if values else {}
-
-    def get(self, i, j):
-        return self._d[edge_key(i, j)]
-
-    def set(self, i, j, value):
-        if not 0.0 < value < np.inf:
-            raise DegenerateEdgeError(f"edge ({i}, {j}): interval must be "
-                                      "finite and > 0")
-        self._d[edge_key(i, j)] = float(value)
-
-    def __contains__(self, key):
-        return edge_key(*key) in self._d
-
-    def __len__(self):
-        return len(self._d)
-
-    def items(self):
-        return sorted(self._d.items())
-
-    def copy(self):
-        return EdgeParams(self._d)
-
-    def to_json(self):
-        return [{"edge": [int(i), int(j)], "d": v} for (i, j), v in self.items()]
-
-    @classmethod
-    def from_json(cls, records, mesh=None):
-        params = cls()
-        for rec in records:
-            i, j = rec["edge"]
-            params.set(int(i), int(j), float(rec["d"]))
-        if mesh is not None:
-            for key in mesh.edges():
-                if key not in params._d:
-                    raise ValueError(f"edge {key} missing from sidecar")
-        return params
-
-
 def assign_edge_params(mesh, method="centripetal", alpha=None):
-    """Compute one interval per edge.
+    """Interval of each half edge's edge, twins equal, with one trailing
+    padding entry 1.0 (the layout of the half-edge tables).
 
     uniform/chordal/centripetal follow |edge|^alpha with alpha 0, 1, 1/2
     (an explicit alpha overrides the exponent; like make_knots, it must lie
@@ -397,13 +358,18 @@ def assign_edge_params(mesh, method="centripetal", alpha=None):
         raise ValueError("alpha must lie in [0, 1]")
 
     edges, edge = _undirected_edges(mesh.faces)
-    edges = edges.tolist()
-    values = []
-    for i, j in edges:
-        length = float(np.linalg.norm(mesh.vertices[i] - mesh.vertices[j]))
-        if length == 0.0:
-            raise DegenerateEdgeError(f"edge ({i}, {j}) has zero length")
-        values.append(length ** a)
+    diff = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
+    # sqrt of vecdot and float_power round as the scalar
+    # float(np.linalg.norm(diff[e])) ** a does; norm(axis=1) and the array
+    # ** do not
+    length = np.sqrt(np.vecdot(diff, diff))
+    bad = np.flatnonzero(~((0.0 < length) & (length < np.inf)))
+    if len(bad):
+        i, j = edges[bad[0]]
+        raise DegenerateEdgeError(f"edge ({i}, {j}) has length "
+                                  f"{length[bad[0]]}; it must be finite and "
+                                  "> 0")
+    values = np.float_power(length, a)
 
     if method == "mean":
         irregular = np.flatnonzero(~mesh._vertex_boundary
@@ -419,10 +385,31 @@ def assign_edge_params(mesh, method="centripetal", alpha=None):
                                           quads[:, 2:].ravel()),
                               return_inverse=True)
         values = (np.bincount(ribbon, values) / np.bincount(ribbon))[ribbon]
+    return np.append(values[edge], 1.0)
 
-    params = EdgeParams()
-    for (i, j), value in zip(edges, values):
-        params.set(i, j, value)
+
+def check_edge_params(mesh, params):
+    """params as a float array in the layout of assign_edge_params; raises
+    ValueError for a wrong length or twins that differ, and
+    DegenerateEdgeError for an interval that is not finite and > 0."""
+    params = np.asarray(params, float)
+    if params.shape != (mesh.num_halfedges + 1,):
+        raise ValueError(f"edge params have shape {params.shape}; the mesh "
+                         f"needs ({mesh.num_halfedges + 1},), one per half "
+                         "edge and one padding entry")
+    values, twin = params[:-1], mesh.twin_of[:-1]
+    bad = np.flatnonzero(~((0.0 < values) & (values < np.inf)))
+    if len(bad):
+        h = bad[0]
+        raise DegenerateEdgeError(
+            f"edge ({mesh.origin(h)}, {mesh.target(h)}): interval "
+            f"{values[h]} must be finite and > 0")
+    bad = np.flatnonzero((twin >= 0) & (params[twin] != values))
+    if len(bad):
+        h = bad[0]
+        raise ValueError(
+            f"edge ({mesh.origin(h)}, {mesh.target(h)}): its half edges "
+            f"hold different intervals {values[h]} and {params[twin[h]]}")
     return params
 
 
@@ -483,11 +470,12 @@ def section_polyline_curve(mesh, params, poly, fam):
     from .splines import PolylineCurve
     verts = poly.vertices[:-1] if poly.closed else poly.vertices
     pts = mesh.vertices[verts]
-    knots = [0.0]
-    for k in range(len(poly.vertices) - 1):
-        i, j = poly.vertices[k], poly.vertices[k + 1]
-        knots.append(knots[-1] + params.get(i, j))
-    return PolylineCurve(pts, np.asarray(knots), fam, closed=poly.closed)
+    ds = []
+    for i, j in zip(poly.vertices[:-1], poly.vertices[1:]):
+        h = mesh.halfedge_between(i, j)
+        ds.append(params[mesh.halfedge_between(j, i) if h is None else h])
+    return PolylineCurve(pts, np.concatenate([[0.0], np.cumsum(ds)]), fam,
+                         closed=poly.closed)
 
 
 # -- local grids / classification ---------------------------------------------
@@ -558,18 +546,15 @@ def _grids(mesh, anchors, w, params):
                          axis=2).transpose(0, 2, 1)
     if params is not None:
         # rows j = 0, 1 and columns 0, 1: d0, d1, e0, e1 of each window
-        sides = np.stack([rows[found, half - 2], rows[found, half - 1],
-                          col0[found], col1[found]], axis=1)
-        hs = np.unique(sides)
-        interval = np.zeros(len(O))
-        interval[hs] = [params.get(i, j) for i, j in
-                        zip(O[hs].tolist(), O[N[hs]].tolist())]
+        intervals = params[np.stack([rows[found, half - 2],
+                                     rows[found, half - 1], col0[found],
+                                     col1[found]], axis=1)]
     grids = {}
     for k, a in enumerate(anchors[found].tolist()):
         grid = LocalGrid(face=a >> 2, anchor=a, w=w,
                          points=mesh.vertices[ids[k]], vertex_ids=ids[k])
         if params is not None:
-            grid.d0, grid.d1, grid.e0, grid.e1 = interval[sides[k]]
+            grid.d0, grid.d1, grid.e0, grid.e1 = intervals[k]
         grids[a >> 2] = grid
     return grids
 
@@ -608,8 +593,9 @@ def extrapolate_boundary_layer(mesh, params):
 
     Each boundary vertex gains a mirror vertex 2*p - p_inward per transversal
     direction; valence-2 corners additionally get a diagonal mirror and a
-    corner face.  Phantom edges copy the interval of the edge they extend
-    (transversally) or run parallel to (longitudinally).  Closed meshes are
+    corner face.  Each phantom half edge copies the interval of a source
+    half edge: the edge it extends (transversally) or runs parallel to
+    (longitudinally, and at a corner face a transversal).  Closed meshes are
     returned unchanged.
     """
     if not mesh.has_connectivity:
@@ -617,54 +603,42 @@ def extrapolate_boundary_layer(mesh, params):
     if not mesh.has_boundary():
         return mesh, params
 
-    verts = [p.copy() for p in mesh.vertices]
-    faces = [list(map(int, f)) for f in mesh.faces]
-    new_params = params.copy()
+    O, N, P = mesh.origin_of, mesh.next_of, mesh.prev_of
+    nv, V = mesh.num_vertices, mesh.vertices
+    # the phantom face [b, a, a2, b2] of each boundary half edge h = a -> b,
+    # whose ends mirror their inward neighbours origin(prev h), target(next h)
+    h = np.flatnonzero(mesh.twin_of[:-1] < 0)
+    a, b = O[h], O[N[h]]
+    ends = np.stack([a, b], axis=1).ravel()
+    inward = np.stack([O[P[h]], O[N[N[h]]]], axis=1).ravel()
+    # one mirror per (vertex, inward neighbour), numbered in order of first use
+    keys, first, key_of = np.unique(ends * nv + inward, return_index=True,
+                                    return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = nv + np.arange(len(order))
+    a2, b2 = number[key_of].reshape(-1, 2).T
 
-    phantom = {}
+    # the corner face [c, cin, c2, cout] at each valence-2 boundary vertex
+    # c, whose leaving and arriving boundary half edges share its one face
+    corner = np.flatnonzero((mesh._vertex_boundary & (mesh._valence == 2))
+                            [:mesh.real_vertex_count])
+    h_out = mesh._vertex_out[corner]
+    h_in = P[h_out]
+    cin = number[np.searchsorted(keys, corner * nv + O[N[h_out]])]
+    cout = number[np.searchsorted(keys, corner * nv + O[h_in])]
+    c2 = nv + len(keys) + np.arange(len(corner))
 
-    def phantom_vertex(v, inward):
-        key = (v, inward)
-        if key not in phantom:
-            verts.append(2.0 * mesh.vertices[v] - mesh.vertices[inward])
-            phantom[key] = len(verts) - 1
-        return phantom[key]
-
-    for h in np.flatnonzero(mesh.twin_of[:-1] < 0).tolist():
-        a, b = mesh.origin(h), mesh.target(h)
-        ua = mesh.origin(mesh.he_prev(h))     # inward from a along this run
-        ub = mesh.target(mesh.he_next(h))     # inward from b
-        a2 = phantom_vertex(a, ua)
-        b2 = phantom_vertex(b, ub)
-        faces.append([b, a, a2, b2])
-        if (a, a2) not in new_params:
-            new_params.set(a, a2, params.get(a, ua))
-        if (b, b2) not in new_params:
-            new_params.set(b, b2, params.get(b, ub))
-        new_params.set(a2, b2, params.get(a, b))
-
-    # corner faces at valence-2 boundary vertices
-    for c in range(mesh.real_vertex_count):
-        if not mesh.is_boundary_vertex(c) or mesh.valence(c) != 2:
-            continue
-        star = mesh.vertex_star(c)
-        if len(star) != 1:
-            continue
-        h_out = star[0]                      # boundary half edge leaving c
-        h_in = mesh.he_prev(h_out)           # boundary half edge arriving at c
-        cin = phantom[(c, mesh.target(mesh.he_next(h_in)))]
-        cout = phantom[(c, mesh.origin(mesh.he_prev(h_out)))]
-        if cin == cout:
-            continue
-        diag = mesh.target(mesh.he_next(h_out))
-        verts.append(2.0 * mesh.vertices[c] - mesh.vertices[diag])
-        c2 = len(verts) - 1
-        faces.append([c, cin, c2, cout])
-        new_params.set(cin, c2, new_params.get(c, cout))
-        new_params.set(cout, c2, new_params.get(c, cin))
-
-    out = QuadMesh(np.asarray(verts), np.asarray(faces))
+    centre = np.concatenate([ends[first[order]], corner])
+    across = np.concatenate([inward[first[order]], O[N[N[h_out]]]])
+    faces = np.concatenate([mesh.faces, np.stack([b, a, a2, b2], axis=1),
+                            np.stack([corner, cin, c2, cout], axis=1)])
+    # the source half edge of each phantom half edge, face by face
+    source = np.concatenate([np.stack([h, P[h], h, N[h]], axis=1),
+                             np.stack([h_out, h_in, h_out, h_in], axis=1)])
+    out = QuadMesh(np.concatenate([V, 2.0 * V[centre] - V[across]]), faces)
     out.real_face_count = mesh.real_face_count
     out.real_vertex_count = mesh.real_vertex_count
     out.build_connectivity()
-    return out, new_params
+    return out, np.concatenate([params[:-1], params[source.ravel()],
+                                params[-1:]])

@@ -112,6 +112,10 @@ class CompositeSurface:
         self.edge_records = {}
         self.grid_patches = None
         self.gregory_patches = None
+        # per-face tables, -1 where a face has none and at index -1: slot
+        # in grid_patches and in gregory_patches, and anchor half edge
+        self._slot = np.full((2, mesh.num_faces + 1), -1)
+        self._anchor = np.full(mesh.num_faces + 1, -1)
 
     @property
     def real_faces(self):
@@ -119,16 +123,6 @@ class CompositeSurface:
 
     def patch(self, f):
         return self.regular.get(f) or self.gregory[f]
-
-    def _index(self):
-        """Per-face tables: slot in grid_patches and in gregory_patches (-1
-        where the face has none), and anchor half edge."""
-        self._slot = np.full((2, self.mesh.num_faces), -1)
-        for kind, views in enumerate((self.regular, self.gregory)):
-            for f, view in views.items():
-                self._slot[kind, f] = view.slot
-        self._anchor = np.full(self.mesh.num_faces, -1)
-        self._anchor[list(self.anchors)] = list(self.anchors.values())
 
     def eval(self, faces, u, v):
         """Positions at the points (faces, u, v) of equal-shaped arrays, with
@@ -163,13 +157,17 @@ class CompositeSurface:
 
 
 def build_surface(mesh, options=None, params=None):
-    """Run the full pipeline on a connected quad mesh."""
+    """Run the full pipeline on a connected quad mesh.  params, when given,
+    are edge intervals in the layout of qm.assign_edge_params and are
+    checked by qm.check_edge_params."""
     options = options or BuildOptions()
     if not mesh.has_connectivity:
         mesh.build_connectivity()
     if params is None:
         params = qm.assign_edge_params(mesh, options.param_method,
                                        options.alpha)
+    else:
+        params = qm.check_edge_params(mesh, params)
     mesh, params = qm.extrapolate_boundary_layer(mesh, params)
 
     surf = CompositeSurface(mesh, params, options)
@@ -178,14 +176,15 @@ def build_surface(mesh, options=None, params=None):
     surf.grid_patches = GridPatchSet(grids.values(), options.family)
     for slot, (f, grid) in enumerate(grids.items()):
         surf.regular[f] = RegularPatch.view(surf.grid_patches, slot)
-        surf.anchors[f] = grid.anchor
+        surf.anchors[f] = surf._anchor[f] = grid.anchor
+        surf._slot[0, f] = slot
 
     datas = _GregoryBuilder(surf).build(extraordinary) if extraordinary \
         else []
     surf.gregory_patches = GregoryPatchSet(datas)
     for slot, f in enumerate(extraordinary):
         surf.gregory[f] = GregoryPatch.view(surf.gregory_patches, slot)
-    surf._index()
+        surf._slot[1, f] = slot
     return surf
 
 
@@ -216,21 +215,11 @@ class _GregoryBuilder:
         self.params = surf.params
         self.options = surf.options
         self.k = surf.options.k
-        # grid slot and anchor of each face, -1 (also at index -1) for none
-        self.grid_slot = np.full(self.mesh.num_faces + 1, -1)
-        self.grid_anchor = self.grid_slot.copy()
-        faces = list(surf.regular)
-        self.grid_slot[faces] = [surf.regular[f].slot for f in faces]
-        self.grid_anchor[faces] = [surf.anchors[f] for f in faces]
+        self.grid_slot = surf._slot[0]
 
     # -- mesh lookups ---------------------------------------------------------
     def _target(self, h):
         return self.mesh.origin_of[self.mesh.next_of[h]]
-
-    def _interval(self, a, b):
-        """Parameter intervals of the edges (a[i], b[i])."""
-        return np.array([self.params.get(i, j)
-                         for i, j in zip(a.tolist(), b.tolist())], float)
 
     def _fans(self, vertices):
         """Fans of the vertices as rows padded with -1 (QuadMesh.fans), the
@@ -241,27 +230,27 @@ class _GregoryBuilder:
         # the last neighbour of a boundary vertex lies past its star
         rows, cols = np.nonzero((fan >= 0) & (star < 0))
         into[rows, cols] = self.mesh.prev_of[star[rows, cols - 1]]
-        ds = np.ones(fan.shape)
-        at = fan >= 0
-        ds[at] = self._interval(np.broadcast_to(vertices[:, None],
-                                                fan.shape)[at], fan[at])
+        ds = np.where(fan >= 0, self.params[np.where(star >= 0, star, into)],
+                      1.0)
         return fan, star, into, ds
 
-    def _segments(self, windows):
-        """Section-curve segments over 4-vertex windows (n, 4)."""
-        d = [self._interval(windows[:, i], windows[:, i + 1])
-             for i in range(3)]
+    def _segments(self, windows, halves):
+        """Section-curve segments over 4-vertex windows (n, 4) whose three
+        edges are the half edges halves (n, 3)."""
         return net.VecPoly(segment_coefficients(
-            self.mesh.vertices[windows], d, self.options.family))
+            self.mesh.vertices[windows], self.params[halves].T,
+            self.options.family))
 
     # -- derivatives at vertices ----------------------------------------------
     def _windows(self, a, c, fwd, bwd):
         """The 4-vertex windows (z, a, c, w) of the section-curve segments
         a -> c, whose half edges are fwd (a -> c) and bwd (c -> a; either -1
-        where none), and the mask where they exist."""
+        where none), half edges along their edges a -> z, a -> c, c -> w,
+        and the mask where they exist."""
         C, T = self.mesh.cont_of, self._target
         z, w = T(C[bwd]), T(C[fwd])
-        return np.stack([z, a, c, w], axis=1), (z >= 0) & (w >= 0)
+        return (np.stack([z, a, c, w], axis=1),
+                np.stack([C[bwd], fwd, C[fwd]], axis=1), (z >= 0) & (w >= 0))
 
     def _spline_derivs(self, a, c, fwd, bwd):
         """(first, second, found) at a[i] of the section curve a -> c (fwd,
@@ -269,15 +258,16 @@ class _GregoryBuilder:
         window exists, else the opposite segment through a; both give the
         same values at a up to the family continuity.  Zero where neither
         exists."""
-        windows, direct = self._windows(a, c, fwd, bwd)
+        windows, halves, direct = self._windows(a, c, fwd, bwd)
         away = self.mesh.cont_of[bwd]   # a -> z, continuing c -> a past a
-        opposite, beyond = self._windows(a, windows[:, 0], away,
-                                         self.mesh.twin_of[away])
+        opposite, opposite_halves, beyond = self._windows(
+            a, windows[:, 0], away, self.mesh.twin_of[away])
         found = direct | beyond
         first, second = np.zeros((2, len(a), 3))
         if found.any():
-            poly = self._segments(np.where(direct[:, None], windows,
-                                           opposite)[found])
+            poly = self._segments(
+                np.where(direct[:, None], windows, opposite)[found],
+                np.where(direct[:, None], halves, opposite_halves)[found])
             first[found] = poly.eval(0.0, 1) \
                 * np.where(direct[found], 1.0, -1.0)[:, None]
             second[found] = poly.eval(0.0, 2)
@@ -372,7 +362,7 @@ class _GregoryBuilder:
         else from row fit_rows[i] of the vertex fits."""
         grid = corner >= 0
         f = corner[grid] >> 2
-        ui, vi = _CORNER_UV[(corner[grid] - self.grid_anchor[f]) % 4].T
+        ui, vi = _CORNER_UV[(corner[grid] - self.surf._anchor[f]) % 4].T
         # [.., q, r]: the r-th u-derivative of the q-th v-derivative
         table = self.surf.grid_patches.side_ends[self.grid_slot[f], vi, ui]
         rows = fit_rows[~grid]
@@ -453,6 +443,7 @@ class _GregoryBuilder:
         faces = np.asarray(faces)
         anchor = 4 * faces + np.argmin(mesh.faces[faces], axis=1)
         surf.anchors.update(zip(faces.tolist(), anchor.tolist()))
+        surf._anchor[faces] = anchor
         hes = anchor[:, None] & ~3 | (anchor[:, None] + np.arange(4)) & 3
         corners = mesh.origin_of[hes]
         start, end = (corners[:, _SIDE_CORNERS[:, e]] for e in (0, 1))
@@ -462,7 +453,7 @@ class _GregoryBuilder:
         twin = mesh.twin_of[hes]
         slot = self.grid_slot[twin >> 2]
         sampled, network = slot >= 0, slot < 0
-        n = (twin - self.grid_anchor[twin >> 2]) % 4
+        n = (twin - surf._anchor[twin >> 2]) % 4
         # side c runs along its half edge for c = 0, 1 and the neighbour's
         # along the twin for n = 0, 1; chi points into this face for c = 0,
         # 3 and the neighbour's cross derivative into the neighbour for
@@ -478,8 +469,8 @@ class _GregoryBuilder:
         own = mesh.origin_of[h] == lo
         fwd = np.where(own, h, mesh.twin_of[h])
         bwd = np.where(own, mesh.twin_of[h], h)
-        d = self._interval(lo, hi)
-        windows, window = self._windows(lo, hi, fwd, bwd)
+        d = self.params[h]
+        windows, halves, window = self._windows(lo, hi, fwd, bwd)
         # the ends of the Hermite curves, toward each other
         her = ~window
         a = np.concatenate([lo[her], hi[her]])
@@ -501,7 +492,7 @@ class _GregoryBuilder:
         gamma = np.zeros((len(lo), max(fam.degree, 2 * k + 1) + 1, 3))
         if window.any():
             gamma[window, :fam.degree + 1] = self._segments(
-                windows[window]).coeffs
+                windows[window], halves[window]).coeffs
         if her.any():
             (m0, m1), (s0, s1) = np.split(m, 2), np.split(s, 2)
             curve = net.build_missing_boundary_curve(

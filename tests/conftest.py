@@ -192,6 +192,12 @@ FIG1_POLYLINE = np.array([
     [4, 6], [3, 6], [2, 6], [1, 6], [0, 6], [-6, 3]], dtype=float)
 
 
+def interval(mesh, params, i, j):
+    """The interval of edge (i, j), read at either of its half edges."""
+    h = mesh.halfedge_between(i, j)
+    return params[mesh.halfedge_between(j, i) if h is None else h]
+
+
 @pytest.fixture
 def small_eval_chunk(monkeypatch):
     """Patch sets evaluate in chunks of 64 points, so that a test's few

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import (bowtie_grids, grid_with_rotated_edge, jittered_torus,
-                      l_grid, open_grid, sphere_mesh, torus_grid,
-                      torus_with_rotated_edge)
+from conftest import (bowtie_grids, grid_with_rotated_edge, interval,
+                      jittered_torus, l_grid, open_grid, sphere_mesh,
+                      torus_grid, torus_with_rotated_edge)
 from quadspline.errors import (DegenerateEdgeError, MeshStructureError,
                                UnsupportedFaceError, UnsupportedMeshError)
-from quadspline.mesh import (EdgeParams, QuadMesh, assign_edge_params,
+from quadspline.mesh import (QuadMesh, _components, assign_edge_params,
                              classify_faces, edge_key, extract_local_grid,
                              extrapolate_boundary_layer, load_obj, save_obj,
                              trace_section_polylines)
+from quadspline.surface import build_surface
 
 
 def test_load_save_roundtrip(tmp_path, cube):
@@ -117,13 +118,58 @@ def test_degenerate_edge_rejected():
 
 def test_edge_params_methods(torus):
     uniform = assign_edge_params(torus, "uniform")
-    assert all(v == 1.0 for _k, v in uniform.items())
+    assert uniform.shape == (torus.num_halfedges + 1,)
+    assert (uniform == 1.0).all()
     chordal = assign_edge_params(torus, "chordal")
     centri = assign_edge_params(torus, "centripetal")
-    for (i, j), v in chordal.items():
+    for i, j in torus.edges():
         ln = np.linalg.norm(torus.vertices[i] - torus.vertices[j])
-        assert v == pytest.approx(ln)
-        assert centri.get(i, j) == pytest.approx(np.sqrt(ln))
+        assert interval(torus, chordal, i, j) == pytest.approx(ln)
+        assert interval(torus, centri, i, j) == pytest.approx(np.sqrt(ln))
+
+
+PIN_MESHES = {"perturbed_torus": lambda: torus_grid(12, 12, perturb=0.05),
+              "rotated_grid": lambda: grid_with_rotated_edge(7, 7)}
+
+
+def _ribbon_means(mesh, values):
+    """{edge: mean of values over its ribbon}, each sum taken in sorted edge
+    order, for values {edge: float}."""
+    edges = mesh.edges()
+    index = {e: k for k, e in enumerate(edges)}
+    quads = [[index[edge_key(f[c], f[(c + 1) % 4])] for c in range(4)]
+             for f in mesh.faces.tolist()]
+    ribbon = _components(len(edges), [q[c] for q in quads for c in (0, 1)],
+                         [q[c] for q in quads for c in (2, 3)]).tolist()
+    sums, counts = {}, {}
+    for e, r in zip(edges, ribbon):
+        sums[r] = sums.get(r, 0.0) + values[e]
+        counts[r] = counts.get(r, 0) + 1
+    return {e: sums[r] / counts[r] for e, r in zip(edges, ribbon)}
+
+
+# (method, alpha, exponent); mean needs a regular mesh, so the torus only
+PIN_METHODS = [("uniform", None, 0.0), ("chordal", None, 1.0),
+               ("centripetal", None, 0.5), ("centripetal", 0.3, 0.3)]
+
+
+@pytest.mark.parametrize("name, method, alpha, a", [
+    (name, *m) for name in sorted(PIN_MESHES) for m in PIN_METHODS]
+    + [("perturbed_torus", "mean", None, 0.5)])
+def test_edge_params_equal_scalar_norm_powers_bitwise(name, method, alpha, a):
+    """Each half edge holds float(np.linalg.norm(p_i - p_j)) ** a of its
+    edge (i < j), exactly; mean holds the ribbon average of those."""
+    mesh = PIN_MESHES[name]().build_connectivity()
+    params = assign_edge_params(mesh, method, alpha)
+    P = mesh.vertices
+    want = {(i, j): float(np.linalg.norm(P[i] - P[j])) ** a
+            for i, j in mesh.edges()}
+    if method == "mean":
+        want = _ribbon_means(mesh, want)
+    got = [params[h] for h in range(mesh.num_halfedges)]
+    assert got == [want[edge_key(mesh.origin(h), mesh.target(h))]
+                   for h in range(mesh.num_halfedges)]
+    assert params[-1] == 1.0
 
 
 def test_centripetal_on_unit_edges():
@@ -132,9 +178,10 @@ def test_centripetal_on_unit_edges():
     faces = [[0, 1, 2, 3], [1, 4, 5, 2], [4, 6, 7, 5]]
     mesh = QuadMesh(verts, faces).build_connectivity()
     params = assign_edge_params(mesh, "centripetal")
-    assert params.get(0, 1) == pytest.approx(1.0)
-    assert params.get(1, 4) == pytest.approx(np.sqrt(8.0))  # length 8 edge
-    assert params.get(0, 3) == pytest.approx(1.0)
+    assert interval(mesh, params, 0, 1) == pytest.approx(1.0)
+    # length 8 edge
+    assert interval(mesh, params, 1, 4) == pytest.approx(np.sqrt(8.0))
+    assert interval(mesh, params, 0, 3) == pytest.approx(1.0)
 
 
 def test_mean_parametrization_averages_ribbons():
@@ -144,10 +191,11 @@ def test_mean_parametrization_averages_ribbons():
     faces = [[0, 1, 2, 3]]
     mesh = QuadMesh(verts, faces).build_connectivity()
     params = assign_edge_params(mesh, "mean")
-    assert params.get(0, 1) == pytest.approx(2.0)
-    assert params.get(2, 3) == pytest.approx(2.0)
+    assert interval(mesh, params, 0, 1) == pytest.approx(2.0)
+    assert interval(mesh, params, 2, 3) == pytest.approx(2.0)
     # the side edges form the other ribbon
-    assert params.get(0, 3) == pytest.approx(params.get(1, 2))
+    assert interval(mesh, params, 0, 3) \
+        == pytest.approx(interval(mesh, params, 1, 2))
 
 
 def test_mean_parametrization_long_ribbon():
@@ -161,7 +209,7 @@ def test_mean_parametrization_long_ribbon():
     params = assign_edge_params(mesh, "mean")
     avg = np.mean([np.sqrt(w) for w in widths])
     for j in range(4):
-        assert params.get(2 * j, 2 * j + 1) == pytest.approx(avg)
+        assert interval(mesh, params, 2 * j, 2 * j + 1) == pytest.approx(avg)
 
 
 def test_mean_rejects_extraordinary(cube):
@@ -172,30 +220,31 @@ def test_mean_rejects_extraordinary(cube):
 def test_mean_on_uniform_torus_equals_centripetal(torus):
     mean = assign_edge_params(torus, "mean")
     centri = assign_edge_params(torus, "centripetal")
-    for (i, j), v in mean.items():
-        ribbonwise = centri.get(i, j)
+    for i, j in torus.edges():
+        v, ribbonwise = (interval(torus, p, i, j) for p in (mean, centri))
         # uniform-ish torus: meridian ribbons are uniform so values match
         # along meridians; longitudes vary by ring but are constant per ring
         assert v > 0.0 and ribbonwise > 0.0
 
 
-def test_edge_params_json_roundtrip(torus):
-    params = assign_edge_params(torus, "centripetal")
-    records = params.to_json()
-    back = EdgeParams.from_json(records, mesh=torus)
-    assert len(back) == len(params)
-    for (i, j), v in params.items():
-        assert back.get(i, j) == pytest.approx(v)
-    with pytest.raises(ValueError):
-        EdgeParams.from_json(records[:-1], mesh=torus)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 0.0, -1.0])
 def test_edge_params_reject_non_finite_intervals(torus, bad):
-    records = assign_edge_params(torus, "centripetal").to_json()
-    records[3]["d"] = bad
-    with pytest.raises(DegenerateEdgeError, match="finite"):
-        EdgeParams.from_json(records, mesh=torus)
+    params = assign_edge_params(torus, "centripetal")
+    params[[3, torus.twin(3)]] = bad
+    edge = rf"edge \({torus.origin(3)}, {torus.target(3)}\)"
+    with pytest.raises(DegenerateEdgeError, match=f"{edge}.*finite"):
+        build_surface(torus, params=params)
+
+
+def test_edge_params_reject_wrong_length_and_unequal_twins(torus):
+    params = assign_edge_params(torus, "centripetal")
+    with pytest.raises(ValueError, match="one per half edge"):
+        build_surface(torus, params=params[:-1])
+    params[3] *= 2.0
+    edge = rf"edge \({torus.origin(3)}, {torus.target(3)}\)"
+    with pytest.raises(ValueError, match=f"{edge}.*different intervals"):
+        build_surface(torus, params=params)
 
 
 def test_classify_torus_all_regular(torus):
@@ -350,7 +399,8 @@ def test_windows_follow_mesh_edges(name, w):
                             or mesh.halfedge_between(b, a) is not None)
 
             def intervals(line):
-                return [params.get(a, b) for a, b in zip(line[:-1], line[1:])]
+                return [interval(mesh, params, a, b)
+                        for a, b in zip(line[:-1], line[1:])]
 
             assert list(grid.d0) == intervals(ids[:, c])
             assert list(grid.d1) == intervals(ids[:, c + 1])
@@ -454,8 +504,42 @@ def test_extrapolate_straight_boundary_collinear():
     assert not extra
     assert len(regular) == 9
     # phantom params copied, all positive
-    for _k, v in params2.items():
-        assert v > 0.0
+    assert (params2 > 0.0).all()
+
+
+def test_extrapolated_intervals_copy_their_source_edges():
+    """An open grid with x steps 1, 2, 4 and y steps 1, 3, column i
+    stretched in y by 1 + i / 2 so that neighbouring edges differ in
+    length, in chordal.  A phantom half edge between two real vertices
+    copies its twin, a transversal phantom edge v -> 2 v - q the edge (v,
+    q) it extends, and an edge between two phantom vertices the edge
+    opposite it in its face: the boundary edge it runs parallel to or, in a
+    corner face, a transversal."""
+    xs, ys = [0.0, 1.0, 3.0, 7.0], [0.0, 1.0, 4.0]
+    verts = [[x, y * (1 + i / 2), 0.0] for y in ys
+             for i, x in enumerate(xs)]
+    faces = [[4 * j + i, 4 * j + i + 1, 4 * j + i + 5, 4 * j + i + 4]
+             for j in range(2) for i in range(3)]
+    mesh = QuadMesh(verts, faces).build_connectivity()
+    real = assign_edge_params(mesh, "chordal")
+    mesh2, params = extrapolate_boundary_layer(mesh, real)
+    assert mesh2.num_faces == 6 + 10 + 4  # edge faces + corner faces
+    assert params.shape == (mesh2.num_halfedges + 1,) and params[-1] == 1.0
+    assert np.array_equal(params[:mesh.num_halfedges], real[:-1])
+    P, nv = mesh2.vertices, mesh.num_vertices
+    at = {tuple(p): v for v, p in enumerate(P.tolist())}
+    for h in range(mesh.num_halfedges, mesh2.num_halfedges):
+        v, p = sorted((mesh2.origin(h), mesh2.target(h)))
+        if p < nv:
+            assert params[h] == interval(mesh, real, v, p)
+        elif v < nv:
+            q = at[tuple((2.0 * P[v] - P[p]).tolist())]
+            assert params[h] == interval(mesh, real, v, q)
+        else:
+            assert params[h] == params[mesh2.next_of[mesh2.next_of[h]]]
+    h = np.arange(mesh2.num_halfedges)
+    twin = mesh2.twin_of[h]
+    assert np.array_equal(params[twin[twin >= 0]], params[h[twin >= 0]])
 
 
 def test_extrapolated_interior_face_count_unaffected():

@@ -204,11 +204,9 @@ def test_boundary_scaling_delta_values():
     # turns the blend ratio into the constant 4
     params = uniform.copy()
     ids = ps.grid.vertex_ids
-    for (a, b) in mesh.edges():
-        params.set(a, b, 1.0)
     for j in range(4):
-        a, b = int(ids[1, j]), int(ids[2, j])
-        params.set(a, b, 4.0)
+        h = mesh.halfedge_between(int(ids[1, j]), int(ids[2, j]))
+        params[[h, mesh.twin(h)]] = 4.0
     ps2 = make_patch(mesh, params, mesh.he_face(h_s), fam,
                      anchor=mesh.he_next(h_s))
     pn2 = make_patch(mesh, params, mesh.he_face(h_n), fam,

@@ -481,7 +481,7 @@ def test_guide_derivatives_keep_tangent_scale():
     for v in range(8):
         assert mesh.valence(v) == 3
         nbrs = mesh.fan(v)
-        ds = [surf.params.get(v, c) for c in nbrs]
+        ds = [surf.params[mesh.halfedge_between(v, c)] for c in nbrs]
         pts = mesh.vertices[nbrs]
         tans = [net.tangent_with_fallback(mesh.vertices[v], pts, ds, i)
                 for i in range(3)]
@@ -528,15 +528,34 @@ def test_alpha_override():
 
 
 def test_build_with_user_supplied_params():
-    from quadspline.mesh import EdgeParams, assign_edge_params
-    mesh = torus_grid(6, 6).build_connectivity()
-    base = assign_edge_params(mesh, "centripetal")
-    sidecar = EdgeParams.from_json(base.to_json(), mesh=mesh)
-    s1 = build_surface(mesh, BuildOptions(), params=sidecar)
-    s2 = build_surface(mesh, BuildOptions())
-    for (u, v) in ((0.2, 0.7), (0.9, 0.1)):
-        assert np.allclose(s1.patch(3).eval(u, v), s2.patch(3).eval(u, v),
-                           atol=1e-14)
+    from quadspline.mesh import assign_edge_params
+    for mesh in (torus_grid(6, 6), grid_with_rotated_edge(6, 6)):
+        mesh.build_connectivity()
+        params = assign_edge_params(mesh, "centripetal").tolist()
+        s1 = build_surface(mesh, BuildOptions(), params=params)
+        s2 = build_surface(mesh, BuildOptions())
+        assert np.array_equal(s1.params, s2.params)
+        assert np.array_equal(tessellate(s1, 4).positions,
+                              tessellate(s2, 4).positions)
+
+
+def test_per_face_tables_match_the_patch_maps():
+    """surf._slot and surf._anchor hold each face's slot per patch kind and
+    its anchor, and -1 for none and at index -1."""
+    mesh = grid_with_rotated_edge(7, 7).build_connectivity()
+    surf = build_surface(mesh, BuildOptions())
+    n = surf.mesh.num_faces
+    assert surf._slot.shape == (2, n + 1) and surf._anchor.shape == (n + 1,)
+    slot = np.full((2, n + 1), -1)
+    for kind, views in enumerate((surf.regular, surf.gregory)):
+        for f, view in views.items():
+            slot[kind, f] = view.slot
+    assert surf.regular and surf.gregory
+    assert np.array_equal(surf._slot, slot)
+    anchor = np.full(n + 1, -1)
+    anchor[list(surf.anchors)] = list(surf.anchors.values())
+    assert sorted(surf.anchors) == sorted([*surf.regular, *surf.gregory])
+    assert np.array_equal(surf._anchor, anchor)
 
 
 def test_randomized_multi_ev_meshes_watertight():
