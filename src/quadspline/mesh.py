@@ -14,6 +14,10 @@ extra entry is 1.0.
 Local uv frames of a face are fixed by an anchor half edge a: the corners are
 p0 = origin(a), p1 = origin(next(a)), p2 = origin(next2(a)), p3 =
 origin(next3(a)), with u running p0->p1 and v running p0->p3.
+
+classify_faces gathers the w x w window of every regular face in one pass
+of table compositions and hands the windows back as arrays; a LocalGrid is
+one window as an object.
 """
 
 from dataclasses import dataclass, field
@@ -123,7 +127,11 @@ class QuadMesh:
         return [4 * f + c for c in range(4)]
 
     def halfedge_between(self, i, j):
-        """Half edge i -> j, or None."""
+        """Half edge i -> j, or None, from a dict made on the first call."""
+        if self._he_dir is None:
+            ends = zip(self.origin_of[:-1].tolist(),
+                       self.origin_of[self.next_of[:-1]].tolist())
+            self._he_dir = {ij: h for h, ij in enumerate(ends)}
         return self._he_dir.get((i, j))
 
     def valence(self, v):
@@ -163,11 +171,6 @@ class QuadMesh:
         fan[rows, count[rows]] = self.origin_of[
             self.prev_of[star[rows, count[rows] - 1]]]
         return star, fan
-
-    def vertex_star(self, v):
-        """Outgoing half edges around v in CCW order (a row of fans)."""
-        star = self.fans([v])[0][0]
-        return star[star >= 0].tolist()
 
     def fan(self, v):
         """Neighbours of v in CCW order around it (a row of fans)."""
@@ -243,8 +246,7 @@ class QuadMesh:
         self.next_of = np.append(self.he_next(h), -1)
         self.prev_of = np.append(self.he_prev(h), -1)
         self.origin_of = np.append(origin, -1)
-        self._he_dir = dict(zip(zip(origin.tolist(), target.tolist()),
-                                h.tolist()))
+        self._he_dir = None
         self._valence = np.bincount(edges.ravel(), minlength=nv)
         self._vertex_boundary = np.bincount(edges[count == 1].ravel(),
                                             minlength=nv) > 0
@@ -260,7 +262,7 @@ class QuadMesh:
             raise MeshStructureError(
                 f"non-manifold vertex {split[0]}: its faces form more than "
                 "one fan")
-        # one outgoing half edge per vertex for vertex_star: the outgoing
+        # one outgoing half edge per vertex for fans: the outgoing
         # boundary one at a boundary vertex, else the first
         self._vertex_out = np.full(nv, -1)
         self._vertex_out[origin] = fan
@@ -289,8 +291,8 @@ class QuadMesh:
             raise DegenerateEdgeError(f"edge ({a}, {b}) is degenerate")
 
     def canonical_halfedge(self, f):
-        """Face half edge whose origin has the smallest vertex index."""
-        return 4 * f + int(np.argmin(self.faces[f]))
+        """Half edge of face(s) f leaving the face's smallest vertex."""
+        return 4 * f + np.argmin(self.faces[f], axis=-1)
 
 
 # -- OBJ I/O ----------------------------------------------------------------
@@ -500,13 +502,23 @@ class LocalGrid:
     e1: np.ndarray = field(default=None)
 
 
+def local_grid(anchor, vertex_ids, points, intervals=()):
+    """The LocalGrid of one window, with its interval rows d0, d1, e0, e1
+    (4, w - 1) when given."""
+    anchor = int(anchor)
+    return LocalGrid(anchor >> 2, anchor, len(vertex_ids), points,
+                     vertex_ids, *intervals)
+
+
 def _check_width(w):
     if w < 4 or w % 2:
         raise ValueError(f"window width must be even and at least 4, not {w}")
 
 
 def _grids(mesh, anchors, w, params):
-    """{face: LocalGrid} for the anchor half edges whose w x w window exists.
+    """(anchors, vertex ids (n, w, w), intervals (n, 4, w - 1) or None
+    without params) of the anchor half edges whose w x w window exists, in
+    their given order, laid out as in local_grid.
 
     Every window cell is a fixed composition of the half-edge tables from
     its anchor.  A window exists where every composition is defined and all
@@ -544,19 +556,12 @@ def _grids(mesh, anchors, w, params):
     found = np.flatnonzero(exists)
     ids = np.concatenate([lo[found, :, :1], hi[found]],
                          axis=2).transpose(0, 2, 1)
-    if params is not None:
-        # rows j = 0, 1 and columns 0, 1: d0, d1, e0, e1 of each window
-        intervals = params[np.stack([rows[found, half - 2],
-                                     rows[found, half - 1], col0[found],
-                                     col1[found]], axis=1)]
-    grids = {}
-    for k, a in enumerate(anchors[found].tolist()):
-        grid = LocalGrid(face=a >> 2, anchor=a, w=w,
-                         points=mesh.vertices[ids[k]], vertex_ids=ids[k])
-        if params is not None:
-            grid.d0, grid.d1, grid.e0, grid.e1 = intervals[k]
-        grids[a >> 2] = grid
-    return grids
+    if params is None:
+        return anchors[found], ids, None
+    # rows j = 0, 1 and columns 0, 1: d0, d1, e0, e1 of each window
+    return anchors[found], ids, params[np.stack(
+        [rows[found, half - 2], rows[found, half - 1], col0[found],
+         col1[found]], axis=1)]
 
 
 def extract_local_grid(mesh, params, face, w=4, anchor=None):
@@ -566,24 +571,26 @@ def extract_local_grid(mesh, params, face, w=4, anchor=None):
         anchor = mesh.canonical_halfedge(face)
     elif mesh.he_face(anchor) != face:
         raise ValueError("anchor half edge does not belong to the face")
-    grid = _grids(mesh, np.array([anchor]), w, params).get(face)
-    if grid is None:
+    anchors, ids, intervals = _grids(mesh, np.array([anchor]), w, params)
+    if not len(anchors):
         raise UnsupportedMeshError(f"face {face} has no {w}x{w} vertex grid")
-    return grid
+    return local_grid(anchors[0], ids[0], mesh.vertices[ids[0]],
+                      () if intervals is None else intervals[0])
 
 
 def classify_faces(mesh, w=4, params=None):
-    """Split real faces into (regular, extraordinary) for support width w.
+    """Split real faces into regular and extraordinary for support width w.
 
-    regular maps each regular face, in order, to its LocalGrid (at the
-    canonical anchor, with intervals when params are given); extraordinary
-    lists the other faces.
+    Returns (anchors, vertex_ids, intervals, extraordinary): the windows of
+    the regular faces in ascending face order, at their canonical anchors,
+    as _grids gives them (intervals None without params), and the other
+    faces as an int array.
     """
     _check_width(w)
-    faces = np.arange(mesh.real_face_count)
-    regular = _grids(mesh, 4 * faces + np.argmin(mesh.faces[faces], axis=1),
-                     w, params)
-    return regular, [f for f in faces.tolist() if f not in regular]
+    real = np.arange(mesh.real_face_count)
+    anchors, ids, intervals = _grids(mesh, mesh.canonical_halfedge(real), w,
+                                     params)
+    return anchors, ids, intervals, real[~np.isin(real, anchors >> 2)]
 
 
 # -- boundary extrapolation ----------------------------------------------------

@@ -13,10 +13,11 @@ Because the blend derivatives vanish at the ends, cross-boundary derivatives
 through order k collapse to the x/y partials times a power of the boundary
 blend value, which keeps boundary data exact and cheap.
 
-All grid patches of a surface live in one GridPatchSet, which evaluates
-arrays of (slot, u, v) in passes of EVAL_CHUNK points, each contracting the
-points' real windows against real or complex weights without a complex
-copy; a RegularPatch is a view of one slot.
+All grid patches of a surface live in one GridPatchSet, made from the
+window arrays of mesh.classify_faces, which evaluates arrays of (slot, u, v)
+in passes of EVAL_CHUNK points, each contracting the points' real windows
+against real or complex weights without a complex copy; a RegularPatch is a
+view of one slot.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .mesh import local_grid
 from .splines import fundamental_weights
 
 SIDES = ("v0", "v1", "u0", "u1")
@@ -75,7 +77,8 @@ def chunked(fn, *arrays):
 class GridPatchSet:
     """Every grid patch of a surface as stacked arrays.
 
-    Slot i holds grids[i]: its window points in windows[2 i] (4, 4, 3), and
+    Slot i holds the window at anchor half edge anchors[i], with vertex ids
+    vertex_ids[i] (4, 4): its points in windows[2 i] (4, 4, 3), and
     transposed, running along v first, in windows[2 i + 1], and its row and
     column intervals d0, d1, e0, e1 in intervals[i] (4, 3), in SIDES order
     (the intervals along side v0 are d0, ..., along u1 e1).  Every method
@@ -83,22 +86,22 @@ class GridPatchSet:
     EVAL_CHUNK.
     """
 
-    def __init__(self, grids, fam):
+    def __init__(self, anchors, vertex_ids, points, intervals, fam):
         if fam.support != 4:
             raise ValueError("only support-4 families are evaluable")
-        for grid in grids:
-            if grid.w != fam.support:
-                raise ValueError("grid width does not match the family "
-                                 "support")
-            if grid.d0 is None:
-                raise ValueError("grid carries no parameter intervals")
-        self.grids = list(grids)
+        n = len(anchors)
+        if np.shape(vertex_ids) != (n, 4, 4) \
+                or np.shape(points) != (n, 4, 4, 3):
+            raise ValueError("grid width does not match the family support")
+        if np.shape(intervals) != (n, 4, 3):
+            raise ValueError("grid carries no parameter intervals")
+        self.anchors = np.asarray(anchors, int)
+        self.vertex_ids = np.asarray(vertex_ids, int)
         self.family = fam
         self.k = fam.continuity
-        p = np.array([g.points for g in grids], float).reshape(-1, 4, 4, 3)
+        p = np.asarray(points, float)
         self.windows = np.stack([p, p.swapaxes(1, 2)], 1).reshape(-1, 4, 4, 3)
-        self.intervals = np.array([[g.d0, g.d1, g.e0, g.e1] for g in grids],
-                                  float).reshape(-1, 4, 3)
+        self.intervals = np.asarray(intervals, float)
 
     def _blended(self, slots, first, t):
         """Interval triples blended at t from the pair first, first + 1 of
@@ -142,7 +145,7 @@ class GridPatchSet:
         orders q and x-derivatives r up to k, made in one pass on first
         use; shape (F, 4, 2, k + 1, k + 1, 3), indexed [slot, side, end,
         q, r].  At the ends these are exact mixed corner derivatives."""
-        count, k = len(self.grids), self.k
+        count, k = len(self.anchors), self.k
         slots = np.repeat(np.arange(count), 8)
         sides = np.tile(np.repeat(np.arange(4), 2), count)
         x = np.tile([0.0, 1.0], 4 * count) * self.intervals[slots, sides, 1]
@@ -220,12 +223,6 @@ class GridField:
 
     def eval(self, x, r=0):
         x = np.asarray(x, float)
-        patches = self.patches
-        length = patches.intervals[self.slot, self.side, 1]
-        if max(self.q, r) <= patches.k and np.all((x == 0.0) | (x == length)):
-            # the side's ends: read the table made for all sides at once
-            return patches.side_ends[self.slot, self.side,
-                                     (x == length).astype(int), self.q, r]
         return self.patches.side_fields(
             np.full(x.size, self.slot), np.full(x.size, self.side),
             (self.q,), x.ravel(), r)[0].reshape(x.shape + (3,))
@@ -262,11 +259,16 @@ class RegularPatch(PatchView):
     makes a standalone patch, a set of one."""
 
     def __init__(self, grid, fam):
-        self._bind(GridPatchSet([grid], fam), 0)
+        intervals = [[grid.d0, grid.d1, grid.e0, grid.e1]]
+        self._bind(GridPatchSet([grid.anchor], [grid.vertex_ids],
+                                [grid.points], intervals, fam), 0)
 
     @property
     def grid(self):
-        return self.patches.grids[self.slot]
+        """The slot's window, as a LocalGrid of views of the set's arrays."""
+        patches, slot = self.patches, self.slot
+        return local_grid(patches.anchors[slot], patches.vertex_ids[slot],
+                          patches.windows[2 * slot], patches.intervals[slot])
 
     # -- boundary data ---------------------------------------------------------
     def field(self, side, q):

@@ -75,14 +75,6 @@ class BuildOptions:
 
 
 @dataclass
-class _EdgeRecord:
-    a: int
-    b: int
-    d: float
-    gamma: net.VecPoly
-
-
-@dataclass
 class _Fits:
     """Vertex fits, one row per vertex: the fan (V, m) padded with -1, the
     first and second derivatives toward each neighbour (V, m, 3), the unit
@@ -108,14 +100,12 @@ class CompositeSurface:
         self.options = options
         self.regular = {}
         self.gregory = {}
-        self.anchors = {}
-        self.edge_records = {}
         self.grid_patches = None
         self.gregory_patches = None
         # per-face tables, -1 where a face has none and at index -1: slot
         # in grid_patches and in gregory_patches, and anchor half edge
         self._slot = np.full((2, mesh.num_faces + 1), -1)
-        self._anchor = np.full(mesh.num_faces + 1, -1)
+        self.anchors = np.full(mesh.num_faces + 1, -1)
 
     @property
     def real_faces(self):
@@ -151,7 +141,7 @@ class CompositeSurface:
         he are scalars or arrays that broadcast against t."""
         t = np.asarray(t, float)
         zero, one = np.zeros_like(t), np.ones_like(t)
-        c = (np.asarray(he) - self._anchor[f]) % 4
+        c = (np.asarray(he) - self.anchors[f]) % 4
         return (np.choose(c, (t, one, 1.0 - t, zero)),
                 np.choose(c, (zero, t, one, 1.0 - t)))
 
@@ -171,20 +161,23 @@ def build_surface(mesh, options=None, params=None):
     mesh, params = qm.extrapolate_boundary_layer(mesh, params)
 
     surf = CompositeSurface(mesh, params, options)
-    grids, extraordinary = qm.classify_faces(mesh, options.family.support,
-                                             params=params)
-    surf.grid_patches = GridPatchSet(grids.values(), options.family)
-    for slot, (f, grid) in enumerate(grids.items()):
-        surf.regular[f] = RegularPatch.view(surf.grid_patches, slot)
-        surf.anchors[f] = surf._anchor[f] = grid.anchor
-        surf._slot[0, f] = slot
-
-    datas = _GregoryBuilder(surf).build(extraordinary) if extraordinary \
-        else []
+    # every real face is anchored at its canonical half edge
+    real = np.arange(mesh.real_face_count)
+    surf.anchors[real] = mesh.canonical_halfedge(real)
+    anchors, ids, intervals, extraordinary = qm.classify_faces(
+        mesh, options.family.support, params=params)
+    regular = anchors >> 2
+    surf._slot[0, regular] = np.arange(len(regular))
+    surf._slot[1, extraordinary] = np.arange(len(extraordinary))
+    surf.grid_patches = GridPatchSet(anchors, ids, mesh.vertices[ids],
+                                     intervals, options.family)
+    surf.regular = {f: RegularPatch.view(surf.grid_patches, slot)
+                    for slot, f in enumerate(regular.tolist())}
+    datas = _GregoryBuilder(surf).build(extraordinary) \
+        if len(extraordinary) else []
     surf.gregory_patches = GregoryPatchSet(datas)
-    for slot, f in enumerate(extraordinary):
-        surf.gregory[f] = GregoryPatch.view(surf.gregory_patches, slot)
-        surf._slot[1, f] = slot
+    surf.gregory = {f: GregoryPatch.view(surf.gregory_patches, slot)
+                    for slot, f in enumerate(extraordinary.tolist())}
     return surf
 
 
@@ -362,7 +355,7 @@ class _GregoryBuilder:
         else from row fit_rows[i] of the vertex fits."""
         grid = corner >= 0
         f = corner[grid] >> 2
-        ui, vi = _CORNER_UV[(corner[grid] - self.surf._anchor[f]) % 4].T
+        ui, vi = _CORNER_UV[(corner[grid] - self.surf.anchors[f]) % 4].T
         # [.., q, r]: the r-th u-derivative of the q-th v-derivative
         table = self.surf.grid_patches.side_ends[self.grid_slot[f], vi, ui]
         rows = fit_rows[~grid]
@@ -441,9 +434,7 @@ class _GregoryBuilder:
         mesh, surf, k = self.mesh, self.surf, self.k
         P, fam, patches = mesh.vertices, self.options.family, surf.grid_patches
         faces = np.asarray(faces)
-        anchor = 4 * faces + np.argmin(mesh.faces[faces], axis=1)
-        surf.anchors.update(zip(faces.tolist(), anchor.tolist()))
-        surf._anchor[faces] = anchor
+        anchor = surf.anchors[faces]
         hes = anchor[:, None] & ~3 | (anchor[:, None] + np.arange(4)) & 3
         corners = mesh.origin_of[hes]
         start, end = (corners[:, _SIDE_CORNERS[:, e]] for e in (0, 1))
@@ -453,7 +444,7 @@ class _GregoryBuilder:
         twin = mesh.twin_of[hes]
         slot = self.grid_slot[twin >> 2]
         sampled, network = slot >= 0, slot < 0
-        n = (twin - surf._anchor[twin >> 2]) % 4
+        n = (twin - surf.anchors[twin >> 2]) % 4
         # side c runs along its half edge for c = 0, 1 and the neighbour's
         # along the twin for n = 0, 1; chi points into this face for c = 0,
         # 3 and the neighbour's cross derivative into the neighbour for
@@ -499,10 +490,6 @@ class _GregoryBuilder:
                 P[lo[her]], P[hi[her]], d[her], m0, -m1,
                 *((s0, s1) if k == 2 else ()))
             gamma[her, :curve.degree + 1] = curve.coeffs
-        records = [_EdgeRecord(a=i, b=j, d=dd, gamma=net.VecPoly(g))
-                   for i, j, dd, g in zip(lo.tolist(), hi.tolist(),
-                                          d.tolist(), gamma)]
-        surf.edge_records.update(((r.a, r.b), r) for r in records)
         normal, curvature = self._corner_frames(
             corner, fits, np.searchsorted(fitted, ends))
 
@@ -528,8 +515,8 @@ class _GregoryBuilder:
         f, c = np.nonzero(network)
         d_side = d[rec]
         forward = net.VecPoly(gamma[rec])
-        gamma = np.where(reverse[:, None, None],
-                         forward.reversed(d_side).coeffs, forward.coeffs)
+        oriented = np.where(reverse[:, None, None],
+                            forward.reversed(d_side).coeffs, forward.coeffs)
         at = [np.searchsorted(ends, v[network]) for v in (start, end)]
         # the corner targets: the first (r = 1) and second x-derivatives of
         # the neighbouring sides at their starts or ends
@@ -549,7 +536,7 @@ class _GregoryBuilder:
                        else tuple(x[i][sel] for x in curvature))
                       for i in at]
             part = self._cross_fields(
-                net.VecPoly(gamma[sel]), d_side[sel], frames,
+                net.VecPoly(oriented[sel]), d_side[sel], frames,
                 None if mid is None else mid[sel],
                 {r: [t[sel] for t in ts] for r, ts in targets.items()})
             for q, coeffs in enumerate(part):
@@ -566,9 +553,10 @@ class _GregoryBuilder:
             sides[i][j] = Side(
                 length, [GridField(patches, sl, gs, q) for q in orders],
                 reverse=(0, 1, 2) if way else (), negate_cross=cross)
-        for i, j, r, rev, more in zip(f.tolist(), c.tolist(), rec.tolist(),
-                                      reverse.tolist(), fields.T):
-            sides[i][j] = Side(records[r].d, [records[r].gamma, *more],
+        for i, j, length, curve, rev, more in zip(
+                f.tolist(), c.tolist(), d_side.tolist(), forward.coeffs,
+                reverse.tolist(), fields.T):
+            sides[i][j] = Side(length, [net.VecPoly(curve), *more],
                                reverse=(0,) if rev else ())
         return BoundaryData.many(P[corners], sides, k, faces.tolist(),
                                  side_ends[..., 0, :])
@@ -854,7 +842,7 @@ def _cross_frame(surface, f, he, u, v):
     he; f and he are scalars or arrays that broadcast against u and v.  The
     r-th inward cross derivative there is (inward * blend) ** r times the
     side's order-r field at x."""
-    c = (np.asarray(he) - surface._anchor[f]) % 4
+    c = (np.asarray(he) - surface.anchors[f]) % 4
     # sides v0, v1 (even c) run along u and are crossed along v
     inward = np.where((c == 0) | (c == 3), 1, -1)
     slots, sides, t = np.broadcast_arrays(surface._slot[0, f],

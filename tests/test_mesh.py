@@ -248,32 +248,32 @@ def test_edge_params_reject_wrong_length_and_unequal_twins(torus):
 
 
 def test_classify_torus_all_regular(torus):
-    regular, extra = classify_faces(torus, 4)
-    assert len(regular) == torus.num_faces
-    assert not extra
+    anchors, _, _, extra = classify_faces(torus, 4)
+    assert len(anchors) == torus.num_faces
+    assert not len(extra)
 
 
 def test_classify_cube_all_extraordinary(cube):
-    regular, extra = classify_faces(cube, 4)
-    assert not regular
-    assert len(extra) == 6
+    anchors, _, _, extra = classify_faces(cube, 4)
+    assert not len(anchors)
+    assert extra.tolist() == list(range(6))
 
 
 def test_classify_rotated_torus_matches_enumeration():
     mesh = torus_with_rotated_edge(10, 10).build_connectivity()
-    regular, extra = classify_faces(mesh, 4)
+    anchors, _, _, extra = classify_faces(mesh, 4)
     # oracle: a face is extraordinary iff one of its corners has valence != 4
     want_extra = sorted(
         f for f in range(mesh.num_faces)
         if any(mesh.valence(v) != 4 for v in mesh.faces[f]))
-    assert sorted(extra) == want_extra
-    assert len(regular) + len(extra) == mesh.num_faces
+    assert extra.tolist() == want_extra
+    assert len(anchors) + len(extra) == mesh.num_faces
 
 
 def test_classify_monotone_in_w():
     mesh = torus_with_rotated_edge(12, 12).build_connectivity()
-    reg4 = set(classify_faces(mesh, 4)[0])
-    reg6 = set(classify_faces(mesh, 6)[0])
+    reg4 = set((classify_faces(mesh, 4)[0] >> 2).tolist())
+    reg6 = set((classify_faces(mesh, 6)[0] >> 2).tolist())
     assert reg6 <= reg4
     assert 0 < len(reg6) < len(reg4)
     # far from the irregularity a wider window still exists
@@ -500,9 +500,9 @@ def test_extrapolate_straight_boundary_collinear():
         assert (abs(p[0] - round(p[0])) < 1e-12
                 and abs(p[1] - round(p[1])) < 1e-12)
     # former boundary faces become regular
-    regular, extra = classify_faces(mesh2, 4)
-    assert not extra
-    assert len(regular) == 9
+    anchors, _, _, extra = classify_faces(mesh2, 4)
+    assert not len(extra)
+    assert len(anchors) == 9
     # phantom params copied, all positive
     assert (params2 > 0.0).all()
 
@@ -547,5 +547,5 @@ def test_extrapolated_interior_face_count_unaffected():
     params = assign_edge_params(mesh, "uniform")
     mesh2, _p2 = extrapolate_boundary_layer(mesh, params)
     assert mesh2.real_face_count == 20
-    regular, extra = classify_faces(mesh2, 4)
-    assert len(regular) == 20 and not extra
+    anchors, _, _, extra = classify_faces(mesh2, 4)
+    assert len(anchors) == 20 and not len(extra)

@@ -78,7 +78,7 @@ def test_grid_side_fields_of_several_orders_in_one_call(case):
     surf = surface_of(case)
     patches = surf.grid_patches
     rng = np.random.default_rng(3)
-    slots = rng.integers(0, len(patches.grids), 50)
+    slots = rng.integers(0, len(patches.anchors), 50)
     sides = rng.integers(0, 4, 50)
     x = rng.uniform(0, 1, 50) * patches.intervals[slots, sides, 1]
     orders = range(patches.k + 1)
@@ -97,7 +97,7 @@ def test_seam_frame_in_one_pass_equals_side_fields(case, small_eval_chunk):
     k = patches.k
     rng = np.random.default_rng(5)
     count = small_eval_chunk + 300
-    slots = rng.integers(0, len(patches.grids), count)
+    slots = rng.integers(0, len(patches.anchors), count)
     sides = rng.integers(0, 4, count)
     x = rng.uniform(0.0, 1.0, count)
     x[::5], x[1::5] = 0.0, 1.0
@@ -139,14 +139,23 @@ def test_sampled_side_must_read_one_grid_side():
 def test_classification_hands_back_the_window_grids(monkeypatch):
     mesh = torus_with_rotated_edge(10, 10).build_connectivity()
     params = qm.assign_edge_params(mesh)
-    grids, extraordinary = qm.classify_faces(mesh, 4, params=params)
-    assert extraordinary and grids
-    for f, grid in grids.items():
-        want = qm.extract_local_grid(mesh, params, f, 4)
-        assert grid.anchor == want.anchor
-        assert np.array_equal(grid.vertex_ids, want.vertex_ids)
-        for name in ("points", "d0", "d1", "e0", "e1"):
-            assert np.array_equal(getattr(grid, name), getattr(want, name))
+    anchors, ids, intervals, extraordinary = qm.classify_faces(
+        mesh, 4, params=params)
+    assert len(extraordinary) and len(anchors)
+    assert np.all(np.diff(anchors >> 2) > 0)
+    assert np.array_equal(np.sort(np.concatenate([anchors >> 2,
+                                                  extraordinary])),
+                          np.arange(mesh.num_faces))
+    assert ids.shape == (len(anchors), 4, 4)
+    assert intervals.shape == (len(anchors), 4, 3)
+    # every row is the face's own window, bitwise
+    grids = {}
+    for a, window, rows in zip(anchors.tolist(), ids, intervals):
+        want = grids[a >> 2] = qm.extract_local_grid(mesh, params, a >> 2, 4)
+        assert a == want.anchor
+        assert np.array_equal(window, want.vertex_ids)
+        assert np.array_equal(mesh.vertices[window], want.points)
+        assert np.array_equal(rows, [want.d0, want.d1, want.e0, want.e1])
     # the build walks every window once: no second extraction
     calls = []
     monkeypatch.setattr(qm, "extract_local_grid",
@@ -154,6 +163,43 @@ def test_classification_hands_back_the_window_grids(monkeypatch):
     surf = build_surface(mesh, BuildOptions())
     assert not calls
     assert sorted(surf.regular) == sorted(grids)
+    # and each patch's grid is that window again
+    for f, want in grids.items():
+        got = surf.regular[f].grid
+        assert (got.face, got.anchor, got.w) == (want.face, want.anchor, 4)
+        for name in ("points", "vertex_ids", "d0", "d1", "e0", "e1"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("make, options", [
+    (lambda: torus_with_rotated_edge(10, 10), BuildOptions()),
+    (lambda: grid_with_rotated_edge(7, 7),
+     BuildOptions(family="d3c1p2s4", mode="g1"))],
+    ids=["rotated_torus_g2", "rotated_grid_g1_d3"])
+def test_a_build_makes_no_local_grid(make, options, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a build made a LocalGrid")
+
+    monkeypatch.setattr(qm, "LocalGrid", refuse)
+    surf = build_surface(make().build_connectivity(), options)
+    assert surf.regular and surf.gregory
+
+
+def test_a_build_makes_no_directed_edge_dict():
+    mesh = grid_with_rotated_edge(7, 7).build_connectivity()
+    surf = build_surface(mesh, BuildOptions())
+    assert mesh._he_dir is None and surf.mesh._he_dir is None
+    # made on the first lookup, and answering as the tables do
+    for m in (mesh, surf.mesh):
+        h = np.arange(m.num_halfedges)
+        origin, target = m.origin_of[h], m.origin_of[m.next_of[h]]
+        assert [m.halfedge_between(i, j) for i, j
+                in zip(origin.tolist(), target.tolist())] == h.tolist()
+        assert m._he_dir is not None
+        assert m.halfedge_between(int(origin[0]), int(origin[0])) is None
+    boundary = np.flatnonzero(mesh.twin_of[:-1] < 0)[0]
+    assert mesh.halfedge_between(mesh.target(boundary),
+                                 mesh.origin(boundary)) is None
 
 
 # tracemalloc peaks of analysis_fields and continuity_report on
@@ -197,7 +243,7 @@ def test_one_chunk_of_each_kernel_stays_in_its_bytes_per_point():
     rng = np.random.default_rng(11)
     u, v = rng.uniform(0.0, 1.0, (2, n)) + 1e-4j
     slots = rng.integers(0, len(gregory.datas), n)
-    grid_slots = rng.integers(0, len(grid.grids), n)
+    grid_slots = rng.integers(0, len(grid.anchors), n)
     sides = rng.integers(0, 4, n)
     x = u * grid.intervals[grid_slots, sides, 1]
     jets = [(0, 1)] + [(q, 0) for q in range(1, grid.k + 1)]

@@ -4,8 +4,8 @@ import pytest
 from conftest import (cube_mesh, grid_with_rotated_edge, jittered_torus,
                       open_grid, sphere_mesh, torus_grid,
                       torus_with_rotated_edge)
-from quadspline.mesh import classify_faces, edge_key, extract_local_grid
-from quadspline.patch import GridPatchSet, RegularPatch
+from quadspline.mesh import classify_faces, extract_local_grid
+from quadspline.patch import GridField, GridPatchSet, RegularPatch
 from quadspline.surface import (SIDE_OF_CORNER, BuildOptions,
                                 _interior_shared_edges,
                                 _seam_table, analysis_fields, build_surface,
@@ -44,10 +44,10 @@ def test_cube_all_gregory(cube):
 
 def test_gregory_count_matches_classification():
     mesh = torus_with_rotated_edge(10, 10).build_connectivity()
-    regular, extra = classify_faces(mesh, 4)
+    anchors, _, _, extra = classify_faces(mesh, 4)
     surf = build_surface(mesh, BuildOptions())
-    assert sorted(surf.gregory) == sorted(extra)
-    assert sorted(surf.regular) == sorted(regular)
+    assert sorted(surf.gregory) == extra.tolist()
+    assert sorted(surf.regular) == (anchors >> 2).tolist()
 
 
 def test_continuity_report_needs_an_interior_sample():
@@ -540,22 +540,25 @@ def test_build_with_user_supplied_params():
 
 
 def test_per_face_tables_match_the_patch_maps():
-    """surf._slot and surf._anchor hold each face's slot per patch kind and
+    """surf._slot and surf.anchors hold each face's slot per patch kind and
     its anchor, and -1 for none and at index -1."""
     mesh = grid_with_rotated_edge(7, 7).build_connectivity()
     surf = build_surface(mesh, BuildOptions())
     n = surf.mesh.num_faces
-    assert surf._slot.shape == (2, n + 1) and surf._anchor.shape == (n + 1,)
+    assert surf._slot.shape == (2, n + 1) and surf.anchors.shape == (n + 1,)
     slot = np.full((2, n + 1), -1)
     for kind, views in enumerate((surf.regular, surf.gregory)):
         for f, view in views.items():
             slot[kind, f] = view.slot
     assert surf.regular and surf.gregory
     assert np.array_equal(surf._slot, slot)
+    patched = sorted([*surf.regular, *surf.gregory])
+    assert np.flatnonzero(surf.anchors >= 0).tolist() == patched
+    assert surf.anchors[-1] == -1
     anchor = np.full(n + 1, -1)
-    anchor[list(surf.anchors)] = list(surf.anchors.values())
-    assert sorted(surf.anchors) == sorted([*surf.regular, *surf.gregory])
-    assert np.array_equal(surf._anchor, anchor)
+    anchor[patched] = [surf.patch(f).grid.anchor if f in surf.regular
+                       else mesh.canonical_halfedge(f) for f in patched]
+    assert np.array_equal(surf.anchors, anchor)
 
 
 def test_randomized_multi_ev_meshes_watertight():
@@ -683,11 +686,13 @@ def test_network_sides_share_one_curve(case):
     mesh = surf.mesh
     views = {}
     for role, h, side in sides:
-        rec = surf.edge_records.get(edge_key(mesh.origin(h), mesh.target(h)))
-        if rec is None:
+        if isinstance(side.fields[0], GridField):
             continue
+        # the curve of an edge runs from its lower vertex to its higher one
         start = mesh.origin(h) if role < 2 else mesh.target(h)
-        views.setdefault(id(rec), []).append((start != rec.a, side))
+        lower = min(mesh.origin(h), mesh.target(h))
+        views.setdefault(min(h, int(mesh.twin_of[h])), []).append(
+            (start != lower, side))
     shared = [v for v in views.values() if len(v) == 2]
     assert shared
     for pair in shared:
@@ -711,10 +716,9 @@ def test_sampled_sides_read_the_neighbours_own_patch(case, patches,
     built, standalone = [], []
     init = GridPatchSet.__init__
 
-    def counting_init(self, grids, fam):
-        grids = list(grids)
-        built.extend(grid.face for grid in grids)
-        init(self, grids, fam)
+    def counting_init(self, anchors, vertex_ids, points, intervals, fam):
+        built.extend((np.asarray(anchors) >> 2).tolist())
+        init(self, anchors, vertex_ids, points, intervals, fam)
 
     monkeypatch.setattr(GridPatchSet, "__init__", counting_init)
     monkeypatch.setattr(RegularPatch, "__init__",
