@@ -15,7 +15,7 @@ from .network import (build_cross_field_chi, build_cross_field_xi,
                       build_missing_boundary_curve, directional_derivs,
                       estimate_tangent_bessel, fit_guide_polynomial,
                       guide_points, planar_angles)
-from .gregory import BoundaryData, GregoryPatch, Side, hermite_basis
+from .gregory import GregoryPatch, hermite_basis
 from .surface import (BuildOptions, CompositeSurface, TriangleMesh,
                       analysis_fields, build_surface, continuity_report,
                       export_ply, tessellate)

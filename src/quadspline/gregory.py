@@ -11,26 +11,26 @@ G2); at the corners, where the weights are 0/0, the mean of the two estimates
 is substituted, which is exact when the data are compatible and never affects
 interpolation because the blend weights vanish there at second order.
 
-Every side is a `Side`: the side's interval and its fields (the boundary
-curve, the first cross-derivative field chi and, for G2, the second xi).  A
-field is data: a network curve `VecPoly`, or a `GridField` naming a side of
-an adjacent grid patch; the Side alone maps a field stored in another
-orientation into the patch's.  All Coons-Gregory patches of a surface live in
-one GregoryPatchSet, which evaluates arrays of (slot, u, v) in passes of
-EVAL_CHUNK points without forming M: row 0 and column 0 of M (the side
-fields, evaluated once per distinct side point before any per-point weight
-exists; network fields in one Horner pass, grid fields in one GridPatchSet
-call) contract against H(v) and H(u), and the rest, one row at a time,
-against per-slot tables of the entries that depend on neither u nor v and of
-the pre-scaled twist estimates, which every twist entry blends with the one
-ratio of its corner.  A GregoryPatch is a view of one slot.
+Every side has an interval and its fields (the boundary curve, the first
+cross-derivative field chi and, for G2, the second xi): the coefficients of
+a network curve, or a side of an adjacent grid patch, each read in the
+patch's orientation through one flip and sign table.  All Coons-Gregory
+patches of a surface live in one GregoryPatchSet, built from those arrays,
+which checks that every side meets its corners and evaluates arrays of
+(slot, u, v) in passes of EVAL_CHUNK points without forming M: row 0 and
+column 0 of M (the side fields, evaluated once per distinct side point
+before any per-point weight exists; network fields in one Horner pass, grid
+fields in one GridPatchSet call) contract against H(v) and H(u), and the
+rest, one row at a time, against per-slot tables of the entries that depend
+on neither u nor v and of the pre-scaled twist estimates, which every twist
+entry blends with the one ratio of its corner.  A GregoryPatch is a view
+of one slot.
 """
 
 import numpy as np
 
 from .errors import ConstructionError
-from .patch import (GridField, PatchView, _blend, chunked, floats,
-                    real_einsum)
+from .patch import PatchView, _blend, chunked, floats, real_einsum
 from .splines import _horner
 
 CORNER_EPS = 1e-12
@@ -67,90 +67,8 @@ def hermite_basis(degree, u):
     return np.stack([np.full_like(u, -1.0)] + rows)
 
 
-class Side:
-    """One side of a Coons-Gregory patch: its interval d and its fields.
-
-    fields[q] is the order-q cross-derivative field along the side (q = 0
-    the boundary curve gamma, 1 chi, 2 xi): a VecPoly or a GridField, whose
-    eval(x, r) returns the r-th derivative in the side's local variable x in
-    [0, d]; x may be an array, the result then has shape x.shape + (3,).
-    The orders listed in `reverse` are stored running from the far end: they
-    are read at d - x, which flips the sign of odd x-derivatives.
-    negate_cross negates the odd cross orders, for fields whose cross
-    direction points out of the patch.
-    """
-
-    def __init__(self, d, fields, reverse=(), negate_cross=False):
-        self.d = d
-        self.fields = list(fields)
-        self._flip = [q in reverse for q in range(len(self.fields))]
-        self._sign = [-1.0 if negate_cross and q % 2 else 1.0
-                      for q in range(len(self.fields))]
-
-    def field(self, q, x, r=0):
-        """r-th x-derivative at x of the order-q field, in patch orientation."""
-        sign = self._sign[q]
-        if self._flip[q]:
-            x = self.d - x
-            if r % 2:
-                sign = -sign
-        return sign * self.fields[q].eval(x, r)
-
-
 # side s runs over [0, d] from corner _SIDE_CORNERS[s, 0] to [s, 1]
 _SIDE_CORNERS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
-
-
-class BoundaryData:
-    """Four corners and sides gamma0..gamma3; the corner intervals are the
-    sides' intervals.
-
-    The frame matches the uv square: gamma0 runs p0 -> p1 along v=0 over
-    [0, d0], gamma1 runs p1 -> p2 along u=1 over [0, e1], gamma2 runs
-    p3 -> p2 along v=1 over [0, d1], gamma3 runs p0 -> p3 along u=0 over
-    [0, e0].  chi fields are the first cross derivatives in the +x / +y
-    local directions; xi the second (G2 only).
-    """
-
-    def __init__(self, corners, sides, k, face=None):
-        self._bind(corners, sides, k, face)
-        ends = [side.field(0, np.array([0.0, side.d])) for side in self.sides]
-        _check_corners(self.corners[None], np.array([self.lengths()]),
-                      np.array(ends)[None], [face])
-
-    @classmethod
-    def many(cls, corners, sides, k, faces, ends):
-        """The BoundaryData of many faces, with one corner check for all:
-        corners (n, 4, 3), sides n lists of four, and ends (n, 4, 2, 3) the
-        curve of each side at its start and its end, as the side reads it."""
-        datas = []
-        for corner, side, face in zip(corners, sides, faces):
-            datas.append(cls.__new__(cls))
-            datas[-1]._bind(corner, side, k, face)
-        _check_corners(np.asarray(corners, float).reshape(-1, 4, 3),
-                      np.array([data.lengths() for data in datas]
-                               ).reshape(-1, 4), ends, faces)
-        return datas
-
-    def _bind(self, corners, sides, k, face):
-        self.corners = np.asarray(corners, dtype=float).reshape(4, 3)
-        if len(sides) != 4:
-            raise ValueError("need exactly four sides")
-        self.sides = list(sides)
-        self.d0, self.e1, self.d1, self.e0 = (float(s.d) for s in self.sides)
-        if min(self.d0, self.d1, self.e0, self.e1) <= 0.0:
-            raise ValueError("corner intervals must be positive")
-        if k not in (1, 2):
-            raise ValueError("smoothness order must be 1 or 2")
-        if min(len(side.fields) for side in self.sides) <= k:
-            raise ValueError(f"every side of order-{k} boundary data needs "
-                             f"the fields of orders 0..{k}")
-        self.k = k
-        self.face = face
-
-    def lengths(self):
-        """The side intervals (d0, e1, d1, e0), in side order."""
-        return self.d0, self.e1, self.d1, self.e0
 
 
 def _check_corners(corners, lengths, ends, faces):
@@ -183,125 +101,109 @@ def _distinct(keys, t):
 class GregoryPatchSet:
     """Every Coons-Gregory patch of a surface as stacked arrays.
 
-    Slot i is the patch over datas[i].  inner[i] holds the entries of M
-    that depend on neither u nor v, M without its row and column 0, with
-    the second, pre-scaled estimate B of each twist entry; twist[i] the
-    first estimate minus the second, A - B; both row-major, [i, a, :, b]
-    holding M[1 + a, 1 + b].  lengths[i] holds the side intervals (d0, e1,
-    d1, e0).  The fields of side s, order q of slot i are indexed by [i, s,
-    q]: a network field p, with coefficient j in coeffs[j, p], or a (grid
-    set, slot, side) reference.
+    Slot i is the patch of face faces[i], with corners[i] (4, 3) and the
+    side intervals lengths[i] (d0, e1, d1, e0).  The frame matches the uv
+    square: side 0 runs p0 -> p1 along v = 0 over [0, d0], side 1 p1 -> p2
+    along u = 1 over [0, e1], side 2 p3 -> p2 along v = 1 over [0, d1] and
+    side 3 p0 -> p3 along u = 0 over [0, e0].  Side s of slot i has one
+    field of each cross order q = 0..k (the boundary curve gamma, chi and,
+    in G2, xi), a function of the side's local variable x in [0, d]:
+    - grid[i, s] = -1: a network side, whose field q has the ascending
+      coefficients coeffs[i, s, q] (zero on every other side);
+    - else the sampled side grid[i, s, 1] (an index into patch.SIDES) of
+      slot grid[i, s, 0] of grid_patches, whose order-q field it reads.
+    In patch orientation the cross fields are derivatives in the +x / +y
+    local directions.  A field with flip[i, s, q] is stored running from
+    the far end: it is read at d - x, which flips the sign of its odd
+    x-derivatives.  sign[i, s, q] (+1 or -1) then negates the odd cross
+    orders of a side whose cross direction points out of the patch.
+
+    inner[i] holds the entries of M that depend on neither u nor v, M
+    without its row and column 0, with the second, pre-scaled estimate B
+    of each twist entry; twist[i] the first estimate minus the second, A -
+    B; both row-major, [i, a, :, b] holding M[1 + a, 1 + b].
     """
 
-    def __init__(self, datas):
-        self.datas = list(datas)
-        ks = {data.k for data in self.datas}
-        if len(ks) > 1:
-            raise ValueError("boundary data of one set must share one "
-                             "smoothness order")
-        # the highest cross order; an empty set evaluates nothing
-        self.k = ks.pop() if ks else 1
-        self.lengths = np.array([d.lengths() for d in self.datas]
-                                ).reshape(-1, 4)
-        self._stack_fields()
-        self._stack_constants()
+    def __init__(self, corners, lengths, coeffs, flip, sign, grid,
+                 grid_patches, faces):
+        if np.ndim(coeffs) != 5 or np.shape(coeffs)[2] not in (2, 3):
+            raise ValueError("every side needs the fields of cross orders "
+                             "0..k, for k = 1 or 2")
+        n, _, orders, m, _ = np.shape(coeffs)
+        self.k = k = orders - 1
+        arrays = {"corners": (corners, float, (n, 4, 3)),
+                  "lengths": (lengths, float, (n, 4)),
+                  "coeffs": (coeffs, float, (n, 4, orders, m, 3)),
+                  "flip": (flip, bool, (n, 4, orders)),
+                  "sign": (sign, np.int8, (n, 4, orders)),
+                  "grid": (grid, int, (n, 4, 2)),
+                  "faces": (faces, int, (n,))}
+        for name, (value, dtype, shape) in arrays.items():
+            if np.shape(value) != shape:
+                raise ValueError(f"{name} has shape {np.shape(value)}, "
+                                 f"expected {shape}")
+            setattr(self, name, np.asarray(value, dtype))
+        if (self.lengths <= 0.0).any():
+            raise ValueError("corner intervals must be positive")
+        self.grid_patches = grid_patches
+        # coefficient j of field q of side s of slot i in _table[j, p], p
+        # the flat index of (i, s, q)
+        self._table = np.ascontiguousarray(
+            np.moveaxis(self.coeffs.reshape(-1, m, 3), 1, 0))
+        # ends[r][i, s, e]: r-th x-derivative of every field of side s at
+        # its start (e = 0) or end (e = 1)
+        entry = np.arange(8 * n)
+        slots, sides = entry // 8, entry // 2 % 4
+        x = self.lengths[slots, sides] * (entry % 2)
+        ends = [self.side_fields(slots, sides, x, r).reshape(n, 4, 2, k + 1,
+                                                             3)
+                for r in range(k + 1)]
+        _check_corners(self.corners, self.lengths, ends[0][..., 0, :],
+                       self.faces)
+        self._stack_constants(ends)
 
-    def _stack_fields(self):
-        shape = (len(self.datas), 4, self.k + 1)
-        self._flip = np.zeros(shape, bool)
-        self._sign = np.ones(shape, np.int8)
-        self._poly = np.full(shape, -1, np.int32)
-        # a side sampled from a grid patch: (index into grid_sets, slot, side)
-        self._grid = np.full(shape[:2] + (3,), -1, np.int32)
-        self.grid_sets, polys = [], []
-        for i, data in enumerate(self.datas):
-            for s, side in enumerate(data.sides):
-                self._flip[i, s] = side._flip[:self.k + 1]
-                self._sign[i, s] = side._sign[:self.k + 1]
-                fields = side.fields[:self.k + 1]
-                if isinstance(fields[0], GridField):
-                    self._grid[i, s] = self._grid_side(side, fields)
-                    continue
-                for q, fld in enumerate(fields):
-                    self._poly[i, s, q] = len(polys)
-                    polys.append(fld.coeffs)
-        self.coeffs = np.zeros((max(map(len, polys), default=1), len(polys),
-                                3))
-        for p, c in enumerate(polys):
-            self.coeffs[:len(c), p] = c
-
-    def _grid_side(self, side, fields):
-        """(index into grid_sets, slot, side) of a side sampled from a grid
-        patch: its fields must be that grid side's orders 0, 1, ..., all
-        read the same way."""
-        first = fields[0]
-        if not (all(isinstance(f, GridField) and f.q == q
-                    and (f.patches, f.slot, f.side)
-                    == (first.patches, first.slot, first.side)
-                    for q, f in enumerate(fields))
-                and len(set(side._flip)) == 1):
-            raise ValueError("a sampled side must read the orders 0, 1, ... "
-                             "of one grid patch side, all the same way")
-        ids = [id(p) for p in self.grid_sets]
-        if id(first.patches) not in ids:
-            self.grid_sets.append(first.patches)
-            ids.append(id(first.patches))
-        return ids.index(id(first.patches)), first.slot, first.side
-
-    def _fields(self, slots, sides, x, r=0):
+    def side_fields(self, slots, sides, x, r=0):
         """r-th x-derivative at x[i] of every field (orders 0..k) of side
         sides[i] of patch slots[i], in patch orientation; shape
         (m, k + 1, 3).  Network fields are evaluated in one Horner pass,
-        grid fields in one call per grid set."""
-        flip = self._flip[slots, sides]
+        grid fields in one GridPatchSet call."""
+        k = self.k
+        flip = self.flip[slots, sides]
         back = self.lengths[slots, sides] - x
-        sign = self._sign[slots, sides]
+        sign = self.sign[slots, sides]
         if r % 2:
             sign = np.where(flip, -sign, sign)
         out = np.empty(flip.shape + (3,), back.dtype)
-        poly = self._poly[slots, sides]
-        net = poly >= 0
+        grid_slot, grid_side = self.grid[slots, sides].T
+        net = grid_slot < 0
         if net.any():
-            i, q = np.nonzero(net)
-            out[i, q] = _horner(self.coeffs, np.where(
-                flip[i, q], back[i], x[i])[:, None], r, poly[i, q])
-        grid_set, grid_slot, grid_side = self._grid[slots, sides].T
-        for g, patches in enumerate(self.grid_sets):
-            at = grid_set == g
-            if at.any():
-                out[at] = patches.side_fields(
-                    grid_slot[at], grid_side[at], range(self.k + 1),
-                    np.where(flip[at, 0], back[at], x[at]),
-                    r).transpose(1, 0, 2)
+            i, q = np.nonzero(np.broadcast_to(net[:, None], flip.shape))
+            rows = np.ravel_multi_index((slots[i], sides[i], q),
+                                        self.flip.shape)
+            out[i, q] = _horner(self._table, np.where(
+                flip[i, q], back[i], x[i])[:, None], r, rows)
+        if not net.all():
+            at = ~net
+            out[at] = self.grid_patches.side_fields(
+                grid_slot[at], grid_side[at], range(k + 1),
+                np.where(flip[at, 0], back[at], x[at]), r).transpose(1, 0, 2)
         out *= sign[..., None]
         return out
 
-    def _stack_constants(self):
-        """inner and twist from the endpoint derivatives of every side
-        field: corners and curve endpoint derivatives are constant."""
-        k, count = self.k, len(self.datas)
-        slots = np.repeat(np.arange(count), 8)
-        sides = np.tile(np.repeat(np.arange(4), 2), count)
-        x = self.lengths[slots, sides] * np.tile([0.0, 1.0], 4 * count)
-        # ends[q, r][i, s, e]: r-th x-derivative of side s's order-q field
-        # at its start (e = 0) or end (e = 1)
-        ends = {}
-        for r in range(1, k + 1):
-            fields = self._fields(slots, sides, x, r)
-            for q in range(k + 1):
-                ends[q, r] = fields[:, q].reshape(count, 4, 2, 3)
-        d0, e1, d1, e0 = self.lengths.T
+    def _stack_constants(self, ends):
+        """inner and twist from the endpoint derivatives ends[r] of every
+        side field: corners and curve endpoint derivatives are constant."""
+        k, count = self.k, len(self.lengths)
         # powers of the intervals: dp[r] = (d0^r, d1^r), ep[r] = (e0^r, e1^r)
-        dp = {r: np.stack([d0 ** r, d1 ** r], -1) for r in (1, 2)}
-        ep = {r: np.stack([e0 ** r, e1 ** r], -1) for r in (1, 2)}
+        dp = {r: self.lengths[:, [0, 2]] ** r for r in range(1, k + 1)}
+        ep = {r: self.lengths[:, [3, 1]] ** r for r in range(1, k + 1)}
 
         # M without its row and column 0: inner[i, :, a, b] is M[1 + a, 1 + b]
         # of slot i; the tables put the coordinate axis second
         inner = np.zeros((count, 2 * k + 2, 2 * k + 2, 3))
-        corners = np.array([d.corners for d in self.datas]).reshape(-1, 4, 3)
-        inner[:, :2, :2] = corners[:, [[0, 3], [1, 2]]]
+        inner[:, :2, :2] = self.corners[:, [[0, 3], [1, 2]]]
         for r in range(1, k + 1):
-            dg = ends[0, r]
+            dg = ends[r][..., 0, :]
             inner[:, :2, 2 * r:2 * r + 2] = ep[r][:, :, None, None] \
                 * dg[:, [3, 1]]
             inner[:, 2 * r:2 * r + 2, :2] = dp[r][:, None, :, None] \
@@ -316,9 +218,9 @@ class GregoryPatchSet:
             for j in range(1, k + 1):
                 scale = (ep[j][:, :, None] * dp[i][:, None, :])[..., None]
                 inner[:, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = \
-                    scale * ends[j, i][:, [0, 2]].transpose(0, 2, 1, 3)
+                    scale * ends[i][..., j, :][:, [0, 2]].transpose(0, 2, 1, 3)
                 twist[:, 2 * i - 2:2 * i, 2 * j - 2:2 * j] = \
-                    scale * ends[i, j][:, [3, 1]]
+                    scale * ends[j][..., i, :][:, [3, 1]]
         twist -= inner[:, 2:, 2:]
         self.inner, self.twist = (np.moveaxis(t, 3, 2).copy()
                                   for t in (inner, twist))
@@ -353,7 +255,7 @@ class GregoryPatchSet:
         fslots = slots[np.concatenate([fu, fu, fv, fv])]
         fsides = np.repeat([0, 2, 3, 1], [len(fu)] * 2 + [len(fv)] * 2)
         t = np.concatenate([u[fu], u[fu], v[fv], v[fv]])
-        f = np.split(self._fields(fslots, fsides, t * self.lengths[
+        f = np.split(self.side_fields(fslots, fsides, t * self.lengths[
             fslots, fsides]), [2 * len(fu)])
         # point-major H(u) and H(v) without their leading -1: each point's
         # terms are then summed in one order, whatever the batch
@@ -388,12 +290,4 @@ class GregoryPatchSet:
 
 
 class GregoryPatch(PatchView):
-    """A view of a GregoryPatchSet: one Coons-Gregory patch.
-    GregoryPatch(data) makes a standalone patch, a set of one."""
-
-    def __init__(self, data):
-        self._bind(GregoryPatchSet([data]), 0)
-
-    @property
-    def data(self):
-        return self.patches.datas[self.slot]
+    """A view of a GregoryPatchSet: one Coons-Gregory patch."""

@@ -21,7 +21,6 @@ view of one slot.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -139,19 +138,12 @@ class GridPatchSet:
         for v0/v1, the row blend for u0/u1."""
         return self._blended(slots, np.where(sides < 2, 2, 0), t)[1]
 
-    @cached_property
-    def side_ends(self):
-        """side_fields at both ends of every side of every patch, for cross
-        orders q and x-derivatives r up to k, made in one pass on first
-        use; shape (F, 4, 2, k + 1, k + 1, 3), indexed [slot, side, end,
-        q, r].  At the ends these are exact mixed corner derivatives."""
-        count, k = len(self.anchors), self.k
-        slots = np.repeat(np.arange(count), 8)
-        sides = np.tile(np.repeat(np.arange(4), 2), count)
-        x = np.tile([0.0, 1.0], 4 * count) * self.intervals[slots, sides, 1]
-        jets = [(q, r) for q in range(k + 1) for r in range(k + 1)]
-        return self.side_jets(slots, sides, jets, x) \
-            .reshape(k + 1, k + 1, count, 4, 2, 3).transpose(2, 3, 4, 0, 1, 5)
+    def side_ends(self, slots, sides, ends, jets):
+        """side_jets at the start (ends[i] = 0) or the end (1) of side
+        sides[i] of patch slots[i]: exact mixed corner derivatives; shape
+        (len(jets), n, 3)."""
+        return self.side_jets(slots, sides, jets,
+                              ends * self.intervals[slots, sides, 1])
 
     def side_fields(self, slots, sides, orders, x, r=0):
         """r-th x-derivative of the order-q cross field (q = 0: the boundary

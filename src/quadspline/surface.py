@@ -29,10 +29,8 @@ import numpy as np
 from . import mesh as qm
 from . import network as net
 from .errors import ConstructionError
-from .gregory import (_SIDE_CORNERS, BoundaryData, GregoryPatch,
-                      GregoryPatchSet, Side)
-from .patch import (EVAL_CHUNK, SIDES, GridField, GridPatchSet, RegularPatch,
-                    floats)
+from .gregory import _SIDE_CORNERS, GregoryPatch, GregoryPatchSet
+from .patch import EVAL_CHUNK, SIDES, GridPatchSet, RegularPatch, floats
 from .splines import D5C2P2S4, family as family_by_name, segment_coefficients
 
 LIGHT_DIRECTION = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
@@ -173,17 +171,15 @@ def build_surface(mesh, options=None, params=None):
                                      intervals, options.family)
     surf.regular = {f: RegularPatch.view(surf.grid_patches, slot)
                     for slot, f in enumerate(regular.tolist())}
-    datas = _GregoryBuilder(surf).build(extraordinary) \
-        if len(extraordinary) else []
-    surf.gregory_patches = GregoryPatchSet(datas)
+    surf.gregory_patches = _GregoryBuilder(surf).build(extraordinary)
     surf.gregory = {f: GregoryPatch.view(surf.gregory_patches, slot)
                     for slot, f in enumerate(extraordinary.tolist())}
     return surf
 
 
 class _GregoryBuilder:
-    """Assembles the BoundaryData of all extraordinary faces in array passes,
-    each over every face at once:
+    """Assembles the boundary data of all extraordinary faces in array
+    passes, each over every face at once:
 
     1. Sides and curves.  Side c of a face lies along half edge anchor + c.
        It is sampled from the grid patch across its edge where there is
@@ -199,7 +195,8 @@ class _GregoryBuilder:
     3. Network sides.  The ruled directions and cross fields of every
        network side, matched to corner targets read from the neighbouring
        sides.
-    4. Corner check, by BoundaryData.many over all faces.
+    4. The patch set's arrays, from which GregoryPatchSet checks every
+       side against its corners.
     """
 
     def __init__(self, surf):
@@ -356,12 +353,16 @@ class _GregoryBuilder:
         grid = corner >= 0
         f = corner[grid] >> 2
         ui, vi = _CORNER_UV[(corner[grid] - self.surf.anchors[f]) % 4].T
-        # [.., q, r]: the r-th u-derivative of the q-th v-derivative
-        table = self.surf.grid_patches.side_ends[self.grid_slot[f], vi, ui]
+        # (q, r): the r-th u-derivative of the q-th v-derivative, at end ui
+        # of side v0 or v1; su, sv, and in G2 suu, suv, svv
+        jets = [(0, 1), (1, 0)] + ([(0, 2), (1, 1), (2, 0)] if self.k == 2
+                                   else [])
+        table = self.surf.grid_patches.side_ends(self.grid_slot[f], vi, ui,
+                                                 jets)
         rows = fit_rows[~grid]
         if self.options.mode == "g1":
             normal = np.empty((len(corner), 3))
-            n = np.cross(table[:, 0, 1], table[:, 1, 0])
+            n = np.cross(table[0], table[1])
             norm = net._norm(n)
             if (norm == 0.0).any():
                 raise ConstructionError("degenerate grid corner frame")
@@ -371,8 +372,7 @@ class _GregoryBuilder:
             return normal, None
         # su, sv, suu, suv, svv
         frames = np.empty((5, len(corner), 3))
-        frames[:, grid] = table[:, [0, 1, 0, 1, 2], [1, 0, 2, 1, 0]] \
-            .transpose(1, 0, 2)
+        frames[:, grid] = table
         if len(rows):
             frames[:, ~grid] = fits.guide[:, rows]
         curvature = net.principal_curvatures(*frames)
@@ -424,7 +424,7 @@ class _GregoryBuilder:
         return fields
 
     def build(self, faces):
-        """BoundaryData of the extraordinary faces, in order.
+        """The GregoryPatchSet of the extraordinary faces, in order.
 
         Side c lies along half edge anchor + c and runs with it for c = 0, 1,
         against it for c = 2, 3.  A network side's corner targets are the
@@ -434,6 +434,15 @@ class _GregoryBuilder:
         mesh, surf, k = self.mesh, self.surf, self.k
         P, fam, patches = mesh.vertices, self.options.family, surf.grid_patches
         faces = np.asarray(faces)
+        if not len(faces):
+            # the empty set, without the numpy calls of the phases; it
+            # evaluates nothing, so it takes order 1, whose constant tables
+            # cost the fewest calls
+            shape = (0, 4, 2)
+            return GregoryPatchSet(np.zeros((0, 4, 3)), np.zeros((0, 4)),
+                                   np.zeros(shape + (1, 3)),
+                                   np.zeros(shape, bool), np.zeros(shape),
+                                   np.zeros((0, 4, 2)), patches, faces)
         anchor = surf.anchors[faces]
         hes = anchor[:, None] & ~3 | (anchor[:, None] + np.arange(4)) & 3
         corners = mesh.origin_of[hes]
@@ -499,7 +508,11 @@ class _GregoryBuilder:
         side_ends = np.empty(hes.shape + (2, k + 1, 3))
         grid_side = _SIDE_INDEX_OF_CORNER[n[sampled]]
         if sampled.any():
-            table = patches.side_ends[slot[sampled], grid_side, :, 0, :k + 1]
+            table = patches.side_ends(
+                np.repeat(slot[sampled], 2), np.repeat(grid_side, 2),
+                np.tile([0, 1], len(grid_side)),
+                [(0, r) for r in range(k + 1)]).reshape(k + 1, -1, 2, 3)
+            table = table.transpose(1, 2, 0, 3)
             side_ends[sampled] = np.where(
                 same_way[sampled][:, None, None, None],
                 sign * table[:, ::-1], table)
@@ -528,38 +541,42 @@ class _GregoryBuilder:
             nm, quadratic = self._mid_normals(hes[network])
         else:
             nm, quadratic = None, np.zeros(len(f), bool)
-        fields = np.empty((k, len(f)), object)
+        parts = []
         for sel, mid in ((quadratic, nm), (~quadratic, None)):
             if not sel.any():
                 continue
             frames = [(normal[i][sel], None if curvature is None
                        else tuple(x[i][sel] for x in curvature))
                       for i in at]
-            part = self._cross_fields(
+            parts.append((sel, self._cross_fields(
                 net.VecPoly(oriented[sel]), d_side[sel], frames,
                 None if mid is None else mid[sel],
-                {r: [t[sel] for t in ts] for r, ts in targets.items()})
-            for q, coeffs in enumerate(part):
-                fields[q, sel] = [net.VecPoly(row) for row in coeffs]
+                {r: [t[sel] for t in ts] for r, ts in targets.items()})))
 
-        # 4. Side objects, and the data of every face with one corner check
-        sides = [[None] * 4 for _ in range(len(faces))]
-        orders = range(patches.k + 1)
-        for (i, j), sl, gs, length, way, cross in zip(
-                np.argwhere(sampled).tolist(), slot[sampled].tolist(),
-                grid_side.tolist(),
-                patches.intervals[slot[sampled], grid_side, 1].tolist(),
-                same_way[sampled].tolist(), same_cross[sampled].tolist()):
-            sides[i][j] = Side(
-                length, [GridField(patches, sl, gs, q) for q in orders],
-                reverse=(0, 1, 2) if way else (), negate_cross=cross)
-        for i, j, length, curve, rev, more in zip(
-                f.tolist(), c.tolist(), d_side.tolist(), forward.coeffs,
-                reverse.tolist(), fields.T):
-            sides[i][j] = Side(length, [net.VecPoly(curve), *more],
-                               reverse=(0,) if rev else ())
-        return BoundaryData.many(P[corners], sides, k, faces.tolist(),
-                                 side_ends[..., 0, :])
+        # 4. the patch set's arrays.  A sampled side reads all orders of the
+        # grid side across it, a network side its record's curve and its own
+        # cross fields, which are in face orientation
+        count = len(faces)
+        lengths = np.empty((count, 4))
+        lengths[sampled] = patches.intervals[slot[sampled], grid_side, 1]
+        lengths[network] = d_side
+        width = max([gamma.shape[1]] + [q.shape[1] for _, part in parts
+                                        for q in part])
+        coeffs = np.zeros((count, 4, k + 1, width, 3))
+        coeffs[f, c, 0, :gamma.shape[1]] = forward.coeffs
+        for sel, part in parts:
+            for q, table in enumerate(part, 1):
+                coeffs[f[sel], c[sel], q, :table.shape[1]] = table
+        flip = np.zeros((count, 4, k + 1), bool)
+        flip[sampled] = same_way[sampled, None]
+        flip[f, c, 0] = reverse
+        sign = np.ones((count, 4, k + 1), np.int8)
+        sign[sampled] = np.where(same_cross[sampled, None]
+                                 & (np.arange(k + 1) % 2 == 1), -1, 1)
+        grid = np.full((count, 4, 2), -1)
+        grid[sampled] = np.stack([slot[sampled], grid_side], axis=1)
+        return GregoryPatchSet(P[corners], lengths, coeffs, flip, sign, grid,
+                               patches, faces)
 
 
 # -- tessellation -----------------------------------------------------------------

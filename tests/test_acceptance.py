@@ -12,7 +12,7 @@ import pytest
 
 from conftest import (FIG1_POLYLINE, grid_with_rotated_edge, jittered_torus,
                       torus_grid, torus_with_rotated_edge)
-from test_gregory import fd_cross_v, random_boundary_data
+from test_gregory import fd_cross_v, one_patch, random_boundary_data
 from quadspline.cli import count_sign_changes, main
 from quadspline.mesh import (assign_edge_params, extract_local_grid,
                              save_obj, section_polyline_curve,
@@ -186,29 +186,27 @@ def test_criterion_06_cross_boundary_scaling(perturbed_torus_12):
 
 def test_criterion_07_gregory_interpolation_contract():
     rng = np.random.default_rng(107)
-    from quadspline.gregory import GregoryPatch
     for trial in range(20):
         k = 1 if trial % 2 == 0 else 2
         data = random_boundary_data(rng, k)
-        patch = GregoryPatch(data)
+        patch = one_patch(data)
         corners = data.corners
         assert np.linalg.norm(patch.eval(0, 0) - corners[0]) < 1e-12
         assert np.linalg.norm(patch.eval(1, 0) - corners[1]) < 1e-12
         assert np.linalg.norm(patch.eval(1, 1) - corners[2]) < 1e-12
         assert np.linalg.norm(patch.eval(0, 1) - corners[3]) < 1e-12
-        g0 = data.sides[0]
         for t in rng.uniform(0, 1, 5):
             assert np.linalg.norm(patch.eval(t, 0)
-                                  - g0.field(0, t * data.d0)) < 1e-10
+                                  - data.field(0, 0, t * data.d0)) < 1e-10
         for u in rng.uniform(0.05, 0.95, 4):
             # the column blend, which scales cross fields along v = 0
             eps = data.e0 + (data.e1 - data.e0) * _blend(k, u)
-            want = eps * g0.field(1, u * data.d0)
+            want = eps * data.field(0, 1, u * data.d0)
             got = fd_cross_v(patch, u, 0.0, order=1, sign=1)
             assert np.linalg.norm(got - want) / max(np.linalg.norm(want),
                                                     1.0) < 1e-4
             if k == 2:
-                want2 = eps ** 2 * g0.field(2, u * data.d0)
+                want2 = eps ** 2 * data.field(0, 2, u * data.d0)
                 got2 = fd_cross_v(patch, u, 0.0, h=2e-3, order=2, sign=1)
                 assert np.linalg.norm(got2 - want2) / max(
                     np.linalg.norm(want2), 1.0) < 1e-3

@@ -1,23 +1,68 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from conftest import grid_with_rotated_edge, sphere_mesh
 from quadspline.errors import ConstructionError
-from quadspline.gregory import (BoundaryData, GregoryPatch, GregoryPatchSet,
-                                Side, hermite_basis)
+from quadspline.gregory import GregoryPatch, GregoryPatchSet, hermite_basis
 from quadspline.network import (VecPoly, hermite_curve3, hermite_curve5)
 from quadspline.patch import _blend
 from quadspline.surface import BuildOptions, build_surface
 
 
-def poly_side(d, *polys):
-    """Side whose fields are the given VecPolys (None entries dropped)."""
-    return Side(d, [p for p in polys if p is not None])
+@dataclass
+class Boundary:
+    """The boundary data of one patch: corners (4, 3), the side intervals
+    (d0, e1, d1, e0) and, for each side, the VecPolys of its fields of
+    orders 0..k in patch orientation; or, with polys None, slot `slot` of a
+    built GregoryPatchSet, read through its side_fields."""
+    corners: np.ndarray
+    lengths: tuple
+    k: int
+    polys: list = None
+    patches: GregoryPatchSet = None
+    slot: int = 0
+
+    @classmethod
+    def of(cls, patches, slot):
+        return cls(patches.corners[slot], tuple(patches.lengths[slot]),
+                   patches.k, patches=patches, slot=slot)
+
+    d0 = property(lambda self: self.lengths[0])
+    e1 = property(lambda self: self.lengths[1])
+    d1 = property(lambda self: self.lengths[2])
+    e0 = property(lambda self: self.lengths[3])
+
+    def field(self, s, q, x, r=0):
+        """r-th x-derivative at x of the order-q field of side s."""
+        if self.polys is not None:
+            return self.polys[s][q].eval(x, r)
+        return self.patches.side_fields(np.array([self.slot]), np.array([s]),
+                                        np.array([float(x)]), r)[0, q]
 
 
-def polys(side):
-    """The VecPolys of a poly_side's fields."""
-    return list(side.fields)
+def set_args(datas, faces=None):
+    """GregoryPatchSet arguments for VecPoly boundary data, one slot each:
+    no side is sampled and none is flipped or negated."""
+    k = datas[0].k
+    width = max(len(p.coeffs) for data in datas for side in data.polys
+                for p in side)
+    coeffs = np.zeros((len(datas), 4, k + 1, width, 3))
+    for i, data in enumerate(datas):
+        for s, side in enumerate(data.polys):
+            for q, poly in enumerate(side):
+                coeffs[i, s, q, :len(poly.coeffs)] = poly.coeffs
+    shape = (len(datas), 4, k + 1)
+    return ([data.corners for data in datas],
+            [data.lengths for data in datas], coeffs, np.zeros(shape, bool),
+            np.ones(shape, np.int8), np.full(shape[:2] + (2,), -1), None,
+            np.arange(len(datas)) if faces is None else faces)
+
+
+def one_patch(data):
+    """A GregoryPatch over VecPoly boundary data, in a set of one."""
+    return GregoryPatch.view(GregoryPatchSet(*set_args([data])), 0)
 
 
 def rand_curve(rng, k, p0, p1, d, m0=None, m1=None, a0=None, a1=None):
@@ -36,7 +81,7 @@ def value_interp(rng, v0, v1, d):
 
 
 def random_boundary_data(rng, k, bottom=None, const_intervals=False):
-    """Random BoundaryData whose fields satisfy the corner compatibility
+    """Random Boundary whose fields satisfy the corner compatibility
     conditions, so the patch must interpolate everything exactly."""
     if const_intervals:
         d0 = d1 = rng.uniform(0.6, 1.6)
@@ -84,10 +129,10 @@ def random_boundary_data(rng, k, bottom=None, const_intervals=False):
         xi3 = value_interp(rng, gamma0.eval(0.0, 2), gamma2.eval(0.0, 2), e0)
         xis = [xi0, xi1, xi2, xi3]
 
-    sides = [poly_side(d, g, c, x) for d, g, c, x in
-             zip((d0, e1, d1, e0), (gamma0, gamma1, gamma2, gamma3),
-                 (chi0, chi1, chi2, chi3), xis)]
-    return BoundaryData(corners, sides, k=k)
+    sides = [[g, c, x][:k + 1] for g, c, x in
+             zip((gamma0, gamma1, gamma2, gamma3), (chi0, chi1, chi2, chi3),
+                 xis)]
+    return Boundary(corners, (d0, e1, d1, e0), k, sides)
 
 
 def test_hermite_basis_printed_values():
@@ -111,7 +156,7 @@ def test_corner_interpolation(k):
     rng = np.random.default_rng(40)
     for _ in range(5):
         data = random_boundary_data(rng, k)
-        patch = GregoryPatch(data)
+        patch = one_patch(data)
         p = data.corners
         assert np.linalg.norm(patch.eval(0, 0) - p[0]) < 1e-12
         assert np.linalg.norm(patch.eval(1, 0) - p[1]) < 1e-12
@@ -123,17 +168,16 @@ def test_corner_interpolation(k):
 def test_boundary_interpolation(k):
     rng = np.random.default_rng(41)
     data = random_boundary_data(rng, k)
-    patch = GregoryPatch(data)
-    g0, g1, g2, g3 = data.sides
+    patch = one_patch(data)
     for t in rng.uniform(0, 1, 20):
         assert np.linalg.norm(patch.eval(t, 0)
-                              - g0.field(0, t * data.d0)) < 1e-10
+                              - data.field(0, 0, t * data.d0)) < 1e-10
         assert np.linalg.norm(patch.eval(t, 1)
-                              - g2.field(0, t * data.d1)) < 1e-10
+                              - data.field(2, 0, t * data.d1)) < 1e-10
         assert np.linalg.norm(patch.eval(0, t)
-                              - g3.field(0, t * data.e0)) < 1e-10
+                              - data.field(3, 0, t * data.e0)) < 1e-10
         assert np.linalg.norm(patch.eval(1, t)
-                              - g1.field(0, t * data.e1)) < 1e-10
+                              - data.field(1, 0, t * data.e1)) < 1e-10
 
 
 def column_blend(data, u):
@@ -158,15 +202,13 @@ def fd_cross_v(patch, u, v0, h=1e-3, order=1, sign=1):
 def test_first_cross_derivative_interpolation(k):
     rng = np.random.default_rng(42)
     data = random_boundary_data(rng, k)
-    patch = GregoryPatch(data)
-    g0 = data.sides[0]
-    g2 = data.sides[2]
+    patch = one_patch(data)
     for u in rng.uniform(0.05, 0.95, 10):
-        want = column_blend(data, u) * g0.field(1, u * data.d0)
+        want = column_blend(data, u) * data.field(0, 1, u * data.d0)
         got = fd_cross_v(patch, u, 0.0, order=1, sign=1)
         assert np.linalg.norm(got - want) / max(np.linalg.norm(want),
                                                 1.0) < 1e-4
-        want2 = column_blend(data, u) * g2.field(1, u * data.d1)
+        want2 = column_blend(data, u) * data.field(2, 1, u * data.d1)
         got2 = fd_cross_v(patch, u, 1.0, order=1, sign=-1)
         assert np.linalg.norm(got2 - want2) / max(np.linalg.norm(want2),
                                                   1.0) < 1e-4
@@ -175,10 +217,9 @@ def test_first_cross_derivative_interpolation(k):
 def test_second_cross_derivative_interpolation():
     rng = np.random.default_rng(43)
     data = random_boundary_data(rng, 2)
-    patch = GregoryPatch(data)
-    g0 = data.sides[0]
+    patch = one_patch(data)
     for u in rng.uniform(0.05, 0.95, 10):
-        want = column_blend(data, u) ** 2 * g0.field(2, u * data.d0)
+        want = column_blend(data, u) ** 2 * data.field(0, 2, u * data.d0)
         got = fd_cross_v(patch, u, 0.0, h=2e-3, order=2, sign=1)
         assert np.linalg.norm(got - want) / max(np.linalg.norm(want),
                                                 1.0) < 1e-3
@@ -205,10 +246,10 @@ def test_bilinear_reproduction():
     chi2 = chi0
     chi3 = VecPoly(np.stack([(p1 - p0) / d, (p2 - p3 - p1 + p0) / (d * e)]))
     chi1 = chi3
-    sides = [poly_side(d, gamma0, chi0), poly_side(e, gamma1, chi1),
-             poly_side(d, gamma2, chi2), poly_side(e, gamma3, chi3)]
-    data = BoundaryData(corners, sides, k=1)
-    patch = GregoryPatch(data)
+    data = Boundary(corners, (d, e, d, e), 1,
+                    [[gamma0, chi0], [gamma1, chi1], [gamma2, chi2],
+                     [gamma3, chi3]])
+    patch = one_patch(data)
     for u, v in rng.uniform(0, 1, (20, 2)):
         assert np.linalg.norm(patch.eval(u, v) - bilinear(u, v)) < 1e-10
 
@@ -228,21 +269,21 @@ def test_compatible_twists_make_blend_irrelevant():
 
     # the hook is live: on incompatible twist data the two ratios disagree
     uv = rng.uniform(0.05, 0.95, (10, 2))
-    left = GregoryPatch.view(LeftOnly([data]), 0)
-    right = GregoryPatch.view(RightOnly([data]), 0)
+    left = GregoryPatch.view(LeftOnly(*set_args([data])), 0)
+    right = GregoryPatch.view(RightOnly(*set_args([data])), 0)
     assert np.abs(left.eval(*uv.T) - right.eval(*uv.T)).max() > 1e-3
 
     # force compatible twist data: all chi derivatives at a corner equal
     twist = rng.normal(size=3)
-    for side in data.sides:
-        c = polys(side)[1].coeffs.copy()
+    for side in data.polys:
+        c = side[1].coeffs.copy()
         # linear field with slope `twist`: endpoint derivative everywhere
         c[1] = twist
         c[2:] = 0.0
-        side.fields[1] = VecPoly(c)
-    blended = GregoryPatch(data)
-    left = GregoryPatch.view(LeftOnly([data]), 0)
-    right = GregoryPatch.view(RightOnly([data]), 0)
+        side[1] = VecPoly(c)
+    blended = one_patch(data)
+    left = GregoryPatch.view(LeftOnly(*set_args([data])), 0)
+    right = GregoryPatch.view(RightOnly(*set_args([data])), 0)
     for u, v in uv:
         a = blended.eval(u, v)
         assert np.linalg.norm(left.eval(u, v) - a) < 1e-11
@@ -257,14 +298,14 @@ def test_affine_equivariance(k):
     t = np.array([1.0, -2.0, 0.5])
 
     def map_side(side):
-        mapped = [VecPoly(p.coeffs @ A.T) for p in polys(side)]
+        mapped = [VecPoly(p.coeffs @ A.T) for p in side]
         mapped[0].coeffs[0] += t
-        return poly_side(side.d, *mapped)
+        return mapped
 
-    mapped = BoundaryData(data.corners @ A.T + t,
-                          [map_side(s) for s in data.sides], k=k)
-    pa = GregoryPatch(data)
-    pb = GregoryPatch(mapped)
+    mapped = Boundary(data.corners @ A.T + t, data.lengths, k,
+                      [map_side(s) for s in data.polys])
+    pa = one_patch(data)
+    pb = one_patch(mapped)
     for u, v in np.random.default_rng(47).uniform(0, 1, (10, 2)):
         assert np.allclose(pb.eval(u, v), A @ pa.eval(u, v) + t, atol=1e-10)
 
@@ -276,14 +317,14 @@ def test_g1_join_tangent_planes(k):
     rng = np.random.default_rng(48)
     data1 = random_boundary_data(rng, k)
     d = data1.d0
-    gamma0, chi0, *xi0 = polys(data1.sides[0])
+    gamma0, chi0, *xi0 = data1.polys[0]
     flipped_gamma = gamma0.reversed(d)
     flipped_chi = VecPoly(-chi0.reversed(d).coeffs)
     flipped_xi = xi0[0].reversed(d) if xi0 else None
     data2 = random_boundary_data(
         rng, k, bottom=(flipped_gamma, flipped_chi, flipped_xi, d))
-    patch1 = GregoryPatch(data1)
-    patch2 = GregoryPatch(data2)
+    patch1 = one_patch(data1)
+    patch2 = one_patch(data2)
     for u in np.linspace(0.05, 0.95, 10):
         a = patch1.eval(u, 0.0)
         b = patch2.eval(1.0 - u, 0.0)
@@ -313,30 +354,45 @@ def fd_cross_u(patch, u0, v, h=1e-3):
                    - 3 * at(4)) / (12 * h)
 
 
-def test_missing_xi_rejected():
-    rng = np.random.default_rng(49)
-    data = random_boundary_data(rng, 1)
-    # order-1 sides carry no xi field: they cannot make order-2 data
-    with pytest.raises(ValueError, match="orders 0..2"):
-        BoundaryData(data.corners, data.sides, k=2)
+def test_order_count_rejected():
+    # fields of orders 0..k for k = 1 (G1) or 2 (G2), and no other count
+    for orders in (1, 4):
+        shape = (1, 4, orders)
+        with pytest.raises(ValueError, match="cross orders"):
+            GregoryPatchSet(np.zeros((1, 4, 3)), np.ones((1, 4)),
+                            np.zeros(shape + (4, 3)), np.zeros(shape, bool),
+                            np.ones(shape, np.int8), np.full((1, 4, 2), -1),
+                            None, [0])
+
+
+def test_mismatched_shapes_and_intervals_rejected():
+    data = random_boundary_data(np.random.default_rng(50), 1)
+    args = set_args([data])
+    for i, bad in ((1, np.ones((1, 3))), (3, np.zeros((1, 4, 3), bool)),
+                   (5, np.full((1, 4), -1)), (7, [0, 1])):
+        with pytest.raises(ValueError, match="shape"):
+            GregoryPatchSet(*args[:i], bad, *args[i + 1:])
+    with pytest.raises(ValueError, match="positive"):
+        GregoryPatchSet(args[0], [(1.0, 0.0, 1.0, 1.0)], *args[2:])
 
 
 def test_corner_mismatch_rejected():
     rng = np.random.default_rng(51)
     data = random_boundary_data(rng, 1)
-    bad = polys(data.sides[0])[0].coeffs.copy()
+    bad = data.polys[0][0].coeffs.copy()
     bad[0] += 0.5
-    data.sides[0].fields[0] = VecPoly(bad)
-    with pytest.raises(ConstructionError):
-        BoundaryData(data.corners, data.sides, k=1)
+    data.polys[0][0] = VecPoly(bad)
+    with pytest.raises(ConstructionError, match="face 17: gamma0"):
+        GregoryPatchSet(*set_args([data], faces=[17]))
 
 
 def oracle_eval(data, u, v):
     """-H(u)^T M H(v) point by point, with M assembled entry by entry from
-    the boundary data through Side.field as the gregory module defines it."""
-    k, g, p = data.k, data.sides, data.corners
+    the fields of a Boundary, read one point at a time."""
+    k, p = data.k, data.corners
     d, e = (data.d0, data.d1), (data.e0, data.e1)
-    rows, cols = (g[3], g[1]), (g[0], g[2])   # sides along u = 0, 1 / v = 0, 1
+    rows, cols = (3, 1), (0, 2)   # sides along u = 0, 1 / v = 0, 1
+    field = data.field
     out = []
     for s, t in zip(u, v):
         M = np.zeros((2 * k + 3, 2 * k + 3, 3))
@@ -345,23 +401,23 @@ def oracle_eval(data, u, v):
         M[1:3, 1:3] = [[p[0], p[3]], [p[1], p[2]]]
         for i in (0, 1):
             for q in range(k + 1):
-                M[0, 1 + 2 * q + i] = eps ** q * cols[i].field(q, s * d[i])
-                M[1 + 2 * q + i, 0] = dlt ** q * rows[i].field(q, t * e[i])
+                M[0, 1 + 2 * q + i] = eps ** q * field(cols[i], q, s * d[i])
+                M[1 + 2 * q + i, 0] = dlt ** q * field(rows[i], q, t * e[i])
         for r in range(1, k + 1):
             for i in (0, 1):
                 for end in (0, 1):
                     M[1 + i, 1 + 2 * r + end] = \
-                        e[i] ** r * rows[i].field(0, end * e[i], r)
+                        e[i] ** r * field(rows[i], 0, end * e[i], r)
                     M[1 + 2 * r + end, 1 + i] = \
-                        d[i] ** r * cols[i].field(0, end * d[i], r)
+                        d[i] ** r * field(cols[i], 0, end * d[i], r)
         wu, wv = (s ** k, (1 - s) ** k), (t ** k, (1 - t) ** k)
         for i in range(1, k + 1):
             for j in range(1, k + 1):
                 for a in (0, 1):
                     for b in (0, 1):
                         scale = d[b] ** i * e[a] ** j
-                        A = scale * rows[a].field(i, b * e[a], j)
-                        B = scale * cols[b].field(j, a * d[b], i)
+                        A = scale * field(rows[a], i, b * e[a], j)
+                        B = scale * field(cols[b], j, a * d[b], i)
                         den = wu[a] + wv[b]
                         M[1 + 2 * i + a, 1 + 2 * j + b] = (
                             0.5 * (A + B) if den < 1e-12
@@ -386,24 +442,34 @@ def oracle_points(rng, count):
     return rng.integers(0, count, n), u, v
 
 
+def random_case(k):
+    datas = [random_boundary_data(np.random.default_rng(52 + k), k)
+             for _ in range(3)]
+    return GregoryPatchSet(*set_args(datas)), datas
+
+
+def built_case(make, options):
+    patches = build_surface(make().build_connectivity(),
+                            options).gregory_patches
+    return patches, [Boundary.of(patches, i)
+                     for i in range(len(patches.lengths))]
+
+
 ORACLE_CASES = {
-    f"random_k{k}": (lambda k=k: [
-        random_boundary_data(np.random.default_rng(52 + k), k)
-        for _ in range(3)]) for k in (1, 2)}
-ORACLE_CASES.update({
-    name: (lambda make=make, options=options: build_surface(
-        make().build_connectivity(), options).gregory_patches.datas)
-    for name, make, options in (
-        ("sphere_g2", lambda: sphere_mesh(2), BuildOptions()),
-        ("rotated_edge_g1", lambda: grid_with_rotated_edge(7, 7),
-         BuildOptions(family="d3c1p2s4", mode="g1")))})
+    "random_k1": lambda: random_case(1),
+    "random_k2": lambda: random_case(2),
+    "sphere_g2": lambda: built_case(lambda: sphere_mesh(2), BuildOptions()),
+    "rotated_edge_g1": lambda: built_case(
+        lambda: grid_with_rotated_edge(7, 7),
+        BuildOptions(family="d3c1p2s4", mode="g1")),
+}
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_patch_set_matches_the_assembled_matrix(case, small_eval_chunk):
-    datas = ORACLE_CASES[case]()
+    patches, datas = ORACLE_CASES[case]()
     slots, u, v = oracle_points(np.random.default_rng(53), len(datas))
-    got = GregoryPatchSet(datas).eval(slots, u, v)
+    got = patches.eval(slots, u, v)
     want = np.concatenate([
         oracle_eval(datas[s], u[i:i + 1], v[i:i + 1])
         for i, s in enumerate(slots)])

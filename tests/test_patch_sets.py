@@ -14,7 +14,6 @@ import pytest
 from conftest import (grid_with_rotated_edge, sphere_mesh,
                       torus_with_rotated_edge)
 from quadspline import mesh as qm
-from quadspline.gregory import GregoryPatchSet, Side
 from quadspline import patch
 from quadspline.patch import GridField
 from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
@@ -118,24 +117,6 @@ def test_unknown_face_raises():
         surf.eval(np.array([0, phantom]), 0.5, 0.5)
 
 
-def test_sampled_side_must_read_one_grid_side():
-    surf = surface_of("sphere_g2")
-    data = surf.gregory[min(surf.gregory)].data
-    sampled = next(s for s in data.sides
-                   if isinstance(s.fields[0], GridField))
-    other = GridField(sampled.fields[1].patches, sampled.fields[1].slot,
-                      (sampled.fields[1].side + 1) % 4, 1)
-    sides = list(data.sides)
-    sides[sides.index(sampled)] = Side(sampled.d, [sampled.fields[0], other,
-                                                   sampled.fields[2]])
-    data.sides, kept = sides, data.sides
-    try:
-        with pytest.raises(ValueError):
-            GregoryPatchSet([data])
-    finally:
-        data.sides = kept
-
-
 def test_classification_hands_back_the_window_grids(monkeypatch):
     mesh = torus_with_rotated_edge(10, 10).build_connectivity()
     params = qm.assign_edge_params(mesh)
@@ -183,6 +164,25 @@ def test_a_build_makes_no_local_grid(make, options, monkeypatch):
     monkeypatch.setattr(qm, "LocalGrid", refuse)
     surf = build_surface(make().build_connectivity(), options)
     assert surf.regular and surf.gregory
+
+
+def test_grid_side_jets_of_a_build_follow_the_gregory_faces(monkeypatch):
+    # the builder evaluates grid corner jets only where it reads them: both
+    # spheres have 24 Coons-Gregory faces, around their 8 valence-3
+    # vertices, and 72 or 1512 grid patches
+    points = []
+    side_jets = patch.GridPatchSet.side_jets
+
+    def counting(self, slots, sides, jets, x):
+        points[-1] += len(x)
+        return side_jets(self, slots, sides, jets, x)
+
+    monkeypatch.setattr(patch.GridPatchSet, "side_jets", counting)
+    for rounds in (2, 4):
+        points.append(0)
+        surf = build_surface(sphere_mesh(rounds).build_connectivity())
+        assert len(surf.gregory) == 24
+    assert points[0] == points[1] > 0
 
 
 def test_a_build_makes_no_directed_edge_dict():
@@ -242,7 +242,7 @@ def test_one_chunk_of_each_kernel_stays_in_its_bytes_per_point():
     n = patch.EVAL_CHUNK
     rng = np.random.default_rng(11)
     u, v = rng.uniform(0.0, 1.0, (2, n)) + 1e-4j
-    slots = rng.integers(0, len(gregory.datas), n)
+    slots = rng.integers(0, len(gregory.lengths), n)
     grid_slots = rng.integers(0, len(grid.anchors), n)
     sides = rng.integers(0, 4, n)
     x = u * grid.intervals[grid_slots, sides, 1]

@@ -5,7 +5,7 @@ from conftest import (cube_mesh, grid_with_rotated_edge, jittered_torus,
                       open_grid, sphere_mesh, torus_grid,
                       torus_with_rotated_edge)
 from quadspline.mesh import classify_faces, extract_local_grid
-from quadspline.patch import GridField, GridPatchSet, RegularPatch
+from quadspline.patch import SIDES, GridPatchSet, RegularPatch
 from quadspline.surface import (SIDE_OF_CORNER, BuildOptions,
                                 _interior_shared_edges,
                                 _seam_table, analysis_fields, build_surface,
@@ -632,8 +632,9 @@ SIDE_CASES = {
 
 
 def _gregory_sides(case):
-    """The surface, then (role, half edge, side) of every Gregory side;
-    role 0..3 is the side's place gamma0..gamma3 in its face's frame."""
+    """The surface, then (role, half edge, slot) of every Gregory side;
+    role 0..3 is the side's place gamma0..gamma3 in its face's frame, and
+    slot its patch's slot in surf.gregory_patches."""
     make, options = SIDE_CASES[case]
     surf = build_surface(make().build_connectivity(), options)
     mesh = surf.mesh
@@ -642,9 +643,25 @@ def _gregory_sides(case):
         a = surf.anchors[f]
         hes = (a, mesh.he_next(a), mesh.he_next(mesh.he_next(a)),
                mesh.he_prev(a))
-        sides += [(role, h, side)
-                  for role, (h, side) in enumerate(zip(hes, patch.data.sides))]
+        sides += [(role, h, patch.slot) for role, h in enumerate(hes)]
     return surf, sides
+
+
+def _field(surf, slot, c, q, x, r=0):
+    """r-th x-derivative of the order-q field of side c of slot `slot` of
+    surf.gregory_patches, at x (a scalar or a 1-D array), in patch
+    orientation."""
+    xs = np.atleast_1d(x)
+    return surf.gregory_patches.side_fields(
+        np.full(len(xs), slot), np.full(len(xs), c), xs, r)[:, q] \
+        .reshape(np.shape(x) + (3,))
+
+
+def _tangent(surf, slot, c, x):
+    """The x-derivative of side c's boundary curve at x, by a complex step
+    of 1e-30, exact to round-off: the cross fields of a sampled side have
+    x-derivatives at its ends only, and side_fields reads all orders."""
+    return _field(surf, slot, c, 0, x + 1e-30j).imag / 1e-30
 
 
 @pytest.mark.parametrize("case", sorted(SIDE_CASES))
@@ -652,7 +669,7 @@ def test_sampled_sides_match_neighbouring_patch(case):
     surf, sides = _gregory_sides(case)
     mesh, k = surf.mesh, surf.options.k
     checked = 0
-    for role, h, side in sides:
+    for role, h, slot in sides:
         twin = mesh.twin(h)
         g = None if twin is None else mesh.he_face(twin)
         if g is None or g >= mesh.real_face_count or g not in surf.regular:
@@ -674,8 +691,9 @@ def test_sampled_sides_match_neighbouring_patch(case):
                 want = nbr.field(nside, q).eval(tn * nbr.side_interval(nside))
                 if q % 2 and not same_cross:
                     want = -want
-                assert np.linalg.norm(side.field(q, t * side.d) - want) \
-                    < 1e-12
+                d = surf.gregory_patches.lengths[slot, role]
+                assert np.linalg.norm(_field(surf, slot, role, q, t * d)
+                                      - want) < 1e-12
         checked += 1
     assert checked > 0
 
@@ -685,28 +703,29 @@ def test_network_sides_share_one_curve(case):
     surf, sides = _gregory_sides(case)
     mesh = surf.mesh
     views = {}
-    for role, h, side in sides:
-        if isinstance(side.fields[0], GridField):
+    for role, h, slot in sides:
+        if surf.gregory_patches.grid[slot, role, 0] >= 0:
             continue
         # the curve of an edge runs from its lower vertex to its higher one
         start = mesh.origin(h) if role < 2 else mesh.target(h)
         lower = min(mesh.origin(h), mesh.target(h))
         views.setdefault(min(h, int(mesh.twin_of[h])), []).append(
-            (start != lower, side))
+            (start != lower, (slot, role)))
     shared = [v for v in views.values() if len(v) == 2]
     assert shared
     for pair in shared:
         # the view that reads the record forwards first
         (rev1, s1), (rev2, s2) = sorted(pair, key=lambda view: view[0])
-        d = s1.d
+        d = surf.gregory_patches.lengths[s1]
         for x in d * np.linspace(0.0, 1.0, 5):
             for r in range(surf.options.k + 1):
                 if rev1 == rev2:
-                    assert np.array_equal(s1.field(0, x, r),
-                                          s2.field(0, x, r))
+                    assert np.array_equal(_field(surf, *s1, 0, x, r),
+                                          _field(surf, *s2, 0, x, r))
                 else:
-                    assert np.array_equal(s2.field(0, x, r),
-                                          (-1.0) ** r * s1.field(0, d - x, r))
+                    assert np.array_equal(
+                        _field(surf, *s2, 0, x, r),
+                        (-1.0) ** r * _field(surf, *s1, 0, d - x, r))
 
 
 @pytest.mark.parametrize("case, patches", [("open_ev_grid_g1", 54),
@@ -730,15 +749,19 @@ def test_sampled_sides_read_the_neighbours_own_patch(case, patches,
     assert len(built) == patches
     assert not standalone
     mesh = surf.mesh
+    assert surf.gregory_patches.grid_patches is surf.grid_patches
     sampled = 0
-    for _role, h, side in sides:
+    for role, h, slot in sides:
         twin = mesh.twin(h)
         g = None if twin is None else mesh.he_face(twin)
         if g not in surf.regular:
             continue
         nbr = surf.regular[g]
-        assert all(fld.patches is nbr.patches is surf.grid_patches
-                   and fld.slot == nbr.slot for fld in side.fields)
+        # the neighbour's side along the twin, in SIDES order
+        side = SIDES.index(SIDE_OF_CORNER[(twin - surf.anchors[g]) % 4])
+        assert nbr.patches is surf.grid_patches
+        assert surf.gregory_patches.grid[slot, role].tolist() \
+            == [nbr.slot, side]
         sampled += 1
     assert sampled > 0
 
@@ -810,8 +833,10 @@ def _data_normals(surf, h, t):
     # sides c = 0, 1 run along their half edge, c = 2, 3 against it
     t = t if c < 2 else 1.0 - t
     if f in surf.gregory:
-        side = surf.gregory[f].data.sides[c]
-        along, cross = side.field(0, t * side.d, 1), side.field(1, t * side.d)
+        slot = surf.gregory[f].slot
+        x = t * surf.gregory_patches.lengths[slot, c]
+        along, cross = _tangent(surf, slot, c, x), _field(surf, slot, c, 1,
+                                                          x)
     else:
         patch, name = surf.regular[f], SIDE_OF_CORNER[c]
         x = t * patch.side_interval(name)
@@ -851,15 +876,16 @@ def test_gregory_patches_carry_their_data(case):
     zero, one = np.zeros_like(t), np.ones_like(t)
     gap, fd = 0.0, {1e-3: 0.0, 5e-4: 0.0}
     for patch in surf.gregory.values():
-        for c, side in enumerate(patch.data.sides):
-            x = t * side.d
+        for c in range(4):
+            x = t * surf.gregory_patches.lengths[patch.slot, c]
             uv = np.stack([(t, zero), (one, t), (t, one), (zero, t)][c], 1)
             # positions along a side are its boundary curve (at most 1.1e-14
             # here)
             gap = max(gap, np.abs(patch.eval(*uv.T)
-                                  - side.field(0, x)).max())
-            along = side.field(0, x, 1)
-            normal = _unit(np.cross(along, side.field(1, x)))
+                                  - _field(surf, patch.slot, c, 0, x)).max())
+            along = _tangent(surf, patch.slot, c, x)
+            normal = _unit(np.cross(along, _field(surf, patch.slot, c, 1,
+                                                  x)))
             for h in fd:
                 at = uv[:, None] + h * np.arange(6)[:, None] * _INWARD[c]
                 inward = np.einsum("k,nkd->nd", _FD6,
