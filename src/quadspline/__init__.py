@@ -4,8 +4,7 @@ from .errors import (ConstructionError, DegenerateEdgeError, FitError,
                      MeshStructureError, UnsupportedFaceError,
                      UnsupportedMeshError)
 from .splines import (D3C1P2S4, D5C2P2S4, FAMILIES, PolylineCurve,
-                      SplineFamily, family, fundamental_coefficients,
-                      fundamental_weights, make_knots)
+                      SplineFamily, family, fundamental_weights, make_knots)
 from .mesh import (LocalGrid, QuadMesh, SectionPolyline, assign_edge_params,
                    classify_faces, extract_local_grid,
                    extrapolate_boundary_layer, load_obj, save_obj,
@@ -13,8 +12,7 @@ from .mesh import (LocalGrid, QuadMesh, SectionPolyline, assign_edge_params,
 from .patch import RegularPatch
 from .network import (build_cross_field_chi, build_cross_field_xi,
                       build_missing_boundary_curve, directional_derivs,
-                      estimate_tangent_bessel, fit_guide_polynomial,
-                      guide_points, planar_angles)
+                      fit_guide_polynomial, guide_points, planar_angles)
 from .gregory import GregoryPatch, hermite_basis
 from .surface import (BuildOptions, CompositeSurface, TriangleMesh,
                       analysis_fields, build_surface, continuity_report,

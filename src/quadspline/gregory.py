@@ -184,9 +184,9 @@ class GregoryPatchSet:
                 flip[i, q], back[i], x[i])[:, None], r, rows)
         if not net.all():
             at = ~net
-            out[at] = self.grid_patches.side_fields(
-                grid_slot[at], grid_side[at], range(k + 1),
-                np.where(flip[at, 0], back[at], x[at]), r).transpose(1, 0, 2)
+            out[at] = self.grid_patches.side_jets(
+                grid_slot[at], grid_side[at], [(q, r) for q in range(k + 1)],
+                np.where(flip[at, 0], back[at], x[at])).transpose(1, 0, 2)
         out *= sign[..., None]
         return out
 

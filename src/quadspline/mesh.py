@@ -119,13 +119,6 @@ class QuadMesh:
     def target(self, h):
         return int(self.origin_of[self.he_next(h)])
 
-    def twin(self, h):
-        t = int(self.twin_of[h])
-        return t if t >= 0 else None
-
-    def halfedges_of_face(self, f):
-        return [4 * f + c for c in range(4)]
-
     def halfedge_between(self, i, j):
         """Half edge i -> j, or None, from a dict made on the first call."""
         if self._he_dir is None:

@@ -172,11 +172,19 @@ def build_missing_boundary_curve(p0, p1, d, m0, m1, a0=None, a1=None):
 
 # -- vertex derivative estimation -----------------------------------------------
 
-def _bessel(p0, nbrs, ds, i):
-    """The estimate of estimate_tangent_bessel along edge i, the mask where
-    it is defined (a positive cosine-weighted opposite interval) and the
-    chord of edge i.  The estimates of every edge of a fan are made
-    together; i broadcasts against the batch axes."""
+def tangent_with_fallback(p0, neighbors, intervals, i):
+    """First-derivative estimate along edge i at a vertex of valence n,
+    falling back to the chord where it is degenerate.
+
+    neighbors (..., n, 3) must be in cyclic order around the vertex.  The
+    estimate combines the edge vector with a cosine-weighted average of the
+    others; at valence 4 it reduces to the three-point parabola (Bessel)
+    tangent through the opposite neighbor, the vertex and neighbor i.  It is
+    degenerate where the cosine-weighted opposite interval is not positive.
+    The estimates of every edge of a fan are made together; i broadcasts
+    against the batch axes.
+    """
+    p0, nbrs, ds = (np.asarray(a, float) for a in (p0, neighbors, intervals))
     n = nbrs.shape[-2]
     e = np.arange(n)[:, None]   # the estimated edge, against every edge j
     j = np.arange(n)
@@ -189,43 +197,12 @@ def _bessel(p0, nbrs, ds, i):
     alpha = dbar / (ds + dbar)
     chord = f / _col(ds)
     tangent = _col(alpha / ds) * f - _col((1.0 - alpha) / dbar) * fbar
+    tangent = np.where(ok[..., None], tangent, chord)
     i = np.asarray(i)
     shape = np.broadcast_shapes(ds.shape[:-1], i.shape)
-
-    def at(values):
-        values = np.broadcast_to(values, shape + values.shape[-2:])
-        index = np.broadcast_to(i[..., None, None],
-                                shape + (1, values.shape[-1]))
-        return np.take_along_axis(values, index, axis=-2)[..., 0, :]
-
-    return at(tangent), at(ok[..., None])[..., 0], at(chord)
-
-
-def estimate_tangent_bessel(p0, neighbors, intervals, i):
-    """First-derivative estimate along edge i at a vertex of valence n.
-
-    neighbors (..., n, 3) must be in cyclic order around the vertex.  The
-    estimate combines the edge vector with a cosine-weighted average of the
-    others; at valence 4 it reduces to the three-point parabola (Bessel)
-    tangent through the opposite neighbor, the vertex and neighbor i.
-    """
-    p0, nbrs, ds = (np.asarray(a, float) for a in (p0, neighbors, intervals))
-    if nbrs.shape[-2] < 3:
-        raise ValueError("valence must be at least 3")
-    if np.any(ds <= 0.0):
-        raise ValueError("intervals must be positive")
-    tangent, ok, _chord = _bessel(p0, nbrs, ds, i)
-    if not ok.all():
-        raise DegenerateEdgeError(
-            "cosine-weighted opposite interval is not positive")
-    return tangent
-
-
-def tangent_with_fallback(p0, neighbors, intervals, i):
-    """Bessel-type estimate, falling back to the chord where degenerate."""
-    p0, nbrs, ds = (np.asarray(a, float) for a in (p0, neighbors, intervals))
-    tangent, ok, chord = _bessel(p0, nbrs, ds, i)
-    return np.where(ok[..., None], tangent, chord)
+    tangent = np.broadcast_to(tangent, shape + tangent.shape[-2:])
+    index = np.broadcast_to(i[..., None, None], shape + (1, tangent.shape[-1]))
+    return np.take_along_axis(tangent, index, axis=-2)[..., 0, :]
 
 
 def guide_points(p0, pi, d, t0i, ti0):
@@ -302,9 +279,6 @@ class GuidePolynomial:
         if np.any(norm == 0.0):
             raise ConstructionError("guide polynomial has a degenerate frame")
         return n / norm[..., None]
-
-    def curvature(self):
-        return principal_curvatures(*self.gradient(), *self.hessian())
 
 
 def fit_guide_polynomial(p0, qs, xys, degree=None):

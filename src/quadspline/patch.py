@@ -20,8 +20,6 @@ against real or complex weights without a complex copy; a RegularPatch is a
 view of one slot.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mesh import local_grid
@@ -138,30 +136,18 @@ class GridPatchSet:
         for v0/v1, the row blend for u0/u1."""
         return self._blended(slots, np.where(sides < 2, 2, 0), t)[1]
 
-    def side_ends(self, slots, sides, ends, jets):
-        """side_jets at the start (ends[i] = 0) or the end (1) of side
-        sides[i] of patch slots[i]: exact mixed corner derivatives; shape
-        (len(jets), n, 3)."""
-        return self.side_jets(slots, sides, jets,
-                              ends * self.intervals[slots, sides, 1])
-
-    def side_fields(self, slots, sides, orders, x, r=0):
+    def side_jets(self, slots, sides, jets, x):
         """r-th x-derivative of the order-q cross field (q = 0: the boundary
-        curve), for every q in orders, along side sides[i] (an index into
-        SIDES) of patch slots[i], at x[i] in the side's local variable;
-        shape (len(orders), n, 3).
+        curve), for every (q, r) pair of jets, along side sides[i] (an index
+        into SIDES) of patch slots[i], at x[i] in the side's local variable;
+        shape (len(jets), n, 3).  One pass makes one along-weight table for
+        all r and one cross-weight table for all q > 0.
 
         For sides v0/v1 the cross field is the q-th y-partial as a function
         of the boundary variable x; for u0/u1 the roles of the axes swap.
         x-derivatives of cross fields are exact, and offered, only at the
         side's endpoints, where they are mixed corner derivatives.
         """
-        return self.side_jets(slots, sides, [(q, r) for q in orders], x)
-
-    def side_jets(self, slots, sides, jets, x):
-        """side_fields for every (q, r) pair of jets in one pass, with one
-        along-weight table for all r and one cross-weight table for all
-        q > 0; shape (len(jets), n, 3)."""
         top = max(q for q, _ in jets)
         if top > self.k:
             raise ValueError(f"cross order {top} exceeds continuity {self.k}")
@@ -201,23 +187,6 @@ class GridPatchSet:
                  for r in rs}
         return np.stack([np.einsum("jn,njd->nd", w_cross[q], along[r])
                          for q, r in jets])
-
-
-@dataclass(frozen=True)
-class GridField:
-    """The order-q field along one side (an index into SIDES) of one patch
-    of a GridPatchSet, as data; eval(x, r) evaluates it like VecPoly.eval."""
-
-    patches: GridPatchSet
-    slot: int
-    side: int
-    q: int
-
-    def eval(self, x, r=0):
-        x = np.asarray(x, float)
-        return self.patches.side_fields(
-            np.full(x.size, self.slot), np.full(x.size, self.side),
-            (self.q,), x.ravel(), r)[0].reshape(x.shape + (3,))
 
 
 class PatchView:
@@ -261,12 +230,3 @@ class RegularPatch(PatchView):
         patches, slot = self.patches, self.slot
         return local_grid(patches.anchors[slot], patches.vertex_ids[slot],
                           patches.windows[2 * slot], patches.intervals[slot])
-
-    # -- boundary data ---------------------------------------------------------
-    def field(self, side, q):
-        """The order-q field along a side, as a GridField."""
-        return GridField(self.patches, self.slot, SIDES.index(side), q)
-
-    def side_interval(self, side):
-        """Length of the local variable range along a side."""
-        return float(self.patches.intervals[self.slot, SIDES.index(side), 1])

@@ -103,23 +103,6 @@ def _coeffs_all_d5(dm, d0, dp):
 _COEFF_ALL = {"d3c1p2s4": _coeffs_all_d3, "d5c2p2s4": _coeffs_all_d5}
 
 
-def fundamental_coefficients(fam, offset, d):
-    """Monomial coefficients of psi_{s+offset} on [0, d_s] for local vector d.
-
-    d is the (w-1)-tuple of positive interval lengths centered on the segment;
-    for w = 4 that is (d_{s-1}, d_s, d_{s+1}).
-    """
-    if len(d) != fam.support - 1:
-        raise ValueError(f"local parameter vector must have {fam.support - 1} "
-                         f"entries, got {len(d)}")
-    dm, d0, dp = d
-    if dm <= 0.0 or d0 <= 0.0 or dp <= 0.0:
-        raise DegenerateEdgeError("parameter intervals must be positive")
-    if not -1 <= offset <= 2:
-        raise ValueError(f"offset {offset} outside the support window")
-    return tuple(_COEFF_ALL[fam.name](dm, d0, dp))[offset + 1]
-
-
 def _check_x(x, d0):
     lo, hi = -_X_TOL * d0, d0 * (1.0 + _X_TOL)
     if isinstance(x, np.ndarray) and x.dtype.kind == "c":
@@ -288,34 +271,12 @@ class PolylineCurve:
     def eval(self, x, r=0):
         """Point (r = 0) or r-th derivative vector at parameter x."""
         s, xloc = self._locate(x)
-        return self._eval_segment(s, xloc, r)
-
-    def _eval_segment(self, s, xloc, r):
         idx, d = self._window(s)
         w = fundamental_weights(self.family, xloc, d, r)
         out = np.zeros(self.dim)
         for k, i in enumerate(idx):
             out += w[k] * self.points[i]
         return out
-
-    def eval_one_sided(self, knot_index, r, side):
-        """Derivative at an interior knot taken from one adjacent segment.
-
-        side = 'left' uses the segment ending at the knot, 'right' the one
-        starting there.  Used to verify knot continuity of the family.
-        """
-        if side == "right":
-            s, xloc = knot_index, 0.0
-        elif side == "left":
-            s = knot_index - 1
-            if self.closed:
-                s %= len(self.points)
-            elif s < 1:
-                raise ValueError("no full window left of this knot")
-            xloc = self._d[s]
-        else:
-            raise ValueError("side must be 'left' or 'right'")
-        return self._eval_segment(s, xloc, r)
 
 
 def segment_coefficients(points4, d, fam):

@@ -121,10 +121,12 @@ class CompositeSurface:
                                           floats(v))
         shape = faces.shape
         faces, u, v = faces.ravel(), u.ravel(), v.ravel()
-        slots = self._slot[:, faces]
-        if (slots < 0).all(axis=0).any():
-            f = faces[np.argmax((slots < 0).all(axis=0))]
-            raise KeyError(f"face {f} has no patch")
+        # a face outside real_faces reads the -1 column, which has no patch
+        real = (faces >= 0) & (faces < self.mesh.real_face_count)
+        slots = self._slot[:, np.where(real, faces, -1)]
+        missing = (slots < 0).all(axis=0)
+        if missing.any():
+            raise KeyError(f"face {faces[np.argmax(missing)]} has no patch")
         out = np.empty((len(faces), 3), np.result_type(u, v))
         for view, patches, kind_slots in zip(
                 (RegularPatch.view, GregoryPatch.view),
@@ -357,8 +359,10 @@ class _GregoryBuilder:
         # of side v0 or v1; su, sv, and in G2 suu, suv, svv
         jets = [(0, 1), (1, 0)] + ([(0, 2), (1, 1), (2, 0)] if self.k == 2
                                    else [])
-        table = self.surf.grid_patches.side_ends(self.grid_slot[f], vi, ui,
-                                                 jets)
+        slots = self.grid_slot[f]
+        patches = self.surf.grid_patches
+        table = patches.side_jets(slots, vi, jets,
+                                  ui * patches.intervals[slots, vi, 1])
         rows = fit_rows[~grid]
         if self.options.mode == "g1":
             normal = np.empty((len(corner), 3))
@@ -505,15 +509,16 @@ class _GregoryBuilder:
         # every side's curve at its start and end, orders 0..k, as the side
         # reads it: a reversed side swaps the ends and flips odd orders
         sign = (-1.0) ** np.arange(k + 1)[:, None]
-        side_ends = np.empty(hes.shape + (2, k + 1, 3))
+        end_jets = np.empty(hes.shape + (2, k + 1, 3))
         grid_side = _SIDE_INDEX_OF_CORNER[n[sampled]]
         if sampled.any():
-            table = patches.side_ends(
-                np.repeat(slot[sampled], 2), np.repeat(grid_side, 2),
-                np.tile([0, 1], len(grid_side)),
-                [(0, r) for r in range(k + 1)]).reshape(k + 1, -1, 2, 3)
+            slots, sides = np.repeat(slot[sampled], 2), np.repeat(grid_side, 2)
+            table = patches.side_jets(
+                slots, sides, [(0, r) for r in range(k + 1)],
+                np.tile([0, 1], len(grid_side))
+                * patches.intervals[slots, sides, 1]).reshape(k + 1, -1, 2, 3)
             table = table.transpose(1, 2, 0, 3)
-            side_ends[sampled] = np.where(
+            end_jets[sampled] = np.where(
                 same_way[sampled][:, None, None, None],
                 sign * table[:, ::-1], table)
         curves = net.VecPoly(gamma[:, None])
@@ -521,8 +526,8 @@ class _GregoryBuilder:
         table = np.stack([curves.eval(x, r) for r in range(k + 1)],
                          axis=2)[rec]
         reverse = lo[rec] != start[network]
-        side_ends[network] = np.where(reverse[:, None, None, None],
-                                      sign * table[:, ::-1], table)
+        end_jets[network] = np.where(reverse[:, None, None, None],
+                                     sign * table[:, ::-1], table)
 
         # 3. network sides, over their curves in face orientation
         f, c = np.nonzero(network)
@@ -535,7 +540,7 @@ class _GregoryBuilder:
         # the neighbouring sides at their starts or ends
         e = np.isin(c, (1, 2)).astype(int)
         nbrs = (np.where(c % 2, 0, 3), np.where(c % 2, 2, 1))
-        targets = {r: [side_ends[f, nb, e, r] for nb in nbrs]
+        targets = {r: [end_jets[f, nb, e, r] for nb in nbrs]
                    for r in range(1, k + 1)}
         if self.options.r_degree == 2:
             nm, quadratic = self._mid_normals(hes[network])
@@ -610,7 +615,7 @@ def tessellate(surface, n=16):
     a, b, c, d = idx[:-1, :-1], idx[:-1, 1:], idx[1:, 1:], idx[1:, :-1]
     cells = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
-    faces = sorted(list(surface.regular) + list(surface.gregory))
+    faces = surface.real_faces
     positions = surface.eval(np.repeat(faces, len(u)),
                              np.tile(u, len(faces)), np.tile(v, len(faces)))
     scaled = positions / tol
@@ -639,18 +644,18 @@ def tessellate(surface, n=16):
 _STEPS = np.array([(1j, 0), (0, 1j), (1j, 1j)])
 
 
-def _step_partials(surface, faces, u, v, p, hs):
-    """(su, sv, suu, suv, svv), each (len(hs), N, 3), at the points (faces,
-    u, v) of 1-D arrays with positions p, by complex steps of each size h
-    in hs, all evaluated in one surface.eval call.
+def _step_partials(surface, faces, u, v, p):
+    """(su, sv, suu, suv, svv), each (N, 3), at the points (faces, u, v) of
+    1-D arrays with positions p, by complex steps of size h = FD_STEP, all
+    evaluated in one surface.eval call.
 
     With E(a, b) = S(u + iah, v + ibh): su = Im E(1, 0) / h and suu = 2 (p -
     Re E(1, 0)) / h^2, likewise for v, and 2 (p - Re E(1, 1)) / h^2 = suu +
     2 suv + svv, each with an error of order h^2.
     """
-    h = np.asarray(hs, float)[:, None, None]
-    du, dv = _STEPS.T[:, None, :, None] * h
-    e = np.moveaxis(surface.eval(faces, u + du, v + dv), 1, 0)
+    h = FD_STEP
+    du, dv = _STEPS.T[:, :, None] * h
+    e = surface.eval(faces, u + du, v + dv)
     suu, svv, both = 2.0 * (p - e.real) / (h * h)
     return (e[0].imag / h, e[1].imag / h, suu, (both - suu - svv) / 2.0,
             svv)
@@ -669,18 +674,15 @@ def _dot(a, b):
     return np.einsum("...d,...d->...", a, b)
 
 
-def analysis_fields(surface, tri, richardson=False):
+def analysis_fields(surface, tri):
     """Per-vertex mean curvature and isophote value channels.
 
     Partial derivatives come from complex steps of size FD_STEP (see
     _step_partials): three complex points per vertex, in the patch domain
     or not, with the tessellated position as the real centre; the points
     of EVAL_CHUNK // 4 vertices at a time make one pass of each patch set.
-    Samples with a degenerate normal are flagged NaN.  Richardson
-    extrapolation combines steps 1e-3 and 2e-3, for double the evaluations
-    and two extra orders of accuracy.
+    Samples with a degenerate normal are flagged NaN.
     """
-    hs = (1e-3, 2e-3) if richardson else (FD_STEP,)
     faces = np.asarray(tri.src_face, int)
     u, v = np.asarray(tri.src_uv, float).reshape(-1, 2).T
     mean_curv = np.full(len(tri.positions), np.nan)
@@ -688,10 +690,8 @@ def analysis_fields(surface, tri, richardson=False):
     degenerate = 0
     for lo in range(0, len(faces), EVAL_CHUNK // 4):
         at = slice(lo, lo + EVAL_CHUNK // 4)
-        parts = _step_partials(surface, faces[at], u[at], v[at],
-                               tri.positions[at], hs)
-        su, sv, suu, suv, svv = ((4.0 * d[0] - d[1]) / 3.0 if richardson
-                                 else d[0] for d in parts)
+        su, sv, suu, suv, svv = _step_partials(surface, faces[at], u[at],
+                                               v[at], tri.positions[at])
         nrm, bad = _unit_normals(su, sv)
         E, F, G = _dot(su, su), _dot(su, sv), _dot(sv, sv)
         L, M, N = _dot(suu, nrm), _dot(suv, nrm), _dot(svv, nrm)
@@ -712,14 +712,14 @@ def analysis_fields(surface, tri, richardson=False):
 
 
 def _interior_shared_edges(surface):
-    """(h, twin) with h < twin for every edge between two real faces, in
-    half-edge order."""
+    """(h, twin) rows, shape (E, 2), with h < twin for every edge between
+    two real faces, in half-edge order."""
     mesh = surface.mesh
     h = np.arange(mesh.num_halfedges)
     t = mesh.twin_of[h]   # -1 on the boundary
     real = mesh.real_face_count
     keep = (t > h) & (mesh.he_face(h) < real) & (mesh.he_face(t) < real)
-    return list(zip(h[keep].tolist(), t[keep].tolist()))
+    return np.stack([h[keep], t[keep]], axis=1)
 
 
 def _fmax(values, axis):
@@ -813,7 +813,7 @@ def continuity_report(surface, samples=16):
     mesh = surface.mesh
     k = surface.options.family.continuity
     ts = np.linspace(0.0, 1.0, samples)
-    hes = np.array(_interior_shared_edges(surface), int).reshape(-1, 2)
+    hes = _interior_shared_edges(surface)
     faces = mesh.he_face(hes)
     regular = surface._slot[0, faces] >= 0
     audit = regular.all(axis=1)

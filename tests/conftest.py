@@ -5,6 +5,8 @@ import pytest
 
 from quadspline import patch
 from quadspline.mesh import QuadMesh
+from quadspline.network import VecPoly
+from quadspline.splines import segment_coefficients
 
 
 def torus_point(theta, phi, R=2.0, r=1.0):
@@ -196,6 +198,37 @@ def interval(mesh, params, i, j):
     """The interval of edge (i, j), read at either of its half edges."""
     h = mesh.halfedge_between(i, j)
     return params[mesh.halfedge_between(j, i) if h is None else h]
+
+
+def knot_derivatives(curve, j, r):
+    """r-th derivatives at knot j of a closed PolylineCurve, (left, right):
+    from the segment that ends there and from the one that starts there,
+    each read from its segment_coefficients."""
+    n, d = len(curve.points), np.diff(curve.knots)
+    out = []
+    for s, x in ((j - 1, d[(j - 1) % n]), (j, 0.0)):
+        window = (s + np.arange(-1, 3)) % n
+        out.append(VecPoly(segment_coefficients(
+            curve.points[window], d[window[:3]], curve.family)).eval(x, r))
+    return out
+
+
+def side_length(grid_patch, side):
+    """Length of the local variable range along a side (a name in
+    patch.SIDES) of a RegularPatch."""
+    return grid_patch.patches.intervals[grid_patch.slot,
+                                        patch.SIDES.index(side), 1]
+
+
+def side_field(grid_patch, side, q, x, r=0):
+    """r-th x-derivative of the order-q field along a side of a
+    RegularPatch at x (a scalar or an array), read by
+    GridPatchSet.side_jets; shape x.shape + (3,)."""
+    x = np.asarray(x, float)
+    slots = np.full(x.size, grid_patch.slot)
+    sides = np.full(x.size, patch.SIDES.index(side))
+    return grid_patch.patches.side_jets(slots, sides, [(q, r)], x.ravel())[
+        0].reshape(x.shape + (3,))
 
 
 @pytest.fixture

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import (FIG1_POLYLINE, grid_with_rotated_edge, jittered_torus,
-                      torus_grid, torus_with_rotated_edge)
+                      knot_derivatives, side_length, torus_grid,
+                      torus_with_rotated_edge)
 from test_gregory import fd_cross_v, one_patch, random_boundary_data
 from quadspline.cli import count_sign_changes, main
 from quadspline.mesh import (assign_edge_params, extract_local_grid,
                              save_obj, section_polyline_curve,
                              trace_section_polylines)
-from quadspline.network import estimate_tangent_bessel
+from quadspline.network import tangent_with_fallback
 from quadspline.patch import SIDES, RegularPatch, _blend
 from quadspline.splines import (D3C1P2S4, D5C2P2S4, PolylineCurve,
                                 fundamental_weights)
@@ -79,8 +80,7 @@ def test_criterion_03_knot_continuity():
         curve = PolylineCurve(pts, knots, fam, closed=True)
         for j in range(1, 11):
             for r in range(fam.continuity + 1):
-                left = curve.eval_one_sided(j, r, "left")
-                right = curve.eval_one_sided(j, r, "right")
+                left, right = knot_derivatives(curve, j, r)
                 scale = max(np.linalg.norm(left), np.linalg.norm(right), 1.0)
                 assert np.linalg.norm(left - right) / scale < 1e-9
     report(3, "one-sided derivatives agree through order k at interior "
@@ -130,7 +130,7 @@ def test_criterion_05_section_curves(perturbed_torus_12):
             verts = poly.vertices
             forward = verts[seg] == a
             x0 = curve.knots[seg if forward else seg + 1]
-            d_edge = patch.side_interval(side)
+            d_edge = side_length(patch, side)
             for t in rng.uniform(0.0, 1.0, 20):
                 on_patch = patch.eval(*uv_of[side](t))
                 x = x0 + t * d_edge if forward else x0 - t * d_edge
@@ -145,15 +145,14 @@ def test_criterion_05_section_curves(perturbed_torus_12):
 def test_criterion_06_cross_boundary_scaling(perturbed_torus_12):
     mesh, params = perturbed_torus_12
     rng = np.random.default_rng(106)
-    interior = [h for h in range(mesh.num_halfedges)
-                if mesh.twin(h) is not None]
+    interior = np.flatnonzero(mesh.twin_of[:mesh.num_halfedges] >= 0)
     picked = rng.choice(interior, size=50, replace=False)
     h = 5e-3
     cs2 = (45.0, -154.0, 214.0, -156.0, 61.0, -10.0)
     for fam in BOTH:
         k = fam.continuity
         for h_s in picked:
-            h_n = mesh.twin(int(h_s))
+            h_n = int(mesh.twin_of[h_s])
             ps = RegularPatch(extract_local_grid(
                 mesh, params, mesh.he_face(int(h_s)), 4,
                 anchor=mesh.he_next(int(h_s))), fam)
@@ -274,7 +273,7 @@ def test_criterion_11_bessel_reduction():
         nbrs = np.array([p0 + rng.normal(size=3) for _ in range(4)])
         ds = rng.uniform(0.3, 2.0, 4)
         i = int(rng.integers(0, 4))
-        T = estimate_tangent_bessel(p0, nbrs, ds, i)
+        T = tangent_with_fallback(p0, nbrs, ds, i)
         opp = (i + 2) % 4
         # independent parabola-through-three-points oracle
         ts = np.array([-ds[opp], 0.0, ds[i]])

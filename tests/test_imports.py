@@ -1,16 +1,33 @@
-"""The library runs on numpy alone.
+"""The library runs on numpy alone, and exports a pinned set of names.
 
 pyproject.toml declares numpy as the only runtime dependency; scipy, sympy
 and hypothesis are test extras.  Every quadspline module must import with
-them blocked.
+them blocked.  EXPORTS lists the names that quadspline/__init__.py exports,
+so a change that adds or drops one edits this list on purpose.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import quadspline
+
+EXPORTS = {
+    "BuildOptions", "CompositeSurface", "ConstructionError", "D3C1P2S4",
+    "D5C2P2S4", "DegenerateEdgeError", "FAMILIES", "FitError",
+    "GregoryPatch", "LocalGrid", "MeshStructureError", "PolylineCurve",
+    "QuadMesh", "RegularPatch", "SectionPolyline", "SplineFamily",
+    "TriangleMesh", "UnsupportedFaceError", "UnsupportedMeshError",
+    "analysis_fields", "assign_edge_params", "build_cross_field_chi",
+    "build_cross_field_xi", "build_missing_boundary_curve", "build_surface",
+    "classify_faces", "continuity_report", "directional_derivs", "export_ply",
+    "extract_local_grid", "extrapolate_boundary_layer", "family",
+    "fit_guide_polynomial", "fundamental_weights", "guide_points",
+    "hermite_basis", "load_obj", "make_knots", "planar_angles", "save_obj",
+    "section_polyline_curve", "tessellate", "trace_section_polylines",
+}
 
 BLOCK_EXTRAS = """
 import importlib, pkgutil, sys
@@ -27,3 +44,9 @@ def test_library_imports_without_test_extras():
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", BLOCK_EXTRAS], env=env, check=True,
                    timeout=60)
+
+
+def test_exports_are_pinned():
+    names = {name for name, value in vars(quadspline).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert names == EXPORTS

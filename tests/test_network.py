@@ -5,9 +5,9 @@ from quadspline.errors import ConstructionError, FitError
 from quadspline.network import (VecPoly, build_cross_field_chi,
                                 build_cross_field_xi,
                                 build_missing_boundary_curve,
-                                directional_derivs, estimate_tangent_bessel,
-                                fit_common_plane, fit_guide_polynomial,
-                                guide_points, hermite_curve3, hermite_curve5,
+                                directional_derivs, fit_common_plane,
+                                fit_guide_polynomial, guide_points,
+                                hermite_curve3, hermite_curve5,
                                 make_ruled_direction, normal_curvature_vector,
                                 planar_angles, principal_curvatures,
                                 project_to_plane, tangent_with_fallback)
@@ -37,7 +37,7 @@ def cubic_hermite_oracle(p0, m0, p1, m1, d, t):
 def test_bessel_reduces_at_valence_four():
     p0 = np.zeros(3)
     nbrs = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])
-    T = estimate_tangent_bessel(p0, nbrs, [1.0] * 4, 0)
+    T = tangent_with_fallback(p0, nbrs, [1.0] * 4, 0)
     assert np.allclose(T, [1.0, 0, 0], atol=1e-14)
 
 
@@ -48,7 +48,7 @@ def test_bessel_matches_three_point_oracle():
         nbrs = np.array([p0 + rng.normal(size=3) for _ in range(4)])
         ds = rng.uniform(0.3, 2.5, 4)
         for i in range(4):
-            T = estimate_tangent_bessel(p0, nbrs, ds, i)
+            T = tangent_with_fallback(p0, nbrs, ds, i)
             opp = (i + 2) % 4
             want = bessel_oracle(nbrs[opp], p0, nbrs[i], ds[opp], ds[i])
             assert np.linalg.norm(T - want) / max(np.linalg.norm(want),
@@ -60,29 +60,25 @@ def test_bessel_linearity_in_points():
     nbrs = np.array([[1.0, 0.2, 0], [0, 1.0, 0.1], [-1.0, 0, 0],
                      [0.2, -1.0, 0]])
     ds = [1.0, 0.8, 1.3, 0.7]
-    T1 = estimate_tangent_bessel(p0, nbrs, ds, 0)
-    T2 = estimate_tangent_bessel(p0, 2.0 * nbrs, ds, 0)
+    T1 = tangent_with_fallback(p0, nbrs, ds, 0)
+    T2 = tangent_with_fallback(p0, 2.0 * nbrs, ds, 0)
     assert np.allclose(T2, 2.0 * T1, atol=1e-14)
 
 
 def test_bessel_collinear_symmetric():
     p0 = np.zeros(3)
     nbrs = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])
-    T = estimate_tangent_bessel(p0, nbrs, [1.0, 2.0, 1.0, 2.0], 0)
+    T = tangent_with_fallback(p0, nbrs, [1.0, 2.0, 1.0, 2.0], 0)
     assert abs(T[1]) < 1e-14 and abs(T[2]) < 1e-14
 
 
 def test_bessel_degenerate_interval_fallback():
-    from quadspline.errors import DegenerateEdgeError
-    from quadspline.network import tangent_with_fallback
     # valence 5 with huge direct neighbors and tiny across ones drives the
     # cosine-weighted opposite interval negative
     p0 = np.zeros(3)
     angles = 2 * np.pi * np.arange(5) / 5
     nbrs = np.array([[np.cos(a), np.sin(a), 0.0] for a in angles])
     ds = [1.0, 10.0, 0.1, 0.1, 10.0]
-    with pytest.raises(DegenerateEdgeError):
-        estimate_tangent_bessel(p0, nbrs, ds, 0)
     T = tangent_with_fallback(p0, nbrs, ds, 0)
     assert np.allclose(T, nbrs[0] / ds[0], atol=1e-14)  # chord fallback
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import torus_grid
+from conftest import side_field, side_length, torus_grid
 from quadspline.mesh import (assign_edge_params, extract_local_grid,
                              section_polyline_curve, trace_section_polylines)
 from quadspline.patch import SIDES, RegularPatch, _blend
@@ -74,7 +74,7 @@ def test_section_curve_property(fam):
         curve = section_polyline_curve(mesh, params, poly, fam)
         verts = poly.vertices[:-1]
         ia = verts.index(a)
-        d_edge = patch.side_interval("v1")
+        d_edge = side_length(patch, "v1")
         forward = verts[(ia + 1) % len(verts)] == b
         x0 = curve.knots[ia]
         for u in rng.uniform(0, 1, 20):
@@ -89,9 +89,9 @@ def test_boundary_curve_restriction(fam):
     mesh, params = perturbed_torus(fam)
     patch = make_patch(mesh, params, 5, fam)
     for side in ("v0", "v1", "u0", "u1"):
-        d = patch.side_interval(side)
+        d = side_length(patch, side)
         for t in np.linspace(0, 1, 7):
-            gamma = patch.field(side, 0).eval(t * d)
+            gamma = side_field(patch, side, 0, t * d)
             if side == "v0":
                 direct = patch.eval(t, 0.0)
             elif side == "v1":
@@ -111,9 +111,9 @@ def test_boundary_cross_deriv_matches_fd(fam):
     rng = np.random.default_rng(6)
     for side in ("v0", "v1", "u0", "u1"):
         for t in rng.uniform(0.05, 0.95, 10):
-            d = patch.side_interval(side)
-            exact = side_blend(patch, side, t) * patch.field(side, 1).eval(
-                t * d)
+            d = side_length(patch, side)
+            exact = side_blend(patch, side, t) \
+                * side_field(patch, side, 1, t * d)
             if side == "v0":
                 fd = (patch.eval(t, h) - patch.eval(t, 0.0)) / h \
                     - 0.5 * (patch.eval(t, 2 * h) - 2 * patch.eval(t, h)
@@ -140,7 +140,7 @@ def test_uniform_intervals_cross_equals_local():
     params = assign_edge_params(mesh, "uniform")
     patch = make_patch(mesh, params, 20, fam)
     for t in np.linspace(0.1, 0.9, 5):
-        local = patch.field("v0", 1).eval(t * patch.side_interval("v0"))
+        local = side_field(patch, "v0", 1, t * side_length(patch, "v0"))
         uv = side_blend(patch, "v0", t) * local
         assert np.allclose(uv, local, atol=1e-12)
 
@@ -155,7 +155,7 @@ def test_cross_boundary_scaling_law(fam):
     k = fam.continuity
     checked = 0
     for h_s in range(0, mesh.num_halfedges, 37):
-        h_n = mesh.twin(h_s)
+        h_n = int(mesh.twin_of[h_s])
         face_s = mesh.he_face(h_s)
         face_n = mesh.he_face(h_n)
         ps = make_patch(mesh, params, face_s, fam,
@@ -191,7 +191,7 @@ def test_boundary_scaling_delta_values():
     mesh = torus_grid(8, 8).build_connectivity()
     uniform = assign_edge_params(mesh, "uniform")
     h_s = 40
-    h_n = mesh.twin(h_s)
+    h_n = int(mesh.twin_of[h_s])
     ps = make_patch(mesh, uniform, mesh.he_face(h_s), fam,
                     anchor=mesh.he_next(h_s))
     pn = make_patch(mesh, uniform, mesh.he_face(h_n), fam,
@@ -206,7 +206,7 @@ def test_boundary_scaling_delta_values():
     ids = ps.grid.vertex_ids
     for j in range(4):
         h = mesh.halfedge_between(int(ids[1, j]), int(ids[2, j]))
-        params[[h, mesh.twin(h)]] = 4.0
+        params[[h, int(mesh.twin_of[h])]] = 4.0
     ps2 = make_patch(mesh, params, mesh.he_face(h_s), fam,
                      anchor=mesh.he_next(h_s))
     pn2 = make_patch(mesh, params, mesh.he_face(h_n), fam,
@@ -263,8 +263,8 @@ def test_mixed_corner_derivative_fd():
     patch = make_patch(mesh, params, 11, fam)
     h = 1e-4
     # d2/dudv at (0,0): the x-derivative of chi, scaled to uv
-    mixed = patch.side_interval("v0") * side_blend(patch, "v0", 0.0) \
-        * patch.field("v0", 1).eval(0.0, 1)
+    mixed = side_length(patch, "v0") * side_blend(patch, "v0", 0.0) \
+        * side_field(patch, "v0", 1, 0.0, 1)
     # one-sided mixed difference at the corner
     fd = (patch.eval(2 * h, 2 * h) - patch.eval(2 * h, 0.0)
           - patch.eval(0.0, 2 * h) + patch.eval(0.0, 0.0)) / (4 * h * h)
@@ -297,20 +297,20 @@ def test_r_cross_capped_at_continuity():
     fam = D3C1P2S4
     mesh, params = perturbed_torus(fam)
     patch = make_patch(mesh, params, 2, fam)
-    d = patch.side_interval("v0")
+    d = side_length(patch, "v0")
     with pytest.raises(ValueError):
-        patch.field("v0", 2).eval(0.5 * d)
+        side_field(patch, "v0", 2, 0.5 * d)
 
 
 @pytest.mark.parametrize("fam", BOTH)
 def test_side_field_contract(fam):
     mesh, params = perturbed_torus(fam)
     patch = make_patch(mesh, params, 3, fam)
-    d = patch.side_interval("v1")
+    d = side_length(patch, "v1")
     ids = patch.grid.vertex_ids
-    assert np.allclose(patch.field("v1", 0).eval(0.0),
+    assert np.allclose(side_field(patch, "v1", 0, 0.0),
                        mesh.vertices[ids[1, 2]], atol=1e-12)
-    assert np.allclose(patch.field("v1", 0).eval(d),
+    assert np.allclose(side_field(patch, "v1", 0, d),
                        mesh.vertices[ids[2, 2]], atol=1e-12)
     # chi in local variables: the uv cross derivative divided by the blend.
     # On v = 1 the row blend is flat, so that quotient is the tensor product
@@ -321,15 +321,15 @@ def test_side_field_contract(fam):
         evec = g.e0 + (g.e1 - g.e0) * _blend(fam.continuity, t)
         wx = fundamental_weights(fam, t * g.d1[1], g.d1)
         wy = fundamental_weights(fam, evec[1], evec, 1)
-        assert np.allclose(patch.field("v1", 1).eval(t * d),
+        assert np.allclose(side_field(patch, "v1", 1, t * d),
                            np.einsum("i,j,ijd->d", wx, wy, g.points),
                            atol=1e-10)
     if fam.continuity >= 2:
-        xi = patch.field("v1", 2).eval(0.3 * d)
+        xi = side_field(patch, "v1", 2, 0.3 * d)
         assert xi.shape == (3,)
     else:
         with pytest.raises(ValueError):
-            patch.field("v1", 2).eval(0.3 * d)
+            side_field(patch, "v1", 2, 0.3 * d)
 
 
 def test_sampled_fields_planar_grid():
@@ -340,7 +340,7 @@ def test_sampled_fields_planar_grid():
     mesh.vertices[:] = verts
     params = assign_edge_params(mesh, "centripetal")
     patch = make_patch(mesh, params, 14, fam)
-    d = patch.side_interval("v0")
+    d = side_length(patch, "v0")
     for t in np.linspace(0, 1, 5):
-        assert abs(patch.field("v0", 1).eval(t * d)[2]) < 1e-12
-        assert abs(patch.field("v0", 2).eval(t * d)[2]) < 1e-12
+        assert abs(side_field(patch, "v0", 1, t * d)[2]) < 1e-12
+        assert abs(side_field(patch, "v0", 2, t * d)[2]) < 1e-12

@@ -11,11 +11,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import (grid_with_rotated_edge, sphere_mesh,
+from conftest import (grid_with_rotated_edge, sphere_mesh, torus_grid,
                       torus_with_rotated_edge)
 from quadspline import mesh as qm
 from quadspline import patch
-from quadspline.patch import GridField
 from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
                                 continuity_report, tessellate)
 
@@ -81,17 +80,18 @@ def test_grid_side_fields_of_several_orders_in_one_call(case):
     sides = rng.integers(0, 4, 50)
     x = rng.uniform(0, 1, 50) * patches.intervals[slots, sides, 1]
     orders = range(patches.k + 1)
-    got = patches.side_fields(slots, sides, orders, x)
+    got = patches.side_jets(slots, sides, [(q, 0) for q in orders], x)
     for q in orders:
         for i in (0, 17, 49):
-            want = GridField(patches, slots[i], sides[i], q).eval(x[i])
+            want = patches.side_jets(slots[i:i + 1], sides[i:i + 1],
+                                     [(q, 0)], x[i:i + 1])[0, 0]
             assert np.abs(got[q, i] - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("case", ["sphere_g2", "open_ev_grid_g1"])
 def test_seam_frame_in_one_pass_equals_side_fields(case, small_eval_chunk):
     # the seam audit reads a grid side's tangent and its cross fields of
-    # orders 1..k from one side_jets pass
+    # orders 1..k from one side_jets pass, equal to one pass for each
     patches = surface_of(case).grid_patches
     k = patches.k
     rng = np.random.default_rng(5)
@@ -104,10 +104,10 @@ def test_seam_frame_in_one_pass_equals_side_fields(case, small_eval_chunk):
     got = patches.side_jets(slots, sides,
                             [(0, 1)] + [(q, 0) for q in range(1, k + 1)], x)
     assert got.shape == (k + 1, count, 3)
-    assert np.array_equal(got[0], patches.side_fields(slots, sides, (0,), x,
-                                                      1)[0])
-    assert np.array_equal(got[1:], patches.side_fields(
-        slots, sides, range(1, k + 1), x))
+    assert np.array_equal(got[0], patches.side_jets(slots, sides, [(0, 1)],
+                                                    x)[0])
+    assert np.array_equal(got[1:], patches.side_jets(
+        slots, sides, [(q, 0) for q in range(1, k + 1)], x))
 
 
 def test_unknown_face_raises():
@@ -115,6 +115,16 @@ def test_unknown_face_raises():
     phantom = surf.mesh.real_face_count   # extrapolated faces get no patch
     with pytest.raises(KeyError):
         surf.eval(np.array([0, phantom]), 0.5, 0.5)
+
+
+def test_face_outside_the_mesh_raises():
+    # a negative id must not wrap around to the last faces, nor one past
+    # the per-face tables raise IndexError
+    surf = build_surface(torus_grid(6, 6).build_connectivity(),
+                         BuildOptions())
+    for f in (-2, surf.mesh.num_faces + 1):
+        with pytest.raises(KeyError, match=f"face {f} has no patch"):
+            surf.eval(f, 0.3, 0.4)
 
 
 def test_classification_hands_back_the_window_grids(monkeypatch):

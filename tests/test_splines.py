@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import knot_derivatives
 from quadspline.errors import DegenerateEdgeError
 from quadspline.splines import (D3C1P2S4, D5C2P2S4, PolylineCurve, family,
-                                fundamental_coefficients,
                                 fundamental_weights, make_knots,
                                 segment_coefficients)
 
@@ -119,13 +119,6 @@ def test_deriv_order_zero_and_cap(fam):
         total = sum(fundamental_weights(fam, x, d, 1)[off + 1]
                     for off in (-1, 0, 1, 2))
         assert abs(total) < 1e-10
-
-
-def test_offset_out_of_support():
-    with pytest.raises(ValueError):
-        fundamental_coefficients(D3C1P2S4, 3, (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        fundamental_coefficients(D5C2P2S4, -2, (1.0, 1.0, 1.0))
 
 
 def test_family_lookup():
@@ -254,8 +247,7 @@ def test_knot_continuity_one_sided(fam):
     curve = PolylineCurve(pts, knots, fam, closed=True)
     for j in range(1, 9):
         for r in range(fam.continuity + 1):
-            left = curve.eval_one_sided(j, r, "left")
-            right = curve.eval_one_sided(j, r, "right")
+            left, right = knot_derivatives(curve, j, r)
             scale = max(np.linalg.norm(left), np.linalg.norm(right), 1.0)
             assert np.linalg.norm(left - right) / scale < 1e-9
 
