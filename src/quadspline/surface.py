@@ -39,6 +39,8 @@ FD_STEP = 1e-4
 # the complex step of the seam audit's Gregory-side normals: its square
 # vanishes beside any real part, so the imaginary part is the exact partial
 AUDIT_STEP = 1e-30
+# tessellation welds by mesh topology; this tolerance, relative to the mesh
+# diagonal, only scales its guard against non-finite or huge vertices
 WELD_REL_TOL = 1e-9
 # side of a regular patch along its half edge anchor + c, for c = 0..3
 SIDE_OF_CORNER = ("v0", "u1", "v1", "u0")
@@ -135,6 +137,11 @@ class CompositeSurface:
             if at.any():
                 out[at] = view(patches, kind_slots[at]).eval(u[at], v[at])
         return out.reshape(shape + (3,))
+
+    def halfedges(self, faces):
+        """(F, 4) half edges anchor + c of faces, for corners c = 0..3."""
+        anchor = self.anchors[faces, None]
+        return anchor & ~3 | (anchor + np.arange(4)) & 3
 
     def _edge_uv(self, f, he, t):
         """(u, v) at the fractions t along half edges he of faces f; f and
@@ -447,8 +454,7 @@ class _GregoryBuilder:
                                    np.zeros(shape + (1, 3)),
                                    np.zeros(shape, bool), np.zeros(shape),
                                    np.zeros((0, 4, 2)), patches, faces)
-        anchor = surf.anchors[faces]
-        hes = anchor[:, None] & ~3 | (anchor[:, None] + np.arange(4)) & 3
+        hes = surf.halfedges(faces)
         corners = mesh.origin_of[hes]
         start, end = (corners[:, _SIDE_CORNERS[:, e]] for e in (0, 1))
 
@@ -598,11 +604,13 @@ class TriangleMesh:
 def tessellate(surface, n=16):
     """Sample every patch on an (n+1)^2 grid and triangulate.
 
-    Welding merges samples whose positions round to the same multiple of a
-    tolerance relative to the mesh size; a merged vertex keeps its first
-    sample (faces in ascending order, u running fastest).  A sample whose
-    weld key cannot be formed (a non-finite coordinate, or one of 2^62
-    tolerances or more) raises ConstructionError naming its face.
+    Samples are welded by mesh topology (_sample_keys): a corner sample is
+    its mesh vertex, a boundary sample a point of its edge, and an interior
+    sample a point of its face.  Vertices are numbered in first-seen order
+    (faces ascending, u running fastest) and each is evaluated once, at its
+    first sample.  A vertex that evaluates to a non-finite coordinate, or to
+    one of 2^62 tolerances (WELD_REL_TOL of the mesh size) or more, raises
+    ConstructionError naming its face.
     """
     if n < 1:
         raise ValueError("need at least one sample per edge")
@@ -615,29 +623,64 @@ def tessellate(surface, n=16):
     a, b, c, d = idx[:-1, :-1], idx[:-1, 1:], idx[1:, 1:], idx[1:, :-1]
     cells = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
-    faces = surface.real_faces
-    positions = surface.eval(np.repeat(faces, len(u)),
-                             np.tile(u, len(faces)), np.tile(v, len(faces)))
-    scaled = positions / tol
-    bad = ~(np.abs(scaled) < 2.0 ** 62).all(axis=1)
+    faces = np.asarray(surface.real_faces, int)
+    keep, vertex = _first_seen(_sample_keys(surface, faces, n))
+    src_face = faces[keep // len(u)]
+    src_uv = np.stack([u, v], axis=1)[keep % len(u)]
+    positions = surface.eval(src_face, src_uv[:, 0], src_uv[:, 1])
+    bad = ~(np.abs(positions).max(axis=1) / tol < 2.0 ** 62)
     if bad.any():
+        at = np.argmax(bad)
         raise ConstructionError(
-            f"face {faces[np.argmax(bad) // len(u)]} evaluates to "
-            f"{positions[np.argmax(bad)].tolist()}, which cannot be welded "
-            f"at tolerance {tol:.3g}")
-    keys = np.round(scaled).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)   # welded vertices in first-seen order
+            f"face {src_face[at]} evaluates to {positions[at].tolist()}, "
+            f"which cannot be welded at tolerance {tol:.3g}")
+    # take, unlike [:, cells], returns C order and reshapes without a copy
+    triangles = np.take(vertex.reshape(len(faces), -1), cells,
+                        axis=1).reshape(-1, 3)
+    return TriangleMesh(positions=positions, triangles=triangles,
+                        src_face=src_face, src_uv=src_uv)
+
+
+def _sample_keys(surface, faces, n):
+    """int64 keys of the (n+1)^2 template samples of each of faces (u
+    running fastest), equal where two samples are one point of the mesh
+    topology; one flat array, face by face.
+
+    Keys count the mesh vertices, then n - 1 samples per half edge, then
+    (n - 1)^2 per face.  Corner c is the origin of half edge anchor + c,
+    and side c runs along that half edge; boundary sample k of a half edge
+    is sample k of the lower half edge of its twin pair, or n - k of it
+    when the half edge is the higher one.
+    """
+    mesh, m = surface.mesh, n - 1
+    he = surface.halfedges(faces)
+    twin = mesh.twin_of[he]
+    higher = (twin >= 0) & (twin < he)
+    k = np.arange(m)
+    # (F, 4, m): samples 1..n-1 along each side's half edge
+    side = mesh.num_vertices + m * np.where(higher, twin, he)[..., None] \
+        + np.where(higher[..., None], m - 1 - k, k)
+    keys = np.empty((len(faces), n + 1, n + 1), np.int64)   # [f, j, i]
+    keys[:, [0, 0, n, n], [0, n, n, 0]] = mesh.origin_of[he]
+    keys[:, 0, 1:-1] = side[:, 0]
+    keys[:, 1:-1, n] = side[:, 1]
+    keys[:, n, 1:-1] = side[:, 2, ::-1]
+    keys[:, 1:-1, 0] = side[:, 3, ::-1]
+    interior = mesh.num_vertices + m * mesh.num_halfedges + m * m * faces
+    np.add(interior[:, None, None], np.arange(m * m).reshape(m, m),
+           out=keys[:, 1:-1, 1:-1])
+    return keys.ravel()
+
+
+def _first_seen(keys):
+    """(first, index) of a 1-D key array: the position of each distinct
+    key's first occurrence, in the order of those positions, and each key's
+    row in first."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    vertex = rank[inverse.reshape(-1)]
-    keep = first[order]
-    src_face = np.repeat(np.asarray(faces, int), len(u))[keep]
-    src_uv = np.tile(np.stack([u, v], axis=1), (len(faces), 1))[keep]
-    triangles = vertex.reshape(len(faces), -1)[:, cells].reshape(-1, 3)
-    return TriangleMesh(positions=positions[keep], triangles=triangles,
-                        src_face=src_face, src_uv=src_uv)
+    return first[order], rank[inverse]
 
 
 # the complex steps (du, dv) / h of the analysis: along u, along v, along both

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import (grid_with_rotated_edge, jittered_torus, side_field,
-                      side_length, sphere_mesh, torus_with_rotated_edge)
+                      side_length, sphere_mesh, torus_grid,
+                      torus_with_rotated_edge)
 from quadspline.surface import (AUDIT_STEP, FD_STEP, WELD_REL_TOL,
                                 BuildOptions, CompositeSurface, _cross_frame,
                                 _interior_shared_edges, analysis_fields,
@@ -259,6 +260,55 @@ def test_tessellate_matches_pointwise_oracle(case):
     assert np.array_equal(tri.src_uv, uv)
 
 
+def position_weld(surf, n):
+    """(positions, triangles, source faces, source uv) of the (n+1)^2
+    samples of every face, all evaluated in one call and welded where their
+    positions round to the same multiple of the weld tolerance; a vertex
+    keeps its first sample (faces ascending, u running fastest)."""
+    verts = surf.mesh.vertices
+    tol = WELD_REL_TOL * np.linalg.norm(verts.max(axis=0) - verts.min(axis=0))
+    t = np.arange(n + 1) / n
+    u, v = (g.ravel() for g in np.meshgrid(t, t))
+    faces = np.repeat(np.asarray(surf.real_faces, int), len(u))
+    uv = np.tile(np.stack([u, v], axis=1), (len(surf.real_faces), 1))
+    positions = surf.eval(faces, uv[:, 0], uv[:, 1])
+    keys = np.round(positions / tol).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    idx = np.arange(len(u)).reshape(n + 1, n + 1)
+    a, b, c, d = idx[:-1, :-1], idx[:-1, 1:], idx[1:, 1:], idx[1:, :-1]
+    cells = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    vertex = rank[inverse.reshape(-1)].reshape(len(surf.real_faces), -1)
+    keep = first[order]
+    return (positions[keep], vertex[:, cells].reshape(-1, 3), faces[keep],
+            uv[keep])
+
+
+WELD_MESHES = {"torus": lambda: torus_grid(8, 8),
+               "sphere": lambda: sphere_mesh(2),
+               "open_ev_grid": grid_with_rotated_edge}
+WELD_OPTIONS = {"g2": BuildOptions(),
+                "g1_d3": BuildOptions(family="d3c1p2s4", mode="g1")}
+
+
+@pytest.mark.parametrize("options", sorted(WELD_OPTIONS))
+@pytest.mark.parametrize("mesh", sorted(WELD_MESHES))
+def test_topology_weld_is_bitwise_the_position_weld(mesh, options):
+    # a vertex is evaluated at the sample the position weld keeps, and the
+    # kernels give every point the same bits in any batch
+    surf = build_surface(WELD_MESHES[mesh]().build_connectivity(),
+                         WELD_OPTIONS[options])
+    for n in (1, 2, 3, 5):
+        tri = tessellate(surf, n)
+        got = (tri.positions, tri.triangles, tri.src_face, tri.src_uv)
+        for x, y in zip(got, position_weld(surf, n)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("case", ["open_ev_grid_g1", "sphere_g2"])
 def test_analysis_fields_match_pointwise_oracle(case):
     surf = surface_of(case)
@@ -331,7 +381,16 @@ def test_analysis_and_audit_evaluate_each_point_once(evaluated_points):
     surf = build_surface(jittered_torus().build_connectivity(),
                          BuildOptions())
     assert not surf.gregory
-    tri = tessellate(surf, 4)
+    n = 4
+    tri = tessellate(surf, n)
+    # one point per welded vertex: V + E (n - 1) + F (n - 1)^2, counting
+    # the vertices, edges and faces of the real faces
+    real = surf.mesh.faces[:surf.mesh.real_face_count]
+    ends = np.stack([real, np.roll(real, -1, axis=1)], axis=-1)
+    edges = np.unique(np.sort(ends.reshape(-1, 2), axis=1), axis=0)
+    assert sum(evaluated_points) == len(tri.positions) == (
+        len(np.unique(real)) + len(edges) * (n - 1)
+        + len(real) * (n - 1) ** 2)
     # three complex steps per vertex
     evaluated_points.clear()
     analysis_fields(surf, tri)

@@ -8,7 +8,8 @@ from conftest import (FIG1_POLYLINE, bowtie_grids, cube_mesh,
                       grid_with_rotated_edge, jittered_torus, open_grid,
                       torus_grid)
 from quadspline.cli import count_sign_changes, main
-from quadspline.mesh import QuadMesh, save_obj
+from quadspline.mesh import QuadMesh, load_obj, save_obj
+from quadspline.surface import build_surface, tessellate
 
 
 def write_points(path, pts):
@@ -126,9 +127,21 @@ def test_build_warns_of_nan_channels(tmp_path, capsys):
     code = main(["build", str(path), "--samples", "2"])
     err = capsys.readouterr().err
     assert code == 0
-    assert err == ("warning: 7 of 7 samples have a degenerate normal; "
+    assert err == ("warning: 9 of 9 samples have a degenerate normal; "
                    "their channels are NaN\n")
     assert "nan" in (tmp_path / "line.ply").read_text()
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_folded_quad_tessellates_without_degenerate_triangles(tmp_path, n):
+    # the quad folds onto its line, so distinct samples coincide in space;
+    # welding by topology keeps all (n + 1)^2 of them apart
+    path = tmp_path / "line.obj"
+    path.write_text(COLLINEAR_QUAD, encoding="utf-8")
+    tri = tessellate(build_surface(load_obj(path).build_connectivity()), n)
+    assert len(tri.positions) == (n + 1) ** 2
+    t = np.sort(tri.triangles, axis=1)
+    assert (t[:, 1:] != t[:, :-1]).all()
 
 
 def test_compare_without_finite_curvature_writes_null(tmp_path, capsys):
@@ -138,7 +151,7 @@ def test_compare_without_finite_curvature_writes_null(tmp_path, capsys):
                  "--out", str(tmp_path / "cmp")])
     err = capsys.readouterr().err
     assert code == 0
-    assert err.startswith("warning: 7 of 7 samples")
+    assert err.startswith("warning: 9 of 9 samples")
     results = json.loads((tmp_path / "cmp.compare.json").read_text())
     for label in ("augmented", "mean"):
         assert results[label]["mean_curvature"] == {"min": None, "max": None}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,21 @@ def test_tessellate_counts_and_welding(torus):
         # (n - 1)^2 per face: V + E (n - 1) + F (n - 1)^2 = F n^2 on a torus
         assert len(tri.positions) == torus.num_faces * n * n
         assert len(tri.triangles) == torus.num_faces * 2 * n * n
+
+
+def test_tessellate_peak_memory_stays_near_its_output():
+    # the weld numbers 1-D topology keys, and only welded vertices are
+    # evaluated: 1.65x the output here, where welding positions read 2.88x
+    surf = build_surface(sphere_mesh(3).build_connectivity(), BuildOptions())
+    tracemalloc.start()
+    try:
+        tri = tessellate(surf, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(a.nbytes for a in (tri.positions, tri.triangles, tri.src_face,
+                                 tri.src_uv))
+    assert peak <= 2.5 * out
 
 
 def test_tessellation_planar_mesh_stays_planar():
