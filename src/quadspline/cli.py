@@ -167,14 +167,10 @@ def load_points_file(path):
 
 
 def curvature_profile(curve, samples):
-    """(x, position, signed curvature) rows along the whole curve."""
+    """(x, positions, signed curvatures), arrays along the whole curve."""
     lo, hi = curve.domain()
     xs = np.linspace(lo, hi, samples, endpoint=not curve.closed)
-    rows = []
-    for x in xs:
-        p = curve.eval(x)
-        rows.append((float(x), p, sp.signed_curvature(curve, float(x))))
-    return rows
+    return xs, curve.eval(xs), sp.signed_curvature(curve, xs)
 
 
 def count_sign_changes(values, rel_tol=1e-9):
@@ -182,24 +178,19 @@ def count_sign_changes(values, rel_tol=1e-9):
     scale = np.abs(vals).max() if len(vals) else 0.0
     if scale == 0.0:
         return 0
-    signs = [v for v in vals if abs(v) > rel_tol * scale]
-    changes = 0
-    for a, b in zip(signs, signs[1:]):
-        if (a > 0) != (b > 0):
-            changes += 1
-    return changes
+    positive = vals[np.abs(vals) > rel_tol * scale] > 0
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
-def write_curve_csv(rows, path):
+def write_curve_csv(profile, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,px,py,curvature\n")
-        for x, p, kappa in rows:
+        for x, p, kappa in zip(*profile):
             fh.write(f"{x:.12g},{p[0]:.12g},{p[1]:.12g},{kappa:.12g}\n")
 
 
-def write_curve_svg(rows, points, path, comb_scale=0.25):
-    pts = np.array([p for _x, p, _k in rows])
-    kap = np.array([k for _x, _p, k in rows])
+def write_curve_svg(curve, profile, path, comb_scale=0.25):
+    _xs, pts, kap = profile
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = max(float((hi - lo).max()), 1e-12)
@@ -213,10 +204,14 @@ def write_curve_svg(rows, points, path, comb_scale=0.25):
              'width="900" height="950">']
     poly = " ".join("%.2f,%.2f" % map_pt(p) for p in pts)
     lines.append(f'<polyline points="{poly}" fill="none" stroke="black"/>')
-    # curvature comb: offset along the curve normal
-    for i in range(len(pts)):
-        j = (i + 1) % len(pts)
-        tang = pts[j] - pts[i - 1]
+    # curvature comb: offset along the curve normal, taken from the chord
+    # of the neighbouring samples (one-sided at the ends of an open curve)
+    n = len(pts)
+    for i in range(n):
+        a, b = i - 1, (i + 1) % n
+        if not curve.closed:
+            a, b = max(i - 1, 0), min(i + 1, n - 1)
+        tang = pts[b] - pts[a]
         nrm = np.array([-tang[1], tang[0]])
         ln = np.linalg.norm(nrm)
         if ln == 0:
@@ -226,7 +221,7 @@ def write_curve_svg(rows, points, path, comb_scale=0.25):
         x1, y1 = map_pt(tip)
         lines.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" '
                      f'y2="{y1:.2f}" stroke="crimson" stroke-width="0.5"/>')
-    ctrl = " ".join("%.2f,%.2f" % map_pt(p) for p in points)
+    ctrl = " ".join("%.2f,%.2f" % map_pt(p) for p in curve.points)
     lines.append(f'<polyline points="{ctrl}" fill="none" stroke="steelblue" '
                  'stroke-dasharray="4 3"/>')
     lines.append("</svg>")
@@ -246,36 +241,35 @@ def cmd_curve(args):
     alpha = alphas[args.param] if args.alpha is None else args.alpha
     curve = sp.PolylineCurve.from_points(pts, fam, alpha=alpha,
                                          closed=args.closed)
-    rows = curvature_profile(curve, args.samples)
+    profile = curvature_profile(curve, args.samples)
     stem = args.out or str(Path(args.input).with_suffix(""))
-    write_curve_csv(rows, f"{stem}.csv")
-    write_curve_svg(rows, pts, f"{stem}.svg")
-    changes = count_sign_changes([k for _x, _p, k in rows])
+    write_curve_csv(profile, f"{stem}.csv")
+    write_curve_svg(curve, profile, f"{stem}.svg")
+    changes = count_sign_changes(profile[2])
     print(f"wrote {stem}.csv and {stem}.svg; "
           f"curvature sign changes: {changes}")
     return 0
 
 
-def section_sign_changes(mesh, params, fam, samples=200):
-    """Total curvature sign changes over all closed section curves.
+def section_sign_changes(mesh, chains, params, fam, samples=200):
+    """Total curvature sign changes over the closed section curves of the
+    chains of qm.section_chains.
 
     Curves are projected to their best-fit plane, where a signed curvature
     is well defined; open polylines are skipped.
     """
     total = 0
-    for poly in qm.trace_section_polylines(mesh):
-        if not poly.closed:
+    for verts, halfedges, closed in chains:
+        if not closed:
             continue
-        curve = qm.section_polyline_curve(mesh, params, poly, fam)
-        pts = curve.points - curve.points.mean(axis=0)
-        _u, _s, vt = np.linalg.svd(pts, full_matrices=False)
-        basis = vt[:2]
-        flat = sp.PolylineCurve(curve.points @ basis.T, curve.knots, fam,
-                                closed=True)
+        pts = mesh.vertices[verts[:-1]]
+        knots = np.concatenate([[0.0], np.cumsum(params[halfedges])])
+        _u, _s, vt = np.linalg.svd(pts - pts.mean(axis=0),
+                                   full_matrices=False)
+        flat = sp.PolylineCurve(pts @ vt[:2].T, knots, fam, closed=True)
         lo, hi = flat.domain()
-        ks = [sp.signed_curvature(flat, x)
-              for x in np.linspace(lo, hi, samples, endpoint=False)]
-        total += count_sign_changes(ks)
+        total += count_sign_changes(sp.signed_curvature(
+            flat, np.linspace(lo, hi, samples, endpoint=False)))
     return total
 
 
@@ -283,6 +277,7 @@ def cmd_compare(args):
     mesh = qm.load_obj(args.input)
     mesh.build_connectivity()
     fam = sp.family(args.family)
+    chains = qm.section_chains(mesh)
     results = {}
     tris = {}
     for label, method in (("augmented", "centripetal"), ("mean", "mean")):
@@ -296,7 +291,8 @@ def cmd_compare(args):
         curv = tri.channels["mean_curvature"]
         finite = curv[np.isfinite(curv)]
         results[label] = {
-            "section_sign_changes": section_sign_changes(mesh, params, fam),
+            "section_sign_changes": section_sign_changes(mesh, chains,
+                                                         params, fam),
             "continuity": report["summary"],
             "mean_curvature": dict.fromkeys(("min", "max")) if not finite.size
             else {"min": float(finite.min()), "max": float(finite.max())},

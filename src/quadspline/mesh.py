@@ -18,6 +18,10 @@ origin(next3(a)), with u running p0->p1 and v running p0->p3.
 classify_faces gathers the w x w window of every regular face in one pass
 of table compositions and hands the windows back as arrays; a LocalGrid is
 one window as an object.
+
+section_chains gives the section polylines as chains of half edges, walked
+over a successor table of directed edges that the continuation table and
+one fans call fill.
 """
 
 from dataclasses import dataclass, field
@@ -28,10 +32,6 @@ from .errors import (DegenerateEdgeError, MeshStructureError,
                      UnsupportedFaceError, UnsupportedMeshError)
 
 DEGENERATE_REL_TOL = 1e-12  # edges shorter than this x bbox diagonal are rejected
-
-
-def edge_key(i, j):
-    return (i, j) if i < j else (j, i)
 
 
 def _undirected_edges(faces):
@@ -73,7 +73,6 @@ class QuadMesh:
         # set by build_connectivity
         self.next_of = self.prev_of = self.twin_of = None
         self.origin_of = self.cont_of = None
-        self._he_dir = None
         self._valence = None
         self._vertex_boundary = None
         self._vertex_out = None
@@ -99,10 +98,6 @@ class QuadMesh:
     def has_connectivity(self):
         return self.twin_of is not None
 
-    def edges(self):
-        """Sorted list of undirected edges (i, j) with i < j."""
-        return list(map(tuple, _undirected_edges(self.faces)[0].tolist()))
-
     # -- half-edge accessors -----------------------------------------------
     def he_face(self, h):
         return h >> 2
@@ -119,19 +114,8 @@ class QuadMesh:
     def target(self, h):
         return int(self.origin_of[self.he_next(h)])
 
-    def halfedge_between(self, i, j):
-        """Half edge i -> j, or None, from a dict made on the first call."""
-        if self._he_dir is None:
-            ends = zip(self.origin_of[:-1].tolist(),
-                       self.origin_of[self.next_of[:-1]].tolist())
-            self._he_dir = {ij: h for h, ij in enumerate(ends)}
-        return self._he_dir.get((i, j))
-
     def valence(self, v):
         return int(self._valence[v])
-
-    def is_boundary_vertex(self, v):
-        return bool(self._vertex_boundary[v])
 
     def has_boundary(self):
         return bool(np.any(self.twin_of[:-1] < 0))
@@ -164,42 +148,6 @@ class QuadMesh:
         fan[rows, count[rows]] = self.origin_of[
             self.prev_of[star[rows, count[rows] - 1]]]
         return star, fan
-
-    def fan(self, v):
-        """Neighbours of v in CCW order around it (a row of fans)."""
-        fan = self.fans([v])[1][0]
-        return fan[fan >= 0].tolist()
-
-    def continuation(self, h):
-        """Half edge continuing a grid row through target(h).
-
-        Defined only through interior valence-4 vertices (take the opposite
-        edge); returns None at boundary or extraordinary vertices.
-        """
-        g = int(self.cont_of[h])
-        return g if g >= 0 else None
-
-    def polyline_continuation(self, a, b):
-        """Vertex c continuing the section polyline a -> b past b, or None.
-
-        Through an interior vertex of valence 4 the polyline takes the
-        opposite edge (the continuation table).  At a boundary vertex of
-        valence 3 or 4, with its fan neighbours n_0, n_1, ... in order around
-        it, n_i and n_(i+2) continue each other: a boundary run, or the two
-        grid lines through a concave corner.  Every other vertex ends the
-        polyline.  The rule is symmetric, so the polylines do not depend on
-        the vertex labels.
-        """
-        if not self.is_boundary_vertex(b):
-            g = self.continuation(self.halfedge_between(a, b))
-            return None if g is None else self.target(g)
-        k = self.valence(b)
-        if k not in (3, 4):
-            return None
-        nbrs = self.fan(b)
-        i = nbrs.index(a)
-        j = i + 2 if i + 2 < k else i - 2
-        return nbrs[j] if j >= 0 else None
 
     # -- construction --------------------------------------------------------
     def build_connectivity(self):
@@ -239,7 +187,6 @@ class QuadMesh:
         self.next_of = np.append(self.he_next(h), -1)
         self.prev_of = np.append(self.he_prev(h), -1)
         self.origin_of = np.append(origin, -1)
-        self._he_dir = None
         self._valence = np.bincount(edges.ravel(), minlength=nv)
         self._vertex_boundary = np.bincount(edges[count == 1].ravel(),
                                             minlength=nv) > 0
@@ -410,68 +357,75 @@ def check_edge_params(mesh, params):
 
 # -- section polylines ---------------------------------------------------------
 
-@dataclass
-class SectionPolyline:
-    vertices: list  # closed polylines repeat the first vertex at the end
-    closed: bool
+def section_chains(mesh):
+    """All section polylines as chains of half edges; every edge belongs to
+    exactly one.
 
-    def edge_keys(self):
-        return [edge_key(self.vertices[k], self.vertices[k + 1])
-                for k in range(len(self.vertices) - 1)]
+    Returns one (vertices, halfedges, closed) per polyline: its vertex ids
+    (a closed polyline repeats its first vertex at the end) and, for each
+    step, the half edge running along it, or its twin where a boundary edge
+    runs the other way.  The knots of a polyline are the cumsum of
+    params[halfedges] after a 0.
 
-
-def trace_section_polylines(mesh):
-    """All section polylines; every edge belongs to exactly one.
-
-    Consecutive polyline edges continue each other by
-    QuadMesh.polyline_continuation; a polyline closes when it returns to its
-    starting edge and otherwise ends where it has no continuation.
+    A polyline passes through an interior vertex of valence 4 by the
+    continuation table.  At a boundary vertex of valence 3 or 4, with its
+    fan neighbours n_0, n_1, ... in order around it, n_i and n_(i+2)
+    continue each other: a boundary run, or the two grid lines through a
+    concave corner.  Every other vertex ends a polyline.  The rule is
+    symmetric, so the polylines do not depend on the vertex labels.
+    Polylines come in ascending order of their lowest edge, run from its
+    lower vertex; an open one then extends backwards.
     """
-    visited = set()
-    polylines = []
-    for a0, b0 in mesh.edges():
-        if (a0, b0) in visited:
+    edges, edge = _undirected_edges(mesh.faces)
+    nv = mesh.num_vertices
+    keys = edges[:, 0] * nv + edges[:, 1]
+    origin = mesh.origin_of[:-1]
+
+    def step(e, v):
+        """The directed edge 2e + s: edge e run from its end v = edges[e, s]."""
+        return 2 * e + (edges[e, 0] != v)
+
+    def between(i, j):
+        return step(np.searchsorted(keys, np.minimum(i, j) * nv
+                                    + np.maximum(i, j)), i)
+
+    along = np.full(2 * len(edges), -1)
+    along[step(edge, origin)] = np.arange(mesh.num_halfedges)
+    succ = np.full(2 * len(edges), -1)
+    h = np.flatnonzero(mesh.cont_of[:-1] >= 0)
+    g = mesh.cont_of[h]
+    succ[step(edge[h], origin[h])] = step(edge[g], origin[g])
+    ends = np.flatnonzero(mesh._vertex_boundary
+                          & ((mesh._valence == 3) | (mesh._valence == 4)))
+    fan = mesh.fans(ends)[1]
+    fan = np.pad(fan, ((0, 0), (0, 4 - fan.shape[1])), constant_values=-1)
+    for i, j in ((0, 2), (1, 3), (2, 0), (3, 1)):
+        at = mesh._valence[ends] > max(i, j)
+        b, a, c = ends[at], fan[at, i], fan[at, j]
+        succ[between(a, b)] = between(b, c)
+
+    succ = succ.tolist()
+    seen = np.zeros(len(edges), bool)
+    chains = []
+    for e in range(len(edges)):
+        if seen[e]:
             continue
-        visited.add((a0, b0))
-        verts = [a0, b0]
-        closed = False
-        a, b = a0, b0
-        while True:
-            c = mesh.polyline_continuation(a, b)
-            if c is None:
-                break
-            if (b, c) == (a0, b0):
-                closed = True
-                break
-            verts.append(c)
-            visited.add(edge_key(b, c))
-            a, b = b, c
-        # a closed walk already ends on the starting vertex
+        run = [2 * e]
+        while succ[run[-1]] not in (-1, 2 * e):
+            run.append(succ[run[-1]])
+        closed = succ[run[-1]] == 2 * e
         if not closed:
-            a, b = b0, a0
-            while True:
-                c = mesh.polyline_continuation(a, b)
-                if c is None:
-                    break
-                verts.insert(0, c)
-                visited.add(edge_key(b, c))
-                a, b = b, c
-        polylines.append(SectionPolyline(verts, closed))
-    return polylines
-
-
-def section_polyline_curve(mesh, params, poly, fam):
-    """Interpolating curve of a section polyline with its edge intervals."""
-    from .splines import PolylineCurve
-    verts = poly.vertices[:-1] if poly.closed else poly.vertices
-    pts = mesh.vertices[verts]
-    ds = []
-    for i, j in zip(poly.vertices[:-1], poly.vertices[1:]):
-        h = mesh.halfedge_between(i, j)
-        ds.append(params[mesh.halfedge_between(j, i) if h is None else h])
-    return PolylineCurve(pts, np.concatenate([[0.0], np.cumsum(ds)]), fam,
-                         closed=poly.closed)
-
+            back = [2 * e + 1]
+            while succ[back[-1]] != -1:
+                back.append(succ[back[-1]])
+            run = [b ^ 1 for b in back[:0:-1]] + run
+        run = np.array(run)
+        seen[run >> 1] = True
+        verts = np.append(edges[run >> 1, run & 1],
+                          edges[run[-1] >> 1, 1 - run[-1] % 2])
+        halfedges = np.where(along[run] >= 0, along[run], along[run ^ 1])
+        chains.append((verts, halfedges, closed))
+    return chains
 
 # -- local grids / classification ---------------------------------------------
 

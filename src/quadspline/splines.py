@@ -184,16 +184,17 @@ def make_knots(points, alpha=0.5, closed=False):
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     _check_finite(pts)
-    segs = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-    if closed:
-        segs.append((pts[-1], pts[0]))
-    knots = [0.0]
-    for i, (a, b) in enumerate(segs):
-        chord = float(np.linalg.norm(b - a))
-        if chord == 0.0:
-            raise DegenerateEdgeError(f"points {i} and {i + 1} coincide")
-        knots.append(knots[-1] + chord ** alpha)
-    return np.asarray(knots)
+    ends = np.concatenate([pts[1:], pts[:1]]) if closed else pts[1:]
+    diff = ends - pts[:len(ends)]
+    # sqrt of vecdot and float_power round as the scalar
+    # float(np.linalg.norm(diff[i])) ** alpha does
+    chord = np.sqrt(np.vecdot(diff, diff))
+    bad = np.flatnonzero(chord == 0.0)
+    if len(bad):
+        i = bad[0]
+        raise DegenerateEdgeError(f"points {i} and {(i + 1) % len(pts)} "
+                                  "coincide")
+    return np.concatenate([[0.0], np.cumsum(np.float_power(chord, alpha))])
 
 
 class PolylineCurve:
@@ -242,40 +243,32 @@ class PolylineCurve:
             return float(self.knots[0]), float(self.knots[-1])
         return float(self.knots[1]), float(self.knots[-2])
 
-    def _locate(self, x):
-        knots = self.knots
-        if self.closed:
-            period = knots[-1] - knots[0]
-            x = (x - knots[0]) % period + knots[0]
-            s = int(np.searchsorted(knots, x, side="right")) - 1
-            s = min(max(s, 0), len(knots) - 2)
-            return s, x - knots[s]
-        lo, hi = self.domain()
-        span = knots[-1] - knots[0]
-        if x < lo - _X_TOL * span or x > hi + _X_TOL * span:
-            raise ValueError(f"x={x} outside evaluable range [{lo}, {hi}]")
-        s = int(np.searchsorted(knots, x, side="right")) - 1
-        s = min(max(s, 1), len(self.points) - 3)
-        return s, x - knots[s]
-
-    def _window(self, s):
-        n = len(self.points)
-        if self.closed:
-            idx = [(s + off) % n for off in SUPPORT_OFFSETS]
-            d = tuple(self._d[(s + j) % n] for j in (-1, 0, 1))
-        else:
-            idx = [s + off for off in SUPPORT_OFFSETS]
-            d = tuple(self._d[s + j] for j in (-1, 0, 1))
-        return idx, d
-
     def eval(self, x, r=0):
-        """Point (r = 0) or r-th derivative vector at parameter x."""
-        s, xloc = self._locate(x)
-        idx, d = self._window(s)
-        w = fundamental_weights(self.family, xloc, d, r)
-        out = np.zeros(self.dim)
-        for k, i in enumerate(idx):
-            out += w[k] * self.points[i]
+        """Points (r = 0) or r-th derivative vectors at parameters x, a
+        scalar or an array: shape x.shape + (dim,).  r may also be a
+        sequence of orders; the result then has a leading axis over them."""
+        x = np.asarray(x, float)
+        knots, n = self.knots, len(self.points)
+        if self.closed:
+            x = (x - knots[0]) % (knots[-1] - knots[0]) + knots[0]
+            first, last = 0, n - 1
+        else:
+            lo, hi = self.domain()
+            slack = _X_TOL * (knots[-1] - knots[0])
+            outside = (x < lo - slack) | (x > hi + slack)
+            if outside.any():
+                raise ValueError(f"x={x[outside].flat[0]} outside evaluable "
+                                 f"range [{lo}, {hi}]")
+            first, last = 1, n - 3
+        s = np.clip(np.searchsorted(knots, x, side="right") - 1, first, last)
+        window = np.add.outer(SUPPORT_OFFSETS, s) % n
+        w = fundamental_weights(self.family, x - knots[s],
+                                tuple(self._d[window[:3]]), r)
+        # the weights' axis over the window first: (4, [orders,] x...)
+        w = np.moveaxis(w, -1 - x.ndim, 0)
+        out = np.zeros(w.shape[1:] + (self.dim,))
+        for k, p in enumerate(self.points[window]):
+            out += w[k][..., None] * p
         return out
 
 
@@ -302,12 +295,13 @@ def segment_coefficients(points4, d, fam):
 
 
 def signed_curvature(curve, x):
-    """Signed curvature of a planar (2D) curve at parameter x."""
+    """Signed curvature of a planar (2D) curve at parameters x, a scalar or
+    an array; 0 where the curve has zero speed."""
     if curve.dim != 2:
         raise ValueError("signed curvature requires a 2D curve")
-    d1 = curve.eval(x, 1)
-    d2 = curve.eval(x, 2)
-    speed = float(np.hypot(d1[0], d1[1]))
-    if speed == 0.0:
-        return 0.0
-    return float((d1[0] * d2[1] - d1[1] * d2[0]) / speed ** 3)
+    d1, d2 = curve.eval(x, (1, 2))
+    speed = np.hypot(d1[..., 0], d1[..., 1])
+    cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    # float_power rounds as the scalar speed ** 3 does; the array ** does not
+    return np.divide(cross, np.float_power(speed, 3), out=np.zeros_like(speed),
+                     where=speed != 0.0)

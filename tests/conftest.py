@@ -6,7 +6,7 @@ import pytest
 from quadspline import patch
 from quadspline.mesh import QuadMesh
 from quadspline.network import VecPoly
-from quadspline.splines import segment_coefficients
+from quadspline.splines import PolylineCurve, segment_coefficients
 
 
 def torus_point(theta, phi, R=2.0, r=1.0):
@@ -194,10 +194,60 @@ FIG1_POLYLINE = np.array([
     [4, 6], [3, 6], [2, 6], [1, 6], [0, 6], [-6, 3]], dtype=float)
 
 
+def halfedge(mesh, i, j):
+    """Half edges i -> j, for vertex ids i and j (scalars or arrays), -1
+    where there is none, read from the mesh's half-edge tables."""
+    h = np.arange(mesh.num_halfedges)
+    nv = mesh.num_vertices
+    ends = mesh.origin_of[h] * nv + mesh.origin_of[mesh.next_of[h]]
+    order = np.argsort(ends)
+    key = np.asarray(i) * nv + np.asarray(j)
+    at = order[np.minimum(np.searchsorted(ends, key, sorter=order),
+                          len(h) - 1)]
+    return np.where(ends[at] == key, at, -1)
+
+
 def interval(mesh, params, i, j):
-    """The interval of edge (i, j), read at either of its half edges."""
-    h = mesh.halfedge_between(i, j)
-    return params[mesh.halfedge_between(j, i) if h is None else h]
+    """The intervals of edges (i, j), read at either of their half edges."""
+    h = halfedge(mesh, i, j)
+    return params[np.where(h >= 0, h, halfedge(mesh, j, i))]
+
+
+def edges(mesh):
+    """Sorted undirected edges (i, j), i < j, of a mesh, one per half edge
+    whose twin is missing or comes first."""
+    h = np.flatnonzero(mesh.twin_of[:-1] < np.arange(mesh.num_halfedges))
+    ends = np.stack([mesh.origin_of[h], mesh.origin_of[mesh.next_of[h]]])
+    return sorted(zip(*np.sort(ends, axis=0).tolist()))
+
+
+def boundary_vertices(mesh):
+    """Boolean per vertex: whether a boundary half edge leaves it."""
+    out = np.zeros(mesh.num_vertices, bool)
+    out[mesh.origin_of[:-1][mesh.twin_of[:-1] < 0]] = True
+    return out
+
+
+def fan(mesh, v):
+    """Neighbours of vertex v in CCW order around it."""
+    row = mesh.fans([v])[1][0]
+    return row[row >= 0].tolist()
+
+
+def chain_edges(chain):
+    """The undirected edges (i, j), i < j, of a chain of section_chains,
+    in its order."""
+    verts = chain[0].tolist()
+    return [tuple(sorted(e)) for e in zip(verts[:-1], verts[1:])]
+
+
+def chain_curve(mesh, params, chain, fam):
+    """Interpolating curve of a chain of section_chains with its edge
+    intervals as knot steps."""
+    verts, halfedges, closed = chain
+    knots = np.concatenate([[0.0], np.cumsum(params[halfedges])])
+    return PolylineCurve(mesh.vertices[verts[:-1] if closed else verts],
+                         knots, fam, closed=closed)
 
 
 def knot_derivatives(curve, j, r):

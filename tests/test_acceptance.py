@@ -10,14 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (FIG1_POLYLINE, grid_with_rotated_edge, jittered_torus,
+from conftest import (FIG1_POLYLINE, boundary_vertices, chain_curve,
+                      chain_edges, grid_with_rotated_edge, jittered_torus,
                       knot_derivatives, side_length, torus_grid,
                       torus_with_rotated_edge)
 from test_gregory import fd_cross_v, one_patch, random_boundary_data
 from quadspline.cli import count_sign_changes, main
 from quadspline.mesh import (assign_edge_params, extract_local_grid,
-                             save_obj, section_polyline_curve,
-                             trace_section_polylines)
+                             save_obj, section_chains)
 from quadspline.network import tangent_with_fallback
 from quadspline.patch import SIDES, RegularPatch, _blend
 from quadspline.splines import (D3C1P2S4, D5C2P2S4, PolylineCurve,
@@ -112,10 +112,10 @@ def test_criterion_05_section_curves(perturbed_torus_12):
     mesh, params = perturbed_torus_12
     fam = D5C2P2S4
     by_edge = {}
-    for poly in trace_section_polylines(mesh):
-        curve = section_polyline_curve(mesh, params, poly, fam)
-        for k, key in enumerate(poly.edge_keys()):
-            by_edge[key] = (poly, curve, k)
+    for chain in section_chains(mesh):
+        curve = chain_curve(mesh, params, chain, fam)
+        for k, key in enumerate(chain_edges(chain)):
+            by_edge[key] = (chain, curve, k)
     rng = np.random.default_rng(105)
     side_ids = {"v0": ((1, 1), (2, 1)), "v1": ((1, 2), (2, 2)),
                 "u0": ((1, 1), (1, 2)), "u1": ((2, 1), (2, 2))}
@@ -126,15 +126,15 @@ def test_criterion_05_section_curves(perturbed_torus_12):
         ids = patch.grid.vertex_ids
         for side, ((ia, ja), (ib, jb)) in side_ids.items():
             a, b = int(ids[ia, ja]), int(ids[ib, jb])
-            poly, curve, seg = by_edge[tuple(sorted((a, b)))]
-            verts = poly.vertices
+            chain, curve, seg = by_edge[tuple(sorted((a, b)))]
+            verts = chain[0]
             forward = verts[seg] == a
             x0 = curve.knots[seg if forward else seg + 1]
             d_edge = side_length(patch, side)
-            for t in rng.uniform(0.0, 1.0, 20):
-                on_patch = patch.eval(*uv_of[side](t))
-                x = x0 + t * d_edge if forward else x0 - t * d_edge
-                assert np.linalg.norm(on_patch - curve.eval(x)) < 1e-10
+            t = rng.uniform(0.0, 1.0, 20)
+            x = x0 + t * d_edge if forward else x0 - t * d_edge
+            gap = patch.eval(*uv_of[side](t)) - curve.eval(x)
+            assert np.linalg.norm(gap, axis=-1).max() < 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(5, f"all patch boundaries on their section curves to 1e-10 "
@@ -216,8 +216,8 @@ def test_criterion_07_gregory_interpolation_contract():
 def test_criterion_08_planar_end_to_end():
     start = time.perf_counter()
     mesh = grid_with_rotated_edge(8, 8, at=(3, 3)).build_connectivity()
-    valences = {mesh.valence(v) for v in range(mesh.num_vertices)
-                if not mesh.is_boundary_vertex(v)}
+    valences = {mesh.valence(v) for v in
+                np.flatnonzero(~boundary_vertices(mesh))}
     assert {3, 4, 5} <= valences
     surf = build_surface(mesh, BuildOptions(family="d5c2p2s4", mode="g2"))
     tri = tessellate(surf, 6)

@@ -9,6 +9,7 @@ from conftest import (FIG1_POLYLINE, bowtie_grids, cube_mesh,
                       torus_grid)
 from quadspline.cli import count_sign_changes, main
 from quadspline.mesh import QuadMesh, load_obj, save_obj
+from quadspline.splines import PolylineCurve, family
 from quadspline.surface import build_surface, tessellate
 
 
@@ -313,6 +314,38 @@ def test_curve_one_number_line_exit_1(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and ":3:" in err
     assert not (tmp_path / "short.csv").exists()
+
+
+def test_curve_closing_repeat_names_the_first_point(tmp_path, capsys):
+    pts_file = tmp_path / "loop.txt"
+    write_points(pts_file, [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
+    code = main(["curve", str(pts_file), "--out", str(tmp_path / "loop")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: points 4 and 0 coincide\n"
+
+
+def test_open_curve_comb_ends_are_normal_to_the_curve(tmp_path):
+    """The first and last tooth of an open curve's curvature comb lie within
+    2 degrees of the curve normal at the ends of its domain.  Their one-sided
+    chords span one of 49 sample steps; a chord wrapped round to the other
+    end tilted both by 74 degrees."""
+    pts = [(x, x * x) for x in np.linspace(-2.0, 2.0, 9)]
+    pts_file = tmp_path / "parabola.txt"
+    write_points(pts_file, pts)
+    assert main(["curve", str(pts_file), "--open", "--samples", "50",
+                 "--out", str(tmp_path / "parabola")]) == 0
+    teeth = [line for line in (tmp_path / "parabola.svg").read_text()
+             .splitlines() if line.startswith("<line")]
+    assert len(teeth) == 50
+    curve = PolylineCurve.from_points(pts, family("d5c2p2s4"))
+    for tooth, x in zip((teeth[0], teeth[-1]), curve.domain()):
+        x1, y1, x2, y2 = map(float, re.findall(r'"(-?[0-9.]+)"', tooth)[:4])
+        # the SVG's y axis points down
+        direction = np.array([x2 - x1, y1 - y2])
+        tangent = curve.eval(x, 1)
+        cos = abs(direction @ tangent) / (np.linalg.norm(direction)
+                                          * np.linalg.norm(tangent))
+        assert np.degrees(np.arcsin(cos)) < 2.0
 
 
 def test_curve_too_few_points_is_usage_error(tmp_path):

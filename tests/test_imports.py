@@ -18,15 +18,15 @@ EXPORTS = {
     "BuildOptions", "CompositeSurface", "ConstructionError", "D3C1P2S4",
     "D5C2P2S4", "DegenerateEdgeError", "FAMILIES", "FitError",
     "GregoryPatch", "LocalGrid", "MeshStructureError", "PolylineCurve",
-    "QuadMesh", "RegularPatch", "SectionPolyline", "SplineFamily",
-    "TriangleMesh", "UnsupportedFaceError", "UnsupportedMeshError",
-    "analysis_fields", "assign_edge_params", "build_cross_field_chi",
-    "build_cross_field_xi", "build_missing_boundary_curve", "build_surface",
-    "classify_faces", "continuity_report", "directional_derivs", "export_ply",
+    "QuadMesh", "RegularPatch", "SplineFamily", "TriangleMesh",
+    "UnsupportedFaceError", "UnsupportedMeshError", "analysis_fields",
+    "assign_edge_params", "build_cross_field_chi", "build_cross_field_xi",
+    "build_missing_boundary_curve", "build_surface", "classify_faces",
+    "continuity_report", "directional_derivs", "export_ply",
     "extract_local_grid", "extrapolate_boundary_layer", "family",
     "fit_guide_polynomial", "fundamental_weights", "guide_points",
     "hermite_basis", "load_obj", "make_knots", "planar_angles", "save_obj",
-    "section_polyline_curve", "tessellate", "trace_section_polylines",
+    "section_chains", "tessellate",
 }
 
 BLOCK_EXTRAS = """

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import (bowtie_grids, grid_with_rotated_edge, interval,
+from conftest import (boundary_vertices, bowtie_grids, chain_edges, edges,
+                      grid_with_rotated_edge, halfedge, interval,
                       jittered_torus, l_grid, open_grid, sphere_mesh,
                       torus_grid, torus_with_rotated_edge)
 from quadspline.errors import (DegenerateEdgeError, MeshStructureError,
                                UnsupportedFaceError, UnsupportedMeshError)
 from quadspline.mesh import (QuadMesh, _components, assign_edge_params,
-                             classify_faces, edge_key, extract_local_grid,
+                             classify_faces, extract_local_grid,
                              extrapolate_boundary_layer, load_obj, save_obj,
-                             trace_section_polylines)
+                             section_chains)
 from quadspline.surface import build_surface
 
 
@@ -20,7 +21,7 @@ def test_load_save_roundtrip(tmp_path, cube):
     assert np.allclose(mesh.vertices, cube.vertices)
     assert np.array_equal(mesh.faces, cube.faces)
     assert mesh.num_vertices == 8 and mesh.num_faces == 6
-    assert len(mesh.edges()) == 12
+    assert len(edges(mesh.build_connectivity())) == 12
 
 
 def test_load_obj_rejects_triangles(tmp_path):
@@ -52,8 +53,8 @@ def test_half_edge_algebra(torus):
 def test_torus_valences_and_euler(torus):
     for v in range(torus.num_vertices):
         assert torus.valence(v) == 4
-        assert not torus.is_boundary_vertex(v)
-    V, E, F = torus.num_vertices, len(torus.edges()), torus.num_faces
+    assert not boundary_vertices(torus).any()
+    V, E, F = torus.num_vertices, len(edges(torus)), torus.num_faces
     assert V - E + F == 0  # genus 1
 
 
@@ -67,7 +68,7 @@ def test_open_grid_boundary_count():
     mesh = open_grid(3, 3).build_connectivity()
     boundary = [h for h in range(mesh.num_halfedges) if mesh.twin_of[h] < 0]
     assert len(boundary) == 12  # perimeter edges of a 3x3 face grid
-    V, E, F = mesh.num_vertices, len(mesh.edges()), mesh.num_faces
+    V, E, F = mesh.num_vertices, len(edges(mesh)), mesh.num_faces
     assert V - E + F == 1  # disk
 
 
@@ -122,7 +123,7 @@ def test_edge_params_methods(torus):
     assert (uniform == 1.0).all()
     chordal = assign_edge_params(torus, "chordal")
     centri = assign_edge_params(torus, "centripetal")
-    for i, j in torus.edges():
+    for i, j in edges(torus):
         ln = np.linalg.norm(torus.vertices[i] - torus.vertices[j])
         assert interval(torus, chordal, i, j) == pytest.approx(ln)
         assert interval(torus, centri, i, j) == pytest.approx(np.sqrt(ln))
@@ -135,17 +136,17 @@ PIN_MESHES = {"perturbed_torus": lambda: torus_grid(12, 12, perturb=0.05),
 def _ribbon_means(mesh, values):
     """{edge: mean of values over its ribbon}, each sum taken in sorted edge
     order, for values {edge: float}."""
-    edges = mesh.edges()
-    index = {e: k for k, e in enumerate(edges)}
-    quads = [[index[edge_key(f[c], f[(c + 1) % 4])] for c in range(4)]
+    keys = edges(mesh)
+    index = {e: k for k, e in enumerate(keys)}
+    quads = [[index[tuple(sorted((f[c], f[(c + 1) % 4])))] for c in range(4)]
              for f in mesh.faces.tolist()]
-    ribbon = _components(len(edges), [q[c] for q in quads for c in (0, 1)],
+    ribbon = _components(len(keys), [q[c] for q in quads for c in (0, 1)],
                          [q[c] for q in quads for c in (2, 3)]).tolist()
     sums, counts = {}, {}
-    for e, r in zip(edges, ribbon):
+    for e, r in zip(keys, ribbon):
         sums[r] = sums.get(r, 0.0) + values[e]
         counts[r] = counts.get(r, 0) + 1
-    return {e: sums[r] / counts[r] for e, r in zip(edges, ribbon)}
+    return {e: sums[r] / counts[r] for e, r in zip(keys, ribbon)}
 
 
 # (method, alpha, exponent); mean needs a regular mesh, so the torus only
@@ -163,11 +164,11 @@ def test_edge_params_equal_scalar_norm_powers_bitwise(name, method, alpha, a):
     params = assign_edge_params(mesh, method, alpha)
     P = mesh.vertices
     want = {(i, j): float(np.linalg.norm(P[i] - P[j])) ** a
-            for i, j in mesh.edges()}
+            for i, j in edges(mesh)}
     if method == "mean":
         want = _ribbon_means(mesh, want)
     got = [params[h] for h in range(mesh.num_halfedges)]
-    assert got == [want[edge_key(mesh.origin(h), mesh.target(h))]
+    assert got == [want[tuple(sorted((mesh.origin(h), mesh.target(h))))]
                    for h in range(mesh.num_halfedges)]
     assert params[-1] == 1.0
 
@@ -220,7 +221,7 @@ def test_mean_rejects_extraordinary(cube):
 def test_mean_on_uniform_torus_equals_centripetal(torus):
     mean = assign_edge_params(torus, "mean")
     centri = assign_edge_params(torus, "centripetal")
-    for i, j in torus.edges():
+    for i, j in edges(torus):
         v, ribbonwise = (interval(torus, p, i, j) for p in (mean, centri))
         # uniform-ish torus: meridian ribbons are uniform so values match
         # along meridians; longitudes vary by ring but are constant per ring
@@ -394,13 +395,12 @@ def test_windows_follow_mesh_edges(name, w):
             assert ids[c, c + 1] == mesh.origin(mesh.he_prev(anchor))
             lines = [ids[:, j] for j in range(w)] + [ids[i] for i in range(w)]
             for line in lines:
-                for a, b in zip(line[:-1], line[1:]):
-                    assert (mesh.halfedge_between(a, b) is not None
-                            or mesh.halfedge_between(b, a) is not None)
+                assert (np.maximum(halfedge(mesh, line[:-1], line[1:]),
+                                   halfedge(mesh, line[1:], line[:-1]))
+                        >= 0).all()
 
             def intervals(line):
-                return [interval(mesh, params, a, b)
-                        for a, b in zip(line[:-1], line[1:])]
+                return interval(mesh, params, line[:-1], line[1:]).tolist()
 
             assert list(grid.d0) == intervals(ids[:, c])
             assert list(grid.d1) == intervals(ids[:, c + 1])
@@ -417,46 +417,64 @@ def test_extract_on_extraordinary_raises(cube):
 
 
 def test_section_polylines_torus(torus):
-    polys = trace_section_polylines(torus)
-    assert len(polys) == 16  # 8 + 8 on an 8x8 torus
-    assert all(p.closed for p in polys)
-    lengths = sorted(len(p.vertices) - 1 for p in polys)
+    chains = section_chains(torus)
+    assert len(chains) == 16  # 8 + 8 on an 8x8 torus
+    assert all(closed for _v, _h, closed in chains)
+    lengths = sorted(len(verts) - 1 for verts, _h, _c in chains)
     assert lengths == [8] * 16
-    covered = [k for p in polys for k in p.edge_keys()]
-    assert len(covered) == len(torus.edges())
+    covered = [k for c in chains for k in chain_edges(c)]
+    assert len(covered) == len(edges(torus))
     assert len(set(covered)) == len(covered)
 
 
 def test_section_polylines_rectangular_torus():
     mesh = torus_grid(6, 4).build_connectivity()
-    polys = trace_section_polylines(mesh)
-    assert len(polys) == 6 + 4
-    lengths = sorted(len(p.vertices) - 1 for p in polys)
+    chains = section_chains(mesh)
+    assert len(chains) == 6 + 4
+    lengths = sorted(len(verts) - 1 for verts, _h, _c in chains)
     assert lengths == [4] * 6 + [6] * 4  # 6 rings of 4 and 4 rings of 6
 
 
 def test_section_polylines_open_grid():
     mesh = open_grid(4, 3).build_connectivity()
-    polys = trace_section_polylines(mesh)
-    assert all(not p.closed for p in polys)
+    chains = section_chains(mesh)
+    assert all(not closed for _v, _h, closed in chains)
     # rows and columns of the grid
-    assert len(polys) == (4 + 1) + (3 + 1)
-    covered = [k for p in polys for k in p.edge_keys()]
-    assert len(covered) == len(mesh.edges())
+    assert len(chains) == (4 + 1) + (3 + 1)
+    covered = [k for c in chains for k in chain_edges(c)]
+    assert len(covered) == len(edges(mesh))
     assert len(set(covered)) == len(covered)
 
 
 def test_section_polylines_stop_at_extraordinary():
     mesh = torus_with_rotated_edge(10, 10).build_connectivity()
-    polys = trace_section_polylines(mesh)
-    covered = [k for p in polys for k in p.edge_keys()]
-    assert len(set(covered)) == len(covered) == len(mesh.edges())
-    for p in polys:
-        if not p.closed:
-            assert mesh.valence(p.vertices[0]) != 4
-            assert mesh.valence(p.vertices[-1]) != 4
-            for v in p.vertices[1:-1]:
+    chains = section_chains(mesh)
+    covered = [k for c in chains for k in chain_edges(c)]
+    assert len(set(covered)) == len(covered) == len(edges(mesh))
+    for verts, _h, closed in chains:
+        if not closed:
+            assert mesh.valence(verts[0]) != 4
+            assert mesh.valence(verts[-1]) != 4
+            for v in verts[1:-1]:
                 assert mesh.valence(v) == 4
+
+
+@pytest.mark.parametrize("name", ["torus", "open_grid", "l_grid",
+                                  "torus_rotated", "grid_rotated"])
+def test_section_chain_half_edges_run_along_their_steps(name):
+    mesh = {"torus": lambda: torus_grid(6, 4),
+            "open_grid": lambda: open_grid(4, 3), "l_grid": l_grid,
+            "torus_rotated": lambda: torus_with_rotated_edge(10, 10),
+            "grid_rotated": grid_with_rotated_edge}[name]().build_connectivity()
+    for verts, halfedges, closed in section_chains(mesh):
+        assert len(halfedges) == len(verts) - 1
+        assert verts[0] == verts[-1] or not closed
+        ends = np.sort([mesh.origin_of[halfedges],
+                        mesh.origin_of[mesh.next_of[halfedges]]], axis=0)
+        assert np.array_equal(ends, np.sort([verts[:-1], verts[1:]], axis=0))
+        # the half edge runs the chain's way wherever one does
+        ahead = halfedge(mesh, verts[:-1], verts[1:])
+        assert np.array_equal(halfedges[ahead >= 0], ahead[ahead >= 0])
 
 
 def test_section_polylines_do_not_depend_on_labels():
@@ -468,16 +486,16 @@ def test_section_polylines_do_not_depend_on_labels():
                           back.argsort()[mesh.faces]).build_connectivity()
     partitions = []
     for m, old in ((mesh, np.arange(mesh.num_vertices)), (relabelled, back)):
-        polys = trace_section_polylines(m)
-        covered = [k for p in polys for k in p.edge_keys()]
-        assert len(set(covered)) == len(covered) == len(m.edges()) == 66
-        assert len(polys) == 7 + 7
-        for p in polys:
-            xy = m.vertices[p.vertices, :2]
+        chains = section_chains(m)
+        covered = [k for c in chains for k in chain_edges(c)]
+        assert len(set(covered)) == len(covered) == len(edges(m)) == 66
+        assert len(chains) == 7 + 7
+        for verts, _h, _c in chains:
+            xy = m.vertices[verts, :2]
             assert (xy[:, 0] == xy[0, 0]).all() or (xy[:, 1] == xy[0, 1]).all()
-        partitions.append({frozenset(edge_key(int(old[a]), int(old[b]))
-                                     for a, b in p.edge_keys())
-                           for p in polys})
+        partitions.append({frozenset(tuple(sorted((int(old[a]), int(old[b]))))
+                                     for a, b in chain_edges(c))
+                           for c in chains})
     assert partitions[0] == partitions[1]
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import side_field, side_length, torus_grid
+from conftest import (chain_curve, chain_edges, halfedge, side_field,
+                      side_length, torus_grid)
 from quadspline.mesh import (assign_edge_params, extract_local_grid,
-                             section_polyline_curve, trace_section_polylines)
+                             section_chains)
 from quadspline.patch import SIDES, RegularPatch, _blend
 from quadspline.splines import D3C1P2S4, D5C2P2S4, fundamental_weights
 
@@ -59,20 +60,19 @@ def test_section_curve_property(fam):
     """Patch boundaries lie on the univariate curves of the section
     polylines."""
     mesh, params = perturbed_torus(fam)
-    polys = trace_section_polylines(mesh)
     by_edge = {}
-    for p in polys:
-        for k in p.edge_keys():
-            by_edge[k] = p
+    for chain in section_chains(mesh):
+        for k in chain_edges(chain):
+            by_edge[k] = chain
     rng = np.random.default_rng(5)
     for face in (0, 9, 27):
         patch = make_patch(mesh, params, face, fam)
         ids = patch.grid.vertex_ids
         # v1 boundary runs between grid vertices (0,1) and (1,1)
         a, b = int(ids[1, 2]), int(ids[2, 2])
-        poly = by_edge[tuple(sorted((a, b)))]
-        curve = section_polyline_curve(mesh, params, poly, fam)
-        verts = poly.vertices[:-1]
+        chain = by_edge[tuple(sorted((a, b)))]
+        curve = chain_curve(mesh, params, chain, fam)
+        verts = chain[0][:-1].tolist()
         ia = verts.index(a)
         d_edge = side_length(patch, "v1")
         forward = verts[(ia + 1) % len(verts)] == b
@@ -205,7 +205,7 @@ def test_boundary_scaling_delta_values():
     params = uniform.copy()
     ids = ps.grid.vertex_ids
     for j in range(4):
-        h = mesh.halfedge_between(int(ids[1, j]), int(ids[2, j]))
+        h = int(halfedge(mesh, ids[1, j], ids[2, j]))
         params[[h, int(mesh.twin_of[h])]] = 4.0
     ps2 = make_patch(mesh, params, mesh.he_face(h_s), fam,
                      anchor=mesh.he_next(h_s))

@@ -195,23 +195,6 @@ def test_grid_side_jets_of_a_build_follow_the_gregory_faces(monkeypatch):
     assert points[0] == points[1] > 0
 
 
-def test_a_build_makes_no_directed_edge_dict():
-    mesh = grid_with_rotated_edge(7, 7).build_connectivity()
-    surf = build_surface(mesh, BuildOptions())
-    assert mesh._he_dir is None and surf.mesh._he_dir is None
-    # made on the first lookup, and answering as the tables do
-    for m in (mesh, surf.mesh):
-        h = np.arange(m.num_halfedges)
-        origin, target = m.origin_of[h], m.origin_of[m.next_of[h]]
-        assert [m.halfedge_between(i, j) for i, j
-                in zip(origin.tolist(), target.tolist())] == h.tolist()
-        assert m._he_dir is not None
-        assert m.halfedge_between(int(origin[0]), int(origin[0])) is None
-    boundary = np.flatnonzero(mesh.twin_of[:-1] < 0)[0]
-    assert mesh.halfedge_between(mesh.target(boundary),
-                                 mesh.origin(boundary)) is None
-
-
 # tracemalloc peaks of analysis_fields and continuity_report on
 # sphere_mesh(2) at n = 4, numpy 2.4: 1.52 and 1.61 MB (1.64 MB for both in
 # one trace), with the analysis taking EVAL_CHUNK // 4 = 512 vertices and

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import knot_derivatives
 from quadspline.errors import DegenerateEdgeError
+from quadspline.network import VecPoly
 from quadspline.splines import (D3C1P2S4, D5C2P2S4, PolylineCurve, family,
                                 fundamental_weights, make_knots,
-                                segment_coefficients)
+                                segment_coefficients, signed_curvature)
 
 BOTH = [D3C1P2S4, D5C2P2S4]
 
@@ -273,6 +276,57 @@ def test_open_curve_domain_error(fam):
         curve.eval(lo - 0.5)
     with pytest.raises(ValueError):
         curve.eval(hi + 0.5)
+
+
+def segment_oracle(curve, x, r):
+    """r-th derivative of a PolylineCurve at one x, from the
+    segment_coefficients of the segment holding x, found by a scan of the
+    knots."""
+    n, knots = len(curve.points), curve.knots
+    segments = range(n) if curve.closed else range(1, n - 2)
+    if curve.closed:
+        x = knots[0] + (x - knots[0]) % (knots[-1] - knots[0])
+    s = max([k for k in segments if knots[k] <= x], default=segments[0])
+    window = (s + np.arange(-1, 3)) % n
+    coeffs = segment_coefficients(curve.points[window],
+                                  np.diff(knots)[window[:3]], curve.family)
+    return VecPoly(coeffs).eval(x - knots[s], r)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("fam", BOTH)
+def test_curve_eval_on_arrays_matches_segment_polynomials(fam, closed, r):
+    rng = np.random.default_rng(12)
+    pts = rng.normal(size=(9, 3))
+    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 2.0, 9))])
+    curve = PolylineCurve(pts, knots if closed else knots[:-1], fam, closed)
+    lo, hi = curve.domain()
+    # closed curves wrap: x runs over three periods
+    span = hi - lo if closed else 0.0
+    x = rng.uniform(lo - span, hi + span, (4, 25))
+    x[0, :4] = lo, hi, curve.knots[2], curve.knots[3]
+    got = curve.eval(x, r)
+    assert got.shape == x.shape + (3,)
+    want = np.array([segment_oracle(curve, t, r)
+                     for t in x.ravel()]).reshape(got.shape)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # a scalar x gives one point, and a sequence of orders stacks them
+    assert np.array_equal(curve.eval(x[1, 3], r), got[1, 3])
+    assert np.array_equal(curve.eval(x, (r, 0))[0], got)
+
+
+@pytest.mark.parametrize("fam", BOTH)
+def test_signed_curvature_of_a_stalled_curve_is_zero(fam):
+    """Where a curve's speed is 0, as everywhere on a curve whose points all
+    coincide, its signed curvature reads 0, without a RuntimeWarning."""
+    curve = PolylineCurve(np.zeros((5, 2)), np.arange(6.0), fam, closed=True)
+    x = np.linspace(0.0, 5.0, 23)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kappa = signed_curvature(curve, x)
+        assert signed_curvature(curve, 2.5) == 0.0
+    assert kappa.shape == x.shape and not kappa.any()
 
 
 @pytest.mark.parametrize("fam", BOTH)

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (cube_mesh, grid_with_rotated_edge, jittered_torus,
-                      open_grid, side_field, side_length, sphere_mesh,
-                      torus_grid, torus_with_rotated_edge)
+from conftest import (cube_mesh, fan, grid_with_rotated_edge, halfedge,
+                      jittered_torus, open_grid, side_field, side_length,
+                      sphere_mesh, torus_grid, torus_with_rotated_edge)
 from test_batched import oracle_channels
 from quadspline.mesh import classify_faces, extract_local_grid
 from quadspline.patch import SIDES, GridPatchSet, RegularPatch
@@ -497,8 +497,8 @@ def test_guide_derivatives_keep_tangent_scale():
     fits = _GregoryBuilder(surf)._vertex_fits(np.arange(8))
     for v in range(8):
         assert mesh.valence(v) == 3
-        nbrs = mesh.fan(v)
-        ds = [surf.params[mesh.halfedge_between(v, c)] for c in nbrs]
+        nbrs = fan(mesh, v)
+        ds = surf.params[halfedge(mesh, v, nbrs)]
         pts = mesh.vertices[nbrs]
         tans = [net.tangent_with_fallback(mesh.vertices[v], pts, ds, i)
                 for i in range(3)]
