@@ -5,10 +5,10 @@ from .errors import (ConstructionError, DegenerateEdgeError, FitError,
                      UnsupportedMeshError)
 from .splines import (D3C1P2S4, D5C2P2S4, FAMILIES, PolylineCurve,
                       SplineFamily, family, fundamental_weights, make_knots)
-from .mesh import (LocalGrid, QuadMesh, assign_edge_params, classify_faces,
-                   extract_local_grid, extrapolate_boundary_layer, load_obj,
-                   save_obj, section_chains)
-from .patch import RegularPatch
+from .mesh import (QuadMesh, assign_edge_params, classify_faces,
+                   extrapolate_boundary_layer, load_obj, save_obj,
+                   section_chains)
+from .patch import LocalGrid, RegularPatch
 from .network import (build_cross_field_chi, build_cross_field_xi,
                       build_missing_boundary_curve, directional_derivs,
                       fit_guide_polynomial, guide_points, planar_angles)

@@ -1,4 +1,4 @@
-"""Quad-mesh connectivity, per-edge parameter intervals and local grids.
+"""Quad-mesh connectivity, per-edge parameter intervals and grid windows.
 
 Half edges are indexed 4*f + c for face f and corner c.  All faces are quads
 with consistent CCW orientation; an interior edge has exactly two half edges
@@ -15,16 +15,14 @@ Local uv frames of a face are fixed by an anchor half edge a: the corners are
 p0 = origin(a), p1 = origin(next(a)), p2 = origin(next2(a)), p3 =
 origin(next3(a)), with u running p0->p1 and v running p0->p3.
 
-classify_faces gathers the w x w window of every regular face in one pass
-of table compositions and hands the windows back as arrays; a LocalGrid is
-one window as an object.
+classify_faces gathers the 4 x 4 vertex window of every regular face, with
+its row and column intervals, in one pass of table compositions and hands
+the windows back as arrays.
 
 section_chains gives the section polylines as chains of half edges, walked
 over a successor table of directed edges that the continuation table and
 one fans call fill.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -238,30 +236,35 @@ class QuadMesh:
 # -- OBJ I/O ----------------------------------------------------------------
 
 def load_obj(path):
-    """Read a quad-only Wavefront OBJ (v/f records; everything else skipped)."""
+    """Read a quad-only Wavefront OBJ (v/f records; everything else skipped).
+    A malformed v or f record raises an error that names path:line."""
     verts = []
     faces = []
     warnings = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "v":
-                if len(parts) < 4:
-                    raise MeshStructureError(f"malformed vertex line: {line!r}")
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                try:
+                    verts.append([float(parts[k]) for k in (1, 2, 3)])
+                except (IndexError, ValueError):
+                    raise MeshStructureError(
+                        f"{path}:{lineno}: expected 'v x y z'") from None
             elif parts[0] == "f":
-                idx = []
-                for tok in parts[1:]:
-                    vi = tok.split("/")[0]
-                    idx.append(int(vi))
+                try:
+                    idx = [int(tok.split("/")[0]) for tok in parts[1:]]
+                except ValueError:
+                    raise MeshStructureError(f"{path}:{lineno}: face indices "
+                                             "must be integers") from None
                 if len(idx) != 4:
                     raise UnsupportedFaceError(
-                        f"face {len(faces)} has {len(idx)} vertices; "
-                        "only quads are supported")
-                if any(i <= 0 for i in idx):
-                    raise MeshStructureError("only positive OBJ indices supported")
+                        f"{path}:{lineno}: face {len(faces)} has {len(idx)} "
+                        "vertices; only quads are supported")
+                if min(idx) <= 0:
+                    raise MeshStructureError(f"{path}:{lineno}: only positive "
+                                             "OBJ indices are supported")
                 faces.append([i - 1 for i in idx])
             else:
                 warnings += 1
@@ -427,45 +430,12 @@ def section_chains(mesh):
         chains.append((verts, halfedges, closed))
     return chains
 
-# -- local grids / classification ---------------------------------------------
+# -- grid windows / classification -------------------------------------------
 
-@dataclass
-class LocalGrid:
-    """w x w vertex window around a face plus its boundary intervals.
-
-    points[i + half - 1, j + half - 1] holds p_{i,j} for i, j in
-    [-half+1, half]; d0/d1 are the bottom/top row intervals d_{i,0}, d_{i,1}
-    and e0/e1 the left/right column intervals, each of length w - 1 indexed
-    the same way.
-    """
-    face: int
-    anchor: int
-    w: int
-    points: np.ndarray
-    vertex_ids: np.ndarray
-    d0: np.ndarray = field(default=None)
-    d1: np.ndarray = field(default=None)
-    e0: np.ndarray = field(default=None)
-    e1: np.ndarray = field(default=None)
-
-
-def local_grid(anchor, vertex_ids, points, intervals=()):
-    """The LocalGrid of one window, with its interval rows d0, d1, e0, e1
-    (4, w - 1) when given."""
-    anchor = int(anchor)
-    return LocalGrid(anchor >> 2, anchor, len(vertex_ids), points,
-                     vertex_ids, *intervals)
-
-
-def _check_width(w):
-    if w < 4 or w % 2:
-        raise ValueError(f"window width must be even and at least 4, not {w}")
-
-
-def _grids(mesh, anchors, w, params):
-    """(anchors, vertex ids (n, w, w), intervals (n, 4, w - 1) or None
-    without params) of the anchor half edges whose w x w window exists, in
-    their given order, laid out as in local_grid.
+def _grids(mesh, anchors, params):
+    """(anchors, vertex ids (n, 4, 4), intervals (n, 4, 3)) of the anchor
+    half edges whose 4 x 4 window exists, in their given order; a window and
+    its rows d0, d1, e0, e1 are laid out as patch.LocalGrid describes.
 
     Every window cell is a fixed composition of the half-edge tables from
     its anchor.  A window exists where every composition is defined and all
@@ -473,25 +443,19 @@ def _grids(mesh, anchors, w, params):
     """
     N, P, T, O, C = (mesh.next_of, mesh.prev_of, mesh.twin_of,
                      mesh.origin_of, mesh.cont_of)
-    half = w // 2
 
     def line(h):
-        """(n, w - 1) half edges at offsets -half+1..half-1 along the grid
-        line through h (offset 0), indexed by offset + half - 1."""
-        ahead, behind = [h], [h]
-        for _ in range(half - 1):
-            ahead.append(C[ahead[-1]])
-            behind.append(T[C[T[behind[-1]]]])
-        return np.stack(behind[:0:-1] + ahead, axis=1)
+        """(n, 3) half edges at offsets -1, 0, 1 along the grid line through
+        h."""
+        return np.stack([T[C[T[h]]], h, C[h]], axis=1)
 
     # columns 0 and 1 as vertical half edges (0,j)->(0,j+1), (1,j)->(1,j+1)
-    # and the window rows y = 1..w-2 as horizontal ones (i,j)->(i+1,j), with
-    # y = j + half - 1
+    # and the window rows y = 1, 2 as horizontal ones (i,j)->(i+1,j), with
+    # y = j + 1
     col0, col1 = line(T[P[anchors]]), line(N[anchors])
-    rows = np.stack([line(N[T[col0[:, y]]]) for y in range(1, w - 1)], axis=1)
+    rows = np.stack([line(N[T[col0[:, y]]]) for y in (1, 2)], axis=1)
     # [n, y, k]: the vertex each row half edge k writes at x = k (lo) and at
-    # x = k + 1 (hi); rows 0 and w - 1 come from the faces across rows 1 and
-    # w - 2
+    # x = k + 1 (hi); rows 0 and 3 come from the faces across rows 1 and 2
     below, above = T[rows[:, 0]], rows[:, -1]
     lo = np.concatenate([O[N[N[below]]][:, None], O[rows],
                          O[P[above]][:, None]], axis=1)
@@ -503,39 +467,21 @@ def _grids(mesh, anchors, w, params):
     found = np.flatnonzero(exists)
     ids = np.concatenate([lo[found, :, :1], hi[found]],
                          axis=2).transpose(0, 2, 1)
-    if params is None:
-        return anchors[found], ids, None
     # rows j = 0, 1 and columns 0, 1: d0, d1, e0, e1 of each window
     return anchors[found], ids, params[np.stack(
-        [rows[found, half - 2], rows[found, half - 1], col0[found],
-         col1[found]], axis=1)]
+        [rows[found, 0], rows[found, 1], col0[found], col1[found]], axis=1)]
 
 
-def extract_local_grid(mesh, params, face, w=4, anchor=None):
-    """Local grid of a regular face; raises UnsupportedMeshError otherwise."""
-    _check_width(w)
-    if anchor is None:
-        anchor = mesh.canonical_halfedge(face)
-    elif mesh.he_face(anchor) != face:
-        raise ValueError("anchor half edge does not belong to the face")
-    anchors, ids, intervals = _grids(mesh, np.array([anchor]), w, params)
-    if not len(anchors):
-        raise UnsupportedMeshError(f"face {face} has no {w}x{w} vertex grid")
-    return local_grid(anchors[0], ids[0], mesh.vertices[ids[0]],
-                      () if intervals is None else intervals[0])
-
-
-def classify_faces(mesh, w=4, params=None):
-    """Split real faces into regular and extraordinary for support width w.
+def classify_faces(mesh, params):
+    """Split real faces into regular ones, those with a 4 x 4 window at
+    their canonical anchor, and extraordinary ones.
 
     Returns (anchors, vertex_ids, intervals, extraordinary): the windows of
     the regular faces in ascending face order, at their canonical anchors,
-    as _grids gives them (intervals None without params), and the other
-    faces as an int array.
+    as _grids gives them, and the other faces as an int array.
     """
-    _check_width(w)
     real = np.arange(mesh.real_face_count)
-    anchors, ids, intervals = _grids(mesh, mesh.canonical_halfedge(real), w,
+    anchors, ids, intervals = _grids(mesh, mesh.canonical_halfedge(real),
                                      params)
     return anchors, ids, intervals, real[~np.isin(real, anchors >> 2)]
 

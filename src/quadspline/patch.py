@@ -16,13 +16,14 @@ blend value, which keeps boundary data exact and cheap.
 All grid patches of a surface live in one GridPatchSet, made from the
 window arrays of mesh.classify_faces, which evaluates arrays of (slot, u, v)
 in passes of EVAL_CHUNK points, each contracting the points' real windows
-against real or complex weights without a complex copy; a RegularPatch is a
-view of one slot.
+against real or complex weights without a complex copy.  A RegularPatch is a
+view of one slot, and its grid reads the slot's window back as a LocalGrid.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import local_grid
 from .splines import fundamental_weights
 
 SIDES = ("v0", "v1", "u0", "u1")
@@ -189,6 +190,24 @@ class GridPatchSet:
                          for q, r in jets])
 
 
+@dataclass
+class LocalGrid:
+    """The 4 x 4 vertex window of one grid patch and its intervals.
+
+    points[i + 1, j + 1] holds p_{i,j} for i, j in [-1, 2], with p_{0,0} the
+    origin of the anchor half edge; d0/d1 are the bottom/top row intervals
+    d_{i,0}, d_{i,1} and e0/e1 the left/right column intervals, each of
+    length 3 indexed the same way.
+    """
+    anchor: int
+    points: np.ndarray
+    vertex_ids: np.ndarray
+    d0: np.ndarray
+    d1: np.ndarray
+    e0: np.ndarray
+    e1: np.ndarray
+
+
 class PatchView:
     """A view of a patch set: the patch in slot `slot`.
 
@@ -201,12 +220,8 @@ class PatchView:
     @classmethod
     def view(cls, patches, slot):
         patch = cls.__new__(cls)
-        patch._bind(patches, slot)
+        patch.patches, patch.slot = patches, slot
         return patch
-
-    def _bind(self, patches, slot):
-        self.patches = patches
-        self.slot = slot
 
     def eval(self, u, v):
         """S(u, v) for scalars or equal-shaped arrays; shape (..., 3)."""
@@ -216,17 +231,11 @@ class PatchView:
 
 
 class RegularPatch(PatchView):
-    """A view of a GridPatchSet: one grid patch.  RegularPatch(grid, fam)
-    makes a standalone patch, a set of one."""
-
-    def __init__(self, grid, fam):
-        intervals = [[grid.d0, grid.d1, grid.e0, grid.e1]]
-        self._bind(GridPatchSet([grid.anchor], [grid.vertex_ids],
-                                [grid.points], intervals, fam), 0)
+    """A view of a GridPatchSet: one grid patch."""
 
     @property
     def grid(self):
         """The slot's window, as a LocalGrid of views of the set's arrays."""
         patches, slot = self.patches, self.slot
-        return local_grid(patches.anchors[slot], patches.vertex_ids[slot],
-                          patches.windows[2 * slot], patches.intervals[slot])
+        return LocalGrid(int(patches.anchors[slot]), patches.windows[2 * slot],
+                         patches.vertex_ids[slot], *patches.intervals[slot])

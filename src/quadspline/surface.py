@@ -112,7 +112,12 @@ class CompositeSurface:
         return range(self.mesh.real_face_count)
 
     def patch(self, f):
-        return self.regular.get(f) or self.gregory[f]
+        """The view of face f's patch; KeyError, as eval raises it, for a
+        face without one."""
+        view = self.regular.get(f) or self.gregory.get(f)
+        if view is None:
+            raise KeyError(f"face {f} has no patch")
+        return view
 
     def eval(self, faces, u, v):
         """Positions at the points (faces, u, v) of equal-shaped arrays, with
@@ -171,8 +176,7 @@ def build_surface(mesh, options=None, params=None):
     # every real face is anchored at its canonical half edge
     real = np.arange(mesh.real_face_count)
     surf.anchors[real] = mesh.canonical_halfedge(real)
-    anchors, ids, intervals, extraordinary = qm.classify_faces(
-        mesh, options.family.support, params=params)
+    anchors, ids, intervals, extraordinary = qm.classify_faces(mesh, params)
     regular = anchors >> 2
     surf._slot[0, regular] = np.arange(len(regular))
     surf._slot[1, extraordinary] = np.arange(len(extraordinary))

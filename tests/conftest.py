@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quadspline import mesh as qm
 from quadspline import patch
 from quadspline.mesh import QuadMesh
 from quadspline.network import VecPoly
@@ -261,6 +262,18 @@ def knot_derivatives(curve, j, r):
         out.append(VecPoly(segment_coefficients(
             curve.points[window], d[window[:3]], curve.family)).eval(x, r))
     return out
+
+
+def window_patch(mesh, params, face, fam, anchor=None):
+    """The grid patch of a face over its 4 x 4 window at anchor (default:
+    the face's canonical half edge), a view of a one-slot GridPatchSet."""
+    if anchor is None:
+        anchor = mesh.canonical_halfedge(face)
+    assert mesh.he_face(anchor) == face
+    anchors, ids, intervals = qm._grids(mesh, np.array([anchor]), params)
+    assert len(anchors) == 1, f"face {face} has no window at {anchor}"
+    return patch.RegularPatch.view(patch.GridPatchSet(
+        anchors, ids, mesh.vertices[ids], intervals, fam), 0)
 
 
 def side_length(grid_patch, side):

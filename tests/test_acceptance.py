@@ -13,13 +13,12 @@ import pytest
 from conftest import (FIG1_POLYLINE, boundary_vertices, chain_curve,
                       chain_edges, grid_with_rotated_edge, jittered_torus,
                       knot_derivatives, side_length, torus_grid,
-                      torus_with_rotated_edge)
+                      torus_with_rotated_edge, window_patch)
 from test_gregory import fd_cross_v, one_patch, random_boundary_data
 from quadspline.cli import count_sign_changes, main
-from quadspline.mesh import (assign_edge_params, extract_local_grid,
-                             save_obj, section_chains)
+from quadspline.mesh import assign_edge_params, save_obj, section_chains
 from quadspline.network import tangent_with_fallback
-from quadspline.patch import SIDES, RegularPatch, _blend
+from quadspline.patch import SIDES, _blend
 from quadspline.splines import (D3C1P2S4, D5C2P2S4, PolylineCurve,
                                 fundamental_weights)
 from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
@@ -122,7 +121,7 @@ def test_criterion_05_section_curves(perturbed_torus_12):
     uv_of = {"v0": lambda t: (t, 0.0), "v1": lambda t: (t, 1.0),
              "u0": lambda t: (0.0, t), "u1": lambda t: (1.0, t)}
     for f in range(mesh.num_faces):
-        patch = RegularPatch(extract_local_grid(mesh, params, f, 4), fam)
+        patch = window_patch(mesh, params, f, fam)
         ids = patch.grid.vertex_ids
         for side, ((ia, ja), (ib, jb)) in side_ids.items():
             a, b = int(ids[ia, ja]), int(ids[ib, jb])
@@ -153,12 +152,10 @@ def test_criterion_06_cross_boundary_scaling(perturbed_torus_12):
         k = fam.continuity
         for h_s in picked:
             h_n = int(mesh.twin_of[h_s])
-            ps = RegularPatch(extract_local_grid(
-                mesh, params, mesh.he_face(int(h_s)), 4,
-                anchor=mesh.he_next(int(h_s))), fam)
-            pn = RegularPatch(extract_local_grid(
-                mesh, params, mesh.he_face(h_n), 4,
-                anchor=mesh.he_prev(h_n)), fam)
+            ps = window_patch(mesh, params, mesh.he_face(int(h_s)), fam,
+                              anchor=mesh.he_next(int(h_s)))
+            pn = window_patch(mesh, params, mesh.he_face(h_n), fam,
+                              anchor=mesh.he_prev(h_n))
             v = rng.uniform(0.1, 0.9)
             delta = ps.patches.side_blend(ps.slot, SIDES.index("u0"), v) \
                 / pn.patches.side_blend(pn.slot, SIDES.index("u1"), v)

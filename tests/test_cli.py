@@ -60,18 +60,27 @@ def test_build_missing_file_exit_1(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("kind", ["bowtie", "nan"])
+# records that load_obj cannot read, by line number in the OBJ of
+# open_grid(2, 2), whose 9 vertex lines come before its 4 face lines
+UNREADABLE = {"coordinate": (5, "v 1 1 x"), "short_vertex": (5, "v 0 0"),
+              "face_index": (10, "f 1 2 5 x"), "index_0": (10, "f 0 1 4 3")}
+
+
+@pytest.mark.parametrize("kind", ["bowtie", "nan", *UNREADABLE])
 def test_build_malformed_mesh_exit_1(tmp_path, capsys, kind):
     path = tmp_path / f"{kind}.obj"
     save_obj(bowtie_grids() if kind == "bowtie" else open_grid(2, 2), path)
-    if kind == "nan":
+    lineno, record = UNREADABLE.get(kind, (5, "v 1 1 nan"))
+    if kind != "bowtie":
         lines = path.read_text().splitlines()
-        lines[4] = "v 1 1 nan"
+        lines[lineno - 1] = record
         path.write_text("\n".join(lines) + "\n")
     code = main(["build", str(path), "--samples", "2"])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    if kind in UNREADABLE:
+        assert f"{path}:{lineno}: " in err
 
 
 @pytest.mark.parametrize("alpha", ["nan", "3", "-1"])

@@ -23,7 +23,7 @@ EXPORTS = {
     "assign_edge_params", "build_cross_field_chi", "build_cross_field_xi",
     "build_missing_boundary_curve", "build_surface", "classify_faces",
     "continuity_report", "directional_derivs", "export_ply",
-    "extract_local_grid", "extrapolate_boundary_layer", "family",
+    "extrapolate_boundary_layer", "family",
     "fit_guide_polynomial", "fundamental_weights", "guide_points",
     "hermite_basis", "load_obj", "make_knots", "planar_angles", "save_obj",
     "section_chains", "tessellate",

@@ -7,8 +7,8 @@ from conftest import (boundary_vertices, bowtie_grids, chain_edges, edges,
                       torus_grid, torus_with_rotated_edge)
 from quadspline.errors import (DegenerateEdgeError, MeshStructureError,
                                UnsupportedFaceError, UnsupportedMeshError)
-from quadspline.mesh import (QuadMesh, _components, assign_edge_params,
-                             classify_faces, extract_local_grid,
+from quadspline.mesh import (QuadMesh, _components, _grids,
+                             assign_edge_params, classify_faces,
                              extrapolate_boundary_layer, load_obj, save_obj,
                              section_chains)
 from quadspline.surface import build_surface
@@ -249,37 +249,26 @@ def test_edge_params_reject_wrong_length_and_unequal_twins(torus):
 
 
 def test_classify_torus_all_regular(torus):
-    anchors, _, _, extra = classify_faces(torus, 4)
+    anchors, _, _, extra = classify_faces(torus, assign_edge_params(torus))
     assert len(anchors) == torus.num_faces
     assert not len(extra)
 
 
 def test_classify_cube_all_extraordinary(cube):
-    anchors, _, _, extra = classify_faces(cube, 4)
+    anchors, _, _, extra = classify_faces(cube, assign_edge_params(cube))
     assert not len(anchors)
     assert extra.tolist() == list(range(6))
 
 
 def test_classify_rotated_torus_matches_enumeration():
     mesh = torus_with_rotated_edge(10, 10).build_connectivity()
-    anchors, _, _, extra = classify_faces(mesh, 4)
+    anchors, _, _, extra = classify_faces(mesh, assign_edge_params(mesh))
     # oracle: a face is extraordinary iff one of its corners has valence != 4
     want_extra = sorted(
         f for f in range(mesh.num_faces)
         if any(mesh.valence(v) != 4 for v in mesh.faces[f]))
     assert extra.tolist() == want_extra
     assert len(anchors) + len(extra) == mesh.num_faces
-
-
-def test_classify_monotone_in_w():
-    mesh = torus_with_rotated_edge(12, 12).build_connectivity()
-    reg4 = set((classify_faces(mesh, 4)[0] >> 2).tolist())
-    reg6 = set((classify_faces(mesh, 6)[0] >> 2).tolist())
-    assert reg6 <= reg4
-    assert 0 < len(reg6) < len(reg4)
-    # far from the irregularity a wider window still exists
-    torus = torus_grid(8, 8).build_connectivity()
-    assert len(classify_faces(torus, 6)[0]) == torus.num_faces
 
 
 def _torus_window_case():
@@ -307,17 +296,24 @@ WINDOW_CASES = {"torus": _torus_window_case, "open": _open_window_case}
 CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
-@pytest.mark.parametrize("w", [4, 6])
+def all_windows(mesh, params):
+    """The window of every half edge that has one, by anchor."""
+    anchors, ids, intervals = _grids(mesh, np.arange(mesh.num_halfedges),
+                                     params)
+    return dict(zip(anchors.tolist(), zip(ids, intervals)))
+
+
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
-def test_extract_local_grid_torus_window(case, w):
+def test_windows_match_the_grid_index_formula(case):
     """At every anchor of every face the window is the one the index formula
     gives for the anchor's rotation: cell (x, y) holds the vertex at
-    p0 + s u + t v, with (s, t) = (x, y) - (w/2 - 1), p0 the anchor's origin
-    and u, v its edge and the edge before it.  The window exists exactly
-    where every such vertex does; phantom faces touch the outer boundary and
-    have none."""
+    p0 + s u + t v, with (s, t) = (x, y) - 1, p0 the anchor's origin and u,
+    v its edge and the edge before it.  The window exists exactly where
+    every such vertex does; phantom faces touch the outer boundary and have
+    none."""
     mesh, params, face_at, vertex_at = WINDOW_CASES[case]()
-    offsets = np.arange(w) - (w // 2 - 1)
+    windows = all_windows(mesh, params)
+    offsets = np.arange(4) - 1
     checked = 0
     for f in range(mesh.num_faces):
         for c, anchor in enumerate(range(4 * f, 4 * f + 4)):
@@ -329,91 +325,64 @@ def test_extract_local_grid_torus_window(case, w):
                 want = [[vertex_at(*(p0 + s * u + t * v)) for t in offsets]
                         for s in offsets]
             if want is None or None in sum(want, []):
-                with pytest.raises(UnsupportedMeshError):
-                    extract_local_grid(mesh, params, f, w, anchor=anchor)
+                assert anchor not in windows
                 continue
-            grid = extract_local_grid(mesh, params, f, w, anchor=anchor)
-            assert grid.points.shape == (w, w, 3)
-            assert grid.vertex_ids.tolist() == want
-            assert np.array_equal(grid.points, mesh.vertices[want])
-            if anchor == mesh.canonical_halfedge(f):
-                # deterministic: the default anchor gives the same grid
-                again = extract_local_grid(mesh, params, f, w)
-                assert again.anchor == grid.anchor
-                assert np.array_equal(again.vertex_ids, grid.vertex_ids)
+            assert windows[anchor][0].tolist() == want
             checked += 1
     assert checked > 0
-
-
-@pytest.mark.parametrize("w", [2, 3, 5])
-def test_window_width_must_be_even_and_at_least_4(torus, w):
-    params = assign_edge_params(torus, "centripetal")
-    with pytest.raises(ValueError, match="window width"):
-        classify_faces(torus, w)
-    with pytest.raises(ValueError, match="window width"):
-        extract_local_grid(torus, params, 12, w=w)
 
 
 def test_adjacent_grids_overlap():
     n = m = 8
     mesh = torus_grid(n, m).build_connectivity()
     params = assign_edge_params(mesh, "centripetal")
-    ga = extract_local_grid(mesh, params, 3 * m + 4, 4)
-    gb = extract_local_grid(mesh, params, 4 * m + 4, 4)  # face one step in i
-    ids_a = set(ga.vertex_ids.ravel())
-    ids_b = set(gb.vertex_ids.ravel())
+    # face 3 m + 4 and the face one step in i
+    faces = np.array([3 * m + 4, 4 * m + 4])
+    anchors, ids, _ = _grids(mesh, mesh.canonical_halfedge(faces), params)
+    assert len(anchors) == 2
+    ids_a, ids_b = (set(window.ravel().tolist()) for window in ids)
     assert len(ids_a & ids_b) == 12  # 3 x 4 shared block
 
 
 WINDOW_MESHES = {
-    "sphere": lambda: sphere_mesh(3),   # the first with 6 x 6 windows
+    "sphere": lambda: sphere_mesh(3),
     "open_rotated": lambda: grid_with_rotated_edge(6, 6),
     "torus_rotated": lambda: torus_with_rotated_edge(10, 10),
     "jittered_torus": lambda: jittered_torus(),
 }
 
 
-@pytest.mark.parametrize("w", [4, 6])
 @pytest.mark.parametrize("name", sorted(WINDOW_MESHES))
-def test_windows_follow_mesh_edges(name, w):
+def test_windows_follow_mesh_edges(name):
     mesh = WINDOW_MESHES[name]().build_connectivity()
     mesh, params = extrapolate_boundary_layer(
         mesh, assign_edge_params(mesh, "centripetal"))
-    c = w // 2 - 1   # index of the face's own row/column
-    checked = 0
-    for f in range(mesh.num_faces):
-        for anchor in range(4 * f, 4 * f + 4):
-            try:
-                grid = extract_local_grid(mesh, params, f, w, anchor=anchor)
-            except UnsupportedMeshError:
-                continue
-            ids = grid.vertex_ids
-            # p_{0,0} -> p_{1,0} is the anchor, p_{0,0} -> p_{0,1} the edge
-            # before it
-            assert (ids[c, c], ids[c + 1, c]) == (mesh.origin(anchor),
-                                                  mesh.target(anchor))
-            assert ids[c, c + 1] == mesh.origin(mesh.he_prev(anchor))
-            lines = [ids[:, j] for j in range(w)] + [ids[i] for i in range(w)]
-            for line in lines:
-                assert (np.maximum(halfedge(mesh, line[:-1], line[1:]),
-                                   halfedge(mesh, line[1:], line[:-1]))
-                        >= 0).all()
+    windows = all_windows(mesh, params)
+    assert windows
 
-            def intervals(line):
-                return interval(mesh, params, line[:-1], line[1:]).tolist()
+    def intervals(line):
+        return interval(mesh, params, line[:-1], line[1:]).tolist()
 
-            assert list(grid.d0) == intervals(ids[:, c])
-            assert list(grid.d1) == intervals(ids[:, c + 1])
-            assert list(grid.e0) == intervals(ids[c])
-            assert list(grid.e1) == intervals(ids[c + 1])
-            checked += 1
-    assert checked > 0
+    for anchor, (ids, (d0, d1, e0, e1)) in windows.items():
+        # p_{0,0} -> p_{1,0} is the anchor, p_{0,0} -> p_{0,1} the edge
+        # before it
+        assert (ids[1, 1], ids[2, 1]) == (mesh.origin(anchor),
+                                          mesh.target(anchor))
+        assert ids[1, 2] == mesh.origin(mesh.he_prev(anchor))
+        lines = [ids[:, j] for j in range(4)] + [ids[i] for i in range(4)]
+        for line in lines:
+            assert (np.maximum(halfedge(mesh, line[:-1], line[1:]),
+                               halfedge(mesh, line[1:], line[:-1]))
+                    >= 0).all()
+        assert list(d0) == intervals(ids[:, 1])
+        assert list(d1) == intervals(ids[:, 2])
+        assert list(e0) == intervals(ids[1])
+        assert list(e1) == intervals(ids[2])
 
 
-def test_extract_on_extraordinary_raises(cube):
+def test_extraordinary_faces_have_no_window(cube):
     params = assign_edge_params(cube, "centripetal")
-    with pytest.raises(UnsupportedMeshError):
-        extract_local_grid(cube, params, 0, 4)
+    assert not all_windows(cube, params)
 
 
 def test_section_polylines_torus(torus):
@@ -518,7 +487,7 @@ def test_extrapolate_straight_boundary_collinear():
         assert (abs(p[0] - round(p[0])) < 1e-12
                 and abs(p[1] - round(p[1])) < 1e-12)
     # former boundary faces become regular
-    anchors, _, _, extra = classify_faces(mesh2, 4)
+    anchors, _, _, extra = classify_faces(mesh2, params2)
     assert not len(extra)
     assert len(anchors) == 9
     # phantom params copied, all positive
@@ -563,7 +532,7 @@ def test_extrapolated_intervals_copy_their_source_edges():
 def test_extrapolated_interior_face_count_unaffected():
     mesh = open_grid(5, 4).build_connectivity()
     params = assign_edge_params(mesh, "uniform")
-    mesh2, _p2 = extrapolate_boundary_layer(mesh, params)
+    mesh2, params2 = extrapolate_boundary_layer(mesh, params)
     assert mesh2.real_face_count == 20
-    anchors, _, _, extra = classify_faces(mesh2, 4)
+    anchors, _, _, extra = classify_faces(mesh2, params2)
     assert len(anchors) == 20 and not len(extra)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import (chain_curve, chain_edges, halfedge, side_field,
-                      side_length, torus_grid)
-from quadspline.mesh import (assign_edge_params, extract_local_grid,
-                             section_chains)
-from quadspline.patch import SIDES, RegularPatch, _blend
+                      side_length, torus_grid, window_patch)
+from quadspline.mesh import assign_edge_params, section_chains
+from quadspline.patch import SIDES, GridPatchSet, RegularPatch, _blend
 from quadspline.splines import D3C1P2S4, D5C2P2S4, fundamental_weights
 
 BOTH = [D3C1P2S4, D5C2P2S4]
@@ -17,11 +16,6 @@ def perturbed_torus(fam, n=8, m=8, perturb=0.07, seed=3):
     return mesh, params
 
 
-def make_patch(mesh, params, face, fam, anchor=None):
-    return RegularPatch(extract_local_grid(mesh, params, face, fam.support,
-                                           anchor=anchor), fam)
-
-
 def side_blend(patch, side, t):
     """The blend that scales cross derivatives on a side of a patch, at the
     fraction t along it."""
@@ -31,7 +25,7 @@ def side_blend(patch, side, t):
 @pytest.mark.parametrize("fam", BOTH)
 def test_patch_corners(fam):
     mesh, params = perturbed_torus(fam)
-    patch = make_patch(mesh, params, 10, fam)
+    patch = window_patch(mesh, params, 10, fam)
     g = patch.grid
     assert np.allclose(patch.eval(0, 0), g.points[1, 1], atol=1e-12)
     assert np.allclose(patch.eval(1, 0), g.points[2, 1], atol=1e-12)
@@ -50,7 +44,7 @@ def test_patch_planar_grid_stays_planar(fam):
     verts[:, :2] += rng.normal(0.0, 0.1, (len(verts), 2))
     mesh.vertices[:] = verts
     params = assign_edge_params(mesh, "centripetal")
-    patch = make_patch(mesh, params, 12, fam)
+    patch = window_patch(mesh, params, 12, fam)
     for u, v in rng.uniform(0, 1, (20, 2)):
         assert abs(patch.eval(u, v)[2]) < 1e-12
 
@@ -66,7 +60,7 @@ def test_section_curve_property(fam):
             by_edge[k] = chain
     rng = np.random.default_rng(5)
     for face in (0, 9, 27):
-        patch = make_patch(mesh, params, face, fam)
+        patch = window_patch(mesh, params, face, fam)
         ids = patch.grid.vertex_ids
         # v1 boundary runs between grid vertices (0,1) and (1,1)
         a, b = int(ids[1, 2]), int(ids[2, 2])
@@ -87,7 +81,7 @@ def test_section_curve_property(fam):
 @pytest.mark.parametrize("fam", BOTH)
 def test_boundary_curve_restriction(fam):
     mesh, params = perturbed_torus(fam)
-    patch = make_patch(mesh, params, 5, fam)
+    patch = window_patch(mesh, params, 5, fam)
     for side in ("v0", "v1", "u0", "u1"):
         d = side_length(patch, side)
         for t in np.linspace(0, 1, 7):
@@ -106,7 +100,7 @@ def test_boundary_curve_restriction(fam):
 @pytest.mark.parametrize("fam", BOTH)
 def test_boundary_cross_deriv_matches_fd(fam):
     mesh, params = perturbed_torus(fam)
-    patch = make_patch(mesh, params, 17, fam)
+    patch = window_patch(mesh, params, 17, fam)
     h = 1e-5
     rng = np.random.default_rng(6)
     for side in ("v0", "v1", "u0", "u1"):
@@ -138,7 +132,7 @@ def test_uniform_intervals_cross_equals_local():
     fam = D5C2P2S4
     mesh = torus_grid(8, 8).build_connectivity()
     params = assign_edge_params(mesh, "uniform")
-    patch = make_patch(mesh, params, 20, fam)
+    patch = window_patch(mesh, params, 20, fam)
     for t in np.linspace(0.1, 0.9, 5):
         local = side_field(patch, "v0", 1, t * side_length(patch, "v0"))
         uv = side_blend(patch, "v0", t) * local
@@ -158,10 +152,10 @@ def test_cross_boundary_scaling_law(fam):
         h_n = int(mesh.twin_of[h_s])
         face_s = mesh.he_face(h_s)
         face_n = mesh.he_face(h_n)
-        ps = make_patch(mesh, params, face_s, fam,
-                        anchor=mesh.he_next(h_s))
-        pn = make_patch(mesh, params, face_n, fam,
-                        anchor=mesh.he_prev(h_n))
+        ps = window_patch(mesh, params, face_s, fam,
+                          anchor=mesh.he_next(h_s))
+        pn = window_patch(mesh, params, face_n, fam,
+                          anchor=mesh.he_prev(h_n))
         for v in rng.uniform(0.1, 0.9, 3):
             delta = side_blend(ps, "u0", v) / side_blend(pn, "u1", v)
             for r in range(1, k + 1):
@@ -192,10 +186,10 @@ def test_boundary_scaling_delta_values():
     uniform = assign_edge_params(mesh, "uniform")
     h_s = 40
     h_n = int(mesh.twin_of[h_s])
-    ps = make_patch(mesh, uniform, mesh.he_face(h_s), fam,
-                    anchor=mesh.he_next(h_s))
-    pn = make_patch(mesh, uniform, mesh.he_face(h_n), fam,
-                    anchor=mesh.he_prev(h_n))
+    ps = window_patch(mesh, uniform, mesh.he_face(h_s), fam,
+                      anchor=mesh.he_next(h_s))
+    pn = window_patch(mesh, uniform, mesh.he_face(h_n), fam,
+                      anchor=mesh.he_prev(h_n))
     for v in np.linspace(0, 1, 5):
         assert side_blend(ps, "u0", v) / side_blend(pn, "u1", v) \
             == pytest.approx(1.0)
@@ -207,10 +201,10 @@ def test_boundary_scaling_delta_values():
     for j in range(4):
         h = int(halfedge(mesh, ids[1, j], ids[2, j]))
         params[[h, int(mesh.twin_of[h])]] = 4.0
-    ps2 = make_patch(mesh, params, mesh.he_face(h_s), fam,
-                     anchor=mesh.he_next(h_s))
-    pn2 = make_patch(mesh, params, mesh.he_face(h_n), fam,
-                     anchor=mesh.he_prev(h_n))
+    ps2 = window_patch(mesh, params, mesh.he_face(h_s), fam,
+                       anchor=mesh.he_next(h_s))
+    pn2 = window_patch(mesh, params, mesh.he_face(h_n), fam,
+                       anchor=mesh.he_prev(h_n))
     for v in np.linspace(0, 1, 5):
         assert side_blend(ps2, "u0", v) / side_blend(pn2, "u1", v) \
             == pytest.approx(4.0)
@@ -222,12 +216,13 @@ def test_boundary_scaling_delta_values():
 @pytest.mark.parametrize("fam", BOTH)
 def test_affine_invariance(fam):
     mesh, params = perturbed_torus(fam)
-    patch = make_patch(mesh, params, 33, fam)
+    patch = window_patch(mesh, params, 33, fam)
     A = np.array([[1.2, 0.3, -0.1], [0.0, 0.9, 0.4], [0.2, -0.2, 1.1]])
     t = np.array([3.0, -1.0, 2.0])
-    grid2 = extract_local_grid(mesh, params, 33, fam.support)
-    grid2.points = grid2.points @ A.T + t
-    patch2 = RegularPatch(grid2, fam)
+    g = patch.grid
+    patch2 = RegularPatch.view(GridPatchSet(
+        [g.anchor], [g.vertex_ids], [g.points @ A.T + t],
+        [[g.d0, g.d1, g.e0, g.e1]], fam), 0)
     rng = np.random.default_rng(9)
     for u, v in rng.uniform(0, 1, (10, 2)):
         assert np.allclose(patch2.eval(u, v), A @ patch.eval(u, v) + t,
@@ -243,13 +238,10 @@ def test_mirror_symmetry(fam):
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             pts[i, j] = (x, y, np.cos(x) + 0.1 * y * y)
-    from quadspline.mesh import LocalGrid
-    dd = np.array([np.abs(np.diff(xs))] * 2)
-    ee = np.array([np.abs(np.diff(ys))] * 2)
-    grid = LocalGrid(face=0, anchor=0, w=4, points=pts,
-                     vertex_ids=np.arange(16).reshape(4, 4),
-                     d0=dd[0], d1=dd[1], e0=ee[0], e1=ee[1])
-    patch = RegularPatch(grid, fam)
+    dd = np.abs(np.diff(xs))
+    ee = np.abs(np.diff(ys))
+    patch = RegularPatch.view(GridPatchSet(
+        [0], [np.arange(16).reshape(4, 4)], [pts], [[dd, dd, ee, ee]], fam), 0)
     for u in np.linspace(0, 1, 9):
         for v in (0.0, 0.3, 1.0):
             a = patch.eval(u, v)
@@ -260,7 +252,7 @@ def test_mirror_symmetry(fam):
 def test_mixed_corner_derivative_fd():
     fam = D5C2P2S4
     mesh, params = perturbed_torus(fam)
-    patch = make_patch(mesh, params, 11, fam)
+    patch = window_patch(mesh, params, 11, fam)
     h = 1e-4
     # d2/dudv at (0,0): the x-derivative of chi, scaled to uv
     mixed = side_length(patch, "v0") * side_blend(patch, "v0", 0.0) \
@@ -277,7 +269,7 @@ def test_frozen_vector_tensor_interpretation(fam):
     """At any fixed (u, v) the patch value equals a plain tensor-product
     evaluation over the interval vectors frozen at that point."""
     mesh, params = perturbed_torus(fam)
-    patch = make_patch(mesh, params, 21, fam)
+    patch = window_patch(mesh, params, 21, fam)
     g = patch.grid
     rng = np.random.default_rng(77)
     for u, v in rng.uniform(0, 1, (10, 2)):
@@ -296,7 +288,7 @@ def test_frozen_vector_tensor_interpretation(fam):
 def test_r_cross_capped_at_continuity():
     fam = D3C1P2S4
     mesh, params = perturbed_torus(fam)
-    patch = make_patch(mesh, params, 2, fam)
+    patch = window_patch(mesh, params, 2, fam)
     d = side_length(patch, "v0")
     with pytest.raises(ValueError):
         side_field(patch, "v0", 2, 0.5 * d)
@@ -305,7 +297,7 @@ def test_r_cross_capped_at_continuity():
 @pytest.mark.parametrize("fam", BOTH)
 def test_side_field_contract(fam):
     mesh, params = perturbed_torus(fam)
-    patch = make_patch(mesh, params, 3, fam)
+    patch = window_patch(mesh, params, 3, fam)
     d = side_length(patch, "v1")
     ids = patch.grid.vertex_ids
     assert np.allclose(side_field(patch, "v1", 0, 0.0),
@@ -339,7 +331,7 @@ def test_sampled_fields_planar_grid():
     verts[:, 2] = 0.0
     mesh.vertices[:] = verts
     params = assign_edge_params(mesh, "centripetal")
-    patch = make_patch(mesh, params, 14, fam)
+    patch = window_patch(mesh, params, 14, fam)
     d = side_length(patch, "v0")
     for t in np.linspace(0, 1, 5):
         assert abs(side_field(patch, "v0", 1, t * d)[2]) < 1e-12

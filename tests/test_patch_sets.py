@@ -115,6 +115,8 @@ def test_unknown_face_raises():
     phantom = surf.mesh.real_face_count   # extrapolated faces get no patch
     with pytest.raises(KeyError):
         surf.eval(np.array([0, phantom]), 0.5, 0.5)
+    with pytest.raises(KeyError, match=f"face {phantom} has no patch"):
+        surf.patch(phantom)
 
 
 def test_face_outside_the_mesh_raises():
@@ -125,41 +127,48 @@ def test_face_outside_the_mesh_raises():
     for f in (-2, surf.mesh.num_faces + 1):
         with pytest.raises(KeyError, match=f"face {f} has no patch"):
             surf.eval(f, 0.3, 0.4)
+        with pytest.raises(KeyError, match=f"face {f} has no patch"):
+            surf.patch(f)
 
 
 def test_classification_hands_back_the_window_grids(monkeypatch):
     mesh = torus_with_rotated_edge(10, 10).build_connectivity()
     params = qm.assign_edge_params(mesh)
-    anchors, ids, intervals, extraordinary = qm.classify_faces(
-        mesh, 4, params=params)
+    anchors, ids, intervals, extraordinary = qm.classify_faces(mesh, params)
     assert len(extraordinary) and len(anchors)
     assert np.all(np.diff(anchors >> 2) > 0)
     assert np.array_equal(np.sort(np.concatenate([anchors >> 2,
                                                   extraordinary])),
                           np.arange(mesh.num_faces))
+    assert np.array_equal(anchors, mesh.canonical_halfedge(anchors >> 2))
     assert ids.shape == (len(anchors), 4, 4)
     assert intervals.shape == (len(anchors), 4, 3)
-    # every row is the face's own window, bitwise
-    grids = {}
-    for a, window, rows in zip(anchors.tolist(), ids, intervals):
-        want = grids[a >> 2] = qm.extract_local_grid(mesh, params, a >> 2, 4)
-        assert a == want.anchor
-        assert np.array_equal(window, want.vertex_ids)
-        assert np.array_equal(mesh.vertices[window], want.points)
-        assert np.array_equal(rows, [want.d0, want.d1, want.e0, want.e1])
-    # the build walks every window once: no second extraction
+    # every row is the face's own window, bitwise, as _grids gives it over
+    # all half edges at once
+    every = qm._grids(mesh, np.arange(mesh.num_halfedges), params)
+    at = np.searchsorted(every[0], anchors)
+    assert np.array_equal(every[0][at], anchors)
+    assert np.array_equal(every[1][at], ids)
+    assert np.array_equal(every[2][at], intervals)
+    # the build walks every window once: no second gather
     calls = []
-    monkeypatch.setattr(qm, "extract_local_grid",
-                        lambda *a, **k: calls.append(a))
+    grids = qm._grids
+
+    def counting(*args):
+        calls.append(args)
+        return grids(*args)
+
+    monkeypatch.setattr(qm, "_grids", counting)
     surf = build_surface(mesh, BuildOptions())
-    assert not calls
-    assert sorted(surf.regular) == sorted(grids)
+    assert len(calls) == 1
+    assert sorted(surf.regular) == (anchors >> 2).tolist()
     # and each patch's grid is that window again
-    for f, want in grids.items():
-        got = surf.regular[f].grid
-        assert (got.face, got.anchor, got.w) == (want.face, want.anchor, 4)
-        for name in ("points", "vertex_ids", "d0", "d1", "e0", "e1"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+    for a, window, rows in zip(anchors.tolist(), ids, intervals):
+        got = surf.regular[a >> 2].grid
+        assert got.anchor == a
+        assert np.array_equal(got.vertex_ids, window)
+        assert np.array_equal(got.points, mesh.vertices[window])
+        assert np.array_equal([got.d0, got.d1, got.e0, got.e1], rows)
 
 
 @pytest.mark.parametrize("make, options", [
@@ -171,7 +180,7 @@ def test_a_build_makes_no_local_grid(make, options, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a build made a LocalGrid")
 
-    monkeypatch.setattr(qm, "LocalGrid", refuse)
+    monkeypatch.setattr(patch, "LocalGrid", refuse)
     surf = build_surface(make().build_connectivity(), options)
     assert surf.regular and surf.gregory
 

@@ -22,7 +22,6 @@ RESOLVED = {
     ("quadspline.mesh", "assign_edge_params"),
     ("quadspline.mesh", "extrapolate_boundary_layer"),
     ("quadspline.mesh", "classify_faces"),
-    ("quadspline.mesh", "extract_local_grid"),
     ("quadspline.patch", "fundamental_weights"),
     ("quadspline.surface", "segment_coefficients"),
     ("quadspline.patch.RegularPatch", "__init__"),

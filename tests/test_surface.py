@@ -5,10 +5,11 @@ import pytest
 
 from conftest import (cube_mesh, fan, grid_with_rotated_edge, halfedge,
                       jittered_torus, open_grid, side_field, side_length,
-                      sphere_mesh, torus_grid, torus_with_rotated_edge)
+                      sphere_mesh, torus_grid, torus_with_rotated_edge,
+                      window_patch)
 from test_batched import oracle_channels
-from quadspline.mesh import classify_faces, extract_local_grid
-from quadspline.patch import SIDES, GridPatchSet, RegularPatch
+from quadspline.mesh import assign_edge_params, classify_faces
+from quadspline.patch import SIDES, GridPatchSet
 from quadspline.surface import (SIDE_OF_CORNER, BuildOptions,
                                 _interior_shared_edges,
                                 _seam_table, analysis_fields, build_surface,
@@ -47,7 +48,7 @@ def test_cube_all_gregory(cube):
 
 def test_gregory_count_matches_classification():
     mesh = torus_with_rotated_edge(10, 10).build_connectivity()
-    anchors, _, _, extra = classify_faces(mesh, 4)
+    anchors, _, _, extra = classify_faces(mesh, assign_edge_params(mesh))
     surf = build_surface(mesh, BuildOptions())
     assert sorted(surf.gregory) == extra.tolist()
     assert sorted(surf.regular) == (anchors >> 2).tolist()
@@ -607,25 +608,6 @@ def test_randomized_multi_ev_meshes_watertight():
             assert_vertices_interpolated(surf)
 
 
-def test_w6_grid_extraction_with_intervals():
-    from quadspline.mesh import assign_edge_params, extract_local_grid
-    from quadspline.patch import RegularPatch
-    from quadspline.splines import D5C2P2S4
-    mesh = torus_grid(8, 8, perturb=0.04, seed=9).build_connectivity()
-    params = assign_edge_params(mesh, "centripetal")
-    grid = extract_local_grid(mesh, params, 12, w=6)
-    with pytest.raises(ValueError):
-        RegularPatch(grid, D5C2P2S4)  # support width mismatch
-    assert grid.points.shape == (6, 6, 3)
-    assert grid.d0.shape == (5,) and grid.e1.shape == (5,)
-    assert np.all(grid.d0 > 0) and np.all(grid.e1 > 0)
-    # the 4-wide window sits inside the 6-wide one
-    g4 = extract_local_grid(mesh, params, 12, w=4)
-    assert np.allclose(grid.points[1:5, 1:5], g4.points, atol=0)
-    assert np.allclose(grid.d0[1:4], g4.d0, atol=0)
-    assert np.allclose(grid.e0[1:4], g4.e0, atol=0)
-
-
 def test_determinism_same_inputs_same_surface():
     mesh1 = torus_with_rotated_edge(8, 8).build_connectivity()
     mesh2 = torus_with_rotated_edge(8, 8).build_connectivity()
@@ -749,7 +731,7 @@ def test_network_sides_share_one_curve(case):
                                            ("sphere_g2", 72)])
 def test_sampled_sides_read_the_neighbours_own_patch(case, patches,
                                                      monkeypatch):
-    built, standalone = [], []
+    built = []
     init = GridPatchSet.__init__
 
     def counting_init(self, anchors, vertex_ids, points, intervals, fam):
@@ -757,14 +739,10 @@ def test_sampled_sides_read_the_neighbours_own_patch(case, patches,
         init(self, anchors, vertex_ids, points, intervals, fam)
 
     monkeypatch.setattr(GridPatchSet, "__init__", counting_init)
-    monkeypatch.setattr(RegularPatch, "__init__",
-                        lambda self, grid, fam: standalone.append(grid.face))
     surf, sides = _gregory_sides(case)
-    # one patch per regular face, all in the surface's one set, and nothing
-    # else
+    # one patch per regular face, all in the surface's one set
     assert sorted(built) == sorted(surf.regular)
     assert len(built) == patches
-    assert not standalone
     mesh = surf.mesh
     assert surf.gregory_patches.grid_patches is surf.grid_patches
     sampled = 0
@@ -804,9 +782,8 @@ def test_grid_patch_is_independent_of_its_anchor(make, family):
     for f, patch in surf.regular.items():
         for c in (1, 2, 3):
             anchor = 4 * f + (surf.anchors[f] + c) % 4
-            other = RegularPatch(extract_local_grid(
-                mesh, surf.params, f, patch.patches.family.support,
-                anchor=anchor), patch.patches.family)
+            other = window_patch(mesh, surf.params, f,
+                                 patch.patches.family, anchor=anchor)
             want = patch.eval(*_rotated_uv(u, v, c))
             assert np.abs(other.eval(u, v) - want).max() < 1e-13
 
