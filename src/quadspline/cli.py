@@ -159,10 +159,11 @@ def load_points_file(path):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            if len(parts) < 2:
+            try:
+                pts.append([float(parts[0]), float(parts[1])])
+            except (IndexError, ValueError):
                 raise ValueError(f"{path}:{lineno}: expected 'x y', got "
-                                 f"{line.strip()!r}")
-            pts.append([float(parts[0]), float(parts[1])])
+                                 f"{line.strip()!r}") from None
     return np.asarray(pts)
 
 

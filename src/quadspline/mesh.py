@@ -240,6 +240,7 @@ def load_obj(path):
     A malformed v or f record raises an error that names path:line."""
     verts = []
     faces = []
+    lines = []   # the line of each face
     warnings = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -266,8 +267,15 @@ def load_obj(path):
                     raise MeshStructureError(f"{path}:{lineno}: only positive "
                                              "OBJ indices are supported")
                 faces.append([i - 1 for i in idx])
+                lines.append(lineno)
             else:
                 warnings += 1
+    faces = np.asarray(faces, int).reshape(-1, 4)
+    if faces.size and faces.max() >= len(verts):
+        f = np.argmax(faces.max(axis=1) >= len(verts))
+        raise MeshStructureError(f"{path}:{lines[f]}: face {f} references "
+                                 f"vertex {faces[f].max() + 1}, but the file "
+                                 f"has {len(verts)} vertices")
     mesh = QuadMesh(verts, faces)
     mesh.load_warnings = warnings
     return mesh

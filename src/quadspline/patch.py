@@ -80,8 +80,8 @@ class GridPatchSet:
     transposed, running along v first, in windows[2 i + 1], and its row and
     column intervals d0, d1, e0, e1 in intervals[i] (4, 3), in SIDES order
     (the intervals along side v0 are d0, ..., along u1 e1).  Every method
-    takes 1-D arrays of slots and points, and evaluates them in chunks of
-    EVAL_CHUNK.
+    but seam_jets takes 1-D arrays of slots and points, and evaluates them
+    in chunks of EVAL_CHUNK; seam_jets takes one (sides, samples) table.
     """
 
     def __init__(self, anchors, vertex_ids, points, intervals, fam):
@@ -103,9 +103,10 @@ class GridPatchSet:
 
     def _blended(self, slots, first, t):
         """Interval triples blended at t from the pair first, first + 1 of
-        SIDES (rows: 0, columns: 2; first may be an array); shape (3, n)."""
-        lo = self.intervals[slots, first].T
-        hi = self.intervals[slots, first + 1].T
+        SIDES (rows: 0, columns: 2), for slots and first with as many axes
+        as t; shape (3,) + their broadcast shape."""
+        lo = np.moveaxis(self.intervals[slots, first], -1, 0)
+        hi = np.moveaxis(self.intervals[slots, first + 1], -1, 0)
         return lo + (hi - lo) * _blend(self.k, t)
 
     def _along(self, index, w):
@@ -188,6 +189,24 @@ class GridPatchSet:
                  for r in rs}
         return np.stack([np.einsum("jn,njd->nd", w_cross[q], along[r])
                          for q, r in jets])
+
+    def seam_jets(self, slots, sides, x):
+        """Position, side_jets' (0, 1) and (q, 0) jets for q = 1..k, on side
+        sides[i] of patch slots[i] at the S real x[i]; shape (k + 2, m, S,
+        3), from one gather of each side's window.  Cross weights are taken
+        at the real cross coordinate, as eval does, not on the grid line."""
+        along = self.intervals[slots, sides].T[..., None]
+        w_along = fundamental_weights(self.family, x, along, [0, 1])
+        cross = self._blended(slots[:, None], np.where(sides < 2, 2, 0)
+                              [:, None], x / along[1])
+        y = np.where((sides % 2)[:, None], cross[1], 0.0)
+        w_cross = fundamental_weights(self.family, y, cross, range(self.k + 1))
+        # sides last, samples innermost: the sums run over long axes
+        rows = np.einsum("aims,ijdm->ajdms", w_along, np.moveaxis(
+            self.windows[2 * slots + sides // 2], 0, -1))
+        pos, *fields = np.einsum("cjms,jdms->cdms", w_cross, rows[0])
+        tangent = np.einsum("jms,jdms->dms", w_cross[0], rows[1])
+        return np.moveaxis(np.stack([pos, tangent, *fields]), 1, -1)
 
 
 @dataclass

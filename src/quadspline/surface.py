@@ -11,7 +11,7 @@ gregory.GregoryPatchSet).  CompositeSurface.eval takes arrays of (face, u, v)
 and makes one call per set; tessellation builds one table of (face, u, v)
 for the whole surface, the analysis channels and the continuity audit one
 per batch of vertices or seams, and each table is evaluated through that
-call, in bounded chunks.
+call, in bounded chunks; only the audit's grid sides read their own pass.
 
 Complex (u, v) pass through that call unchanged, since every patch formula
 is a polynomial or a rational in (u, v).  The analysis and the audit take
@@ -126,22 +126,27 @@ class CompositeSurface:
         rational in (u, v)."""
         faces, u, v = np.broadcast_arrays(np.asarray(faces, int), floats(u),
                                           floats(v))
-        shape = faces.shape
+        shape = faces.shape + (3,)
         faces, u, v = faces.ravel(), u.ravel(), v.ravel()
         # a face outside real_faces reads the -1 column, which has no patch
         real = (faces >= 0) & (faces < self.mesh.real_face_count)
-        slots = self._slot[:, np.where(real, faces, -1)]
-        missing = (slots < 0).all(axis=0)
-        if missing.any():
-            raise KeyError(f"face {faces[np.argmax(missing)]} has no patch")
-        out = np.empty((len(faces), 3), np.result_type(u, v))
+        # take, unlike [:, index], leaves each kind's row contiguous
+        slots = np.take(self._slot, np.where(real, faces, -1), axis=1)
+        out = None   # made only when each kind covers part of the points
         for view, patches, kind_slots in zip(
                 (RegularPatch.view, GregoryPatch.view),
                 (self.grid_patches, self.gregory_patches), slots):
             at = kind_slots >= 0
+            if at.all():   # one kind: its result as is
+                return view(patches, kind_slots).eval(u, v).reshape(shape)
             if at.any():
+                if out is None:
+                    out = np.empty((len(faces), 3), np.result_type(u, v))
                 out[at] = view(patches, kind_slots[at]).eval(u[at], v[at])
-        return out.reshape(shape + (3,))
+        missing = (slots < 0).all(axis=0)
+        if missing.any():
+            raise KeyError(f"face {faces[np.argmax(missing)]} has no patch")
+        return out.reshape(shape)
 
     def halfedges(self, faces):
         """(F, 4) half edges anchor + c of faces, for corners c = 0..3."""
@@ -777,12 +782,11 @@ def _fmax(values, axis):
 def _seam_table(surface, hes, ts, k):
     """Evaluate the samples of both sides of the seams hes (E, 2): side 0 at
     the fractions ts along hes[:, 0], side 1 at 1 - ts along hes[:, 1].
-    Grid sides take their positions from one real surface.eval call and
-    their tangent frames from the exact side fields (the boundary curve's
-    x-derivative and the order-1 cross field).  Gregory sides take both
-    from one complex surface.eval call at S(u + i eps, v) and S(u, v + i
-    eps): the real part of the first is the position and the imaginary
-    parts over eps are the partials, exact to round-off.  Returns the
+    Grid sides take their positions and tangent frames (the boundary
+    curve's x-derivative and the order-1 cross field) from one seam_jets
+    pass; Gregory sides from one complex surface.eval call at S(u + i eps,
+    v) and S(u, v + i eps), whose real part is the position and imaginary
+    parts over eps the partials, exact to round-off.  Returns the
     positions (E, 2, S, 3), the unit normals and their degenerate mask, and
     for the A seams between two grid patches (the audited ones) the inward
     cross derivatives {r: (A, 2, S - 2, 3)} and the blend values (A, 2,
@@ -791,23 +795,19 @@ def _seam_table(surface, hes, ts, k):
     grid = surface._slot[0, faces] >= 0
     u, v = surface._edge_uv(faces[..., None], hes[..., None],
                             np.stack([ts, 1.0 - ts]))
-    f = np.broadcast_to(faces[..., None], u.shape)
     pos, normal = np.empty((2,) + u.shape + (3,))
     degenerate = np.empty(u.shape, bool)
-    pos[grid] = surface.eval(f[grid], u[grid], v[grid])
-    fg, ug, vg = (a[~grid] for a in (f, u, v))
-    step = 1j * AUDIT_STEP
-    e = surface.eval(fg, np.stack([ug + step, ug]), np.stack([vg, vg + step]))
-    pos[~grid] = e[0].real
-    normal[~grid], degenerate[~grid] = _unit_normals(
-        e[0].imag / AUDIT_STEP, e[1].imag / AUDIT_STEP)
+    if not grid.all():
+        ug, vg, step = u[~grid], v[~grid], 1j * AUDIT_STEP
+        e = surface.eval(faces[~grid, None], [ug + step, ug], [vg, vg + step])
+        pos[~grid] = e[0].real
+        normal[~grid], degenerate[~grid] = _unit_normals(
+            e[0].imag / AUDIT_STEP, e[1].imag / AUDIT_STEP)
     slots, sides, x, inward, blend = _cross_frame(
-        surface, f[grid], hes[grid][:, None], u[grid], v[grid])
-    # the boundary tangent and the cross fields of orders 1..k, in one pass
-    jets = [(0, 1)] + [(q, 0) for q in range(1, k + 1)]
-    along, *fields = surface.grid_patches.side_jets(
-        slots.ravel(), sides.ravel(), jets, x.ravel()) \
-        .reshape((k + 1,) + blend.shape + (3,))
+        surface, faces[grid][:, None], hes[grid][:, None], u[grid], v[grid])
+    # position, tangent and cross fields 1..k: one window gather per side
+    pos[grid], along, *fields = surface.grid_patches.seam_jets(
+        slots[:, 0], sides[:, 0], x)
     normal[grid], degenerate[grid] = _unit_normals(along, fields[0])
     # the audited seams' sides among the grid sides, at the interior samples
     inner = (np.cumsum(grid).reshape(grid.shape)[grid.all(axis=1)] - 1,
@@ -850,8 +850,8 @@ def continuity_report(surface, samples=16):
     order.  Normals are exact to round-off: read from the side fields on
     grid sides, and from complex steps of size AUDIT_STEP on Gregory sides
     (see _seam_table).  The samples of both sides of EVAL_CHUNK // (2
-    samples) seams at a time form one table, evaluated in one surface.eval
-    call (one grid pass) and reduced per seam.  samples below 3 leave no
+    samples) seams at a time form one table, read by one seam_jets pass and
+    one surface.eval call, and reduced per seam.  samples below 3 leave no
     interior sample to audit and raise ValueError.
     """
     if samples < 3:
@@ -877,15 +877,16 @@ def continuity_report(surface, samples=16):
             top[r] = max(top[r], _fmax(d_max, 0))
     # relative to the largest derivative of the whole surface, so that
     # round-off on a seam whose derivative nearly vanishes stays round-off
-    residual = {r: values / top[r] for r, values in residual.items()}
-    edges = [{"faces": [int(f1), int(f2)],
+    residual = {str(r): (values / top[r]).tolist()
+                for r, values in residual.items()}
+    edges = [{"faces": pair,
               "kinds": ["regular" if r else "gregory" for r in reg],
-              "position_gap": float(g), "normal_angle_deg": float(a),
-              "delta_residual": {str(r): float(res[row])
-                                 for r, res in residual.items()} if aud
-              else {}}
-             for (f1, f2), reg, g, a, aud, row
-             in zip(faces, regular, gap, angle, audit, audited)]
+              "position_gap": g, "normal_angle_deg": a,
+              "delta_residual": {r: res[row] for r, res in residual.items()}
+              if aud else {}}
+             for pair, reg, g, a, aud, row
+             in zip(faces.tolist(), regular.tolist(), gap.tolist(),
+                    angle.tolist(), audit.tolist(), audited.tolist())]
 
     def stats(arr):
         if not len(arr):
@@ -903,19 +904,17 @@ def continuity_report(surface, samples=16):
 def _cross_frame(surface, f, he, u, v):
     """(grid slots, side indices, side-local x, inward sign, blend values)
     at boundary points (u, v) of regular faces f reached along half edges
-    he; f and he are scalars or arrays that broadcast against u and v.  The
-    r-th inward cross derivative there is (inward * blend) ** r times the
-    side's order-r field at x."""
+    he; the slots, sides and signs take the shape of f and he, x and the
+    blends that of all four.  The r-th inward cross derivative there is
+    (inward * blend) ** r times the side's order-r field at x."""
     c = (np.asarray(he) - surface.anchors[f]) % 4
     # sides v0, v1 (even c) run along u and are crossed along v
     inward = np.where((c == 0) | (c == 3), 1, -1)
-    slots, sides, t = np.broadcast_arrays(surface._slot[0, f],
-                                          _SIDE_INDEX_OF_CORNER[c],
-                                          np.where(c % 2, v, u))
+    slots, sides = surface._slot[0, f], _SIDE_INDEX_OF_CORNER[c]
+    t = np.where(c % 2, v, u)
     patches = surface.grid_patches
-    blend = patches.side_blend(slots.ravel(), sides.ravel(),
-                               t.ravel()).reshape(t.shape)
-    return slots, sides, t * patches.intervals[slots, sides, 1], inward, blend
+    return (slots, sides, t * patches.intervals[slots, sides, 1], inward,
+            patches.side_blend(slots, sides, t))
 
 
 # -- exports --------------------------------------------------------------------------
@@ -941,4 +940,5 @@ def export_ply(tri, path, channels=()):
 
 def write_report(report, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        # without indent, json.dumps runs the C encoder
+        fh.write(json.dumps(report, sort_keys=True) + "\n")

@@ -14,6 +14,7 @@ import pytest
 from conftest import (grid_with_rotated_edge, jittered_torus, side_field,
                       side_length, sphere_mesh, torus_grid,
                       torus_with_rotated_edge)
+from quadspline.patch import GridPatchSet
 from quadspline.surface import (AUDIT_STEP, FD_STEP, WELD_REL_TOL,
                                 BuildOptions, CompositeSurface, _cross_frame,
                                 _interior_shared_edges, analysis_fields,
@@ -377,7 +378,22 @@ def evaluated_points(monkeypatch):
     return counts
 
 
-def test_analysis_and_audit_evaluate_each_point_once(evaluated_points):
+@pytest.fixture
+def seam_samples(monkeypatch):
+    """The number of samples of every GridPatchSet.seam_jets call."""
+    counts = []
+    real = GridPatchSet.seam_jets
+
+    def counting(self, slots, sides, x):
+        counts.append(np.size(x))
+        return real(self, slots, sides, x)
+
+    monkeypatch.setattr(GridPatchSet, "seam_jets", counting)
+    return counts
+
+
+def test_analysis_and_audit_evaluate_each_point_once(evaluated_points,
+                                                     seam_samples):
     surf = build_surface(jittered_torus().build_connectivity(),
                          BuildOptions())
     assert not surf.gregory
@@ -395,19 +411,59 @@ def test_analysis_and_audit_evaluate_each_point_once(evaluated_points):
     evaluated_points.clear()
     analysis_fields(surf, tri)
     assert sum(evaluated_points) == 3 * len(tri.positions)
-    # grid seam sides read exact side fields: one point per sample
+    # grid seam sides read one seam pass, one sample per side sample, and
+    # make no surface.eval call
     evaluated_points.clear()
     report = continuity_report(surf)
-    assert sum(evaluated_points) == 32 * len(report["edges"])
+    assert evaluated_points == []
+    assert sum(seam_samples) == 32 * len(report["edges"])
 
 
 def test_audit_evaluates_two_complex_points_per_gregory_sample(
-        evaluated_points):
+        evaluated_points, seam_samples):
     surf = surface_of("sphere_g2")
     samples = 5
     report = continuity_report(surf, samples=samples)
     sides = np.array([[kind == "gregory" for kind in e["kinds"]]
                       for e in report["edges"]])
     assert sides.any() and not sides.all()
-    assert sum(evaluated_points) == samples * (
-        2 * sides.sum() + (~sides).sum())
+    assert sum(evaluated_points) == samples * 2 * sides.sum()
+    assert sum(seam_samples) == samples * (~sides).sum()
+
+
+SEAM_MESHES = {"sphere": lambda: sphere_mesh(2),
+               "jittered_torus": jittered_torus,
+               "open_ev_grid": CASES["open_ev_grid_g1"][0]}
+SEAM_OPTIONS = {"d5c2p2s4_g2": BuildOptions(),
+                "d5c2p2s4_g1": BuildOptions(mode="g1"),
+                "d3c1p2s4_g1": BuildOptions(family="d3c1p2s4", mode="g1")}
+
+
+@pytest.mark.parametrize("options", sorted(SEAM_OPTIONS))
+@pytest.mark.parametrize("mesh", sorted(SEAM_MESHES))
+def test_seam_pass_equals_eval_and_side_fields(mesh, options):
+    surf = build_surface(SEAM_MESHES[mesh]().build_connectivity(),
+                         SEAM_OPTIONS[options])
+    # every grid side sample of the audit, laid out as _seam_table does
+    hes = _interior_shared_edges(surf)
+    faces = surf.mesh.he_face(hes)
+    ts = np.linspace(0.0, 1.0, 16)
+    u, v = surf._edge_uv(faces[..., None], hes[..., None],
+                         np.stack([ts, 1.0 - ts]))
+    grid = surf._slot[0, faces] >= 0
+    faces, hes, u, v = faces[grid], hes[grid], u[grid], v[grid]
+    slots, sides, x, _, _ = _cross_frame(surf, faces[:, None],
+                                         hes[:, None], u, v)
+    slots, sides = slots[:, 0], sides[:, 0]
+    pos, *frame = surf.grid_patches.seam_jets(slots, sides, x)
+    # the patch's own position
+    want = surf.eval(np.broadcast_to(faces[:, None], u.shape), u, v)
+    assert np.all(np.linalg.norm(pos - want, axis=-1) <= 1e-14 * np.maximum(
+        1.0, np.linalg.norm(want, axis=-1)))
+    # the boundary tangent and the cross fields of orders 1..k
+    jets = [(0, 1)] + [(q, 0) for q in range(1, surf.grid_patches.k + 1)]
+    want = surf.grid_patches.side_jets(np.repeat(slots, 16),
+                                       np.repeat(sides, 16), jets, x.ravel())
+    for got, field in zip(frame, want):
+        assert np.abs(got.reshape(-1, 3) - field).max() <= 1e-13 * np.abs(
+            field).max()

@@ -83,6 +83,17 @@ def test_build_malformed_mesh_exit_1(tmp_path, capsys, kind):
         assert f"{path}:{lineno}: " in err
 
 
+def test_build_face_index_past_the_last_vertex_exit_1(tmp_path, capsys):
+    # one quad over four vertices, whose last corner is vertex 9
+    path = tmp_path / "past.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 9\n")
+    code = main(["build", str(path), "--samples", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:5: face 0 references vertex 9, but the file has 4 "
+        "vertices\n")
+
+
 @pytest.mark.parametrize("alpha", ["nan", "3", "-1"])
 def test_build_alpha_outside_unit_interval_exit_1(capfd, torus_obj, alpha):
     code = main(["build", str(torus_obj), "--alpha", alpha, "--samples", "2",
@@ -323,6 +334,16 @@ def test_curve_one_number_line_exit_1(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and ":3:" in err
     assert not (tmp_path / "short.csv").exists()
+
+
+def test_curve_non_numeric_coordinate_exit_1(tmp_path, capsys):
+    pts_file = tmp_path / "word.txt"
+    pts_file.write_text("0 0\n1 x\n2 1\n1 2\n")
+    code = main(["curve", str(pts_file), "--out", str(tmp_path / "word")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {pts_file}:2: expected 'x y', got '1 x'\n")
+    assert not (tmp_path / "word.csv").exists()
 
 
 def test_curve_closing_repeat_names_the_first_point(tmp_path, capsys):

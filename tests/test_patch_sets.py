@@ -90,8 +90,8 @@ def test_grid_side_fields_of_several_orders_in_one_call(case):
 
 @pytest.mark.parametrize("case", ["sphere_g2", "open_ev_grid_g1"])
 def test_seam_frame_in_one_pass_equals_side_fields(case, small_eval_chunk):
-    # the seam audit reads a grid side's tangent and its cross fields of
-    # orders 1..k from one side_jets pass, equal to one pass for each
+    # the Gregory builder reads several jets of a grid side from one
+    # side_jets pass, equal to one pass for each
     patches = surface_of(case).grid_patches
     k = patches.k
     rng = np.random.default_rng(5)
@@ -231,11 +231,13 @@ def test_whole_surface_audits_stay_in_bounded_memory():
 
 
 # tracemalloc peaks of one full EVAL_CHUNK = 2048 of complex points, in bytes
-# per point, on sphere_mesh(2), numpy 2.4: GregoryPatchSet.eval 2370 and
-# GridPatchSet.side_jets with the seam audit's jets 1045.  A Gregory kernel
-# that gathers the per-patch tables of M and the side fields of all four
-# sides for every point at once reads 2940.
-KERNEL_BYTES_PER_POINT = {"gregory": 2600, "grid_side_jets": 1200}
+# per point, on sphere_mesh(2), numpy 2.4: GregoryPatchSet.eval 2370,
+# GridPatchSet.side_jets with the jets (0, 1), (1, 0), (2, 0) 1045 and
+# GridPatchSet.seam_jets over 128 real sides of 16 samples 579.  A Gregory
+# kernel that gathers the per-patch tables of M and the side fields of all
+# four sides for every point at once reads 2940.
+KERNEL_BYTES_PER_POINT = {"gregory": 2600, "grid_side_jets": 1200,
+                          "grid_seam_jets": 700}
 
 
 def test_one_chunk_of_each_kernel_stays_in_its_bytes_per_point():
@@ -249,9 +251,15 @@ def test_one_chunk_of_each_kernel_stays_in_its_bytes_per_point():
     sides = rng.integers(0, 4, n)
     x = u * grid.intervals[grid_slots, sides, 1]
     jets = [(0, 1)] + [(q, 0) for q in range(1, grid.k + 1)]
+    # the seam audit's layout: sides of 16 real samples each
+    seam_slots, seam_sides = grid_slots[::16], sides[::16]
+    seam_x = u.real.reshape(-1, 16) \
+        * grid.intervals[seam_slots, seam_sides, 1, None]
     calls = {"gregory": lambda: gregory.eval(slots, u, v),
              "grid_side_jets": lambda: grid.side_jets(grid_slots, sides,
-                                                      jets, x)}
+                                                      jets, x),
+             "grid_seam_jets": lambda: grid.seam_jets(seam_slots, seam_sides,
+                                                      seam_x)}
     for name, call in calls.items():
         tracemalloc.start()
         try:
