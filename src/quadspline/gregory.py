@@ -155,9 +155,8 @@ class GregoryPatchSet:
         entry = np.arange(8 * n)
         slots, sides = entry // 8, entry // 2 % 4
         x = self.lengths[slots, sides] * (entry % 2)
-        ends = [self.side_fields(slots, sides, x, r).reshape(n, 4, 2, k + 1,
-                                                             3)
-                for r in range(k + 1)]
+        ends = self.side_fields(slots, sides, x, range(k + 1)).reshape(
+            k + 1, n, 4, 2, k + 1, 3)
         _check_corners(self.corners, self.lengths, ends[0][..., 0, :],
                        self.faces)
         self._stack_constants(ends)
@@ -165,30 +164,34 @@ class GregoryPatchSet:
     def side_fields(self, slots, sides, x, r=0):
         """r-th x-derivative at x[i] of every field (orders 0..k) of side
         sides[i] of patch slots[i], in patch orientation; shape
-        (m, k + 1, 3).  Network fields are evaluated in one Horner pass,
-        grid fields in one GridPatchSet call."""
-        k = self.k
+        (m, k + 1, 3).  r may also be a sequence of orders, all read in one
+        pass; the result then has a leading axis over them.  Network fields
+        are evaluated in one Horner pass an order, grid fields in one
+        GridPatchSet call."""
+        k, orders = self.k, np.atleast_1d(r)
         flip = self.flip[slots, sides]
         back = self.lengths[slots, sides] - x
-        sign = self.sign[slots, sides]
-        if r % 2:
-            sign = np.where(flip, -sign, sign)
-        out = np.empty(flip.shape + (3,), back.dtype)
+        # odd orders of a flipped field change sign
+        sign = self.sign[slots, sides] * (-1) ** (orders[:, None, None] * flip)
+        out = np.empty((len(orders),) + flip.shape + (3,), back.dtype)
         grid_slot, grid_side = self.grid[slots, sides].T
         net = grid_slot < 0
         if net.any():
             i, q = np.nonzero(np.broadcast_to(net[:, None], flip.shape))
             rows = np.ravel_multi_index((slots[i], sides[i], q),
                                         self.flip.shape)
-            out[i, q] = _horner(self._table, np.where(
-                flip[i, q], back[i], x[i])[:, None], r, rows)
+            at = np.where(flip[i, q], back[i], x[i])[:, None]
+            for o, order in enumerate(orders):
+                out[o, i, q] = _horner(self._table, at, order, rows)
         if not net.all():
             at = ~net
-            out[at] = self.grid_patches.side_jets(
-                grid_slot[at], grid_side[at], [(q, r) for q in range(k + 1)],
-                np.where(flip[at, 0], back[at], x[at])).transpose(1, 0, 2)
+            out[:, at] = self.grid_patches.side_jets(
+                grid_slot[at], grid_side[at],
+                [(q, o) for o in orders for q in range(k + 1)],
+                np.where(flip[at, 0], back[at], x[at])).reshape(
+                    len(orders), k + 1, -1, 3).transpose(0, 2, 1, 3)
         out *= sign[..., None]
-        return out
+        return out if np.ndim(r) else out[0]
 
     def _stack_constants(self, ends):
         """inner and twist from the endpoint derivatives ends[r] of every

@@ -16,8 +16,10 @@ blend value, which keeps boundary data exact and cheap.
 All grid patches of a surface live in one GridPatchSet, made from the
 window arrays of mesh.classify_faces, which evaluates arrays of (slot, u, v)
 in passes of EVAL_CHUNK points, each contracting the points' real windows
-against real or complex weights without a complex copy.  A RegularPatch is a
-view of one slot, and its grid reads the slot's window back as a LocalGrid.
+against real or complex weights without a complex copy; side_jets is the
+one kernel for side data, which Coons-Gregory sides and the seam audit share.
+A RegularPatch is a view of one slot, and its grid reads the slot's window
+back as a LocalGrid.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from .splines import fundamental_weights
 
 SIDES = ("v0", "v1", "u0", "u1")
 # points per pass of every patch-set evaluation: a complex point takes about
-# 1.0 KB in a grid pass and 2.4 KB in a Coons-Gregory one
+# 1.0 KB in a grid pass and 2.5 KB in a Coons-Gregory one
 EVAL_CHUNK = 2048
 
 
@@ -59,16 +61,21 @@ def real_einsum(spec, w, table):
 
 
 def chunked(fn, *arrays):
-    """fn over EVAL_CHUNK-long slices of equal-length 1-D arrays, its
-    (..., m, 3) results joined into one (..., n, 3) array."""
-    n = len(arrays[0])
+    """fn over slices of equal-length arrays of EVAL_CHUNK points each, its
+    (..., m, 3) results joined into one (..., n, 3) array.  The last array
+    may be (n, S), S samples a row: a slice then takes EVAL_CHUNK // S rows,
+    and the results are (..., m, S, 3)."""
+    n, tail = len(arrays[0]), np.shape(arrays[-1])[1:]
+    step = max(1, EVAL_CHUNK // max((1,) + tail))
+    axis = -2 - len(tail)   # the axis of the rows in fn's results
     out = None
     # fn runs once even for no points: its result gives the leading shape
-    for lo in range(0, max(n, 1), EVAL_CHUNK):
-        part = fn(*(a[lo:lo + EVAL_CHUNK] for a in arrays))
+    for lo in range(0, max(n, 1), step):
+        part = fn(*(a[lo:lo + step] for a in arrays))
         if out is None:
-            out = np.empty(part.shape[:-2] + (n, 3), part.dtype)
-        out[..., lo:lo + EVAL_CHUNK, :] = part
+            out = np.empty(part.shape[:axis] + (n,) + part.shape[axis + 1:],
+                           part.dtype)
+        out[(..., slice(lo, lo + step)) + (slice(None),) * (-1 - axis)] = part
     return out
 
 
@@ -80,8 +87,8 @@ class GridPatchSet:
     transposed, running along v first, in windows[2 i + 1], and its row and
     column intervals d0, d1, e0, e1 in intervals[i] (4, 3), in SIDES order
     (the intervals along side v0 are d0, ..., along u1 e1).  Every method
-    but seam_jets takes 1-D arrays of slots and points, and evaluates them
-    in chunks of EVAL_CHUNK; seam_jets takes one (sides, samples) table.
+    takes 1-D arrays of slots and points, side_jets also rows of samples
+    a side, and evaluates them in chunks of EVAL_CHUNK points.
     """
 
     def __init__(self, anchors, vertex_ids, points, intervals, fam):
@@ -109,15 +116,6 @@ class GridPatchSet:
         hi = np.moveaxis(self.intervals[slots, first + 1], -1, 0)
         return lo + (hi - lo) * _blend(self.k, t)
 
-    def _along(self, index, w):
-        """sum_i w_i p_ij for (4, n) weights and the points p of the windows
-        self.windows[index], gathered one row i at a time; shape (n, 4,
-        3)."""
-        out = np.zeros((len(index), 4, 3), w.dtype)
-        for i in range(4):
-            out += real_einsum("n,njd->njd", w[i], self.windows[index, i])
-        return out
-
     def eval(self, slots, u, v):
         """S(u[i], v[i]) of patch slots[i] for 1-D arrays; shape (n, 3)."""
         return chunked(self._eval, slots, floats(u), floats(v))
@@ -141,9 +139,11 @@ class GridPatchSet:
     def side_jets(self, slots, sides, jets, x):
         """r-th x-derivative of the order-q cross field (q = 0: the boundary
         curve), for every (q, r) pair of jets, along side sides[i] (an index
-        into SIDES) of patch slots[i], at x[i] in the side's local variable;
-        shape (len(jets), n, 3).  One pass makes one along-weight table for
-        all r and one cross-weight table for all q > 0.
+        into SIDES) of patch slots[i], at x[i] in the side's local variable,
+        or at the S samples x[i] for x (m, S); shape (len(jets),) + x.shape +
+        (3,).  A pass gathers each side's window once, sums it along the side
+        for all r, and across it per jet at the real cross coordinate, as
+        eval does, for q = 0 too.
 
         For sides v0/v1 the cross field is the q-th y-partial as a function
         of the boundary variable x; for u0/u1 the roles of the axes swap.
@@ -157,7 +157,11 @@ class GridPatchSet:
                        slots, sides, floats(x))
 
     def _side_jets(self, slots, sides, jets, x):
-        along = self.intervals[slots, sides].T
+        window = 2 * slots + sides // 2
+        # the side tables broadcast against the samples of x
+        at = (slice(None),) + (None,) * (x.ndim - 1)
+        slots, sides = slots[at], sides[at]
+        along = np.moveaxis(self.intervals[slots, sides], -1, 0)
         if any(q and r for q, r in jets):
             # a complex x is at an end where its real part is, give or take
             # its imaginary part, which the snap to the end keeps
@@ -169,44 +173,21 @@ class GridPatchSet:
                                  "endpoints only")
             x = np.where(at_end, along[1], 0.0) + (x - re)
         rs = sorted({r for _, r in jets})
-        w_along = dict(zip(rs, fundamental_weights(self.family, x, along,
-                                                   rs)))
-        vertical = sides < 2   # v0/v1 run along u and are crossed in v
-        w_cross = {}
-        if any(q == 0 for q, _ in jets):
-            # the boundary curve is the grid line of the side itself
-            w_cross[0] = np.zeros((4, len(x)))
-            w_cross[0][1 + sides % 2, np.arange(len(x))] = 1.0
-        cross_orders = sorted({q for q, _ in jets if q})
-        if cross_orders:
-            cross = self._blended(slots, np.where(vertical, 2, 0),
-                                  x / along[1])
-            w_cross.update(zip(cross_orders, fundamental_weights(
-                self.family, np.where(sides % 2, cross[1], 0.0), cross,
-                cross_orders)))
-        # the windows contracted along the side once per r, then across it
-        along = {r: self._along(2 * slots + sides // 2, w_along[r])
-                 for r in rs}
-        return np.stack([np.einsum("jn,njd->nd", w_cross[q], along[r])
-                         for q, r in jets])
-
-    def seam_jets(self, slots, sides, x):
-        """Position, side_jets' (0, 1) and (q, 0) jets for q = 1..k, on side
-        sides[i] of patch slots[i] at the S real x[i]; shape (k + 2, m, S,
-        3), from one gather of each side's window.  Cross weights are taken
-        at the real cross coordinate, as eval does, not on the grid line."""
-        along = self.intervals[slots, sides].T[..., None]
-        w_along = fundamental_weights(self.family, x, along, [0, 1])
-        cross = self._blended(slots[:, None], np.where(sides < 2, 2, 0)
-                              [:, None], x / along[1])
-        y = np.where((sides % 2)[:, None], cross[1], 0.0)
-        w_cross = fundamental_weights(self.family, y, cross, range(self.k + 1))
-        # sides last, samples innermost: the sums run over long axes
-        rows = np.einsum("aims,ijdm->ajdms", w_along, np.moveaxis(
-            self.windows[2 * slots + sides // 2], 0, -1))
-        pos, *fields = np.einsum("cjms,jdms->cdms", w_cross, rows[0])
-        tangent = np.einsum("jms,jdms->dms", w_cross[0], rows[1])
-        return np.moveaxis(np.stack([pos, tangent, *fields]), 1, -1)
+        qs = sorted({q for q, _ in jets})
+        # the windows, sides last, summed along the side for every r
+        n = "ms"[:x.ndim]
+        rows = real_einsum(f"ai{n},ijdm->ajd{n}",
+                           fundamental_weights(self.family, x, along, rs),
+                           np.moveaxis(self.windows[window], 0, -1))
+        # then across: v0/v1 run along u and are crossed in v at y = 0, e(u)
+        cross = self._blended(slots, np.where(sides < 2, 2, 0), x / along[1])
+        w_cross = fundamental_weights(
+            self.family, np.where(sides % 2, cross[1], 0.0), cross, qs)
+        out = np.empty((len(jets), 3) + x.shape, rows.dtype)
+        for jet, (q, r) in zip(out, jets):
+            np.einsum(f"j{n},jd{n}->d{n}", w_cross[qs.index(q)],
+                      rows[rs.index(r)], out=jet)
+        return np.moveaxis(out, 1, -1)
 
 
 @dataclass

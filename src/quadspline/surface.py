@@ -11,7 +11,8 @@ gregory.GregoryPatchSet).  CompositeSurface.eval takes arrays of (face, u, v)
 and makes one call per set; tessellation builds one table of (face, u, v)
 for the whole surface, the analysis channels and the continuity audit one
 per batch of vertices or seams, and each table is evaluated through that
-call, in bounded chunks; only the audit's grid sides read their own pass.
+call, in bounded chunks, but the audit's grid sides, which read
+GridPatchSet.side_jets as the Coons-Gregory sides sampled from them do.
 
 Complex (u, v) pass through that call unchanged, since every patch formula
 is a polynomial or a rational in (u, v).  The analysis and the audit take
@@ -783,10 +784,11 @@ def _seam_table(surface, hes, ts, k):
     """Evaluate the samples of both sides of the seams hes (E, 2): side 0 at
     the fractions ts along hes[:, 0], side 1 at 1 - ts along hes[:, 1].
     Grid sides take their positions and tangent frames (the boundary
-    curve's x-derivative and the order-1 cross field) from one seam_jets
-    pass; Gregory sides from one complex surface.eval call at S(u + i eps,
-    v) and S(u, v + i eps), whose real part is the position and imaginary
-    parts over eps the partials, exact to round-off.  Returns the
+    curve's x-derivative and the order-1 cross field) from one side_jets
+    pass over rows of samples, with every cross order at the real cross
+    coordinate; Gregory sides from one complex surface.eval call at S(u + i
+    eps, v) and S(u, v + i eps), whose real part is the position and
+    imaginary parts over eps the partials, exact to round-off.  Returns the
     positions (E, 2, S, 3), the unit normals and their degenerate mask, and
     for the A seams between two grid patches (the audited ones) the inward
     cross derivatives {r: (A, 2, S - 2, 3)} and the blend values (A, 2,
@@ -806,8 +808,9 @@ def _seam_table(surface, hes, ts, k):
     slots, sides, x, inward, blend = _cross_frame(
         surface, faces[grid][:, None], hes[grid][:, None], u[grid], v[grid])
     # position, tangent and cross fields 1..k: one window gather per side
-    pos[grid], along, *fields = surface.grid_patches.seam_jets(
-        slots[:, 0], sides[:, 0], x)
+    pos[grid], along, *fields = surface.grid_patches.side_jets(
+        slots[:, 0], sides[:, 0],
+        [(0, 0), (0, 1)] + [(q, 0) for q in range(1, k + 1)], x)
     normal[grid], degenerate[grid] = _unit_normals(along, fields[0])
     # the audited seams' sides among the grid sides, at the interior samples
     inner = (np.cumsum(grid).reshape(grid.shape)[grid.all(axis=1)] - 1,
@@ -850,9 +853,10 @@ def continuity_report(surface, samples=16):
     order.  Normals are exact to round-off: read from the side fields on
     grid sides, and from complex steps of size AUDIT_STEP on Gregory sides
     (see _seam_table).  The samples of both sides of EVAL_CHUNK // (2
-    samples) seams at a time form one table, read by one seam_jets pass and
-    one surface.eval call, and reduced per seam.  samples below 3 leave no
-    interior sample to audit and raise ValueError.
+    samples) seams at a time form one table, read by one
+    GridPatchSet.side_jets pass and one surface.eval call, and reduced per
+    seam.  samples below 3 leave no interior sample to audit and raise
+    ValueError.
     """
     if samples < 3:
         raise ValueError(f"the continuity report needs at least 3 samples "

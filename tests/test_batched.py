@@ -380,15 +380,17 @@ def evaluated_points(monkeypatch):
 
 @pytest.fixture
 def seam_samples(monkeypatch):
-    """The number of samples of every GridPatchSet.seam_jets call."""
+    """The number of samples of every GridPatchSet.side_jets call with rows
+    of samples, the seam audit's."""
     counts = []
-    real = GridPatchSet.seam_jets
+    real = GridPatchSet.side_jets
 
-    def counting(self, slots, sides, x):
-        counts.append(np.size(x))
-        return real(self, slots, sides, x)
+    def counting(self, slots, sides, jets, x):
+        if np.ndim(x) == 2:
+            counts.append(np.size(x))
+        return real(self, slots, sides, jets, x)
 
-    monkeypatch.setattr(GridPatchSet, "seam_jets", counting)
+    monkeypatch.setattr(GridPatchSet, "side_jets", counting)
     return counts
 
 
@@ -455,15 +457,15 @@ def test_seam_pass_equals_eval_and_side_fields(mesh, options):
     slots, sides, x, _, _ = _cross_frame(surf, faces[:, None],
                                          hes[:, None], u, v)
     slots, sides = slots[:, 0], sides[:, 0]
-    pos, *frame = surf.grid_patches.seam_jets(slots, sides, x)
+    # the position, the boundary tangent and the cross fields of orders 1..k
+    jets = [(0, 0), (0, 1)] + [(q, 0)
+                               for q in range(1, surf.grid_patches.k + 1)]
+    got = surf.grid_patches.side_jets(slots, sides, jets, x)
     # the patch's own position
     want = surf.eval(np.broadcast_to(faces[:, None], u.shape), u, v)
-    assert np.all(np.linalg.norm(pos - want, axis=-1) <= 1e-14 * np.maximum(
-        1.0, np.linalg.norm(want, axis=-1)))
-    # the boundary tangent and the cross fields of orders 1..k
-    jets = [(0, 1)] + [(q, 0) for q in range(1, surf.grid_patches.k + 1)]
+    assert np.all(np.linalg.norm(got[0] - want, axis=-1) <= 1e-14
+                  * np.maximum(1.0, np.linalg.norm(want, axis=-1)))
+    # rows of samples give the bits of one point a side
     want = surf.grid_patches.side_jets(np.repeat(slots, 16),
                                        np.repeat(sides, 16), jets, x.ravel())
-    for got, field in zip(frame, want):
-        assert np.abs(got.reshape(-1, 3) - field).max() <= 1e-13 * np.abs(
-            field).max()
+    assert np.array_equal(got.reshape(want.shape), want)

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (grid_with_rotated_edge, sphere_mesh, torus_grid,
                       torus_with_rotated_edge)
+from quadspline import gregory
 from quadspline import mesh as qm
 from quadspline import patch
 from quadspline.surface import (BuildOptions, analysis_fields, build_surface,
@@ -110,6 +111,48 @@ def test_seam_frame_in_one_pass_equals_side_fields(case, small_eval_chunk):
         slots, sides, [(q, 0) for q in range(1, k + 1)], x))
 
 
+@pytest.mark.parametrize("case", ["sphere_g2", "open_ev_grid_g1"])
+def test_side_fields_of_all_orders_in_one_pass_equal_one_pass_each(case):
+    # the ends of every side of every Coons-Gregory patch, network and
+    # sampled sides alike, as the set's constructor reads them
+    patches = surface_of(case).gregory_patches
+    n, k = len(patches.lengths), patches.k
+    entry = np.arange(8 * n)
+    slots, sides = entry // 8, entry // 2 % 4
+    net = patches.grid[slots, sides, 0] < 0
+    assert net.any() and not net.all()
+    for step in (0.0, 1e-5j):
+        x = patches.lengths[slots, sides] * (entry % 2) + step
+        got = patches.side_fields(slots, sides, x, range(k + 1))
+        assert got.shape == (k + 1, 8 * n, k + 1, 3)
+        for r in range(k + 1):
+            assert np.array_equal(got[r],
+                                  patches.side_fields(slots, sides, x, r))
+
+
+def test_coons_gregory_set_reads_its_end_jets_in_one_grid_call(monkeypatch):
+    calls, depth = [], [0]
+    side_jets = patch.GridPatchSet.side_jets
+    init = gregory.GregoryPatchSet.__init__
+
+    def counting(self, *args):
+        calls.append(depth[0])
+        return side_jets(self, *args)
+
+    def constructing(self, *args):
+        depth[0] += 1
+        try:
+            init(self, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(patch.GridPatchSet, "side_jets", counting)
+    monkeypatch.setattr(gregory.GregoryPatchSet, "__init__", constructing)
+    surf = build_surface(sphere_mesh(2).build_connectivity())
+    assert surf.gregory and surf.gregory_patches.k == 2
+    assert sum(calls) == 1
+
+
 def test_unknown_face_raises():
     surf = surface_of("open_ev_grid_g1")
     phantom = surf.mesh.real_face_count   # extrapolated faces get no patch
@@ -205,7 +248,7 @@ def test_grid_side_jets_of_a_build_follow_the_gregory_faces(monkeypatch):
 
 
 # tracemalloc peaks of analysis_fields and continuity_report on
-# sphere_mesh(2) at n = 4, numpy 2.4: 1.52 and 1.61 MB (1.64 MB for both in
+# sphere_mesh(2) at n = 4, numpy 2.4: 1.54 and 1.64 MB (1.67 MB for both in
 # one trace), with the analysis taking EVAL_CHUNK // 4 = 512 vertices and
 # the report EVAL_CHUNK // 32 = 64 seams per batch, and EVAL_CHUNK = 2048
 # points per patch-set pass.  The analysis peaks in the basis weights of a
@@ -231,13 +274,13 @@ def test_whole_surface_audits_stay_in_bounded_memory():
 
 
 # tracemalloc peaks of one full EVAL_CHUNK = 2048 of complex points, in bytes
-# per point, on sphere_mesh(2), numpy 2.4: GregoryPatchSet.eval 2370,
-# GridPatchSet.side_jets with the jets (0, 1), (1, 0), (2, 0) 1045 and
-# GridPatchSet.seam_jets over 128 real sides of 16 samples 579.  A Gregory
+# per point, on sphere_mesh(2), numpy 2.4: GregoryPatchSet.eval 2472,
+# GridPatchSet.side_jets with the jets (0, 1), (1, 0), (2, 0) 1059 and, with
+# the seam audit's jets over 128 real rows of 16 samples, 517.  A Gregory
 # kernel that gathers the per-patch tables of M and the side fields of all
 # four sides for every point at once reads 2940.
 KERNEL_BYTES_PER_POINT = {"gregory": 2600, "grid_side_jets": 1200,
-                          "grid_seam_jets": 700}
+                          "grid_side_jets_rows": 700}
 
 
 def test_one_chunk_of_each_kernel_stays_in_its_bytes_per_point():
@@ -258,8 +301,8 @@ def test_one_chunk_of_each_kernel_stays_in_its_bytes_per_point():
     calls = {"gregory": lambda: gregory.eval(slots, u, v),
              "grid_side_jets": lambda: grid.side_jets(grid_slots, sides,
                                                       jets, x),
-             "grid_seam_jets": lambda: grid.seam_jets(seam_slots, seam_sides,
-                                                      seam_x)}
+             "grid_side_jets_rows": lambda: grid.side_jets(
+                 seam_slots, seam_sides, [(0, 0)] + jets, seam_x)}
     for name, call in calls.items():
         tracemalloc.start()
         try:
