@@ -171,11 +171,20 @@ class GregoryPatchSet:
         k, orders = self.k, np.atleast_1d(r)
         flip = self.flip[slots, sides]
         back = self.lengths[slots, sides] - x
-        # odd orders of a flipped field change sign
-        sign = self.sign[slots, sides] * (-1) ** (orders[:, None, None] * flip)
-        out = np.empty((len(orders),) + flip.shape + (3,), back.dtype)
         grid_slot, grid_side = self.grid[slots, sides].T
         net = grid_slot < 0
+        # the grid kernel runs before out exists, and its result is freed
+        # before the Horner pass: no copy of a field meets other temporaries
+        if not net.all():
+            grid = self.grid_patches.side_jets(
+                grid_slot[~net], grid_side[~net],
+                [(q, o) for o in orders for q in range(k + 1)],
+                np.where(flip[~net, 0], back[~net], x[~net]))
+        out = np.empty((len(orders),) + flip.shape + (3,), back.dtype)
+        if not net.all():
+            out[:, ~net] = np.moveaxis(grid.reshape(len(orders), k + 1, -1, 3),
+                                       1, 2)
+            del grid
         if net.any():
             i, q = np.nonzero(np.broadcast_to(net[:, None], flip.shape))
             rows = np.ravel_multi_index((slots[i], sides[i], q),
@@ -183,14 +192,9 @@ class GregoryPatchSet:
             at = np.where(flip[i, q], back[i], x[i])[:, None]
             for o, order in enumerate(orders):
                 out[o, i, q] = _horner(self._table, at, order, rows)
-        if not net.all():
-            at = ~net
-            out[:, at] = self.grid_patches.side_jets(
-                grid_slot[at], grid_side[at],
-                [(q, o) for o in orders for q in range(k + 1)],
-                np.where(flip[at, 0], back[at], x[at])).reshape(
-                    len(orders), k + 1, -1, 3).transpose(0, 2, 1, 3)
-        out *= sign[..., None]
+        # odd orders of a flipped field change sign
+        out *= (self.sign[slots, sides]
+                * (-1) ** (orders[:, None, None] * flip))[..., None]
         return out if np.ndim(r) else out[0]
 
     def _stack_constants(self, ends):

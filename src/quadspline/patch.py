@@ -30,7 +30,7 @@ from .splines import fundamental_weights
 
 SIDES = ("v0", "v1", "u0", "u1")
 # points per pass of every patch-set evaluation: a complex point takes about
-# 1.0 KB in a grid pass and 2.5 KB in a Coons-Gregory one
+# 1.0 KB in a grid pass and 2.0 KB in a Coons-Gregory one
 EVAL_CHUNK = 2048
 
 

@@ -732,19 +732,24 @@ def analysis_fields(surface, tri):
 
     Partial derivatives come from complex steps of size FD_STEP (see
     _step_partials): three complex points per vertex, in the patch domain
-    or not, with the tessellated position as the real centre; the points
-    of EVAL_CHUNK // 4 vertices at a time make one pass of each patch set.
-    Samples with a degenerate normal are flagged NaN.
+    or not, with the tessellated position as the real centre.  The vertices
+    of grid faces and those of Coons-Gregory faces make separate batches of
+    EVAL_CHUNK // 4, so each batch is one pass of one patch set.  Samples
+    with a degenerate normal are flagged NaN.
     """
     faces = np.asarray(tri.src_face, int)
     u, v = np.asarray(tri.src_uv, float).reshape(-1, 2).T
+    gregory = surface._slot[1, faces] >= 0
+    order = np.argsort(gregory, kind="stable")
+    faces, u, v, p = faces[order], u[order], v[order], tri.positions[order]
+    grid, step = len(faces) - int(gregory.sum()), EVAL_CHUNK // 4
+    starts = [*range(0, grid, step), *range(grid, len(faces), step)]
     mean_curv = np.full(len(tri.positions), np.nan)
     isophote = np.full(len(tri.positions), np.nan)
     degenerate = 0
-    for lo in range(0, len(faces), EVAL_CHUNK // 4):
-        at = slice(lo, lo + EVAL_CHUNK // 4)
-        su, sv, suu, suv, svv = _step_partials(surface, faces[at], u[at],
-                                               v[at], tri.positions[at])
+    for lo, hi in zip(starts, starts[1:] + [len(faces)]):
+        su, sv, suu, suv, svv = _step_partials(surface, faces[lo:hi],
+                                               u[lo:hi], v[lo:hi], p[lo:hi])
         nrm, bad = _unit_normals(su, sv)
         E, F, G = _dot(su, su), _dot(su, sv), _dot(sv, sv)
         L, M, N = _dot(suu, nrm), _dot(suv, nrm), _dot(svv, nrm)
@@ -753,7 +758,7 @@ def analysis_fields(surface, tri):
         degenerate += int(bad.sum())
         with np.errstate(invalid="ignore", divide="ignore"):
             H = (E * N - 2.0 * F * M + G * L) / (2.0 * denom)
-        good = lo + np.flatnonzero(~bad)
+        good = order[lo:hi][~bad]
         mean_curv[good] = H[~bad]
         isophote[good] = (nrm @ LIGHT_DIRECTION)[~bad]
     tri.channels["mean_curvature"] = mean_curv
@@ -786,9 +791,12 @@ def _seam_table(surface, hes, ts, k):
     Grid sides take their positions and tangent frames (the boundary
     curve's x-derivative and the order-1 cross field) from one side_jets
     pass over rows of samples, with every cross order at the real cross
-    coordinate; Gregory sides from one complex surface.eval call at S(u + i
-    eps, v) and S(u, v + i eps), whose real part is the position and
-    imaginary parts over eps the partials, exact to round-off.  Returns the
+    coordinate; Gregory sides from one complex surface.eval call at E1 =
+    S(P + i eps a) and E2 = S(P + i eps a + i K eps c), a and c the unit
+    (u, v) steps along and across the side, eps = AUDIT_STEP and K = 2^10:
+    Re E1 is the position, Im E1 / eps and Im (E2 - E1) / (K eps) the
+    partials, exact to round-off.  A pass then reads each sample's side
+    fields once, and K keeps the difference at full precision.  Returns the
     positions (E, 2, S, 3), the unit normals and their degenerate mask, and
     for the A seams between two grid patches (the audited ones) the inward
     cross derivatives {r: (A, 2, S - 2, 3)} and the blend values (A, 2,
@@ -800,11 +808,17 @@ def _seam_table(surface, hes, ts, k):
     pos, normal = np.empty((2,) + u.shape + (3,))
     degenerate = np.empty(u.shape, bool)
     if not grid.all():
-        ug, vg, step = u[~grid], v[~grid], 1j * AUDIT_STEP
-        e = surface.eval(faces[~grid, None], [ug + step, ug], [vg, vg + step])
+        eps, K = AUDIT_STEP, 2.0 ** 10
+        odd = ((hes - surface.anchors[faces]) % 2)[~grid, None]   # along v
+        step = 1j * eps * np.stack([1 - odd, odd])   # (du, dv) along
+        first = np.stack([u[~grid], v[~grid]]) + step
+        e = surface.eval(faces[~grid, None],
+                         *np.stack([first, first + K * step[::-1]], axis=1))
         pos[~grid] = e[0].real
+        along, across = e[0].imag / eps, (e[1].imag - e[0].imag) / (K * eps)
+        # su x sv: along x across, negated on a side along v
         normal[~grid], degenerate[~grid] = _unit_normals(
-            e[0].imag / AUDIT_STEP, e[1].imag / AUDIT_STEP)
+            (1 - 2 * odd[..., None]) * along, across)
     slots, sides, x, inward, blend = _cross_frame(
         surface, faces[grid][:, None], hes[grid][:, None], u[grid], v[grid])
     # position, tangent and cross fields 1..k: one window gather per side
@@ -851,11 +865,12 @@ def continuity_report(surface, samples=16):
     match after scaling by the blend-function ratio, through the family
     continuity order, relative to the surface's largest derivative of that
     order.  Normals are exact to round-off: read from the side fields on
-    grid sides, and from complex steps of size AUDIT_STEP on Gregory sides
-    (see _seam_table).  The samples of both sides of EVAL_CHUNK // (2
-    samples) seams at a time form one table, read by one
-    GridPatchSet.side_jets pass and one surface.eval call, and reduced per
-    seam.  samples below 3 leave no interior sample to audit and raise
+    grid sides, and on Gregory sides from two complex points a sample that
+    share a step of AUDIT_STEP along the side, the second stepping 2^10
+    times that across it too (see _seam_table).  The samples of both sides
+    of EVAL_CHUNK // (2 samples) seams at a time form one table, read by
+    one GridPatchSet.side_jets pass and one surface.eval call, and reduced
+    per seam.  samples below 3 leave no interior sample to audit and raise
     ValueError.
     """
     if samples < 3:

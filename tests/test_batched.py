@@ -14,11 +14,14 @@ import pytest
 from conftest import (grid_with_rotated_edge, jittered_torus, side_field,
                       side_length, sphere_mesh, torus_grid,
                       torus_with_rotated_edge)
+from quadspline import surface as qsurface
+from quadspline.gregory import GregoryPatchSet
 from quadspline.patch import GridPatchSet
 from quadspline.surface import (AUDIT_STEP, FD_STEP, WELD_REL_TOL,
                                 BuildOptions, CompositeSurface, _cross_frame,
-                                _interior_shared_edges, analysis_fields,
-                                build_surface, continuity_report, tessellate)
+                                _interior_shared_edges, _seam_table,
+                                analysis_fields, build_surface,
+                                continuity_report, tessellate)
 
 CASES = {
     "sphere_g2": (lambda: sphere_mesh(2), BuildOptions()),
@@ -394,6 +397,49 @@ def seam_samples(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def evaluated_faces(monkeypatch):
+    """The faces of the points of every CompositeSurface.eval call."""
+    calls = []
+    real = CompositeSurface.eval
+
+    def recording(self, faces, u, v):
+        calls.append(np.broadcast_arrays(faces, u, v)[0].ravel())
+        return real(self, faces, u, v)
+
+    monkeypatch.setattr(CompositeSurface, "eval", recording)
+    return calls
+
+
+@pytest.fixture
+def gregory_passes(monkeypatch):
+    """The number of points of every GregoryPatchSet._eval pass."""
+    counts = []
+    real = GregoryPatchSet._eval
+
+    def counting(self, slots, u, v):
+        counts.append(len(slots))
+        return real(self, slots, u, v)
+
+    monkeypatch.setattr(GregoryPatchSet, "_eval", counting)
+    return counts
+
+
+@pytest.fixture
+def side_field_points(monkeypatch):
+    """The number of side points of every GregoryPatchSet.side_fields
+    call."""
+    counts = []
+    real = GregoryPatchSet.side_fields
+
+    def counting(self, slots, sides, x, r=0):
+        counts.append(len(slots))
+        return real(self, slots, sides, x, r)
+
+    monkeypatch.setattr(GregoryPatchSet, "side_fields", counting)
+    return counts
+
+
 def test_analysis_and_audit_evaluate_each_point_once(evaluated_points,
                                                      seam_samples):
     surf = build_surface(jittered_torus().build_connectivity(),
@@ -433,6 +479,45 @@ def test_audit_evaluates_two_complex_points_per_gregory_sample(
     assert sum(seam_samples) == samples * (~sides).sum()
 
 
+def test_analysis_batches_vertices_by_patch_kind(evaluated_faces,
+                                                 gregory_passes):
+    surf = surface_of("sphere_g2")
+    tri = tessellate(surf, 4)
+    evaluated_faces.clear()
+    gregory_passes.clear()
+    analysis_fields(surf, tri)
+    # all Coons-Gregory vertices, fewer than EVAL_CHUNK // 4, make one
+    # Coons-Gregory pass of three complex points a vertex
+    on_gregory = np.isin(tri.src_face, list(surf.gregory)).sum()
+    assert 0 < on_gregory < len(tri.positions)
+    assert gregory_passes == [3 * on_gregory]
+    # and every call covers one patch kind
+    kinds = [np.unique(surf._slot[1, faces] >= 0) for faces in evaluated_faces]
+    assert [len(kind) for kind in kinds] == [1] * len(kinds)
+    assert sum(map(len, evaluated_faces)) == 3 * len(tri.positions)
+
+
+def test_audit_reads_each_gregory_samples_side_fields_once(
+        gregory_passes, side_field_points):
+    surf = surface_of("sphere_g2")
+    continuity_report(surf)
+    # both complex points of a sample share their step along the side, so
+    # the side fields along it are read once a sample
+    assert 0 < sum(side_field_points) <= sum(gregory_passes)
+
+
+@pytest.mark.parametrize("case", ["open_ev_grid_g1", "sphere_g2"])
+def test_channels_do_not_depend_on_the_analysis_batch(case, monkeypatch):
+    surf = surface_of(case)
+    tri = tessellate(surf, 4)
+    analysis_fields(surf, tri)
+    want = dict(tri.channels)
+    monkeypatch.setattr(qsurface, "EVAL_CHUNK", 64)
+    analysis_fields(surf, tri)
+    for name, values in want.items():
+        assert np.array_equal(tri.channels[name], values, equal_nan=True)
+
+
 SEAM_MESHES = {"sphere": lambda: sphere_mesh(2),
                "jittered_torus": jittered_torus,
                "open_ev_grid": CASES["open_ev_grid_g1"][0]}
@@ -469,3 +554,27 @@ def test_seam_pass_equals_eval_and_side_fields(mesh, options):
     want = surf.grid_patches.side_jets(np.repeat(slots, 16),
                                        np.repeat(sides, 16), jets, x.ravel())
     assert np.array_equal(got.reshape(want.shape), want)
+
+
+@pytest.mark.parametrize("mesh, options", [("sphere", "d5c2p2s4_g2"),
+                                           ("open_ev_grid", "d3c1p2s4_g1")])
+def test_gregory_side_normals_equal_two_independent_complex_steps(mesh,
+                                                                  options):
+    surf = build_surface(SEAM_MESHES[mesh]().build_connectivity(),
+                         SEAM_OPTIONS[options])
+    hes = _interior_shared_edges(surf)
+    faces = surf.mesh.he_face(hes)
+    ts = np.linspace(0.0, 1.0, 16)
+    _, got, degenerate, _, _ = _seam_table(surf, hes, ts,
+                                           surf.options.family.continuity)
+    # every Coons-Gregory side sample, by separate steps along u and v
+    gregory = surf._slot[0, faces] < 0
+    u, v = surf._edge_uv(faces[..., None], hes[..., None],
+                         np.stack([ts, 1.0 - ts]))
+    f, u, v = faces[gregory, None], u[gregory], v[gregory]
+    step = 1j * AUDIT_STEP
+    want = np.cross(surf.eval(f, u + step, v).imag / AUDIT_STEP,
+                    surf.eval(f, u, v + step).imag / AUDIT_STEP)
+    want /= np.linalg.norm(want, axis=-1, keepdims=True)
+    assert gregory.any() and not degenerate[gregory].any()
+    assert np.abs(got[gregory] - want).max() <= 1e-13

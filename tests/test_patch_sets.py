@@ -248,12 +248,15 @@ def test_grid_side_jets_of_a_build_follow_the_gregory_faces(monkeypatch):
 
 
 # tracemalloc peaks of analysis_fields and continuity_report on
-# sphere_mesh(2) at n = 4, numpy 2.4: 1.54 and 1.64 MB (1.67 MB for both in
-# one trace), with the analysis taking EVAL_CHUNK // 4 = 512 vertices and
-# the report EVAL_CHUNK // 32 = 64 seams per batch, and EVAL_CHUNK = 2048
-# points per patch-set pass.  The analysis peaks in the basis weights of a
-# complex grid pass, the report in the grid side fields of a complex
-# Coons-Gregory pass.  With 512-point passes: 1.48 and 1.92 MB; with
+# sphere_mesh(2) at n = 4, numpy 2.4: 1.81 and 1.41 MB (1.81 MB for both in
+# one trace), with the analysis taking EVAL_CHUNK // 4 = 512 vertices of one
+# patch kind and the report EVAL_CHUNK // 32 = 64 seams per batch, and
+# EVAL_CHUNK = 2048 points per patch-set pass.  The analysis peaks in a
+# complex grid pass of 1536 points, the report in a complex Coons-Gregory
+# pass.  With analysis batches that mix the kinds and an audit that reads
+# each Coons-Gregory sample's side fields twice: 1.54 and 1.64 MB, the
+# report then peaking in the grid side fields of a Coons-Gregory pass.
+# With 512-point passes: 1.48 and 1.92 MB; with
 # 2048-point passes of kernels that gather every per-patch table and side
 # field for all points at once: 1.75 and 3.55 MB; 10.1 and 15.9 MB with
 # each whole-surface table evaluated in one piece.
@@ -274,7 +277,8 @@ def test_whole_surface_audits_stay_in_bounded_memory():
 
 
 # tracemalloc peaks of one full EVAL_CHUNK = 2048 of complex points, in bytes
-# per point, on sphere_mesh(2), numpy 2.4: GregoryPatchSet.eval 2472,
+# per point, on sphere_mesh(2), numpy 2.4: GregoryPatchSet.eval 1974 (2556
+# when side_fields held its field array beside the grid kernel's gathers),
 # GridPatchSet.side_jets with the jets (0, 1), (1, 0), (2, 0) 1059 and, with
 # the seam audit's jets over 128 real rows of 16 samples, 517.  A Gregory
 # kernel that gathers the per-patch tables of M and the side fields of all

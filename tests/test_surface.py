@@ -297,6 +297,10 @@ def test_analysis_fields_flags_degenerate_samples():
             return np.zeros(np.shape(u) + (3,))
 
     class FakeSurface:
+        # the analysis batches by patch kind: face 0 has grid slot 0 and no
+        # Coons-Gregory slot (column -1 is the no-patch column)
+        _slot = np.array([[0, -1], [-1, -1]])
+
         def patch(self, f):
             return PointPatch()
 
