@@ -1,11 +1,11 @@
 """Transfinite patches interpolating four boundary curves and cross fields.
 
-The patch is defined as S(u,v) = -H(u)^T M(u,v) H(v) with the cubic (G1) or
-quintic (G2) Hermite blending vector H carrying a leading -1.  The matrix M
-holds boundary/corner data with scalings that map the per-edge local
-variables to the uv domain: curve derivatives scale by the constant edge
-interval, cross fields by the face's blend function evaluated at the running
-parameter, and second-order entries by the squares.  Twist-like corner
+The patch is defined as S(u,v) = -H(u)^T M(u,v) H(v), with H a leading -1
+and the cubic (G1) or quintic (G2) Hermite basis of network.BASES.  M holds
+boundary/corner data with scalings that map the per-edge local variables to
+the uv domain: curve derivatives scale by the constant edge interval, cross
+fields by the face's blend function evaluated at the running parameter, and
+second-order entries by the squares.  Twist-like corner
 entries blend two estimates rationally (linear weights for G1, quadratic for
 G2); at the corners, where the weights are 0/0, the mean of the two estimates
 is substituted, which is exact when the data are compatible and never affects
@@ -30,6 +30,7 @@ of one slot.
 import numpy as np
 
 from .errors import ConstructionError
+from .network import BASES
 from .patch import PatchView, _blend, chunked, floats, real_einsum
 from .splines import _horner
 
@@ -38,33 +39,22 @@ CORNER_EPS = 1e-12
 
 def hermite_basis(degree, u):
     """Blending vector: leading -1 then the Hermite basis polynomials, shape
-    (degree + 2,) + u.shape."""
-    u = floats(u)
-    if degree == 3:
-        u2 = u * u
-        u3 = u2 * u
-        rows = [
-            2.0 * u3 - 3.0 * u2 + 1.0,
-            -2.0 * u3 + 3.0 * u2,
-            u3 - 2.0 * u2 + u,
-            u3 - u2,
-        ]
-    elif degree == 5:
-        u2 = u * u
-        u3 = u2 * u
-        u4 = u3 * u
-        u5 = u4 * u
-        rows = [
-            -6.0 * u5 + 15.0 * u4 - 10.0 * u3 + 1.0,
-            6.0 * u5 - 15.0 * u4 + 10.0 * u3,
-            -3.0 * u5 + 8.0 * u4 - 6.0 * u3 + u,
-            -3.0 * u5 + 7.0 * u4 - 4.0 * u3,
-            -0.5 * u5 + 1.5 * u4 - 1.5 * u3 + 0.5 * u2,
-            0.5 * u5 - u4 + 0.5 * u3,
-        ]
-    else:
+    (degree + 2,) + u.shape: network.BASES' cubic or quintic rows (p0, p1,
+    m0, m1 and a0, a1) contracted with the powers of u."""
+    if degree not in (3, 5):
         raise ValueError("blending degree must be 3 or 5")
-    return np.stack([np.full_like(u, -1.0)] + rows)
+    rows = BASES["cubic" if degree == 3 else "quintic"][1]
+    u = floats(u)
+    x = u.reshape(-1)
+    powers = np.empty((degree + 1, x.size), x.dtype)
+    powers[0] = 1.0
+    for j in range(1, degree + 1):
+        np.multiply(powers[j - 1], x, out=powers[j])
+    out = np.empty((degree + 2, x.size), x.dtype)
+    out[0] = -1.0
+    # the table is real: one matmul on the real view of complex powers
+    np.matmul(rows, powers.view(float), out=out[1:].view(float))
+    return out.reshape((degree + 2,) + u.shape)
 
 
 # side s runs over [0, d] from corner _SIDE_CORNERS[s, 0] to [s, 1]

@@ -13,9 +13,12 @@ Cross-derivative fields over a boundary curve gamma are assembled as
     xi(x)  = a(x)^2 gamma''(x) + s(x) gamma'(x) + t(x) r(x)
              + 2 a(x) b(x) r'(x) + b(x)^2 w(x)
 
-with a, b, s, t, w linear and r linear or quadratic; fields on the two sides
+with a, b, s, t, w linear and r of degree 1 to 4; fields on the two sides
 of a shared curve use the same r and w, which is what ties the neighboring
 patches' tangent planes (and second-order data) together along the curve.
+Each such polynomial on [0, d] is fixed by end conditions: one table,
+BASES, holds their basis polynomials on [0, 1], which interpolant scales to
+[0, d], and gregory's blending vector reads it too.
 
 Every function takes leading batch axes: vectors are (..., 3), intervals
 and scalars (...), and a VecPoly holds one polynomial per batch entry.  A
@@ -113,51 +116,36 @@ class VecPoly:
         return VecPoly(out)
 
 
-def _linear(v0, v1, d):
-    """Scalar polynomial through v0 at 0 and v1 at d, coefficients on the
-    last axis."""
-    return np.stack(np.broadcast_arrays(v0, (v1 - v0) / d), axis=-1)
+# End-condition polynomials on [0, 1], per kind: the derivative order of
+# each condition, in interpolant's order, and the ascending coefficients of
+# the basis polynomial that meets it and zeroes the others.  Linear: p0, p1
+# (values at 0, 1); quadratic: + p(1/2); cubic: + m0, m1 (first derivatives
+# at 0, 1); quartic: cubic's + p(1/2); quintic: cubic's + a0, a1 (second).
+BASES = {kind: (np.array(orders), np.array(rows, float))
+         for kind, orders, rows in (
+    ("linear", (0, 0), [[1, -1], [0, 1]]),
+    ("quadratic", (0, 0, 0), [[1, -3, 2], [0, -1, 2], [0, 4, -4]]),
+    ("cubic", (0, 0, 1, 1),
+     [[1, 0, -3, 2], [0, 0, 3, -2], [0, 1, -2, 1], [0, 0, -1, 1]]),
+    ("quartic", (0, 0, 1, 1, 0),
+     [[1, 0, -11, 18, -8], [0, 0, -5, 14, -8], [0, 1, -4, 5, -2],
+      [0, 0, 1, -3, 2], [0, 0, 16, -32, 16]]),
+    ("quintic", (0, 0, 1, 1, 2, 2),
+     [[1, 0, 0, -10, 15, -6], [0, 0, 0, 10, -15, 6], [0, 1, 0, -6, 8, -3],
+      [0, 0, 0, -4, 7, -3], [0, 0, 0.5, -1.5, 1.5, -0.5],
+      [0, 0, 0, 0.5, -1, 0.5]]))}
 
 
-def _linear_vec(p0, p1, d):
-    return VecPoly(np.stack([p0, (np.asarray(p1) - np.asarray(p0)) / _col(d)],
-                            axis=-2))
-
-
-def _quadratic_vec(p0, pm, p1, d):
-    """Vector quadratic through p0, pm, p1 at 0, d/2, d."""
-    d = _col(d)
-    p0 = np.asarray(p0, float)
-    pm = np.asarray(pm, float)
-    p1 = np.asarray(p1, float)
-    c2 = (2.0 * p0 - 4.0 * pm + 2.0 * p1) / (d * d)
-    c1 = (-3.0 * p0 + 4.0 * pm - p1) / d
-    return VecPoly(np.stack([p0, c1, c2], axis=-2))
-
-
-def hermite_curve3(p0, m0, p1, m1, d):
-    """Cubic on [0, d] interpolating endpoint positions and derivatives."""
-    d = _col(d)
-    p0, m0 = np.asarray(p0, float), np.asarray(m0, float)
-    p1, m1 = np.asarray(p1, float), np.asarray(m1, float)
-    c2 = 3.0 * (p1 - p0) / d ** 2 - (2.0 * m0 + m1) / d
-    c3 = 2.0 * (p0 - p1) / d ** 3 + (m0 + m1) / d ** 2
-    return VecPoly(np.stack(np.broadcast_arrays(p0, m0, c2, c3), axis=-2))
-
-
-def hermite_curve5(p0, m0, a0, p1, m1, a1, d):
-    """Quintic on [0, d] interpolating positions, first and second derivs."""
-    d = _col(d)
-    p0, m0, a0 = (np.asarray(v, float) for v in (p0, m0, a0))
-    p1, m1, a1 = (np.asarray(v, float) for v in (p1, m1, a1))
-    r0 = p1 - p0 - m0 * d - 0.5 * a0 * d * d
-    r1 = m1 - m0 - a0 * d
-    r2 = a1 - a0
-    c3 = (10.0 * r0 - 4.0 * d * r1 + 0.5 * d * d * r2) / d ** 3
-    c4 = (-15.0 * r0 + 7.0 * d * r1 - d * d * r2) / d ** 4
-    c5 = (6.0 * r0 - 3.0 * d * r1 + 0.5 * d * d * r2) / d ** 5
-    return VecPoly(np.stack(np.broadcast_arrays(p0, m0, 0.5 * a0, c3, c4, c5),
-                            axis=-2))
+def interpolant(kind, conditions, d):
+    """The polynomial of a BASES kind on [0, d] meeting the conditions, each
+    (..., dim) in the kind's order: an order-r condition is scaled by d^r,
+    the table maps the scaled conditions to the coefficients on [0, 1], and
+    coefficient j is divided by d^j."""
+    orders, rows = BASES[kind]
+    d = np.asarray(d, float)[..., None, None]
+    coeffs = rows.T @ (np.stack(np.broadcast_arrays(*conditions), axis=-2)
+                       * d ** orders[:, None])
+    return VecPoly(coeffs / d ** np.arange(len(rows))[:, None])
 
 
 def build_missing_boundary_curve(p0, p1, d, m0, m1, a0=None, a1=None):
@@ -166,8 +154,8 @@ def build_missing_boundary_curve(p0, p1, d, m0, m1, a0=None, a1=None):
     if np.any(np.asarray(d) <= 0.0):
         raise ValueError("interval must be positive")
     if a0 is None:
-        return hermite_curve3(p0, m0, p1, m1, d)
-    return hermite_curve5(p0, m0, a0, p1, m1, a1, d)
+        return interpolant("cubic", [p0, p1, m0, m1], d)
+    return interpolant("quintic", [p0, p1, m0, m1, a0, a1], d)
 
 
 # -- vertex derivative estimation -----------------------------------------------
@@ -206,18 +194,17 @@ def tangent_with_fallback(p0, neighbors, intervals, i):
 
 
 def guide_points(p0, pi, d, t0i, ti0):
-    """Two shape samples on the cubic joining p0 to pi.
-
-    The cubic takes value p0 with derivative t0i at 0 and value pi with
-    derivative ti0 at d, where ti0 is the derivative at pi of the curve
-    oriented from pi toward p0; the samples are its values at d/4 and d/2.
-    """
+    """Two shape samples on the cubic joining p0 to pi, its values at d/4
+    and d/2.  The cubic takes value p0 with derivative t0i at 0 and value
+    pi with derivative ti0 at d, both along p0 -> pi.  The guide fit passes
+    as ti0 the derivative at pi toward p0, of the opposite sign: on a unit
+    line with t0i = 1, ti0 = -1 the samples read 0.34375 and 0.75, not 0.25
+    and 0.5."""
+    # the cubic basis at 1/4 and 1/2 (a column each); derivatives scale by d
+    at = BASES["cubic"][1] @ np.array([0.25, 0.5]) ** np.arange(4)[:, None]
     d = _col(d)
-    p0, pi = np.asarray(p0, float), np.asarray(pi, float)
-    t0i, ti0 = np.asarray(t0i, float), np.asarray(ti0, float)
-    q1 = (54.0 * p0 + 10.0 * pi + 3.0 * d * (3.0 * t0i - ti0)) / 64.0
-    q2 = (4.0 * p0 + 4.0 * pi + d * (t0i - ti0)) / 8.0
-    return q1, q2
+    return tuple(p0 * a + pi * b + d * (t0i * c + ti0 * e)
+                 for a, b, c, e in at.T)
 
 
 def planar_angles(tangents):
@@ -361,8 +348,9 @@ def project_to_plane(vec, normal):
 # -- cross-derivative fields ------------------------------------------------------
 
 def _solve_frame(tangent, ruled, target, at):
-    """Coefficients (a, b) with a*tangent + b*ruled closest to target; at
-    is the x of each frame, named when one is degenerate."""
+    """Coefficients (a, b), stacked on the last axis, with a*tangent +
+    b*ruled closest to target; at is the x of each frame, named when one is
+    degenerate."""
     tt = _dot(tangent, tangent)
     tr = _dot(tangent, ruled)
     rr = _dot(ruled, ruled)
@@ -374,9 +362,16 @@ def _solve_frame(tangent, ruled, target, at):
             f"degenerate tangent/ruled frame at x={at[bad].flat[0]:g}")
     bt = _dot(tangent, target)
     br = _dot(ruled, target)
-    a = (rr * bt - tr * br) / det
-    b = (tt * br - tr * bt) / det
-    return a, b
+    return np.stack([rr * bt - tr * br, tt * br - tr * bt], axis=-1) \
+        / det[..., None]
+
+
+def _frame_fields(g1, ruled, d, target0, target1):
+    """Linear scalar fields a and b, coefficients on the last axis, with a
+    g1 + b ruled closest to target0 at 0 and to target1 at d."""
+    ends = [_solve_frame(g1.eval(x), ruled.eval(x), target, x)
+            for x, target in ((0.0, target0), (d, target1))]
+    return np.moveaxis(interpolant("linear", ends, d).coeffs, -1, 0)
 
 
 def second_fundamental(curvature, x, y):
@@ -404,11 +399,12 @@ def make_ruled_direction(gamma, d, n0, n1, degree=2, nm=None,
     g1 = gamma.deriv(1)
     r0 = np.cross(g1.eval(0.0), n0)
     r1 = np.cross(g1.eval(d), n1)
-    if degree == 1 or nm is None:
-        base = _linear_vec(r0, r1, d)
+    linear = degree == 1 or nm is None
+    if linear:
+        base = interpolant("linear", [r0, r1], d)
     else:
         rm = np.cross(g1.eval(0.5 * np.asarray(d)), nm)
-        base = _quadratic_vec(r0, rm, r1, d)
+        base = interpolant("quadratic", [r0, r1, rm], d)
     if curv0 is None and curv1 is None:
         return base
     rp0 = base.eval(0.0, 1)
@@ -419,21 +415,9 @@ def make_ruled_direction(gamma, d, n0, n1, degree=2, nm=None,
     if curv1 is not None:
         want = second_fundamental(curv1, g1.eval(d), r1)
         rp1 = rp1 + _col(want - _dot(rp1, n1)) * n1
-    if degree == 1 or nm is None:
-        return hermite_curve3(r0, rp0, r1, rp1, d)
-    # quartic: endpoint values/derivatives plus the mid-edge value
-    d = np.asarray(d, float)
-    A = np.stack([d * d, d ** 3, d ** 4,
-                  2.0 * d, 3.0 * d * d, 4.0 * d ** 3,
-                  d * d / 4.0, d ** 3 / 8.0, d ** 4 / 16.0],
-                 axis=-1).reshape(d.shape + (3, 3))
-    d = _col(d)
-    rhs = np.stack([r1 - r0 - rp0 * d,
-                    rp1 - rp0,
-                    rm - r0 - rp0 * 0.5 * d], axis=-2)
-    tail = np.linalg.solve(A, rhs)
-    return VecPoly(np.concatenate([r0[..., None, :], rp0[..., None, :], tail],
-                                  axis=-2))
+    if linear:
+        return interpolant("cubic", [r0, r1, rp0, rp1], d)
+    return interpolant("quartic", [r0, r1, rp0, rp1, rm], d)
 
 
 def build_cross_field_chi(gamma, d, ruled, target0, target1):
@@ -444,10 +428,7 @@ def build_cross_field_chi(gamma, d, ruled, target0, target1):
     chi and the coefficients of a and b (..., 2).
     """
     g1 = gamma.deriv(1)
-    a0, b0 = _solve_frame(g1.eval(0.0), ruled.eval(0.0), target0, 0.0)
-    a1, b1 = _solve_frame(g1.eval(d), ruled.eval(d), target1, d)
-    a = _linear(a0, a1, d)
-    b = _linear(b0, b1, d)
+    a, b = _frame_fields(g1, ruled, d, target0, target1)
     chi = g1.scale(a) + ruled.scale(b)
     return chi, a, b
 
@@ -476,10 +457,7 @@ def build_cross_field_xi(gamma, d, a, b, ruled, w_field, target0, target1):
         + w_field.scale(_square(b, b))
     res0 = np.asarray(target0, float) - base.eval(0.0)
     res1 = np.asarray(target1, float) - base.eval(d)
-    s0, t0 = _solve_frame(g1.eval(0.0), ruled.eval(0.0), res0, 0.0)
-    s1, t1 = _solve_frame(g1.eval(d), ruled.eval(d), res1, d)
-    s = _linear(s0, s1, d)
-    t = _linear(t0, t1, d)
+    s, t = _frame_fields(g1, ruled, d, res0, res1)
     return base + g1.scale(s) + ruled.scale(t)
 
 

@@ -136,7 +136,8 @@ def _horner(coeffs, x, r=0, rows=None):
         coeffs = [f * c for f, c in zip(factors, coeffs[r:])]
     acc = coeffs[-1] if rows is None else coeffs[-1][rows]
     for c in coeffs[-2::-1]:
-        acc = acc * x + (c if rows is None else c[rows])
+        acc = acc * x
+        acc += c if rows is None else c[rows]
     return acc
 
 

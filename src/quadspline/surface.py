@@ -439,7 +439,7 @@ class _GregoryBuilder:
         if self.k == 2:
             w0 = net.normal_curvature_vector(ruled.eval(0.0), *k_a)
             w1 = net.normal_curvature_vector(ruled.eval(d), *k_b)
-            w = net.VecPoly(np.stack([w0, (w1 - w0) / d[:, None]], axis=1))
+            w = net.interpolant("linear", [w0, w1], d)
             fields.append(net.build_cross_field_xi(
                 gamma, d, a, b, ruled, w, *targets[2]).coeffs)
         return fields

@@ -6,7 +6,7 @@ import pytest
 from conftest import grid_with_rotated_edge, sphere_mesh
 from quadspline.errors import ConstructionError
 from quadspline.gregory import GregoryPatch, GregoryPatchSet, hermite_basis
-from quadspline.network import (VecPoly, hermite_curve3, hermite_curve5)
+from quadspline.network import BASES, VecPoly, interpolant
 from quadspline.patch import _blend
 from quadspline.surface import BuildOptions, build_surface
 
@@ -71,13 +71,15 @@ def rand_curve(rng, k, p0, p1, d, m0=None, m1=None, a0=None, a1=None):
 
     m0, m1 = pick(m0), pick(m1)
     if k == 1:
-        return hermite_curve3(p0, m0, p1, m1, d)
-    return hermite_curve5(p0, m0, pick(a0), p1, m1, pick(a1), d)
+        return interpolant("cubic", [p0, p1, m0, m1], d)
+    a0 = pick(a0)
+    return interpolant("quintic", [p0, p1, m0, m1, a0, pick(a1)], d)
 
 
 def value_interp(rng, v0, v1, d):
     """Cubic through the two endpoint values with random end slopes."""
-    return hermite_curve3(v0, rng.normal(size=3), v1, rng.normal(size=3), d)
+    m0, m1 = rng.normal(size=3), rng.normal(size=3)
+    return interpolant("cubic", [v0, v1, m0, m1], d)
 
 
 def random_boundary_data(rng, k, bottom=None, const_intervals=False):
@@ -149,6 +151,20 @@ def test_hermite_basis_printed_values():
     assert h5[1] + h5[2] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         hermite_basis(4, 0.5)
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+def test_hermite_basis_complex_step_is_the_derivative_of_the_table(degree):
+    rows = BASES["cubic" if degree == 3 else "quintic"][1]
+    u = np.linspace(0.0, 1.0, 11)
+    h = hermite_basis(degree, u + 1e-30j)
+    assert h.shape == (degree + 2, 11)
+    assert (h[0] == -1.0).all()
+    value = np.polynomial.polynomial.polyval(u, rows.T)
+    slope = np.polynomial.polynomial.polyval(
+        u, np.polynomial.polynomial.polyder(rows.T))
+    assert np.abs(h[1:].real - value).max() <= 1e-15
+    assert np.abs(h[1:].imag / 1e-30 - slope).max() <= 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 2])

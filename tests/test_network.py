@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from quadspline.errors import ConstructionError, FitError
-from quadspline.network import (VecPoly, build_cross_field_chi,
+from quadspline.network import (BASES, VecPoly, build_cross_field_chi,
                                 build_cross_field_xi,
                                 build_missing_boundary_curve,
                                 directional_derivs, fit_common_plane,
                                 fit_guide_polynomial, guide_points,
-                                hermite_curve3, hermite_curve5,
-                                make_ruled_direction, normal_curvature_vector,
-                                planar_angles, principal_curvatures,
-                                project_to_plane, tangent_with_fallback)
+                                interpolant, make_ruled_direction,
+                                normal_curvature_vector, planar_angles,
+                                principal_curvatures, project_to_plane,
+                                tangent_with_fallback)
 
 
 def bessel_oracle(p_prev, p0, p_next, d_prev, d_next):
@@ -210,12 +210,12 @@ def test_hermite_curves_interpolate():
     for _ in range(5):
         p0, m0, p1, m1, a0, a1 = rng.normal(size=(6, 3))
         d = rng.uniform(0.3, 2.0)
-        c3 = hermite_curve3(p0, m0, p1, m1, d)
+        c3 = interpolant("cubic", [p0, p1, m0, m1], d)
         assert np.allclose(c3.eval(0.0), p0, atol=1e-14)
         assert np.allclose(c3.eval(d), p1, atol=1e-12)
         assert np.allclose(c3.eval(0.0, 1), m0, atol=1e-13)
         assert np.allclose(c3.eval(d, 1), m1, atol=1e-12)
-        c5 = hermite_curve5(p0, m0, a0, p1, m1, a1, d)
+        c5 = interpolant("quintic", [p0, p1, m0, m1, a0, a1], d)
         assert np.allclose(c5.eval(0.0), p0, atol=1e-14)
         assert np.allclose(c5.eval(d), p1, atol=1e-12)
         assert np.allclose(c5.eval(0.0, 1), m0, atol=1e-13)
@@ -230,19 +230,63 @@ def test_hermite_reproduces_polynomials():
     # straight line data
     p0 = rng.normal(size=3)
     vel = rng.normal(size=3)
-    line3 = hermite_curve3(p0, vel, p0 + d * vel, vel, d)
-    line5 = hermite_curve5(p0, vel, np.zeros(3), p0 + d * vel, vel,
-                           np.zeros(3), d)
+    line3 = interpolant("cubic", [p0, p0 + d * vel, vel, vel], d)
+    line5 = interpolant("quintic", [p0, p0 + d * vel, vel, vel, np.zeros(3),
+                                    np.zeros(3)], d)
     for x in np.linspace(0, d, 9):
         assert np.allclose(line3.eval(x), p0 + x * vel, atol=1e-12)
         assert np.allclose(line5.eval(x), p0 + x * vel, atol=1e-12)
     # quintic round trip
     quintic = VecPoly(rng.normal(size=(6, 3)))
-    c5 = hermite_curve5(quintic.eval(0.0), quintic.eval(0.0, 1),
-                        quintic.eval(0.0, 2), quintic.eval(d),
-                        quintic.eval(d, 1), quintic.eval(d, 2), d)
+    c5 = interpolant("quintic", [quintic.eval(0.0), quintic.eval(d),
+                                 quintic.eval(0.0, 1), quintic.eval(d, 1),
+                                 quintic.eval(0.0, 2), quintic.eval(d, 2)],
+                     d)
     for x in np.linspace(0, d, 20):
         assert np.allclose(c5.eval(x), quintic.eval(x), atol=1e-9)
+
+
+# where each condition of a BASES kind sits, as a fraction of the interval
+CONDITION_AT = {"linear": (0, 1), "quadratic": (0, 1, 0.5),
+                "cubic": (0, 1, 0, 1), "quartic": (0, 1, 0, 1, 0.5),
+                "quintic": (0, 1, 0, 1, 0, 1)}
+
+
+def test_every_kind_has_its_conditions_placed():
+    assert sorted(CONDITION_AT) == sorted(BASES)
+    for kind, (orders, rows) in BASES.items():
+        assert rows.shape == (len(orders), len(CONDITION_AT[kind]))
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_interpolant_meets_its_conditions(kind):
+    # a batch of 7 intervals and condition sets; each condition is checked
+    # through VecPoly.eval at 0, d/2 or d, in the frame of [0, 1] (an
+    # order-r derivative times d^r), relative to the largest condition there
+    rng = np.random.default_rng(38)
+    orders, _ = BASES[kind]
+    d = rng.uniform(0.2, 2.0, 7)
+    conditions = rng.normal(size=(len(orders), 7, 3))
+    poly = interpolant(kind, conditions, d)
+    assert poly.coeffs.shape == (7, len(orders), 3)
+    unit = conditions * (d ** orders[:, None])[..., None]
+    scale = np.abs(unit).max(axis=(0, 2))
+    for c, order, at in zip(conditions, orders, CONDITION_AT[kind]):
+        err = np.abs(poly.eval(at * d, order) - c).max(axis=-1) * d ** order
+        assert (err <= 1e-12 * scale).all(), (order, at, err / scale)
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_interpolant_reproduces_polynomials_of_its_degree(kind):
+    rng = np.random.default_rng(39)
+    orders, rows = BASES[kind]
+    d = rng.uniform(0.2, 2.0, 5)
+    poly = VecPoly(rng.normal(size=(5, rows.shape[1], 3)))
+    again = interpolant(kind, [poly.eval(at * d, order) for order, at
+                               in zip(orders, CONDITION_AT[kind])], d)
+    x = d * np.linspace(0.0, 1.0, 9)[:, None]
+    want = poly.eval(x)
+    assert np.abs(again.eval(x) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_build_missing_boundary_curve_dispatch():
@@ -264,7 +308,7 @@ def _planar_setup(rng, d=1.4):
     p1 = np.array([d, 0.3, 0.0])
     m0 = np.array([1.0, 0.5, 0.0])
     m1 = np.array([1.0, -0.4, 0.0])
-    gamma = hermite_curve3(p0, m0, p1, m1, d)
+    gamma = interpolant("cubic", [p0, p1, m0, m1], d)
     n = np.array([0.0, 0.0, 1.0])
     target0 = np.array([-0.2, 1.0, 0.0])
     target1 = np.array([0.3, 1.1, 0.0])
@@ -326,9 +370,8 @@ def test_xi_matches_realizable_targets_in_3d():
     # targets generated from the field structure itself are recovered
     rng = np.random.default_rng(34)
     d = 1.1
-    gamma = hermite_curve5(rng.normal(size=3), rng.normal(size=3),
-                           rng.normal(size=3), rng.normal(size=3),
-                           rng.normal(size=3), rng.normal(size=3), d)
+    p0, m0, a0, p1, m1, a1 = (rng.normal(size=3) for _ in range(6))
+    gamma = interpolant("quintic", [p0, p1, m0, m1, a0, a1], d)
     n0 = rng.normal(size=3)
     n0 /= np.linalg.norm(n0)
     n1 = rng.normal(size=3)
@@ -410,7 +453,8 @@ def test_batches_are_stacks_of_their_entries():
     rng = np.random.default_rng(37)
     count = 6
     d = rng.uniform(0.5, 2.0, count)
-    gamma = hermite_curve5(*rng.normal(size=(6, count, 3)), d)
+    p0, m0, a0, p1, m1, a1 = rng.normal(size=(6, count, 3))
+    gamma = interpolant("quintic", [p0, p1, m0, m1, a0, a1], d)
     normals = rng.normal(size=(3, count, 3))
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     curvature = principal_curvatures(*rng.normal(size=(5, count, 3)))

@@ -277,10 +277,11 @@ def test_whole_surface_audits_stay_in_bounded_memory():
 
 
 # tracemalloc peaks of one full EVAL_CHUNK = 2048 of complex points, in bytes
-# per point, on sphere_mesh(2), numpy 2.4: GregoryPatchSet.eval 1974 (2556
+# per point, on sphere_mesh(2), numpy 2.4: GregoryPatchSet.eval 1830 (1974
+# with a Horner step that adds each coefficient into a fresh array, 2556
 # when side_fields held its field array beside the grid kernel's gathers),
-# GridPatchSet.side_jets with the jets (0, 1), (1, 0), (2, 0) 1059 and, with
-# the seam audit's jets over 128 real rows of 16 samples, 517.  A Gregory
+# GridPatchSet.side_jets with the jets (0, 1), (1, 0), (2, 0) 1043 and, with
+# the seam audit's jets over 128 real rows of 16 samples, 509.  A Gregory
 # kernel that gathers the per-patch tables of M and the side fields of all
 # four sides for every point at once reads 2940.
 KERNEL_BYTES_PER_POINT = {"gregory": 2600, "grid_side_jets": 1200,

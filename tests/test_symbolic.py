@@ -1,4 +1,5 @@
-"""Exact identities of the segment polynomials and the flat-ended blend.
+"""Exact identities of the segment polynomials, the flat-ended blend and the
+end-condition table.
 
 The coefficient functions run on sympy symbols; nsimplify turns their
 floating constants into rationals, so every identity below is checked as an
@@ -7,8 +8,10 @@ identity of rational functions, not at sample points.
 
 import pytest
 
+from quadspline.network import BASES
 from quadspline.patch import _blend
 from quadspline.splines import _COEFF_ALL, D3C1P2S4, D5C2P2S4
+from test_network import CONDITION_AT
 
 sympy = pytest.importorskip("sympy")
 
@@ -76,3 +79,16 @@ def test_blend_is_flat_ended(k):
     # monotone in between: the slope is a positive multiple of t^k (1-t)^k
     slope = sympy.cancel(sympy.diff(b, t) / (t ** k * (1 - t) ** k))
     assert slope.is_number and slope > 0
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_end_condition_table_is_the_exact_solution(kind):
+    orders, rows = BASES[kind]
+    # entry (k, j): condition k applied to x^j; the basis polynomial of
+    # condition i meets condition i and zeroes the others, so its
+    # coefficients are column i of the inverse
+    system = sympy.Matrix([[sympy.diff(x ** j, x, order).subs(
+        x, sympy.Rational(at)) for j in range(len(orders))]
+        for order, at in zip(orders.tolist(), CONDITION_AT[kind])])
+    table = sympy.Matrix(rows.tolist()).applyfunc(sympy.Rational)
+    assert table == system.inv().T
