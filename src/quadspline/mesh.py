@@ -325,8 +325,10 @@ def assign_edge_params(mesh, method="centripetal", alpha=None):
     values = np.float_power(length, a)
 
     if method == "mean":
+        # a vertex with no edge lies on no ribbon
         irregular = np.flatnonzero(~mesh._vertex_boundary
-                                   & (mesh._valence != 4))
+                                   & (mesh._valence != 4)
+                                   & (mesh._valence > 0))
         if len(irregular):
             v = irregular[0]
             raise UnsupportedMeshError(

@@ -234,67 +234,37 @@ def _monomials(x, y, degree):
     return terms
 
 
-class GuidePolynomial:
-    """Bivariate vector polynomial anchored at a vertex.
-
-    Maps parameter-plane points to positions, interpolates the vertex at the
-    origin (no constant term is fitted) and approximates the guide points in
-    least squares.  Degree 2 for valences 3-4, degree 3 for 5 and above.
-    coeffs (..., nterms, 3) may hold one polynomial per batch entry.
-    """
-
-    def __init__(self, p0, coeffs, degree):
-        self.p0 = np.asarray(p0, float)
-        self.coeffs = coeffs  # (..., nterms, 3), order matching _monomials
-        self.degree = degree
-
-    def eval(self, x, y):
-        return self.p0 + np.array(_monomials(x, y, self.degree)) @ self.coeffs
-
-    def gradient(self):
-        """(Px, Py) at the origin."""
-        return self.coeffs[..., 0, :], self.coeffs[..., 1, :]
-
-    def hessian(self):
-        """(Pxx, Pxy, Pyy) at the origin."""
-        c = self.coeffs
-        return 2.0 * c[..., 2, :], c[..., 3, :], 2.0 * c[..., 4, :]
-
-    def normal(self):
-        n = np.cross(*self.gradient())
-        norm = _norm(n)
-        if np.any(norm == 0.0):
-            raise ConstructionError("guide polynomial has a degenerate frame")
-        return n / norm[..., None]
-
-
 def fit_guide_polynomial(p0, qs, xys, degree=None):
-    """Least-squares guide polynomial through p0 with samples qs at xys; one
-    vertex per call."""
-    p0 = np.asarray(p0, float)
-    qs = np.asarray(qs, float)
-    xys = np.asarray(xys, float)
-    n2 = len(qs)
+    """Least-squares guide polynomials, one per batch entry: each maps
+    parameter-plane points to positions, interpolates the vertex p0 (...,
+    3) at the origin (no constant term is fitted) and approximates the
+    samples qs (..., m, 3) at xys (..., m, 2).  Degree 3 from 10 samples
+    on, else 2.  Returns the coefficients (..., nterms, 3) in _monomials
+    order, whose first five give the jets (Px, Py, Pxx, Pxy, Pyy) at the
+    origin as (c0, c1, 2 c2, c3, 2 c4).  Every system is solved in one
+    SVD of the stack, with lstsq's rank rule at rcond 1e-10."""
+    p0, qs, xys = (np.asarray(a, float) for a in (p0, qs, xys))
     if degree is None:
-        degree = 3 if n2 >= 10 else 2
-    rows = [_monomials(x, y, degree) for x, y in xys]
-    A = np.asarray(rows, float)
-    b = qs - p0
-    scale = np.linalg.norm(A, axis=0)
+        degree = 3 if qs.shape[-2] >= 10 else 2
+    A = np.stack(_monomials(xys[..., 0], xys[..., 1], degree), axis=-1)
+    scale = np.linalg.norm(A, axis=-2)
     if np.any(scale == 0.0):
         raise FitError("guide-point parameters are rank deficient")
-    As = A / scale
-    sol, _res, rank, _sv = np.linalg.lstsq(As, b, rcond=1e-10)
-    if rank < As.shape[1]:
+    u, sv, vt = np.linalg.svd(A / scale[..., None, :], full_matrices=False)
+    if sv.shape[-1] < A.shape[-1] or np.any(sv[..., -1]
+                                            <= 1e-10 * sv[..., 0]):
         raise FitError("guide-point system is rank deficient")
-    return GuidePolynomial(p0, sol / scale[:, None], degree)
+    b = qs - p0[..., None, :]
+    sol = np.swapaxes(vt, -1, -2) @ (np.swapaxes(u, -1, -2) @ b
+                                     / sv[..., None])
+    return sol / scale[..., None]
 
 
-def directional_derivs(poly, eta):
-    """First and second derivative of the guide field along direction eta,
-    which broadcasts against the polynomial's batch axes."""
-    px, py = poly.gradient()
-    pxx, pxy, pyy = poly.hessian()
+def directional_derivs(jets, eta):
+    """First and second derivative along direction eta of the guide field
+    whose jets at the vertex are (Px, Py, Pxx, Pxy, Pyy), each (..., 3); eta
+    broadcasts against their batch axes."""
+    px, py, pxx, pxy, pyy = jets
     c, s = _col(np.cos(eta)), _col(np.sin(eta))
     tau1 = px * c + py * s
     tau2 = pxx * c * c + 2.0 * pxy * c * s + pyy * s * s

@@ -11,8 +11,9 @@ gregory.GregoryPatchSet).  CompositeSurface.eval takes arrays of (face, u, v)
 and makes one call per set; tessellation builds one table of (face, u, v)
 for the whole surface, the analysis channels and the continuity audit one
 per batch of vertices or seams, and each table is evaluated through that
-call, in bounded chunks, but the audit's grid sides, which read
-GridPatchSet.side_jets as the Coons-Gregory sides sampled from them do.
+call, in bounded chunks.  The audit's grid sides are the exception: they
+read GridPatchSet.side_jets, as the Coons-Gregory sides sampled from them
+do.
 
 Complex (u, v) pass through that call unchanged, since every patch formula
 is a polynomial or a rational in (u, v).  The analysis and the audit take
@@ -209,8 +210,7 @@ class _GregoryBuilder:
     2. Corner frames.  The unit normal (and in G2 the principal curvatures)
        at each network side's ends, read at a grid patch corner of the
        vertex where there is one, else from the vertex's guide fit (G2) or
-       plane fit (G1).  The guide fit, one least-squares system per
-       vertex, is the only step taken one vertex at a time.
+       plane fit (G1), each made once per valence.
     3. Network sides.  The ruled directions and cross fields of every
        network side, matched to corner targets read from the neighbouring
        sides.
@@ -337,23 +337,26 @@ class _GregoryBuilder:
         p0 = P[vertices]
         samples = np.stack(net.guide_points(p0[:, None], P[fan], ds, tans,
                                             back), axis=2)
+        # per valence, the planar angles and the fit; of each fit's
+        # coefficients the first five, all that the jets at the vertex read
         etas = np.zeros(fan.shape)
-        for n, rows in groups:
-            etas[rows, :n] = net.planar_angles(tans[rows, :n])
-        r = ds[..., None] * np.array([0.25, 0.5])
-        xys = np.stack([r * np.cos(etas)[..., None],
-                        r * np.sin(etas)[..., None]], axis=-1)
-        # the first five terms: all that the derivatives at the vertex read
         coeffs = np.empty((len(vertices), 5, 3))
-        for row, n in enumerate(valence.tolist()):
-            coeffs[row] = net.fit_guide_polynomial(
-                p0[row], samples[row, :n].reshape(-1, 3),
-                xys[row, :n].reshape(-1, 2)).coeffs[:5]
-        t1, t2 = net.directional_derivs(
-            net.GuidePolynomial(p0[:, None], coeffs[:, None], 2), etas)
-        guide = net.GuidePolynomial(p0, coeffs, 2)
-        return _Fits(fan, t1, t2, guide.normal(),
-                     np.array(guide.gradient() + guide.hessian()))
+        for n, rows in groups:
+            etas[rows, :n] = eta = net.planar_angles(tans[rows, :n])
+            r = ds[rows, :n, None] * np.array([0.25, 0.5])
+            xys = np.stack([r * np.cos(eta)[..., None],
+                            r * np.sin(eta)[..., None]], axis=-1)
+            coeffs[rows] = net.fit_guide_polynomial(
+                p0[rows], samples[rows, :n].reshape(len(rows), -1, 3),
+                xys.reshape(len(rows), -1, 2))[:, :5]
+        guide = np.moveaxis(coeffs * np.array([1.0, 1, 2, 1, 2])[:, None],
+                            1, 0)
+        normal = np.cross(guide[0], guide[1])
+        norm = net._norm(normal)
+        if (norm == 0.0).any():
+            raise ConstructionError("guide polynomial has a degenerate frame")
+        t1, t2 = net.directional_derivs(guide[:, :, None], etas)
+        return _Fits(fan, t1, t2, normal / norm[:, None], guide)
 
     # -- phases ---------------------------------------------------------------
     def _grid_corners(self, vertices):
@@ -522,24 +525,25 @@ class _GregoryBuilder:
         normal, curvature = self._corner_frames(
             corner, fits, np.searchsorted(fitted, ends))
 
-        # every side's curve at its start and end, orders 0..k, as the side
-        # reads it: a reversed side swaps the ends and flips odd orders
-        sign = (-1.0) ** np.arange(k + 1)[:, None]
-        end_jets = np.empty(hes.shape + (2, k + 1, 3))
+        # every side's curve at its start and end, orders 1..k (those the
+        # corner targets read), as the side reads it: a reversed side swaps
+        # the ends and flips odd orders
+        sign = (-1.0) ** np.arange(1, k + 1)[:, None]
+        end_jets = np.empty(hes.shape + (2, k, 3))
         grid_side = _SIDE_INDEX_OF_CORNER[n[sampled]]
         if sampled.any():
             slots, sides = np.repeat(slot[sampled], 2), np.repeat(grid_side, 2)
             table = patches.side_jets(
-                slots, sides, [(0, r) for r in range(k + 1)],
+                slots, sides, [(0, r) for r in range(1, k + 1)],
                 np.tile([0, 1], len(grid_side))
-                * patches.intervals[slots, sides, 1]).reshape(k + 1, -1, 2, 3)
+                * patches.intervals[slots, sides, 1]).reshape(k, -1, 2, 3)
             table = table.transpose(1, 2, 0, 3)
             end_jets[sampled] = np.where(
                 same_way[sampled][:, None, None, None],
                 sign * table[:, ::-1], table)
         curves = net.VecPoly(gamma[:, None])
         x = np.stack([np.zeros_like(d), d], axis=1)
-        table = np.stack([curves.eval(x, r) for r in range(k + 1)],
+        table = np.stack([curves.eval(x, r) for r in range(1, k + 1)],
                          axis=2)[rec]
         reverse = lo[rec] != start[network]
         end_jets[network] = np.where(reverse[:, None, None, None],
@@ -556,7 +560,7 @@ class _GregoryBuilder:
         # the neighbouring sides at their starts or ends
         e = np.isin(c, (1, 2)).astype(int)
         nbrs = (np.where(c % 2, 0, 3), np.where(c % 2, 2, 1))
-        targets = {r: [end_jets[f, nb, e, r] for nb in nbrs]
+        targets = {r: [end_jets[f, nb, e, r - 1] for nb in nbrs]
                    for r in range(1, k + 1)}
         if self.options.r_degree == 2:
             nm, quadratic = self._mid_normals(hes[network])

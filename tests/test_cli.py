@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import (FIG1_POLYLINE, bowtie_grids, cube_mesh,
-                      grid_with_rotated_edge, jittered_torus, open_grid,
-                      torus_grid)
+                      grid_with_rotated_edge, jittered_torus, l_grid,
+                      open_grid, torus_grid)
 from quadspline.cli import count_sign_changes, main
 from quadspline.mesh import QuadMesh, load_obj, save_obj
 from quadspline.splines import PolylineCurve, family
-from quadspline.surface import build_surface, tessellate
+from quadspline.surface import BuildOptions, build_surface, tessellate
 
 
 def write_points(path, pts):
@@ -53,6 +53,23 @@ def test_build_mean_on_cube_exit_1(tmp_path):
     code = main(["build", str(path), "--param", "mean",
                  "--samples", "2"])
     assert code == 1
+
+
+def test_build_mean_ignores_unused_vertices(tmp_path):
+    # an L-shaped grid that keeps the four vertices of its cut-out block
+    grid = open_grid(5, 5)
+    f = np.arange(len(grid.faces))
+    kept = QuadMesh(grid.vertices, grid.faces[(f % 5 < 3) | (f // 5 < 3)])
+    path = tmp_path / "l.obj"
+    save_obj(kept, path)
+    code = main(["build", str(path), "--param", "mean", "--samples", "2",
+                 "--out", str(tmp_path / "l.ply")])
+    assert code == 0
+    options = BuildOptions(param_method="mean")
+    got = tessellate(build_surface(kept.build_connectivity(), options), 4)
+    want = tessellate(build_surface(l_grid(5, 2).build_connectivity(),
+                                    options), 4)
+    assert np.array_equal(got.positions, want.positions)
 
 
 def test_build_missing_file_exit_1(tmp_path):

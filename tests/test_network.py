@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import sphere_mesh
+from quadspline import network
 from quadspline.errors import ConstructionError, FitError
-from quadspline.network import (BASES, VecPoly, build_cross_field_chi,
+from quadspline.network import (BASES, VecPoly, _monomials,
+                                build_cross_field_chi,
                                 build_cross_field_xi,
                                 build_missing_boundary_curve,
                                 directional_derivs, fit_common_plane,
@@ -11,6 +14,7 @@ from quadspline.network import (BASES, VecPoly, build_cross_field_chi,
                                 normal_curvature_vector, planar_angles,
                                 principal_curvatures, project_to_plane,
                                 tangent_with_fallback)
+from quadspline.surface import BuildOptions, build_surface
 
 
 def bessel_oracle(p_prev, p0, p_next, d_prev, d_next):
@@ -154,15 +158,27 @@ def test_planar_angles_total_turning():
         2 * np.pi)
 
 
+def guide_eval(p0, coeffs, x, y):
+    """The fitted guide polynomial at (x, y), read from its coefficients."""
+    degree = 3 if coeffs.shape[-2] == 9 else 2
+    return p0 + np.array(_monomials(x, y, degree)) @ coeffs
+
+
+def guide_jets(coeffs):
+    """(Px, Py, Pxx, Pxy, Pyy) at the origin of a degree-2 or 3 fit."""
+    c = coeffs[..., :5, :]
+    return np.moveaxis(c * np.array([1.0, 1, 2, 1, 2])[:, None], -2, 0)
+
+
 def test_guide_polynomial_pins_origin_and_plane():
     rng = np.random.default_rng(25)
     p0 = np.array([0.5, -0.2, 0.0])
     xys = rng.normal(size=(8, 2))
     qs = np.stack([p0 + [x, y, 0.0] for x, y in xys])
-    poly = fit_guide_polynomial(p0, qs, xys, degree=2)
-    assert np.allclose(poly.eval(0.0, 0.0), p0, atol=1e-14)
+    coeffs = fit_guide_polynomial(p0, qs, xys, degree=2)
+    assert np.allclose(guide_eval(p0, coeffs, 0.0, 0.0), p0, atol=1e-14)
     for x, y in rng.normal(size=(10, 2)):
-        assert abs(poly.eval(x, y)[2]) < 1e-12
+        assert abs(guide_eval(p0, coeffs, x, y)[2]) < 1e-12
 
 
 def test_guide_polynomial_reproduces_quadratic():
@@ -176,10 +192,29 @@ def test_guide_polynomial_reproduces_quadratic():
     p0 = np.zeros(3)
     xys = rng.normal(size=(8, 2))
     qs = np.stack([[x, y, height(x, y)] for x, y in xys])
-    poly = fit_guide_polynomial(p0, qs, xys, degree=2)
+    fit = fit_guide_polynomial(p0, qs, xys, degree=2)
     for x, y in rng.normal(size=(10, 2)):
-        got = poly.eval(x, y)
+        got = guide_eval(p0, fit, x, y)
         assert np.allclose(got, [x, y, height(x, y)], atol=1e-10)
+
+
+def test_guide_polynomial_reproduces_cubic():
+    # 12 samples, valence 6, select degree 3
+    rng = np.random.default_rng(33)
+    coeffs = rng.normal(size=9)
+
+    def height(x, y):
+        return np.array(_monomials(x, y, 3)) @ coeffs
+
+    p0 = np.array([0.3, 0.1, -0.4])
+    xys = rng.normal(size=(12, 2))
+    qs = np.stack([p0 + [x, y, height(x, y)] for x, y in xys])
+    fit = fit_guide_polynomial(p0, qs, xys)
+    assert fit.shape == (9, 3)
+    for x, y in rng.normal(size=(10, 2)):
+        got = guide_eval(p0, fit, x, y)
+        assert np.allclose(got, p0 + [x, y, height(x, y)], rtol=0,
+                           atol=1e-12)
 
 
 def test_guide_polynomial_rank_deficient():
@@ -190,19 +225,57 @@ def test_guide_polynomial_rank_deficient():
         fit_guide_polynomial(p0, qs, xys, degree=2)
 
 
+def test_guide_polynomial_stack_is_its_entries():
+    # valence 3, 5 and 7 fans: two samples per neighbour, degrees 2, 3, 3
+    rng = np.random.default_rng(34)
+    for n in (3, 5, 7):
+        p0 = rng.normal(size=(4, 3))
+        xys = rng.normal(size=(4, 2 * n, 2))
+        qs = p0[:, None] + rng.normal(size=(4, 2 * n, 3))
+        got = fit_guide_polynomial(p0, qs, xys)
+        assert got.shape == (4, 5 if n == 3 else 9, 3)
+        for i in range(4):
+            want = fit_guide_polynomial(p0[i], qs[i], xys[i])
+            assert np.allclose(got[i], want, rtol=1e-14, atol=0)
+
+
+def test_guide_polynomial_stack_with_a_deficient_entry_raises():
+    rng = np.random.default_rng(35)
+    xys = rng.normal(size=(3, 8, 2))
+    xys[1] = np.linspace(0.1, 1.0, 8)[:, None]   # collinear parameters
+    qs = rng.normal(size=(3, 8, 3))
+    with pytest.raises(FitError):
+        fit_guide_polynomial(np.zeros((3, 3)), qs, xys, degree=2)
+
+
 def test_directional_derivs():
     # P = (x, y, x^2)
     p0 = np.zeros(3)
     xys = np.random.default_rng(27).normal(size=(10, 2))
     qs = np.stack([[x, y, x * x] for x, y in xys])
-    poly = fit_guide_polynomial(p0, qs, xys, degree=2)
+    jets = guide_jets(fit_guide_polynomial(p0, qs, xys, degree=2))
     for eta in (0.0, 0.7, 2.0):
-        t1, t2 = directional_derivs(poly, eta)
+        t1, t2 = directional_derivs(jets, eta)
         assert np.allclose(t1, [np.cos(eta), np.sin(eta), 0.0], atol=1e-9)
         assert np.allclose(t2, [0.0, 0.0, 2 * np.cos(eta) ** 2], atol=1e-9)
-        t1b, t2b = directional_derivs(poly, eta + np.pi)
+        t1b, t2b = directional_derivs(jets, eta + np.pi)
         assert np.allclose(t1b, -t1, atol=1e-9)
         assert np.allclose(t2b, t2, atol=1e-9)
+
+
+def test_g2_build_fits_each_valence_in_one_call(monkeypatch):
+    calls = []
+    fit = network.fit_guide_polynomial
+
+    def counting(p0, qs, xys, degree=None):
+        calls.append(np.shape(p0))
+        return fit(p0, qs, xys, degree)
+
+    monkeypatch.setattr(network, "fit_guide_polynomial", counting)
+    # the cube corners: eight vertices of valence 3
+    build_surface(sphere_mesh(2).build_connectivity(),
+                  BuildOptions(mode="g2"))
+    assert calls == [(8, 3)]
 
 
 def test_hermite_curves_interpolate():
